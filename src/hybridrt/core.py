@@ -55,7 +55,8 @@ def tone_map(c: np.ndarray) -> np.ndarray:
     Accepts any (..., 3) array.
     """
     c = np.asarray(c, dtype=np.float64)
-    assert np.all(np.isfinite(c)), "tone_map requires finite input"
+    if not np.all(np.isfinite(c)):
+        raise FloatingPointError("tone_map requires finite input")
     lo = 12.92 * c
     hi = 1.055 * np.power(np.maximum(c, _SRGB_CUT), 1.0 / 2.4) - 0.055
     out = np.where(c <= _SRGB_CUT, lo, hi)

@@ -215,6 +215,10 @@ class MarchResult:
     terminated_early: bool
 
 
+# Field samples per march block; bounds the block's temporaries.
+MARCH_BLOCK_POINTS = 4096
+
+
 def _substep_counts(seg_len: np.ndarray, dt: float) -> np.ndarray:
     n = np.ceil(seg_len / dt).astype(np.int64)
     return np.where(seg_len > 0.0, np.maximum(n, 1), 0)
@@ -223,43 +227,61 @@ def _substep_counts(seg_len: np.ndarray, dt: float) -> np.ndarray:
 def march_arrays(grid, o, d, s0, s1, dt, L, T_spec, T, shadow_fn=None):
     """Vectorized midpoint march over per-ray segments [s0, s1].
 
-    Mutates L (N,3), T_spec (N,3), T (N,) in place. shadow_fn, if given, is
-    called per substep as shadow_fn(points, substep_index, ray_indices) and
-    returns mask values in [0, 1].
+    Mutates L (N,3), T_spec (N,3), T (N,) in place. Consecutive substeps
+    are taken in blocks of at most MARCH_BLOCK_POINTS samples, laid out
+    substep-major, with one field sample and one shadow_fn call per block;
+    the accumulator updates then run substep by substep in march order, so
+    every result is bit-identical to a one-substep-at-a-time march.
+
+    shadow_fn, if given, is called once per block as
+    shadow_fn(points, substep_indices, ray_indices), with one substep and
+    one ray index per point, and returns mask values in [0, 1].
     """
     seg = np.maximum(s1 - s0, 0.0)
     n = _substep_counts(seg, dt)
-    n_max = int(n.max()) if len(n) else 0
-    all_idx = np.arange(len(n))
-    for k in range(n_max):
-        act = k < n
-        if not np.any(act):
-            break
-        ids = all_idx[act]
+    if not len(n) or n.max() == 0:
+        return
+    # Rays alive at substep k are the first alive[k] of `order`.
+    order = np.argsort(-n, kind="stable")
+    alive = len(n) - np.cumsum(np.bincount(n))[:-1]
+    ends = np.cumsum(alive)
+    k0 = 0
+    while k0 < len(alive):
+        start = ends[k0] - alive[k0]
+        k1 = max(int(np.searchsorted(ends, start + MARCH_BLOCK_POINTS, side="right")), k0 + 1)
+        counts = alive[k0:k1]
+        rows = np.cumsum(counts)
+        kk = np.repeat(np.arange(k0, k1), counts)
+        ids = order[np.arange(rows[-1]) - np.repeat(rows - counts, counts)]
         delta = seg[ids] / n[ids]
-        t_mid = s0[ids] + (k + 0.5) * delta
+        t_mid = s0[ids] + (kk + 0.5) * delta
         p = o[ids] + t_mid[:, None] * d[ids]
         sigma, rad = grid.sample_batch(p)
         a = 1.0 - np.exp(-sigma * delta)
-        m = 1.0
+        am = a
         if shadow_fn is not None:
             # Substeps with zero opacity or black radiance contribute
             # exactly zero whatever the mask, so skip their shadow rays.
             need = (a > 0.0) & (rad.max(axis=1) > 0.0)
             if np.any(need):
                 m = np.ones(len(a))
-                m[need] = shadow_fn(p[need], k, ids[need])
-        L[ids] += T_spec[ids] * (a * m)[:, None] * rad
+                m[need] = shadow_fn(p[need], kk[need], ids[need])
+                am = a * m
         keep = 1.0 - a
-        T_spec[ids] *= keep[:, None]
-        T[ids] *= keep
+        for r0, r1 in zip(rows - counts, rows):
+            sub = ids[r0:r1]
+            L[sub] += T_spec[sub] * am[r0:r1, None] * rad[r0:r1]
+            T_spec[sub] *= keep[r0:r1, None]
+            T[sub] *= keep[r0:r1]
+        k0 = k1
 
 
 def march_segment(grid, ray: Ray, s0: float, s1: float, dt: float,
                   state: PathState, shadow_fn=None) -> PathState:
     """Advance one path state across the field segment [s0, s1] of ray.
 
-    shadow_fn here takes a single world point and returns m in [0, 1].
+    shadow_fn here takes a single world point and returns m in [0, 1]; it
+    is called once per point of each march block.
     """
     if not s0 < s1:
         raise ValueError(f"need s0 < s1, got [{s0}, {s1}]")

@@ -154,11 +154,13 @@ def _march_field(scene, ids, o, d, s_end, bounce, pix, smp, seed, L, T_spec, T):
         m_pix = pix[mids]
         m_smp = smp[mids]
 
-        def shadow_fn(p, k, sub_ids):
+        def shadow_fn(p, substeps, sub_ids):
+            # One call per march block; every point brings its own substep
+            # index, the lane of its light-sample draws.
             keys = (seed, m_pix[sub_ids], m_smp[sub_ids], bounce)
-            u_pick = _rng.uniform(*keys, _rng.LIGHT_PICK, k)
-            u1 = _rng.uniform(*keys, _rng.LIGHT_U, k)
-            u2 = _rng.uniform(*keys, _rng.LIGHT_V, k)
+            u_pick = _rng.uniform(*keys, _rng.LIGHT_PICK, substeps)
+            u1 = _rng.uniform(*keys, _rng.LIGHT_U, substeps)
+            u2 = _rng.uniform(*keys, _rng.LIGHT_V, substeps)
             return shadow_mask_batch(p, scene.emitters, scene.blocker_bvh,
                                      u_pick, u1, u2, scene.spawn_eps)
 
@@ -199,6 +201,11 @@ def _sample_bsdf_groups(scene, bvh, faces, wo, n, front, pix, smp, bounce, seed)
         else:
             raise TypeError(f"unknown bsdf {type(b)}")
     return new_d, weight
+
+
+def _check_radiance(L):
+    if np.any(np.isnan(L)):
+        raise FloatingPointError("NaN radiance in path batch")
 
 
 def _trace_batch_hybrid(scene, o, d, pix, smp, seed):
@@ -242,7 +249,7 @@ def _trace_batch_hybrid(scene, o, d, pix, smp, seed):
 
         keep = np.max(T_spec[hit_ids], axis=1) >= rc.threshold
         alive = hit_ids[keep]
-    assert not np.any(np.isnan(L)), "NaN radiance in path batch"
+    _check_radiance(L)
     return L
 
 
@@ -281,7 +288,7 @@ def _trace_batch_surface(scene, o, d, pix, smp, seed):
         ray_d[hit_ids] = new_d
         keep = np.max(T_spec[hit_ids], axis=1) >= rc.threshold
         alive = hit_ids[keep]
-    assert not np.any(np.isnan(L))
+    _check_radiance(L)
     return L
 
 
@@ -295,7 +302,7 @@ def _trace_batch_volume(scene, o, d, pix, smp, seed):
     t_hit = np.full(n, np.inf)
     if scene.field is not None:
         _march_field(scene, alive, o, d, t_hit, 1, pix, smp, seed, L, T_spec, T)
-    assert not np.any(np.isnan(L))
+    _check_radiance(L)
     return L
 
 
@@ -365,7 +372,8 @@ def _render_impl(scene, camera, spp, seed, threads, tracer) -> HdrImage:
         for rows in tiles:
             work(rows)
     img = HdrImage(out)
-    assert np.all(np.isfinite(img.pixels)) and np.all(img.pixels >= 0.0)
+    if not (np.all(np.isfinite(img.pixels)) and np.all(img.pixels >= 0.0)):
+        raise FloatingPointError("rendered image has non-finite or negative pixels")
     return img
 
 

@@ -194,11 +194,16 @@ class World:
 
     def add_cloth(self, positions, inv_mass, edges, rest, compliance=0.0,
                   velocities=None) -> ParticleSystem:
+        """compliance is one value for every edge or a sequence, one per edge."""
         if self.particles is not None:
             raise ValueError("one particle system per world")
+        if np.ndim(compliance) == 0:
+            compliance = [compliance] * len(edges)
+        if len(compliance) != len(edges):
+            raise ValueError(f"{len(compliance)} compliances for {len(edges)} edges")
         self.particles = ParticleSystem(positions, inv_mass, velocities)
-        for (i, j), r in zip(edges, rest):
-            self.constraints.append(DistanceConstraint(int(i), int(j), float(r), compliance))
+        for (i, j), r, c in zip(edges, rest, compliance):
+            self.constraints.append(DistanceConstraint(int(i), int(j), float(r), float(c)))
         return self.particles
 
 
@@ -590,7 +595,7 @@ def build_world(scene) -> tuple:
     cloth_inv_mass = []
     cloth_edges_all = []
     cloth_rest = []
-    cloth_compliance = 0.0
+    cloth_compliance = []
     offset = 0
     for mesh, mc in zip(scene.meshes, scene.config.meshes):
         dyn = mc.dynamic
@@ -600,13 +605,16 @@ def build_world(scene) -> tuple:
             n = len(mesh.vertices)
             inv = np.full(n, n / dyn.mass)
             for pin in dyn.pinned:
+                if not 0 <= pin < n:
+                    raise ValueError(f"mesh '{mesh.name}': pinned vertex {pin} "
+                                     f"out of range [0, {n})")
                 inv[pin] = 0.0
             cloth_positions.append(mesh.vertices.copy())
             cloth_inv_mass.append(inv)
             for a, b in cloth_edges(mesh.indices):
                 cloth_edges_all.append((a + offset, b + offset))
                 cloth_rest.append(float(np.linalg.norm(mesh.vertices[a] - mesh.vertices[b])))
-            cloth_compliance = dyn.compliance
+                cloth_compliance.append(dyn.compliance)
             binding.cloth_meshes.append((mesh, slice(offset, offset + n)))
             offset += n
         elif dyn.type == "rigid":

@@ -19,6 +19,8 @@ from . import rng as _rng
 
 _BARY_EPS = 1e-7
 _DET_EPS = 1e-12
+# (ray, leaf) box tests per any-hit chunk; bounds the chunk's temporaries.
+ANYHIT_CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +242,22 @@ class Intersection:
     emission: Optional[np.ndarray] = None  # per-face value if the mesh has one
 
 
+def _slab_overlap(lo, hi, o, inv_d, t0, t1):
+    """Clipped [t0, t1] of rays against boxes (lo, hi); broadcasts over
+    leading axes, the last axis is xyz. Empty overlaps have t0 > t1."""
+    with np.errstate(invalid="ignore"):  # 0 * inf at axis-aligned rays
+        ta = (lo - o) * inv_d
+        tb = (hi - o) * inv_d
+    near = np.minimum(ta, tb)
+    far = np.maximum(ta, tb)
+    near = np.where(np.isnan(near), -np.inf, near)
+    far = np.where(np.isnan(far), np.inf, far)
+    return np.maximum(near.max(axis=-1), t0), np.minimum(far.min(axis=-1), t1)
+
+
 def _moller_trumbore(o, d, a, e1, e2, t_min, t_max):
-    """Batched ray/triangle test over broadcastable (R, F) pairs.
+    """Batched ray/triangle test over broadcastable pairs: (R, F) ray by
+    face grids, or flat (P,) lists of (ray, face) pairs.
 
     Runs on per-component 2D arrays so no (R, F, 3) temporary is ever
     materialized; this loop carries the whole renderer.
@@ -278,9 +294,10 @@ def _moller_trumbore(o, d, a, e1, e2, t_min, t_max):
 class Bvh:
     """Binary BVH, longest-axis median split, at most 4 faces per leaf.
 
-    Queries below BRUTE_FORCE_FACES faces skip traversal: one dense
-    Moller-Trumbore sweep beats per-node bookkeeping at that size and is
-    hit-for-hit identical by the tie-break rule.
+    Nearest-hit queries below BRUTE_FORCE_FACES faces skip traversal: one
+    dense Moller-Trumbore sweep beats per-node bookkeeping at that size and
+    is hit-for-hit identical by the tie-break rule. BRUTE_FORCE_FACES
+    governs nearest-hit only; any-hit always runs the flat leaf test.
     """
 
     LEAF_SIZE = 4
@@ -367,6 +384,14 @@ class Bvh:
         self.node_count = np.array(nodes_count, dtype=np.int64)
         self.perm = np.array(self._perm, dtype=np.int64)
         del self._perm
+        # Leaf boxes and their faces, padded with -1, for the flat any-hit.
+        leaves = np.nonzero(self.node_count > 0)[0]
+        self.leaf_lo = self.node_lo[leaves]
+        self.leaf_hi = self.node_hi[leaves]
+        slot = np.arange(self.LEAF_SIZE)
+        used = slot < self.node_count[leaves, None]
+        self.leaf_faces = np.full((len(leaves), self.LEAF_SIZE), -1, dtype=np.int64)
+        self.leaf_faces[used] = self.perm[(self.node_start[leaves, None] + slot)[used]]
 
     @property
     def n_faces(self) -> int:
@@ -393,9 +418,9 @@ class Bvh:
         stack = [(0, np.arange(n))]
         while stack:
             node, ids = stack.pop()
-            sub_t0, sub_t1 = self._node_overlap(node, o[ids], inv_d[ids],
-                                                t_min_arr[ids],
-                                                np.minimum(t_max_arr[ids], best_t[ids]))
+            sub_t0, sub_t1 = _slab_overlap(self.node_lo[node], self.node_hi[node],
+                                           o[ids], inv_d[ids], t_min_arr[ids],
+                                           np.minimum(t_max_arr[ids], best_t[ids]))
             live = sub_t0 <= sub_t1
             if not np.any(live):
                 continue
@@ -408,16 +433,6 @@ class Bvh:
                 stack.append((int(self.node_left[node]), ids))
                 stack.append((int(self.node_right[node]), ids))
         return best_t, best_f
-
-    def _node_overlap(self, node, o, inv_d, t0, t1):
-        with np.errstate(invalid="ignore"):  # 0 * inf at axis-aligned rays
-            ta = (self.node_lo[node] - o) * inv_d
-            tb = (self.node_hi[node] - o) * inv_d
-        lo = np.minimum(ta, tb)
-        hi = np.maximum(ta, tb)
-        lo = np.where(np.isnan(lo), -np.inf, lo)
-        hi = np.where(np.isnan(hi), np.inf, hi)
-        return np.maximum(lo.max(axis=1), t0), np.minimum(hi.min(axis=1), t1)
 
     def _leaf_nearest(self, faces, ids, o, d, t_min, t_max, best_t, best_f):
         t = _moller_trumbore(
@@ -440,7 +455,14 @@ class Bvh:
         best_f[upd] = fk[better]
 
     def any_hit_batch(self, o, d, t_min, t_max):
-        """True where any face blocks the ray within (t_min, t_max]."""
+        """True where any face blocks the ray within (t_min, t_max].
+
+        Flat, not a traversal: every leaf box is slab-tested at once, then
+        the faces of the passing leaves. An ancestor's box contains its
+        leaf's and rounding is monotone, so a leaf passes exactly when the
+        traversal would reach it and the (ray, face) pairs tested are the
+        traversal's.
+        """
         o = np.asarray(o, dtype=np.float64).reshape(-1, 3)
         d = np.asarray(d, dtype=np.float64).reshape(-1, 3)
         n = len(o)
@@ -451,30 +473,21 @@ class Bvh:
         t_max = np.broadcast_to(np.asarray(t_max, dtype=np.float64), (n,))
         with np.errstate(divide="ignore", invalid="ignore"):
             inv_d = 1.0 / d
-        stack = [(0, np.arange(n))]
-        while stack:
-            node, ids = stack.pop()
-            ids = ids[~blocked[ids]]
-            if not len(ids):
-                continue
-            sub_t0, sub_t1 = self._node_overlap(node, o[ids], inv_d[ids],
-                                                t_min[ids], t_max[ids])
-            ids = ids[sub_t0 <= sub_t1]
-            if not len(ids):
-                continue
-            if self.node_count[node] > 0:
-                faces = self.perm[self.node_start[node]:
-                                  self.node_start[node] + self.node_count[node]]
-                t = _moller_trumbore(
-                    o[ids][:, None, :], d[ids][:, None, :],
-                    self.tri[faces][None, :, 0, :],
-                    self.edge1[faces][None, :, :], self.edge2[faces][None, :, :],
-                    t_min[ids][:, None], t_max[ids][:, None],
-                )
-                blocked[ids] |= np.isfinite(t).any(axis=1)
-            else:
-                stack.append((int(self.node_left[node]), ids))
-                stack.append((int(self.node_right[node]), ids))
+        rows = max(1, ANYHIT_CHUNK // len(self.leaf_faces))
+        for i in range(0, n, rows):
+            sl = slice(i, i + rows)
+            t0, t1 = _slab_overlap(self.leaf_lo, self.leaf_hi,
+                                   o[sl, None, :], inv_d[sl, None, :],
+                                   t_min[sl, None], t_max[sl, None])
+            ray, leaf = np.nonzero(t0 <= t1)
+            faces = self.leaf_faces[leaf]
+            real = faces >= 0
+            ray = np.broadcast_to(ray[:, None] + i, faces.shape)[real]
+            faces = faces[real]
+            t = _moller_trumbore(o[ray], d[ray], self.tri[faces, 0],
+                                 self.edge1[faces], self.edge2[faces],
+                                 t_min[ray], t_max[ray])
+            blocked[ray[np.isfinite(t)]] = True
         return blocked
 
     def brute_force_batch(self, o, d, t_min=0.0, t_max=np.inf, chunk=4_000_000):

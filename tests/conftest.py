@@ -20,6 +20,13 @@ def two_room_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def field_hit_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("field_hit")
+    assets.gen_field_hit(str(d))
+    return d
+
+
+@pytest.fixture(scope="session")
 def furnace_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("furnace")
     assets.gen_furnace(str(d))

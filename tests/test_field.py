@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hybridrt import field as field_mod
 from hybridrt.core import Ray, Transform
 from hybridrt.field import (
     PathState,
@@ -12,6 +13,7 @@ from hybridrt.field import (
     grid_points,
     load_rfgrid,
     load_sdfgrid,
+    march_arrays,
     march_result,
     march_segment,
     sample_field,
@@ -199,6 +201,70 @@ def test_march_result_reports_early_termination():
     assert res.terminated_early
     assert 0.0 < res.throughput_factor < 1e-3
     assert res.radiance_in[0] == pytest.approx(1.0, rel=1e-2)
+
+
+def march_one_substep_at_a_time(grid, o, d, s0, s1, dt, L, T_spec, T, shadow_fn=None):
+    """Reference march: one field sample and one shadow_fn call per substep."""
+    seg = np.maximum(s1 - s0, 0.0)
+    n = field_mod._substep_counts(seg, dt)
+    all_idx = np.arange(len(n))
+    for k in range(int(n.max()) if len(n) else 0):
+        ids = all_idx[k < n]
+        delta = seg[ids] / n[ids]
+        t_mid = s0[ids] + (k + 0.5) * delta
+        p = o[ids] + t_mid[:, None] * d[ids]
+        sigma, rad = grid.sample_batch(p)
+        a = 1.0 - np.exp(-sigma * delta)
+        m = 1.0
+        if shadow_fn is not None:
+            need = (a > 0.0) & (rad.max(axis=1) > 0.0)
+            if np.any(need):
+                m = np.ones(len(a))
+                m[need] = shadow_fn(p[need], np.full(need.sum(), k), ids[need])
+        L[ids] += T_spec[ids] * (a * m)[:, None] * rad
+        keep = 1.0 - a
+        T_spec[ids] *= keep[:, None]
+        T[ids] *= keep
+
+
+@pytest.mark.parametrize("block", [1, 7, 50, 4096])
+def test_march_blocks_match_per_substep_march_bitwise(rng, monkeypatch, block):
+    # Rotated heterogeneous grid with black and empty voxels, so the shadow
+    # skip and the trilinear path both run; rays of very different lengths,
+    # some empty, so blocks end in the middle of rays.
+    sig = rng.uniform(0.0, 3.0, (7, 6, 5))
+    sig[sig < 0.6] = 0.0
+    rad = rng.uniform(0.0, 2.0, (7, 6, 5, 3))
+    rad[rng.random((7, 6, 5)) < 0.2] = 0.0
+    pose = Transform.translate([0.1, -0.2, 0.05]).compose(Transform.rotate([1, 2, 3], 0.4))
+    g = RadianceGrid((0, 0, 0), (1, 1, 1), sig, rad, world_from_field=pose)
+    n = 40
+    o = rng.uniform(-0.3, 0.3, (n, 3))
+    d = rng.normal(size=(n, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    s0 = rng.uniform(0.0, 0.5, n)
+    s1 = s0 + rng.uniform(-0.2, 1.5, n)
+    s1[:3] = s0[:3]
+    init = rng.uniform(0.1, 1.0, (n, 7))
+
+    def run(march):
+        calls = []
+
+        def shadow_fn(p, k, ids):
+            calls.extend(zip(map(bytes, p), k.tolist(), ids.tolist()))
+            return ((k * 7 + ids * 3) % 5) / 4.0
+
+        L, T_spec, T = init[:, :3].copy(), init[:, 3:6].copy(), init[:, 6].copy()
+        march(g, o, d, s0, s1, 0.03, L, T_spec, T, shadow_fn)
+        return L, T_spec, T, calls
+
+    ref = run(march_one_substep_at_a_time)
+    monkeypatch.setattr(field_mod, "MARCH_BLOCK_POINTS", block)
+    got = run(march_arrays)
+    for want, have in zip(ref[:3], got[:3]):
+        assert np.array_equal(want, have)
+    assert sorted(got[3]) == sorted(ref[3])
+    assert len(ref[3]) > 100
 
 
 def test_march_rejects_bad_interval():

@@ -1,4 +1,9 @@
+import hashlib
+import importlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -270,3 +275,87 @@ def test_furnace_small_scale(furnace_dir):
     img = render(scene, spp=16, seed=7)
     center = img.pixels[28:36, 28:36].mean()
     assert abs(center - assets.FURNACE_R_ENV) / assets.FURNACE_R_ENV < 0.05
+
+
+# ------------------------------------------------------ pinned checksums
+#
+# SHA-256 of the float64 pixel buffers, recorded before the flat any-hit
+# and the block-batched march went in: speed-ups must leave every bit of
+# these images as it was. Pinned with numpy 2.4 on x86-64; another numpy
+# or libm may round exp/pow differently and legitimately change them.
+
+TWO_ROOM_16PX_SHA = "b1ab2e12c0f4bf9a1e8c7d78a8a7560f0941b91ef44341b8df07c80be649c3c0"
+FIELD_HIT_FRAME_SHA = {
+    1: "4c0c0524730667f2330e77f20b1c9f3c46805b0e831b2f9cecd5020b59e8ca36",
+    12: "8cd9de6f2e75df75f755a1f3507be226f220bf4770889ff734d3eed27e9bb3da",
+    24: "944a23d1e03583df7b373ad97a81d920cde45caeaaf2b13fd918d17b16f5de9d",
+}
+
+
+def pixel_sha(img):
+    return hashlib.sha256(np.ascontiguousarray(img.pixels, dtype=np.float64).tobytes()).hexdigest()
+
+
+def at_16px(scene):
+    cam = scene.camera
+    scene.camera = Camera(pose=cam.pose, fov=cam.fov, resolution=(16, 16))
+    return scene
+
+
+def test_two_room_checksum_pinned(two_room_dir):
+    from hybridrt.scene import load_scene
+    scene = at_16px(load_scene(str(two_room_dir / "two_room.json")))
+    assert pixel_sha(render(scene, spp=1, seed=1)) == TWO_ROOM_16PX_SHA
+
+
+def test_field_hit_frame_checksums_pinned(field_hit_dir):
+    # Frames before, at and after the ball meets the blob (impact is near
+    # frame 22), so the field is sampled through a moved transform too.
+    from hybridrt import sim
+    from hybridrt.scene import load_scene
+    scene = at_16px(load_scene(str(field_hit_dir / "field_hit.json")))
+    world, binding = sim.build_world(scene)
+    cfg = scene.config.sim
+    got = {}
+    for k in range(1, max(FIELD_HIT_FRAME_SHA) + 1):
+        sim.step(world, cfg.dt, cfg.substeps, cfg.iterations)
+        sim.sync_to_renderer(world, scene, binding)
+        if k in FIELD_HIT_FRAME_SHA:
+            got[k] = pixel_sha(render(scene, spp=2, seed=1))
+    assert got == FIELD_HIT_FRAME_SHA
+
+
+# ------------------------------------------------------- runtime guards
+
+
+def test_nan_radiance_raises_floating_point_error():
+    render_mod = importlib.import_module("hybridrt.render")
+    scene = make_scene()
+
+    def nan_tracer(scene, o, d, pix, smp, seed):
+        return np.full((len(o), 3), np.nan)
+
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        render_mod._render_impl(scene, scene.camera, 1, 0, 1, nan_tracer)
+    with pytest.raises(FloatingPointError, match="NaN radiance"):
+        render_mod._check_radiance(np.array([[0.0, np.nan, 0.0]]))
+
+
+def test_guards_survive_python_O():
+    # `python -O` strips asserts; the guards must still raise.
+    import hybridrt
+    code = ("import numpy as np\n"
+            "from hybridrt.core import tone_map\n"
+            "from hybridrt.render import _check_radiance\n"
+            "for f, x in ((tone_map, np.array([np.nan, 0, 0])),\n"
+            "             (_check_radiance, np.array([[np.nan, 0, 0]]))):\n"
+            "    try:\n"
+            "        f(x)\n"
+            "    except FloatingPointError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'{f.__name__} did not raise')\n")
+    src = os.path.dirname(os.path.dirname(hybridrt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr + proc.stdout

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hybridrt import assets
+from hybridrt import assets, surface
 from hybridrt.core import Ray, Transform
 from hybridrt.rng import PathRng
 from hybridrt.surface import (
@@ -128,6 +129,53 @@ def test_bvh_scalar_matches_batch(rng):
             assert isect is not None
             assert isect.face_id == f[0]
             assert isect.t_hit == pytest.approx(t[0], abs=1e-9)
+
+
+def any_hit_rays(rng, bvh, n):
+    """Rays that probe the slab test's edge cases: zero direction
+    components, origins on leaf box planes, finite and open segments."""
+    o = rng.uniform(-6, 6, (n, 3))
+    d = rng.normal(size=(n, 3))
+    d[rng.random((n, 3)) < 0.2] = 0.0
+    on_plane = rng.random((n, 3)) < 0.2
+    planes = np.concatenate([bvh.leaf_lo, bvh.leaf_hi])
+    o[on_plane] = planes[rng.integers(len(planes), size=(n, 3)), np.arange(3)][on_plane]
+    t_min = np.where(rng.random(n) < 0.5, 0.0, 1e-4)
+    t_max = np.where(rng.random(n) < 0.5, np.inf, rng.uniform(0.0, 8.0, n))
+    return o, d, t_min, t_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tris=st.integers(1, 45),
+       chunk=st.sampled_from([1, 5, 64, surface.ANYHIT_CHUNK]))
+def test_any_hit_equals_brute_force(seed, n_tris, chunk):
+    rng = np.random.default_rng(seed)
+    bvh = build_bvh([soup_mesh(rng, n_tris=n_tris, spread=2.0)])
+    o, d, t_min, t_max = any_hit_rays(rng, bvh, 200)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "ANYHIT_CHUNK", chunk)
+        blocked = bvh.any_hit_batch(o, d, t_min, t_max)
+    assert np.array_equal(blocked, bvh.brute_force_batch(o, d, t_min, t_max)[1] >= 0)
+
+
+def test_any_hit_leaf_table_pads_short_leaves(rng):
+    bvh = build_bvh([soup_mesh(rng, n_tris=10)])
+    faces = bvh.leaf_faces
+    assert faces.shape[1] == Bvh.LEAF_SIZE and np.any(faces < 0)
+    assert np.array_equal(np.sort(faces[faces >= 0]), np.arange(10))
+
+
+def test_any_hit_soup_blocks_some_rays(rng):
+    bvh = build_bvh([soup_mesh(rng, n_tris=300)])
+    o, d, t_min, t_max = any_hit_rays(rng, bvh, 5000)
+    blocked = bvh.any_hit_batch(o, d, t_min, t_max)
+    assert 0 < blocked.sum() < len(blocked)
+    assert np.array_equal(blocked, bvh.brute_force_batch(o, d, t_min, t_max)[1] >= 0)
+
+
+def test_any_hit_empty_bvh():
+    blocked = build_bvh([]).any_hit_batch(np.zeros((3, 3)), np.eye(3), 0.0, np.inf)
+    assert blocked.shape == (3,) and not blocked.any()
 
 
 def test_intersect_sphere_distance():
