@@ -197,13 +197,21 @@ def _cmd_hdr_merge(args) -> int:
 
 def _load_poses(path):
     from .core import Transform
+    from .emitters import EstimationError
     from .render import Camera
     with open(path) as f:
         doc = json.load(f)
-    fov = math.radians(float(doc["fov_deg"]))
-    res = tuple(int(v) for v in doc["resolution"])
+    try:
+        fov = math.radians(float(doc["fov_deg"]))
+        res = tuple(int(v) for v in doc["resolution"])
+        poses = list(doc["poses"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise EstimationError(f"{path}: pose file needs a numeric 'fov_deg', a "
+                              f"'resolution' pair and a 'poses' list ({e!r})") from e
     cams = []
-    for p in doc["poses"]:
+    for i, p in enumerate(poses):
+        if not isinstance(p, dict) or "position" not in p or "look_at" not in p:
+            raise EstimationError(f"{path}: poses[{i}] needs 'position' and 'look_at'")
         cams.append(Camera(
             pose=Transform.look_at(p["position"], p["look_at"], p.get("up", [0, 1, 0])),
             fov=fov, resolution=res))

@@ -595,22 +595,41 @@ def sdf_from_density(grid: RadianceGrid, threshold_frac: float = 0.5) -> SdfGrid
 # (index = ix + nx*(iy + ny*iz)); .rfgrid stores the sigma block then the
 # RGB block (3 floats per sample), .sdfgrid stores the phi block.
 
+_GRID_HEADER = "<3i6f"
+
 
 def save_rfgrid(path, grid: RadianceGrid) -> None:
     nx, ny, nz = grid.res
-    header = struct.pack("<3i6f", nx, ny, nz, *grid.bbox_lo, *grid.bbox_hi)
+    header = struct.pack(_GRID_HEADER, nx, ny, nz, *grid.bbox_lo, *grid.bbox_hi)
     sig = _grid_to_xfastest(grid.sigma).astype("<f4").tobytes()
     rad = _grid_to_xfastest(grid.radiance).astype("<f4").tobytes()
     with open(path, "wb") as f:
         f.write(header + sig + rad)
 
 
-def load_rfgrid(path) -> RadianceGrid:
+def _read_grid(path, floats_per_sample):
+    """Header fields and payload offset of a grid file, after checking that
+    its size is exactly header + samples * floats_per_sample float32s."""
     with open(path, "rb") as f:
         data = f.read()
-    nx, ny, nz, *box = struct.unpack_from("<3i6f", data)
+    off = struct.calcsize(_GRID_HEADER)
+    if len(data) < off:
+        raise ValueError(f"{path}: grid file has {len(data)} bytes, "
+                         f"need at least a {off}-byte header")
+    nx, ny, nz, *box = struct.unpack_from(_GRID_HEADER, data)
+    if min(nx, ny, nz) < 1:
+        raise ValueError(f"{path}: grid dimensions must be positive, got {(nx, ny, nz)}")
     n = nx * ny * nz
-    off = struct.calcsize("<3i6f")
+    want = off + 4 * floats_per_sample * n
+    if len(data) != want:
+        raise ValueError(f"{path}: {nx}x{ny}x{nz} grid needs {want} bytes, "
+                         f"file has {len(data)}")
+    return data, (nx, ny, nz), box, off
+
+
+def load_rfgrid(path) -> RadianceGrid:
+    data, (nx, ny, nz), box, off = _read_grid(path, 4)
+    n = nx * ny * nz
     sig = np.frombuffer(data, dtype="<f4", count=n, offset=off).astype(np.float64)
     rad = np.frombuffer(data, dtype="<f4", count=3 * n, offset=off + 4 * n).astype(np.float64)
     res = (nx, ny, nz)
@@ -621,16 +640,13 @@ def load_rfgrid(path) -> RadianceGrid:
 
 def save_sdfgrid(path, sdf: SdfGrid) -> None:
     nx, ny, nz = sdf.res
-    header = struct.pack("<3i6f", nx, ny, nz, *sdf.bbox_lo, *sdf.bbox_hi)
+    header = struct.pack(_GRID_HEADER, nx, ny, nz, *sdf.bbox_lo, *sdf.bbox_hi)
     with open(path, "wb") as f:
         f.write(header + _grid_to_xfastest(sdf.phi).astype("<f4").tobytes())
 
 
 def load_sdfgrid(path) -> SdfGrid:
-    with open(path, "rb") as f:
-        data = f.read()
-    nx, ny, nz, *box = struct.unpack_from("<3i6f", data)
+    data, (nx, ny, nz), box, off = _read_grid(path, 1)
     n = nx * ny * nz
-    off = struct.calcsize("<3i6f")
     phi = np.frombuffer(data, dtype="<f4", count=n, offset=off).astype(np.float64)
     return SdfGrid(box[:3], box[3:], _xfastest_to_grid(phi, (nx, ny, nz)))

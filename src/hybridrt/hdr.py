@@ -255,12 +255,16 @@ def load_bracket(manifest_path: str) -> ExposureBracket:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise HdrError(f"cannot read bracket manifest {manifest_path}: {e}") from e
-    entries = doc.get("images")
+    entries = doc.get("images") if isinstance(doc, dict) else None
     if not isinstance(entries, list) or not entries:
         raise HdrError(f"{manifest_path}: manifest needs an 'images' list")
     base = os.path.dirname(os.path.abspath(manifest_path))
     images, times = [], []
-    for e in entries:
+    for i, e in enumerate(entries):
+        if not (isinstance(e, dict) and isinstance(e.get("path"), str)
+                and isinstance(e.get("time"), (int, float))):
+            raise HdrError(f"{manifest_path}: images[{i}] needs a 'path' string "
+                           "and a numeric 'time'")
         images.append(read_ppm(os.path.join(base, e["path"])))
         times.append(float(e["time"]))
     return ExposureBracket(images, times)
@@ -275,11 +279,31 @@ def save_crf_csv(path, crf: CrfTable) -> None:
 
 
 def load_crf_csv(path) -> CrfTable:
+    """Read the table save_crf_csv writes: a header line, then codes 0..255,
+    each exactly once, with three finite values each."""
     g = np.zeros((256, 3))
+    seen = np.zeros(256, dtype=bool)
     with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    for ln in lines[1:]:
+        lines = [(n, ln.strip()) for n, ln in enumerate(f, start=1) if ln.strip()]
+    if not lines or lines[0][1].split(",")[0].strip() != "code":
+        raise HdrError(f"{path}: CRF CSV needs a 'code,g_r,g_g,g_b' header line")
+    for n, ln in lines[1:]:
         parts = ln.split(",")
-        z = int(parts[0])
-        g[z] = [float(parts[1]), float(parts[2]), float(parts[3])]
+        try:
+            if len(parts) != 4:
+                raise ValueError(f"{len(parts)} fields, need 4")
+            z = int(parts[0])
+            vals = [float(v) for v in parts[1:]]
+        except ValueError as e:
+            raise HdrError(f"{path}:{n}: bad CRF row {ln!r}: {e}") from e
+        if not 0 <= z <= 255 or seen[z]:
+            raise HdrError(f"{path}:{n}: code {z} out of range or repeated")
+        if not np.all(np.isfinite(vals)):
+            raise HdrError(f"{path}:{n}: non-finite value for code {z}")
+        g[z] = vals
+        seen[z] = True
+    if not seen.all():
+        missing = np.nonzero(~seen)[0]
+        raise HdrError(f"{path}: CRF table lacks {len(missing)} of 256 codes "
+                       f"(first missing: {missing[0]})")
     return CrfTable(g=g)

@@ -336,8 +336,9 @@ class Bvh:
 
     def _build(self):
         nf = len(self.tri)
-        lo_f = self.tri.min(axis=1)
-        hi_f = self.tri.max(axis=1)
+        # Per-face boxes; the shadow cull in render.py reads them too.
+        self.face_lo = lo_f = self.tri.min(axis=1)
+        self.face_hi = hi_f = self.tri.max(axis=1)
         centers = 0.5 * (lo_f + hi_f)
 
         nodes_lo, nodes_hi = [], []

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridrt import assets
 from hybridrt.core import Ray, Transform
@@ -19,7 +20,9 @@ from hybridrt.render import (
     render,
     render_surface_only,
     render_volume_only,
+    shadow_candidates,
     shadow_mask,
+    shadow_mask_batch,
     trace_path,
 )
 from hybridrt.rng import PathRng
@@ -150,6 +153,199 @@ def test_rsrc_zero_bit_equals_shadow_free():
     img_r0 = render(shadow_scene(0.0))
     img_free = render(shadow_scene(None))
     assert np.array_equal(img_r0.pixels, img_free.pixels)
+
+
+# ------------------------------------------------------- shadow culling
+
+
+def axis_triangles(rng, n, lo=-2.0, hi=2.0, planes=None):
+    """Right triangles lying in axis planes, as room walls do; `planes`
+    optionally fixes (axis, coordinate) per triangle."""
+    if planes is None:
+        planes = list(zip(rng.integers(0, 3, n), rng.uniform(lo, hi, n)))
+    tris = []
+    for axis, c in planes:
+        a, b = [k for k in range(3) if k != axis]
+        corner = rng.uniform(lo, hi, 2)
+        ext = rng.uniform(0.05, 1.5, 2) * rng.choice([-1.0, 1.0], 2)
+        t = np.full((3, 3), float(c))
+        t[:, a] = corner[0]
+        t[:, b] = corner[1]
+        t[1, a] += ext[0]
+        t[2, b] += ext[1]
+        tris.append(t)
+    return np.array(tris)
+
+
+def cull_case(rng, n_tris, layout, m=40):
+    """A blocker soup, an emitter set, a pad and 3m march points that probe
+    the cull: points scattered at random, points within a few pads of a
+    face box, and points on lines through emitter vertices. In the "axis"
+    layout the emitters lie in (or a hair off) the plane of one blocker
+    face k, so do those lines, and half the near-box points lie in that
+    plane beside face k: their rays graze it."""
+    if layout == "soup":
+        base = rng.uniform(-2, 2, (n_tris, 3))
+        tri = base[:, None, :] + rng.uniform(-0.4, 0.4, (n_tris, 3, 3))
+        em_tri = rng.uniform(-3, 3, (1, 1, 3)) + rng.uniform(-0.3, 0.3, (rng.integers(1, 4), 3, 3))
+    else:
+        tri = axis_triangles(rng, n_tris)
+        k = int(rng.integers(0, n_tris))
+        plane_axis = int(np.argmin(np.ptp(tri[k], axis=0)))
+        plane = tri[k, 0, plane_axis]
+        offset = rng.choice([0.0, 1e-9, 1e-6, -1e-6, 1e-3, 0.5])
+        em_tri = axis_triangles(rng, int(rng.integers(1, 4)), -3, 3,
+                                planes=[(plane_axis, plane + offset)] * 3)
+    bvh = Bvh([TriangleMesh(tri.reshape(-1, 3), np.arange(3 * len(tri)).reshape(-1, 3),
+                            Lambertian(np.full(3, 0.5)))])
+    em = EmitterSet(em_tri, np.ones(len(em_tri)))
+    allv = np.concatenate([tri.reshape(-1, 3), em_tri.reshape(-1, 3)])
+    pad = 1e-4 * float(np.linalg.norm(np.ptp(allv, axis=0)))
+
+    scattered = rng.uniform(-3.5, 3.5, (m, 3))
+
+    f = rng.integers(0, n_tris, m)
+    in_plane = np.zeros(m, dtype=bool)
+    if layout == "axis":
+        in_plane = rng.random(m) < 0.5
+        f[in_plane] = k
+    lo, hi = bvh.face_lo[f], bvh.face_hi[f]
+    near = rng.uniform(lo - 0.2, hi + 0.2)
+    axis = rng.integers(0, 3, m)
+    if layout == "axis":
+        axis[in_plane] = (plane_axis + rng.integers(1, 3, in_plane.sum())) % 3
+        near[in_plane, plane_axis] = plane + rng.choice([0.0, 1e-13, -1e-10, 1e-7],
+                                                        in_plane.sum())
+    gap = rng.choice([0.0, 0.5, 0.999, 1.0, 1.001, 1.5, 3.0], m) * pad
+    rows = np.arange(m)
+    near[rows, axis] = np.where(rng.random(m) < 0.5, lo[rows, axis] - gap,
+                                hi[rows, axis] + gap)
+
+    q = em.triangles[rng.integers(0, len(em), m), rng.integers(0, 3, m)]
+    along = em.triangles[:, 1].mean(axis=0) - q
+    jitter = rng.choice([0.0, 1e-9, 1e-6, 1e-3], (m, 1)) * rng.normal(size=(m, 3))
+    on_lines = q - rng.uniform(0.5, 4.0, (m, 1)) * along + jitter
+    return bvh, em, np.concatenate([scattered, near, on_lines]), pad
+
+
+def boxes_meet_reference(points, em, bvh, pad):
+    """Per point: does box(p and every emitter vertex) meet any padded face box."""
+    out = np.zeros(len(points), dtype=bool)
+    for i, p in enumerate(points):
+        b_lo = np.minimum(p, em.lo)
+        b_hi = np.maximum(p, em.hi)
+        out[i] = np.any(np.all((bvh.face_lo - pad <= b_hi) & (bvh.face_hi + pad >= b_lo),
+                               axis=1))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tris=st.integers(1, 30),
+       layout=st.sampled_from(["soup", "axis"]),
+       chunk=st.sampled_from([1, 7, 1 << 15]))
+def test_shadow_cull_never_drops_a_blocked_ray(seed, n_tris, layout, chunk):
+    render_mod = importlib.import_module("hybridrt.render")
+    rng = np.random.default_rng(seed)
+    bvh, em, pts, pad = cull_case(rng, n_tris, layout)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(render_mod, "ANYHIT_CHUNK", chunk)
+        cand = shadow_candidates(pts, em, bvh, pad)
+    assert np.array_equal(cand, shadow_candidates(pts, em, bvh, pad))
+    ref = boxes_meet_reference(pts, em, bvh, pad)
+    assert np.all(cand | ~ref)
+    e_meets = np.all((bvh.face_lo - pad <= em.hi) & (bvh.face_hi + pad >= em.lo), axis=1)
+    if not e_meets.any():
+        assert np.array_equal(cand, ref)
+    # Emitter corners and edges (u1, u2 in {0, 1}) and interior points.
+    grid = np.array([0.0, 1.0, 0.5, rng.random()])
+    u1, u2 = (g.ravel() for g in np.meshgrid(grid, grid))
+    s = len(u1)
+    u_pick = rng.random(len(pts) * s)
+    mask = shadow_mask_batch(np.repeat(pts, s, axis=0), em, bvh, u_pick,
+                             np.tile(u1, len(pts)), np.tile(u2, len(pts)), pad)
+    blocked = (mask < 1.0).reshape(len(pts), s).any(axis=1)
+    assert not np.any(blocked & ~cand)
+
+
+def test_shadow_candidates_edge_cases():
+    em = EmitterSet([[[-0.2, -0.2, 6], [0.2, -0.2, 6], [0, 0.2, 6]]], [0.5])
+    pts = np.array([[0.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
+    assert not shadow_candidates(pts, em, Bvh([]), 1e-4).any()
+    assert shadow_candidates(np.zeros((0, 3)), em, Bvh([]), 1e-4).shape == (0,)
+    # A blocker face whose box meets the emitters' own box culls nothing.
+    v, f = assets.quad((-4, -4, 6), (8, 0, 0), (0, 8, 0))
+    ceiling = Bvh([TriangleMesh(v, f, Lambertian(np.full(3, 0.5)))])
+    assert shadow_candidates(pts, em, ceiling, 1e-4).all()
+    # A half-plane blocker off to one side only reaches points beside it.
+    v, f = assets.quad((-6, -4, 3), (5.5, 0, 0), (0, 8, 0))
+    half = Bvh([TriangleMesh(v, f, Lambertian(np.full(3, 0.5)))])
+    assert shadow_candidates(pts, em, half, 1e-4).tolist() == [False, True]
+
+
+def half_shadow_scene():
+    """Field below a blocker that covers x <= -0.5 and an emitter above the
+    origin: points with x > -0.5 are culled, and rays from the far left of
+    the field are blocked."""
+    field = RadianceGrid.constant((-3, -1, -1), (1, 1, 1), 0.8, (1.0, 0.8, 0.6))
+    v, f = assets.quad((-6, -4, 3.0), (5.5, 0, 0), (0, 8, 0))
+    blocker = TriangleMesh(v, f, Lambertian(np.full(3, 0.5)))
+    em = EmitterSet([[[-0.2, -0.2, 6], [0.2, -0.2, 6], [0, 0.2, 6]]], [0.7])
+    cam = Camera(pose=Transform.look_at([-1, 0, -6], [-1, 0, 0]),
+                 fov=math.radians(45), resolution=(12, 12))
+    return make_scene(field=field, meshes=[blocker], emitters=em, camera=cam,
+                      march_step=0.05, spp=2, seed=4)
+
+
+def count_shadow_work(monkeypatch, scene, cull=True, **kw):
+    """Render, counting points culled, shadow rays fired and rays blocked."""
+    render_mod = importlib.import_module("hybridrt.render")
+    counts = {"culled": 0, "rays": 0, "blocked": 0}
+    cull_fn = render_mod.shadow_candidates
+    mask_fn = render_mod.shadow_mask_batch
+
+    def candidates(p, *a):
+        c = cull_fn(p, *a) if cull else np.ones(len(p), dtype=bool)
+        counts["culled"] += int(np.count_nonzero(~c))
+        return c
+
+    def mask(p, *a):
+        m = mask_fn(p, *a)
+        counts["rays"] += len(p)
+        counts["blocked"] += int(np.count_nonzero(m < 1.0))
+        return m
+
+    monkeypatch.setattr(render_mod, "shadow_candidates", candidates)
+    monkeypatch.setattr(render_mod, "shadow_mask_batch", mask)
+    img = render(scene, **kw)
+    monkeypatch.undo()
+    return img, counts
+
+
+def test_shadow_cull_is_bit_identical(monkeypatch):
+    culled, on = count_shadow_work(monkeypatch, half_shadow_scene())
+    full, off = count_shadow_work(monkeypatch, half_shadow_scene(), cull=False)
+    assert on["culled"] > 0 and on["blocked"] > 0
+    assert off["culled"] == 0 and on["rays"] + on["culled"] == off["rays"]
+    assert on["blocked"] == off["blocked"]
+    assert np.array_equal(culled.pixels, full.pixels)
+
+
+# Shadow rays of a 16x16, 1 spp, seed-1 two-room render: every march point
+# before the cull, and after it (the blocker faces never reach the segment
+# boxes toward the ceiling emitters).
+TWO_ROOM_16PX_SHADOW_RAYS_UNCULLED = 6277
+TWO_ROOM_16PX_SHADOW_RAYS_CULLED = 0
+
+
+def test_two_room_cull_removes_shadow_rays(two_room_dir, monkeypatch):
+    from hybridrt.scene import load_scene
+    scene = at_16px(load_scene(str(two_room_dir / "two_room.json")))
+    img_on, on = count_shadow_work(monkeypatch, scene, spp=1, seed=1)
+    img_off, off = count_shadow_work(monkeypatch, scene, cull=False, spp=1, seed=1)
+    assert off["rays"] == TWO_ROOM_16PX_SHADOW_RAYS_UNCULLED
+    assert on["rays"] == TWO_ROOM_16PX_SHADOW_RAYS_CULLED
+    assert on["rays"] <= 0.01 * off["rays"]
+    assert np.array_equal(img_on.pixels, img_off.pixels)
 
 
 # ------------------------------------------------- degeneracy equivalences
