@@ -157,10 +157,9 @@ def shadow_candidates(points, emitters: EmitterSet, blocker_bvh: Bvh, pad: float
         return np.zeros(n, dtype=bool)
     lo = lo[near]
     hi = hi[near]
-    if np.any(np.all((lo <= emitters.hi) & (hi >= emitters.lo), axis=1)):
-        return np.ones(n, dtype=bool)  # some face meets E's box: cull nothing
     # Points from which box(p, E) meets a face box: per axis, p must reach
-    # the face on the sides where E alone does not.
+    # the face on the sides where E alone does not. A face box that meets
+    # E's box is unbounded on every axis and keeps every point.
     reach_lo = np.where(emitters.hi < lo, lo, -np.inf)
     reach_hi = np.where(emitters.lo > hi, hi, np.inf)
     cand = np.zeros(n, dtype=bool)

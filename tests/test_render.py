@@ -252,10 +252,7 @@ def test_shadow_cull_never_drops_a_blocked_ray(seed, n_tris, layout, chunk):
         cand = shadow_candidates(pts, em, bvh, pad)
     assert np.array_equal(cand, shadow_candidates(pts, em, bvh, pad))
     ref = boxes_meet_reference(pts, em, bvh, pad)
-    assert np.all(cand | ~ref)
-    e_meets = np.all((bvh.face_lo - pad <= em.hi) & (bvh.face_hi + pad >= em.lo), axis=1)
-    if not e_meets.any():
-        assert np.array_equal(cand, ref)
+    assert np.array_equal(cand, ref)
     # Emitter corners and edges (u1, u2 in {0, 1}) and interior points.
     grid = np.array([0.0, 1.0, 0.5, rng.random()])
     u1, u2 = (g.ravel() for g in np.meshgrid(grid, grid))
