@@ -34,14 +34,6 @@ def unit(v) -> np.ndarray:
     return v / n
 
 
-def spectrum(r, g=None, b=None) -> np.ndarray:
-    """Non-negative linear RGB triple."""
-    s = vec3(r, g, b)
-    if np.any(s < 0.0):
-        raise ValueError(f"negative spectrum channels: {s}")
-    return s
-
-
 def luminance(c) -> float:
     """Rec. 709 luminance of a linear RGB triple."""
     c = np.asarray(c, dtype=np.float64)
@@ -170,10 +162,6 @@ class Transform:
     def compose(self, other: "Transform") -> "Transform":
         """self applied after other: (self.compose(other))(p) = self(other(p))."""
         return Transform(self.m @ other.m, other.m_inv @ self.m_inv)
-
-    def is_rigid(self, tol: float = 1e-6) -> bool:
-        r = self.m[:3, :3]
-        return bool(np.allclose(r @ r.T, np.eye(3), atol=tol))
 
     def point(self, p, inverse: bool = False) -> np.ndarray:
         """Transform a point (or an (N,3) batch of points)."""

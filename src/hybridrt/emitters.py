@@ -36,8 +36,6 @@ class EstimatorConfig:
     boost_factor: float = 1.5
     step_size: float = None  # None = 1/Lipschitz from the operator
     epochs: int = 400
-    gt_images: list = None
-    poses: list = None
 
     def __post_init__(self):
         if self.brightness_threshold < 0:
@@ -174,15 +172,6 @@ def loss(emission: np.ndarray, gt_flat: np.ndarray, op: TransportOperator,
     data = float(np.mean(res * res))
     reg = alpha * float(np.mean(np.abs(emission)))
     return data + reg
-
-
-def loss_gradient(emission: np.ndarray, gt_flat: np.ndarray, op: TransportOperator,
-                  alpha: float) -> np.ndarray:
-    res = op.apply(emission) - gt_flat
-    n_entries = res.size
-    grad = 2.0 * np.einsum("rfc,rc->fc", op.a, res) / n_entries
-    grad += alpha * np.sign(emission) / emission.size
-    return grad
 
 
 def _lipschitz_step(op: TransportOperator) -> float:

@@ -383,14 +383,21 @@ def sdf_query(sdf: SdfGrid, p):
     return float(phi[0]), n[0], bool(valid[0])
 
 
+def _grid_axes(lo, hi, res) -> list:
+    """Node coordinates along each axis."""
+    return [np.linspace(lo[i], hi[i], res[i]) if res[i] > 1 else np.array([lo[i]])
+            for i in range(3)]
+
+
+def _axes_nodes(axes) -> np.ndarray:
+    zz, yy, xx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
+    return np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+
+
 def grid_points(bbox_lo, bbox_hi, res):
     """World positions of all grid nodes, shape (nx*ny*nz, 3), x-fastest."""
     lo, hi = _check_bbox(bbox_lo, bbox_hi)
-    res = _as_res(res)
-    axes = [np.linspace(lo[i], hi[i], res[i]) if res[i] > 1 else np.array([lo[i]])
-            for i in range(3)]
-    zz, yy, xx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
-    return np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+    return _axes_nodes(_grid_axes(lo, hi, _as_res(res)))
 
 
 def _xfastest_to_grid(flat: np.ndarray, res) -> np.ndarray:
@@ -472,18 +479,71 @@ def _point_triangle_dist_sq(p: np.ndarray, a, b, c) -> np.ndarray:
     return np.sum(diff * diff, axis=-1)
 
 
-def _unsigned_distance(points: np.ndarray, tri_verts: np.ndarray, chunk=2_000_000):
-    """Min point-triangle distance, brute force over all faces."""
-    m = len(tri_verts)
-    a = tri_verts[None, :, 0, :]
-    b = tri_verts[None, :, 1, :]
-    c = tri_verts[None, :, 2, :]
-    out = np.empty(len(points))
-    rows = max(1, chunk // max(m, 1))
-    for i in range(0, len(points), rows):
-        p = points[i:i + rows, None, :]
-        d2 = _point_triangle_dist_sq(p, a, b, c)
-        out[i:i + rows] = np.sqrt(d2.min(axis=1))
+# (node, face) pairs tested per chunk; bounds the bake's temporaries.
+BAKE_CHUNK_PAIRS = 1 << 17
+# The cull's slack scales with the span, the diagonal of the box around the
+# grid and the mesh. The reach pad covers rounding in the nearest-vertex
+# distance, the box gaps and the closest-point arithmetic.
+_REACH_PAD = 1e-6
+# Rounding moves the closest point that _point_triangle_dist_sq finds on a
+# face of height h and longest edge L by up to about eps * span^2 * L / h^2,
+# which for a near-degenerate face could exceed the reach pad. Faces with
+# h^2 <= _FLAT_FACE * span * L are therefore never culled, and their
+# vertices bound no node's reach.
+_FLAT_FACE = 1e-6
+
+
+def _unsigned_distance(axes_pts, tri_verts: np.ndarray) -> np.ndarray:
+    """Distance from every grid node to the nearest face, x-fastest (N,).
+
+    Only (node, face) pairs that can hold the node's minimum are evaluated.
+    The distance u(p) from node p to the nearest vertex of a non-flat face
+    bounds the minimum from above, as that face's computed distance is at
+    most u(p) up to rounding. A non-flat face whose bounding box lies
+    farther than u(p) + pad therefore never holds the minimum and is
+    skipped; flat faces (see _FLAT_FACE) are kept for every node. The box
+    distance is a sum of per-axis squared gaps, looked up from one
+    (n_axis, faces) table per axis. _point_triangle_dist_sq runs on the
+    kept pairs only; its arithmetic is elementwise, and the minimum over
+    any superset of the minimising face is the same float, so the result
+    equals the brute-force minimum over all faces bit for bit.
+    """
+    from scipy.spatial import cKDTree
+
+    nx, ny, _ = (len(ax) for ax in axes_pts)
+    pts = _axes_nodes(axes_pts)
+    a, b, c = tri_verts[:, 0], tri_verts[:, 1], tri_verts[:, 2]
+    face_lo, face_hi = tri_verts.min(axis=1), tri_verts.max(axis=1)
+    # The grid's corners are pts[0] and pts[-1].
+    span = float(np.linalg.norm(np.maximum(pts[-1], face_hi.max(axis=0))
+                                - np.minimum(pts[0], face_lo.min(axis=0))))
+
+    edges = np.stack([b - a, c - b, a - c], axis=1)
+    longest = np.linalg.norm(edges, axis=2).max(axis=1)
+    twice_area = np.linalg.norm(np.cross(edges[:, 0], edges[:, 2]), axis=1)
+    flat = twice_area ** 2 <= _FLAT_FACE * span * longest ** 3
+    # A flat face gets an unbounded box, so it is kept for every node.
+    face_lo[flat], face_hi[flat] = -np.inf, np.inf
+    if np.all(flat):
+        reach2 = np.full(len(pts), np.inf)
+    else:
+        tree = cKDTree(tri_verts[~flat].reshape(-1, 3))
+        reach2 = (tree.query(pts)[0] + _REACH_PAD * span) ** 2
+
+    gx, gy, gz = (
+        np.maximum(np.maximum(face_lo[:, ax] - col[:, None], col[:, None] - face_hi[:, ax]),
+                   0.0) ** 2
+        for ax, col in enumerate(axes_pts)
+    )
+    out = np.empty(len(pts))
+    step = max(1, BAKE_CHUNK_PAIRS // len(tri_verts))
+    for v0 in range(0, len(pts), step):
+        v = np.arange(v0, min(v0 + step, len(pts)))
+        ix, iy, iz = v % nx, (v // nx) % ny, v // (nx * ny)
+        rows, face = np.nonzero(gx[ix] + gy[iy] + gz[iz] <= reach2[v, None])
+        d2 = _point_triangle_dist_sq(pts[v[rows]], a[face], b[face], c[face])
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        out[v[rows[starts]]] = np.sqrt(np.minimum.reduceat(d2, starts))
     return out
 
 
@@ -542,21 +602,38 @@ def _parity_scanline(tri_verts: np.ndarray, axes_pts, axis: int, jitter_seed: in
 
 def bake_sdf_from_mesh(vertices: np.ndarray, indices: np.ndarray, bbox_lo, bbox_hi,
                        res, jitter_seed: int = 11) -> SdfGrid:
-    """Brute-force unsigned distance per voxel, sign by majority vote of
-    three jittered axis-parity scans. Non-watertight input warns and bakes
-    all-positive."""
+    """Signed distance grid of a triangle mesh.
+
+    The unsigned distance at each node is the minimum point-triangle
+    distance over the faces that survive an exact cull: a face is skipped
+    only when its bounding box lies farther from the node than the nearest
+    vertex of a non-flat face (plus a rounding pad), so it cannot hold the
+    minimum, and the result equals the minimum over all faces bit for bit
+    (see _unsigned_distance). The sign is the majority vote of three
+    jittered axis-parity scans. Non-watertight input warns and bakes
+    all-positive.
+    """
     vertices = np.asarray(vertices, dtype=np.float64)
     indices = np.asarray(indices, dtype=np.int64)
+    if vertices.ndim != 2 or vertices.shape[1] != 3:
+        raise ValueError(f"vertices must have shape (n, 3), got {vertices.shape}")
+    if not np.all(np.isfinite(vertices)):
+        raise ValueError("vertices must be finite")
+    if indices.ndim != 2 or indices.shape[1] != 3:
+        raise ValueError(f"face indices must have shape (m, 3), got {indices.shape}")
+    if len(indices) == 0:
+        raise ValueError("mesh has no faces")
+    bad = (indices < 0) | (indices >= len(vertices))
+    if np.any(bad):
+        raise ValueError(f"face index {int(indices[bad][0])} out of range "
+                         f"for {len(vertices)} vertices")
     lo, hi = _check_bbox(bbox_lo, bbox_hi)
     res = _as_res(res)
     tri_verts = vertices[indices]
-
-    pts = grid_points(lo, hi, res)
-    dist = _unsigned_distance(pts, tri_verts)
+    axes_pts = _grid_axes(lo, hi, res)
+    dist = _unsigned_distance(axes_pts, tri_verts)
 
     if mesh_is_watertight(vertices, indices):
-        axes_pts = [np.linspace(lo[i], hi[i], res[i]) if res[i] > 1 else np.array([lo[i]])
-                    for i in range(3)]
         votes = sum(
             _parity_scanline(tri_verts, axes_pts, ax, jitter_seed + ax).astype(np.int8)
             for ax in range(3)

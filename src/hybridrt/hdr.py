@@ -221,11 +221,6 @@ def gamma_camera_codes(linear: np.ndarray, exposure_time: float, gamma: float = 
     return np.floor(v + 0.5).astype(np.uint8)
 
 
-def linear_camera_codes(linear: np.ndarray, exposure_time: float) -> np.ndarray:
-    x = np.clip(np.asarray(linear, dtype=np.float64) * exposure_time, 0.0, None)
-    return np.floor(np.clip(255.0 * x, 0.0, 255.0) + 0.5).astype(np.uint8)
-
-
 def synthesize_bracket(img: HdrImage, exposure_times, gamma: float = 2.2) -> ExposureBracket:
     codes = [gamma_camera_codes(img.pixels, t, gamma) for t in exposure_times]
     return ExposureBracket(codes, list(exposure_times))

@@ -407,37 +407,6 @@ def _solve_contact_velocities(world: World, contacts: list, h: float):
         _apply_velocity_impulse(world, c, p, -j_t * t_hat)
 
 
-def couple_impulse(body_a: RigidBody, body_b: RigidBody, point: np.ndarray,
-                   normal: np.ndarray, restitution: float):
-    """Equal-and-opposite normal impulse between two bodies.
-
-    normal points from B toward A; separating contacts are a no-op. Pair
-    momentum is conserved by construction.
-    """
-    point = np.asarray(point, dtype=np.float64).reshape(3)
-    n = np.asarray(normal, dtype=np.float64).reshape(3)
-    n = n / np.linalg.norm(n)
-    ra = point - body_a.com
-    rb = point - body_b.com
-    v_rel = body_a.point_velocity(ra) - body_b.point_velocity(rb)
-    v_n = float(v_rel @ n)
-    if v_n > 0.0:
-        return 0.0
-    rna = np.cross(ra, n)
-    rnb = np.cross(rb, n)
-    w = (body_a.inv_mass + body_b.inv_mass
-         + float(rna @ body_a.inv_inertia_world() @ rna)
-         + float(rnb @ body_b.inv_inertia_world() @ rnb))
-    if w == 0.0:
-        return 0.0
-    j = -(1.0 + restitution) * v_n / w
-    body_a.lin_vel += body_a.inv_mass * j * n
-    body_a.ang_vel += body_a.inv_inertia_world() @ np.cross(ra, j * n)
-    body_b.lin_vel -= body_b.inv_mass * j * n
-    body_b.ang_vel -= body_b.inv_inertia_world() @ np.cross(rb, j * n)
-    return j
-
-
 # -- stepping ------------------------------------------------------------------
 
 

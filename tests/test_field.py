@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridrt import field as field_mod
 from hybridrt.core import Ray, Transform
@@ -24,7 +26,7 @@ from hybridrt.field import (
     sdf_query,
     transmittance,
 )
-from hybridrt import assets
+from hybridrt import assets, surface
 
 
 def unit_grid(sigma=2.0, radiance=(1.0, 0.0, 0.0)):
@@ -353,6 +355,128 @@ def test_bake_open_mesh_warns_and_has_no_interior():
     with pytest.warns(UserWarning):
         sdf = bake_sdf_from_mesh(v, f, (-2, -2, -1), (2, 2, 1), (17, 17, 9))
     assert np.all(sdf.phi >= 0.0)
+
+
+def _brute_unsigned_distance(points, tri_verts, chunk=2_000_000):
+    """Reference: min point-triangle distance at each point over all faces."""
+    m = len(tri_verts)
+    a = tri_verts[None, :, 0, :]
+    b = tri_verts[None, :, 1, :]
+    c = tri_verts[None, :, 2, :]
+    out = np.empty(len(points))
+    rows = max(1, chunk // max(m, 1))
+    for i in range(0, len(points), rows):
+        p = points[i:i + rows, None, :]
+        d2 = field_mod._point_triangle_dist_sq(p, a, b, c)
+        out[i:i + rows] = np.sqrt(d2.min(axis=1))
+    return out
+
+
+def _culled_and_brute(vertices, indices, lo, hi, res):
+    tri = np.asarray(vertices, dtype=np.float64)[np.asarray(indices)]
+    axes = field_mod._grid_axes(np.asarray(lo, dtype=np.float64),
+                                np.asarray(hi, dtype=np.float64), res)
+    return (field_mod._unsigned_distance(axes, tri),
+            _brute_unsigned_distance(grid_points(lo, hi, res), tri))
+
+
+def _soup(rng, layout, n_tris, lo, hi, res):
+    if layout == "lattice":
+        # Vertices on grid nodes: nodes then lie on vertices, on edges and
+        # in face planes.
+        axes = field_mod._grid_axes(lo, hi, res)
+        v = np.stack([rng.choice(ax, 3 * n_tris + 2) for ax in axes], axis=1)
+    else:
+        v = rng.uniform(-1.2, 1.2, (3 * n_tris + 2, 3))
+    # The last two vertices are referenced by no face.
+    f = rng.permutation(3 * n_tris).reshape(n_tris, 3)
+    if layout == "degenerate":
+        for i, tri in enumerate(f):
+            kind = i % 4
+            if kind == 0:
+                f[i, 1] = tri[0]                        # repeated vertex
+            elif kind == 1:
+                f[i] = tri[0]                           # a point
+            elif kind == 2:                             # collinear, zero area
+                v[tri[2]] = v[tri[0]] + rng.choice([-0.5, 0.5, 2.0]) * (v[tri[1]] - v[tri[0]])
+    if layout == "outside":
+        v = v + rng.choice([-1.0, 1.0]) * 4.0 * np.eye(3)[rng.integers(3)]
+    return v, f
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tris=st.integers(1, 12),
+       layout=st.sampled_from(["soup", "degenerate", "lattice", "outside"]),
+       res=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+       chunk=st.sampled_from([1, 7, 2**15, field_mod.BAKE_CHUNK_PAIRS]))
+def test_culled_distance_matches_brute_force_bitwise(seed, n_tris, layout, res, chunk):
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array([-1.0, -1.0, -1.0]), np.array([1.0, 0.5, 1.5])
+    v, f = _soup(rng, layout, n_tris, lo, hi, res)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field_mod, "BAKE_CHUNK_PAIRS", chunk)
+        culled, brute = _culled_and_brute(v, f, lo, hi, res)
+    assert np.array_equal(culled, brute)
+
+
+def test_culled_distance_bitwise_with_nodes_on_box_features():
+    # At 33^3 over [-1, 1]^3 the half-unit box's vertices, edges and face
+    # planes all pass through grid nodes.
+    v, f = assets.box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+    culled, brute = _culled_and_brute(v, f, (-1, -1, -1), (1, 1, 1), (33, 33, 33))
+    assert np.array_equal(culled, brute)
+
+
+def test_bake_evaluates_few_pairs(monkeypatch):
+    v, f = assets.icosphere(1.0, 2)
+    sizes = []
+    real = field_mod._point_triangle_dist_sq
+
+    def counting(p, a, b, c):
+        sizes.append(len(p))
+        return real(p, a, b, c)
+
+    monkeypatch.setattr(field_mod, "_point_triangle_dist_sq", counting)
+    bake_sdf_from_mesh(v, f, (-1.5,) * 3, (1.5,) * 3, (16, 16, 16), jitter_seed=1)
+    assert sum(sizes) <= 0.10 * 16**3 * len(f)
+
+
+# SHA-256 of phi from the brute-force bake over all (node, face) pairs; the
+# culled bake must reproduce both bit for bit.
+SPHERE16_SEED1_PHI = "779e01317ac8512bc314bfe3f187fc82f78827be91167dbc31a894f9b12c5e9a"
+ICOSPHERE64_PHI = "90a2c1e344b4b1de3be37df5144080f6e7eac735101c9880241fc2dca0982cfa"
+
+
+def test_bake_sphere_preset_16_digest(tmp_path):
+    # The sphere preset goes through its OBJ file, whose text round trip
+    # moves vertex bits, exactly as the sdf-bake benchmark workload loads it.
+    assets.generate("sphere", str(tmp_path), res=16)
+    mesh = surface.load_obj(str(tmp_path / "sphere.obj"),
+                            bsdf=surface.Lambertian((0.5, 0.5, 0.5)))
+    sdf = bake_sdf_from_mesh(mesh.vertices, mesh.indices, (-1.5,) * 3, (1.5,) * 3,
+                             (16, 16, 16), jitter_seed=1)
+    assert hashlib.sha256(sdf.phi.tobytes()).hexdigest() == SPHERE16_SEED1_PHI
+
+
+def test_bake_icosphere64_digest(icosphere_sdf64):
+    sdf, _, _ = icosphere_sdf64
+    assert hashlib.sha256(sdf.phi.tobytes()).hexdigest() == ICOSPHERE64_PHI
+
+
+_TET_V = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+_TET_F = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+
+
+@pytest.mark.parametrize("vertices, indices, match", [
+    (_TET_V, [[0, 1, -1]], "face index -1 out of range"),
+    (_TET_V, [[0, 1, 4]], "face index 4 out of range"),
+    (_TET_V, np.zeros((0, 3), dtype=np.int64), "no faces"),
+    (np.where(np.arange(4)[:, None] == 2, np.nan, _TET_V), _TET_F, "finite"),
+    (_TET_V, [[0, 1, 2, 3]], r"shape \(m, 3\)"),
+], ids=["negative-index", "index-past-end", "no-faces", "nan-vertex", "not-triangles"])
+def test_bake_rejects_bad_mesh(vertices, indices, match):
+    with pytest.raises(ValueError, match=match):
+        bake_sdf_from_mesh(vertices, indices, (-1, -1, -1), (1, 1, 1), (5, 5, 5))
 
 
 def test_sdf_from_density_blob_radius():
