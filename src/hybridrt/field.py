@@ -38,47 +38,37 @@ def _grid_scale(lo, hi, res):
                      for r, l, h in zip(res, lo, hi)])
 
 
-def _trilinear(values: np.ndarray, lo, res, p: np.ndarray, scale=None, hi=None) -> np.ndarray:
-    """Interpolate values (nx,ny,nz) or (nx,ny,nz,C) at points p (N,3).
+# Corner k of a cell is (k >> 2, (k >> 1) & 1, k & 1) in (x, y, z), so the
+# x, y and z lerp partners are the two halves of the corner axis.
+_CORNERS = np.array([[k >> 2, (k >> 1) & 1, k & 1] for k in range(8)])
+
+
+def _trilinear(table: np.ndarray, res, lo, scale, p: np.ndarray) -> np.ndarray:
+    """Interpolate a channel-major table (C, nx*ny*nz), cells in C order of
+    (nx, ny, nz), at points p (N,3); returns (C, N).
 
     Callers mask out-of-bbox queries themselves; here coordinates are
-    clamped so boundary queries stay continuous.
+    clamped so boundary queries stay continuous. The clamp keeps the lower
+    corner index i0 at most res - 2 on every axis with more than one node,
+    so the upper one is i0 + 1 there and i0 on a single-node axis: the 8
+    corners lie at fixed offsets from the cell's base index and come from
+    one gather.
     """
-    if scale is None:
-        scale = _grid_scale(lo, hi, res)
-    g = (p - lo) * scale
     nx, ny, nz = res
+    g = (p - lo) * scale
     hi_idx = np.maximum(np.array(res, dtype=np.float64) - 1.0, 0.0)
     gc = np.clip(g, 0.0, np.maximum(hi_idx - 1e-9, 0.0))
     i0 = np.floor(gc).astype(np.int64)
-    f = gc - i0
-    i1 = np.minimum(i0 + 1, [nx - 1, ny - 1, nz - 1])
-
-    flat = values.reshape(nx * ny * nz, -1)
-    stride_x, stride_y = ny * nz, nz
-    base = i0[:, 0] * stride_x + i0[:, 1] * stride_y + i0[:, 2]
-    dx = (i1[:, 0] - i0[:, 0]) * stride_x
-    dy = (i1[:, 1] - i0[:, 1]) * stride_y
-    dz = i1[:, 2] - i0[:, 2]
-
-    fx, fy, fz = f[:, 0:1], f[:, 1:2], f[:, 2:3]
-    c000 = flat[base]
-    c100 = flat[base + dx]
-    c010 = flat[base + dy]
-    c110 = flat[base + dx + dy]
-    c001 = flat[base + dz]
-    c101 = flat[base + dx + dz]
-    c011 = flat[base + dy + dz]
-    c111 = flat[base + dx + dy + dz]
-
-    c00 = c000 * (1 - fx) + c100 * fx
-    c10 = c010 * (1 - fx) + c110 * fx
-    c01 = c001 * (1 - fx) + c101 * fx
-    c11 = c011 * (1 - fx) + c111 * fx
-    c0 = c00 * (1 - fy) + c10 * fy
-    c1 = c01 * (1 - fy) + c11 * fy
-    out = c0 * (1 - fz) + c1 * fz
-    return out if values.ndim == 4 else out[:, 0]
+    fx, fy, fz = (gc - i0).T
+    step = np.array([ny * nz, nz, 1]) * (np.array(res) > 1)
+    base = i0[:, 0] * (ny * nz) + i0[:, 1] * nz + i0[:, 2]
+    c = table.take(base + (_CORNERS @ step)[:, None], axis=1)
+    # c0 * (1 - f) + c1 * f per axis, in place: no block-sized temporaries.
+    for k, f in ((4, fx), (2, fy), (1, fz)):
+        c[:, :k] *= 1 - f
+        c[:, k:2 * k] *= f
+        c[:, :k] += c[:, k:2 * k]
+    return c[:, 0]
 
 
 def _inside_mask(lo, hi, p):
@@ -117,8 +107,11 @@ class RadianceGrid:
             raise ValueError("sigma must be finite and >= 0")
         if not np.all(np.isfinite(radiance)) or np.any(radiance < 0):
             raise ValueError("radiance must be finite and >= 0")
-        self.sigma = sigma
-        self.radiance = radiance
+        # sigma and radiance are views of one channel-major table, so a
+        # sample gathers both at once and the values are stored once.
+        self._table = np.vstack([sigma.reshape(1, -1), radiance.reshape(-1, 3).T])
+        self.sigma = self._table[0].reshape(self.res)
+        self.radiance = self._table[1:].T.reshape(self.res + (3,))
         self.world_from_field = world_from_field or Transform.identity()
         self._scale = _grid_scale(self.bbox_lo, self.bbox_hi, self.res)
         # Homogeneous grids skip interpolation entirely (common in tests
@@ -148,16 +141,10 @@ class RadianceGrid:
         sigma = np.zeros(len(p))
         rad = np.zeros((len(p), 3))
         if np.any(inside):
-            if self._sigma_const is not None:
-                sigma[inside] = self._sigma_const
-            else:
-                sigma[inside] = _trilinear(self.sigma, self.bbox_lo, self.res,
-                                           pf[inside], scale=self._scale)
-            if self._rad_const is not None:
-                rad[inside] = self._rad_const
-            else:
-                rad[inside] = _trilinear(self.radiance, self.bbox_lo, self.res,
-                                         pf[inside], scale=self._scale)
+            if self._sigma_const is None or self._rad_const is None:
+                val = _trilinear(self._table, self.res, self.bbox_lo, self._scale, pf[inside])
+            sigma[inside] = val[0] if self._sigma_const is None else self._sigma_const
+            rad[inside] = val[1:].T if self._rad_const is None else self._rad_const
         return sigma, rad
 
     def ray_bounds(self, o: np.ndarray, d: np.ndarray):
@@ -241,9 +228,13 @@ def march_arrays(grid, o, d, s0, s1, dt, L, T_spec, T, shadow_fn=None):
     n = _substep_counts(seg, dt)
     if not len(n) or n.max() == 0:
         return
-    # Rays alive at substep k are the first alive[k] of `order`.
-    order = np.argsort(-n, kind="stable")
+    # Marching rays, longest first: those alive at substep k are the first
+    # alive[k], so every per-substep update below is a prefix slice.
     alive = len(n) - np.cumsum(np.bincount(n))[:-1]
+    order = np.argsort(-n, kind="stable")[:alive[0]]
+    o, d, s0 = o[order], d[order], s0[order]
+    step = seg[order] / n[order]
+    L_o, T_spec_o, T_o = L[order], T_spec[order], T[order]
     ends = np.cumsum(alive)
     k0 = 0
     while k0 < len(alive):
@@ -252,10 +243,10 @@ def march_arrays(grid, o, d, s0, s1, dt, L, T_spec, T, shadow_fn=None):
         counts = alive[k0:k1]
         rows = np.cumsum(counts)
         kk = np.repeat(np.arange(k0, k1), counts)
-        ids = order[np.arange(rows[-1]) - np.repeat(rows - counts, counts)]
-        delta = seg[ids] / n[ids]
-        t_mid = s0[ids] + (kk + 0.5) * delta
-        p = o[ids] + t_mid[:, None] * d[ids]
+        j = np.arange(rows[-1]) - np.repeat(rows - counts, counts)
+        delta = step[j]
+        t_mid = s0[j] + (kk + 0.5) * delta
+        p = o[j] + t_mid[:, None] * d[j]
         sigma, rad = grid.sample_batch(p)
         a = 1.0 - np.exp(-sigma * delta)
         am = a
@@ -265,15 +256,15 @@ def march_arrays(grid, o, d, s0, s1, dt, L, T_spec, T, shadow_fn=None):
             need = (a > 0.0) & (rad.max(axis=1) > 0.0)
             if np.any(need):
                 m = np.ones(len(a))
-                m[need] = shadow_fn(p[need], kk[need], ids[need])
+                m[need] = shadow_fn(p[need], kk[need], order[j[need]])
                 am = a * m
         keep = 1.0 - a
-        for r0, r1 in zip(rows - counts, rows):
-            sub = ids[r0:r1]
-            L[sub] += T_spec[sub] * am[r0:r1, None] * rad[r0:r1]
-            T_spec[sub] *= keep[r0:r1, None]
-            T[sub] *= keep[r0:r1]
+        for c, r0, r1 in zip(counts, rows - counts, rows):
+            L_o[:c] += T_spec_o[:c] * am[r0:r1, None] * rad[r0:r1]
+            T_spec_o[:c] *= keep[r0:r1, None]
+            T_o[:c] *= keep[r0:r1]
         k0 = k1
+    L[order], T_spec[order], T[order] = L_o, T_spec_o, T_o
 
 
 def march_segment(grid, ray: Ray, s0: float, s1: float, dt: float,
@@ -340,6 +331,7 @@ class SdfGrid:
         self.phi = phi
         self.world_from_grid = world_from_grid or Transform.identity()
         self._scale = _grid_scale(self.bbox_lo, self.bbox_hi, self.res)
+        self._table = phi.reshape(1, -1)
 
     def cell_size(self) -> np.ndarray:
         r = np.maximum(np.array(self.res) - 1, 1)
@@ -350,7 +342,7 @@ class SdfGrid:
         the clamped boundary value so it stays >= 0 outside."""
         p = p.reshape(-1, 3)
         q = np.clip(p, self.bbox_lo, self.bbox_hi)
-        base = _trilinear(self.phi, self.bbox_lo, self.res, q, scale=self._scale)
+        base = _trilinear(self._table, self.res, self.bbox_lo, self._scale, q)[0]
         outside = np.linalg.norm(p - q, axis=1)
         return np.where(outside > 0.0, np.maximum(outside + base, 0.0), base)
 
@@ -362,13 +354,12 @@ class SdfGrid:
         """
         p = np.asarray(p_world, dtype=np.float64).reshape(-1, 3)
         pl = self.world_from_grid.point(p, inverse=True)
-        phi = self._phi_local(pl)
         h = self.cell_size()
-        grad = np.empty((len(pl), 3))
-        for ax in range(3):
-            e = np.zeros(3)
-            e[ax] = h[ax]
-            grad[:, ax] = (self._phi_local(pl + e) - self._phi_local(pl - e)) / (2 * h[ax])
+        # phi at p and at p +- h[ax] along each axis, from one lookup.
+        e = np.diag(h)[:, None, :]
+        vals = self._phi_local(np.concatenate([pl[None], pl + e, pl - e])).reshape(7, -1)
+        phi = vals[0]
+        grad = ((vals[1:4] - vals[4:]) / (2 * h[:, None])).T.copy()
         norm = np.linalg.norm(grad, axis=1)
         valid = norm > 1e-9
         grad[valid] /= norm[valid, None]

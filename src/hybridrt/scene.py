@@ -475,8 +475,15 @@ class Scene:
     def rebuild_bvh(self):
         for m in self.meshes:
             m.recompute_normals()
-        self.bvh = Bvh(self.meshes)
-        self.blocker_bvh = Bvh([m for m in self.meshes if not m.is_emissive])
+        self.bvh, self.blocker_bvh = _build_bvhs(self.meshes)
+
+
+def _build_bvhs(meshes):
+    """The scene BVH and the shadow blockers' BVH, which is the same object
+    when no mesh emits."""
+    bvh = Bvh(meshes)
+    blockers = [m for m in meshes if not m.is_emissive]
+    return bvh, bvh if len(blockers) == len(meshes) else Bvh(blockers)
 
 
 def scene_diagonal(field: Optional[RadianceGrid], meshes) -> float:
@@ -536,8 +543,7 @@ def build_scene(cfg: SceneConfig, base_dir: str = ".") -> Scene:
             sdf.world_from_grid = col.transform.build()
         colliders.append(sdf)
 
-    bvh = Bvh(meshes)
-    blocker = Bvh([m for m in meshes if not m.is_emissive])
+    bvh, blocker = _build_bvhs(meshes)
     diag = scene_diagonal(field, meshes)
     return Scene(
         config=cfg,

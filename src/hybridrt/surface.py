@@ -19,7 +19,8 @@ from . import rng as _rng
 
 _BARY_EPS = 1e-7
 _DET_EPS = 1e-12
-# (ray, leaf) box tests per any-hit chunk; bounds the chunk's temporaries.
+# (ray, box) tests per chunk of an any-hit query, or per tree level of a
+# nearest-hit chunk; bounds the chunk's temporaries.
 ANYHIT_CHUNK = 1 << 15
 
 
@@ -294,9 +295,21 @@ def _moller_trumbore(o, d, a, e1, e2, t_min, t_max):
 class Bvh:
     """Binary BVH, longest-axis median split, at most 4 faces per leaf.
 
-    Nearest-hit queries below BRUTE_FORCE_FACES faces skip traversal: one
-    dense Moller-Trumbore sweep beats per-node bookkeeping at that size and
-    is hit-for-hit identical by the tie-break rule. BRUTE_FORCE_FACES
+    Nearest-hit above BRUTE_FORCE_FACES faces is level-synchronous: a
+    frontier of (ray, node) pairs is slab-tested one tree level per call,
+    the children of the passing inner nodes form the next level, and the
+    faces of the passing leaves go through one Moller-Trumbore call. There
+    is no best-t pruning, so every (ray, face) pair a depth-first traversal
+    would test is tested, and each ray keeps its smallest t, ties going to
+    the smaller face id as in brute force.
+
+    At or below BRUTE_FORCE_FACES one dense sweep over all faces runs
+    instead. Replaying the nearest-hit calls of one benchmark pass, brute
+    force is 4.2x faster at 12 faces (calibrate), the traversal about 9%
+    faster at 94 (two-room) and 13x faster at 168 (field-hit). The
+    threshold stays above 94 because the slab test is not padded: a ray
+    that grazes a box edge can miss a hit in that box which the dense
+    sweep finds, and two-room's walls are axis-aligned. BRUTE_FORCE_FACES
     governs nearest-hit only; any-hit always runs the flat leaf test.
     """
 
@@ -341,58 +354,42 @@ class Bvh:
         self.face_hi = hi_f = self.tri.max(axis=1)
         centers = 0.5 * (lo_f + hi_f)
 
-        nodes_lo, nodes_hi = [], []
-        nodes_left, nodes_right = [], []
-        nodes_start, nodes_count = [], []
-        order = np.arange(nf)
+        nodes_lo, nodes_hi, children, node_leaf, leaves = [], [], [], [], []
 
         def build(ids):
             node = len(nodes_lo)
-            nodes_lo.append(lo_f[ids].min(axis=0) if len(ids) else np.zeros(3))
-            nodes_hi.append(hi_f[ids].max(axis=0) if len(ids) else np.zeros(3))
-            nodes_left.append(-1)
-            nodes_right.append(-1)
-            nodes_start.append(-1)
-            nodes_count.append(0)
+            nodes_lo.append(lo_f[ids].min(axis=0))
+            nodes_hi.append(hi_f[ids].max(axis=0))
+            children.append([-1, -1])
+            node_leaf.append(-1)
             if len(ids) <= self.LEAF_SIZE:
-                nodes_start[node] = len(self._perm)
-                nodes_count[node] = len(ids)
-                self._perm.extend(ids.tolist())
+                node_leaf[node] = len(leaves)
+                leaves.append(ids)
                 return node
             extent = nodes_hi[node] - nodes_lo[node]
             axis = int(np.argmax(extent))
             mid = len(ids) // 2
             part = ids[np.argsort(centers[ids, axis], kind="stable")]
-            nodes_left[node] = build(part[:mid])
-            nodes_right[node] = build(part[mid:])
+            children[node] = [build(part[:mid]), build(part[mid:])]
             return node
 
-        self._perm = []
         if nf:
-            build(order)
+            build(np.arange(nf))
         else:
             nodes_lo.append(np.zeros(3))
             nodes_hi.append(np.full(3, -1.0))
-            nodes_left.append(-1)
-            nodes_right.append(-1)
-            nodes_start.append(0)
-            nodes_count.append(0)
+            children.append([-1, -1])
+            node_leaf.append(-1)
         self.node_lo = np.array(nodes_lo)
         self.node_hi = np.array(nodes_hi)
-        self.node_left = np.array(nodes_left, dtype=np.int64)
-        self.node_right = np.array(nodes_right, dtype=np.int64)
-        self.node_start = np.array(nodes_start, dtype=np.int64)
-        self.node_count = np.array(nodes_count, dtype=np.int64)
-        self.perm = np.array(self._perm, dtype=np.int64)
-        del self._perm
-        # Leaf boxes and their faces, padded with -1, for the flat any-hit.
-        leaves = np.nonzero(self.node_count > 0)[0]
-        self.leaf_lo = self.node_lo[leaves]
-        self.leaf_hi = self.node_hi[leaves]
-        slot = np.arange(self.LEAF_SIZE)
-        used = slot < self.node_count[leaves, None]
+        self.node_children = np.array(children, dtype=np.int64)
+        self.node_leaf = np.array(node_leaf, dtype=np.int64)
+        # Leaf boxes and their faces, padded with -1, rows in node_leaf order.
+        self.leaf_lo = self.node_lo[self.node_leaf >= 0]
+        self.leaf_hi = self.node_hi[self.node_leaf >= 0]
         self.leaf_faces = np.full((len(leaves), self.LEAF_SIZE), -1, dtype=np.int64)
-        self.leaf_faces[used] = self.perm[(self.node_start[leaves, None] + slot)[used]]
+        for row, ids in enumerate(leaves):
+            self.leaf_faces[row, :len(ids)] = ids
 
     @property
     def n_faces(self) -> int:
@@ -411,49 +408,49 @@ class Bvh:
             return best_t, best_f
         if self.n_faces <= self.BRUTE_FORCE_FACES:
             return self.brute_force_batch(o, d, t_min, t_max)
-        t_min_arr = np.broadcast_to(np.asarray(t_min, dtype=np.float64), (n,)).copy()
-        t_max_arr = np.broadcast_to(np.asarray(t_max, dtype=np.float64), (n,)).copy()
-
+        t_min = np.broadcast_to(np.asarray(t_min, dtype=np.float64), (n,))
+        t_max = np.broadcast_to(np.asarray(t_max, dtype=np.float64), (n,))
         with np.errstate(divide="ignore", invalid="ignore"):
             inv_d = 1.0 / d
-        stack = [(0, np.arange(n))]
-        while stack:
-            node, ids = stack.pop()
-            sub_t0, sub_t1 = _slab_overlap(self.node_lo[node], self.node_hi[node],
-                                           o[ids], inv_d[ids], t_min_arr[ids],
-                                           np.minimum(t_max_arr[ids], best_t[ids]))
-            live = sub_t0 <= sub_t1
-            if not np.any(live):
+        # Rays that miss the root box are dropped first. No tree level has
+        # more nodes than the tree has leaves, so no level of a chunk tests
+        # more than ANYHIT_CHUNK (ray, node) pairs.
+        t0, t1 = _slab_overlap(self.node_lo[0], self.node_hi[0], o, inv_d, t_min, t_max)
+        entering = np.flatnonzero(t0 <= t1)
+        rows = max(1, ANYHIT_CHUNK // len(self.leaf_faces))
+        for i in range(0, len(entering), rows):
+            ray = entering[i:i + rows]
+            node = np.zeros(len(ray), dtype=np.int64)
+            pair_ray, pair_face = [], []
+            while len(ray):
+                t0, t1 = _slab_overlap(self.node_lo[node], self.node_hi[node],
+                                       o[ray], inv_d[ray], t_min[ray], t_max[ray])
+                ray, node = ray[t0 <= t1], node[t0 <= t1]
+                leaf = self.node_leaf[node]
+                at_leaf = leaf >= 0
+                faces = self.leaf_faces[leaf[at_leaf]]
+                pair_ray.append(np.broadcast_to(ray[at_leaf, None], faces.shape)[faces >= 0])
+                pair_face.append(faces[faces >= 0])
+                ray = np.repeat(ray[~at_leaf], 2)
+                node = self.node_children[node[~at_leaf]].ravel()
+            ray = np.concatenate(pair_ray)
+            face = np.concatenate(pair_face)
+            t = _moller_trumbore(o[ray], d[ray], self.tri[face, 0], self.edge1[face],
+                                 self.edge2[face], t_min[ray], t_max[ray])
+            hit = np.isfinite(t)
+            if not hit.any():
                 continue
-            ids = ids[live]
-            if self.node_count[node] > 0:
-                faces = self.perm[self.node_start[node]:
-                                  self.node_start[node] + self.node_count[node]]
-                self._leaf_nearest(faces, ids, o, d, t_min_arr, t_max_arr, best_t, best_f)
-            else:
-                stack.append((int(self.node_left[node]), ids))
-                stack.append((int(self.node_right[node]), ids))
+            # Per ray the smallest t, then the smallest face id at that t:
+            # the brute-force pick.
+            k = np.argsort(ray[hit], kind="stable")
+            ray, face, t = ray[hit][k], face[hit][k], t[hit][k]
+            starts = np.flatnonzero(np.r_[True, ray[1:] != ray[:-1]])
+            tk = np.minimum.reduceat(t, starts)
+            at_tk = t == np.repeat(tk, np.diff(np.r_[starts, len(t)]))
+            best_t[ray[starts]] = tk
+            best_f[ray[starts]] = np.minimum.reduceat(np.where(at_tk, face, self.n_faces),
+                                                      starts)
         return best_t, best_f
-
-    def _leaf_nearest(self, faces, ids, o, d, t_min, t_max, best_t, best_f):
-        t = _moller_trumbore(
-            o[ids][:, None, :], d[ids][:, None, :],
-            self.tri[faces][None, :, 0, :],
-            self.edge1[faces][None, :, :], self.edge2[faces][None, :, :],
-            t_min[ids][:, None], t_max[ids][:, None],
-        )
-        # Tie-break toward the smaller global face id so traversal order
-        # never shows through.
-        fsort = np.argsort(faces, kind="stable")
-        t = t[:, fsort]
-        fids = faces[fsort]
-        k = np.argmin(t, axis=1)
-        tk = t[np.arange(len(ids)), k]
-        fk = fids[k]
-        better = (tk < best_t[ids]) | ((tk == best_t[ids]) & (fk < best_f[ids]) & np.isfinite(tk))
-        upd = ids[better]
-        best_t[upd] = tk[better]
-        best_f[upd] = fk[better]
 
     def any_hit_batch(self, o, d, t_min, t_max):
         """True where any face blocks the ray within (t_min, t_max].

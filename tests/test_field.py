@@ -86,6 +86,92 @@ def test_field_rotation_invariance(rng):
         assert np.allclose(r1, r0, atol=1e-9)
 
 
+def _trilinear_8_gathers(values, lo, res, p, scale):
+    """Reference: the 8-gather kernel that one-gather _trilinear replaced,
+    on grid-shaped values (nx,ny,nz) or (nx,ny,nz,C); returns (N,) or (N,C)."""
+    g = (p - lo) * scale
+    nx, ny, nz = res
+    hi_idx = np.maximum(np.array(res, dtype=np.float64) - 1.0, 0.0)
+    gc = np.clip(g, 0.0, np.maximum(hi_idx - 1e-9, 0.0))
+    i0 = np.floor(gc).astype(np.int64)
+    f = gc - i0
+    i1 = np.minimum(i0 + 1, [nx - 1, ny - 1, nz - 1])
+
+    flat = values.reshape(nx * ny * nz, -1)
+    stride_x, stride_y = ny * nz, nz
+    base = i0[:, 0] * stride_x + i0[:, 1] * stride_y + i0[:, 2]
+    dx = (i1[:, 0] - i0[:, 0]) * stride_x
+    dy = (i1[:, 1] - i0[:, 1]) * stride_y
+    dz = i1[:, 2] - i0[:, 2]
+
+    fx, fy, fz = f[:, 0:1], f[:, 1:2], f[:, 2:3]
+    c000 = flat[base]
+    c100 = flat[base + dx]
+    c010 = flat[base + dy]
+    c110 = flat[base + dx + dy]
+    c001 = flat[base + dz]
+    c101 = flat[base + dx + dz]
+    c011 = flat[base + dy + dz]
+    c111 = flat[base + dx + dy + dz]
+
+    c00 = c000 * (1 - fx) + c100 * fx
+    c10 = c010 * (1 - fx) + c110 * fx
+    c01 = c001 * (1 - fx) + c101 * fx
+    c11 = c011 * (1 - fx) + c111 * fx
+    c0 = c00 * (1 - fy) + c10 * fy
+    c1 = c01 * (1 - fy) + c11 * fy
+    out = c0 * (1 - fz) + c1 * fz
+    return out if values.ndim == 4 else out[:, 0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       res=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+       channels=st.sampled_from([1, 3, 4]))
+def test_trilinear_matches_8_gather_reference_bitwise(seed, res, channels):
+    # Points inside, outside (clamped) and exactly on the box's faces and
+    # upper corner; axes with a single node reduce to that node.
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array([-1.0, 0.0, 0.5]), np.array([1.0, 0.25, 3.0])
+    values = rng.uniform(-2.0, 2.0, res + ((channels,) if channels > 1 else ()))
+    values[rng.random(res) < 0.2] = 0.0
+    p = rng.uniform(lo - 0.5, hi + 0.5, (300, 3))
+    p[:20] = hi
+    p[20:40] = np.where(rng.random((20, 3)) < 0.5, lo, hi)
+    ax = rng.integers(3)
+    p[40:60, ax] = hi[ax]
+    scale = field_mod._grid_scale(lo, hi, res)
+    want = _trilinear_8_gathers(values, lo, res, p, scale)
+    table = values.reshape(-1, channels).T
+    got = field_mod._trilinear(np.ascontiguousarray(table), res, lo, scale, p)
+    got = got[0] if channels == 1 else got.T
+    assert want.shape == got.shape
+    assert np.array_equal(want.view(np.uint64), np.ascontiguousarray(got).view(np.uint64))
+
+
+@pytest.mark.parametrize("const", ["sigma", "radiance"])
+def test_sample_keeps_homogeneous_part_exact(rng, const):
+    # One packed lookup serves both parts; the constant one stays exact.
+    sig = rng.uniform(0.5, 2.0, (4, 3, 5))
+    rad = rng.uniform(0.0, 1.0, (4, 3, 5, 3))
+    if const == "sigma":
+        sig[:] = 0.7
+    else:
+        rad[:] = (0.1, 0.2, 0.3)
+    g = RadianceGrid((0, 0, 0), (1, 1, 1), sig, rad)
+    p = rng.uniform(-0.2, 1.2, (400, 3))
+    inside = np.all((p >= 0.0) & (p <= 1.0), axis=1)
+    sigma, radiance = g.sample_batch(p)
+    scale = field_mod._grid_scale(g.bbox_lo, g.bbox_hi, g.res)
+    want_s = np.where(inside, _trilinear_8_gathers(sig, g.bbox_lo, g.res, p, scale), 0.0)
+    want_r = np.where(inside[:, None], _trilinear_8_gathers(rad, g.bbox_lo, g.res, p, scale), 0.0)
+    if const == "sigma":
+        want_s = np.where(inside, 0.7, 0.0)
+    else:
+        want_r = np.where(inside[:, None], [0.1, 0.2, 0.3], 0.0)
+    assert np.array_equal(sigma, want_s) and np.array_equal(radiance, want_r)
+
+
 # ------------------------------------------------------------ transmittance
 
 

@@ -164,3 +164,21 @@ def test_scene_rebuild_bvh_after_deform(tmp_path):
     scene.meshes[0].vertices = scene.meshes[0].vertices + np.array([0, 0, 5.0])
     scene.rebuild_bvh()
     assert scene.bvh.node_lo[0][2] >= 4.9
+    # No mesh emits, so every mesh blocks shadows: one BVH serves both.
+    assert scene.blocker_bvh is scene.bvh
+
+
+def test_blocker_bvh_leaves_out_emissive_meshes(tmp_path):
+    write_assets(tmp_path)
+    v, f = assets.quad((-1, -1, 1), (2, 0, 0), (0, 2, 0))
+    save_obj(tmp_path / "lamp.obj", v, f)
+    doc = minimal_doc()
+    doc["meshes"] = [{"path": "q.obj"}, {"path": "lamp.obj", "emission": [1.0, 1.0, 1.0]}]
+    path = tmp_path / "scene.json"
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    scene = load_scene(path)
+    for _ in range(2):
+        assert (scene.bvh.n_faces, scene.blocker_bvh.n_faces) == (4, 2)
+        assert np.array_equal(scene.blocker_bvh.tri, scene.meshes[0].triangle_vertices())
+        scene.rebuild_bvh()

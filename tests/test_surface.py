@@ -91,7 +91,8 @@ def test_mesh_transform_applied():
 def test_single_triangle_bvh_is_leaf():
     mesh = make_mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
     bvh = build_bvh([mesh])
-    assert bvh.node_count[0] == 1
+    assert bvh.node_leaf[0] == 0
+    assert np.array_equal(bvh.leaf_faces, [[0, -1, -1, -1]])
 
 
 def test_empty_scene_misses():
@@ -109,9 +110,8 @@ def test_bvh_equals_brute_force_on_soup(rng):
     t_b, f_b = bvh.intersect_batch(o, d)
     t_r, f_r = bvh.brute_force_batch(o, d)
     assert np.array_equal(f_b, f_r)
-    hit = f_b >= 0
-    assert hit.sum() > 100
-    assert np.allclose(t_b[hit], t_r[hit], atol=1e-6, rtol=0)
+    assert np.array_equal(t_b, t_r)
+    assert (f_b >= 0).sum() > 100
 
 
 def test_bvh_scalar_matches_batch(rng):
@@ -131,14 +131,16 @@ def test_bvh_scalar_matches_batch(rng):
             assert isect.t_hit == pytest.approx(t[0], abs=1e-9)
 
 
-def any_hit_rays(rng, bvh, n):
+def any_hit_rays(rng, bvh, n, planes=None):
     """Rays that probe the slab test's edge cases: zero direction
-    components, origins on leaf box planes, finite and open segments."""
+    components, origins on box planes (by default the leaf boxes'), finite
+    and open segments."""
     o = rng.uniform(-6, 6, (n, 3))
     d = rng.normal(size=(n, 3))
     d[rng.random((n, 3)) < 0.2] = 0.0
     on_plane = rng.random((n, 3)) < 0.2
-    planes = np.concatenate([bvh.leaf_lo, bvh.leaf_hi])
+    if planes is None:
+        planes = np.concatenate([bvh.leaf_lo, bvh.leaf_hi])
     o[on_plane] = planes[rng.integers(len(planes), size=(n, 3)), np.arange(3)][on_plane]
     t_min = np.where(rng.random(n) < 0.5, 0.0, 1e-4)
     t_max = np.where(rng.random(n) < 0.5, np.inf, rng.uniform(0.0, 8.0, n))
@@ -156,6 +158,83 @@ def test_any_hit_equals_brute_force(seed, n_tris, chunk):
         mp.setattr(surface, "ANYHIT_CHUNK", chunk)
         blocked = bvh.any_hit_batch(o, d, t_min, t_max)
     assert np.array_equal(blocked, bvh.brute_force_batch(o, d, t_min, t_max)[1] >= 0)
+
+
+def grid_mesh(rng, k, bumpy):
+    """k x k unit quads of two triangles each, so neighbouring faces share
+    edges. Flat and axis-aligned, or with random heights and a random
+    rotation, which puts no edge midpoint on a box plane."""
+    i, j = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
+    z = rng.uniform(-0.3, 0.3, i.shape) if bumpy else np.zeros(i.shape)
+    verts = np.stack([i, j, z], axis=-1).reshape(-1, 3).astype(float)
+    v = (i * (k + 1) + j)[:-1, :-1].ravel()
+    faces = np.concatenate([np.stack([v, v + k + 1, v + k + 2], axis=1),
+                            np.stack([v, v + k + 2, v + 1], axis=1)])
+    pose = Transform.rotate(rng.normal(size=3), rng.uniform(0.0, 6.0)) if bumpy else None
+    return make_mesh(verts, faces, world_from_object=pose)
+
+
+def shared_edge_rays(rng, mesh, n, bumpy):
+    """Rays through edge midpoints, where two faces tie or nearly tie.
+
+    On the flat grid the rays run along z and also pass through vertices;
+    there both the ties and the box tests are exact. A tilted ray through
+    a vertex or along a box edge can graze a box by one rounding step, so
+    the bumpy grid's rays only pass through edge midpoints."""
+    tri = mesh.triangle_vertices()
+    face, corner = rng.integers(len(tri), size=n), rng.integers(3, size=n)
+    a, b = tri[face, corner], tri[face, (corner + 1) % 3]
+    if bumpy:
+        target = 0.5 * (a + b)
+        d = rng.normal(size=(n, 3))
+    else:
+        target = np.where((rng.random(n) < 0.3)[:, None], a, 0.5 * (a + b))
+        d = np.zeros((n, 3))
+        d[:, 2] = rng.choice([-1.0, 1.0], n)
+    t_min = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, n))
+    t_max = np.where(rng.random(n) < 0.5, np.inf, rng.uniform(0.0, 4.0, n))
+    return target - 2.0 * d, d, t_min, t_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["soup", "grid", "bumpy"]),
+       size=st.integers(1, 45), chunk=st.sampled_from([1, 7, surface.ANYHIT_CHUNK]))
+def test_nearest_hit_equals_brute_force(seed, layout, size, chunk):
+    rng = np.random.default_rng(seed)
+    if layout == "soup":
+        bvh = build_bvh([soup_mesh(rng, n_tris=size, spread=2.0)])
+        planes = np.concatenate([bvh.node_lo, bvh.node_hi])
+        o, d, t_min, t_max = any_hit_rays(rng, bvh, 200, planes)
+        t_min = np.where(rng.random(200) < 0.3, rng.uniform(0.0, 4.0, 200), t_min)
+    else:
+        mesh = grid_mesh(rng, 1 + size // 8, layout == "bumpy")
+        bvh = build_bvh([mesh])
+        o, d, t_min, t_max = shared_edge_rays(rng, mesh, 200, layout == "bumpy")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Bvh, "BRUTE_FORCE_FACES", 0)
+        mp.setattr(surface, "ANYHIT_CHUNK", chunk)
+        t, face = bvh.intersect_batch(o, d, t_min, t_max)
+    t_ref, face_ref = bvh.brute_force_batch(o, d, t_min, t_max)
+    assert np.array_equal(t, t_ref)
+    assert np.array_equal(face, face_ref)
+
+
+def test_nearest_hit_ties_break_toward_smaller_face(monkeypatch):
+    # Rays along -z through the midpoint of every edge two faces share hit
+    # both faces at exactly t = 1; the smaller face id must win.
+    mesh = grid_mesh(np.random.default_rng(0), 6, bumpy=False)
+    edges = {}
+    for f, tri in enumerate(mesh.indices):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            edges.setdefault((min(a, b), max(a, b)), []).append(f)
+    shared = {e: fs for e, fs in edges.items() if len(fs) == 2}
+    mid = np.array([0.5 * (mesh.vertices[a] + mesh.vertices[b]) for a, b in shared])
+    o = mid + [0.0, 0.0, 1.0]
+    d = np.tile([0.0, 0.0, -1.0], (len(o), 1))
+    monkeypatch.setattr(Bvh, "BRUTE_FORCE_FACES", 0)
+    t, face = build_bvh([mesh]).intersect_batch(o, d)
+    assert np.all(t == 1.0)
+    assert np.array_equal(face, [min(fs) for fs in shared.values()])
 
 
 def test_any_hit_leaf_table_pads_short_leaves(rng):
