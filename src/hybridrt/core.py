@@ -7,8 +7,6 @@ invariant-enforcing constructors the rest of the package relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 _SRGB_CUT = 0.0031308
@@ -55,14 +53,6 @@ def tone_map(c: np.ndarray) -> np.ndarray:
     # 1.055 - 0.055 lands one ulp under 1, so pin the upper rail exactly.
     out = np.where(c >= 1.0, 1.0, out)
     return np.clip(out, 0.0, 1.0)
-
-
-def srgb_to_linear(s: np.ndarray) -> np.ndarray:
-    """Inverse of tone_map on [0, 1] (used by synthetic test cameras)."""
-    s = np.asarray(s, dtype=np.float64)
-    lo = s / 12.92
-    hi = np.power((s + 0.055) / 1.055, 2.4)
-    return np.where(s <= 12.92 * _SRGB_CUT, lo, hi)
 
 
 class Transform:
@@ -180,54 +170,3 @@ class Transform:
 
     def __repr__(self):
         return f"Transform({self.m.tolist()})"
-
-
-def transform_point(t: Transform, p, inverse: bool = False) -> np.ndarray:
-    """Homogeneous point transform by t.m, or by the cached inverse."""
-    return t.point(p, inverse=inverse)
-
-
-@dataclass
-class Ray:
-    """Parametric ray origin + t*dir for t in [t_min, t_max]; dir is unit."""
-
-    origin: np.ndarray
-    dir: np.ndarray
-    t_min: float = 0.0
-    t_max: float = np.inf
-
-    def __post_init__(self):
-        self.origin = vec3(self.origin)
-        self.dir = unit(self.dir)
-        if self.t_min < 0.0 or not self.t_max > self.t_min:
-            raise ValueError(
-                f"bad ray interval [{self.t_min}, {self.t_max}] (need 0 <= t_min < t_max)"
-            )
-
-    def at(self, t: float) -> np.ndarray:
-        return self.origin + t * self.dir
-
-
-@dataclass
-class Aabb:
-    """Axis-aligned box; used for grid bounds and BVH nodes."""
-
-    lo: np.ndarray = field(default_factory=lambda: np.full(3, np.inf))
-    hi: np.ndarray = field(default_factory=lambda: np.full(3, -np.inf))
-
-    def expand(self, pts: np.ndarray) -> "Aabb":
-        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-        self.lo = np.minimum(self.lo, pts.min(axis=0))
-        self.hi = np.maximum(self.hi, pts.max(axis=0))
-        return self
-
-    def union(self, other: "Aabb") -> "Aabb":
-        out = Aabb()
-        out.lo = np.minimum(self.lo, other.lo)
-        out.hi = np.maximum(self.hi, other.hi)
-        return out
-
-    def diagonal(self) -> float:
-        if np.any(self.hi < self.lo):
-            return 0.0
-        return float(np.linalg.norm(self.hi - self.lo))

@@ -1,9 +1,11 @@
 """Per-face emission estimation by inverse rendering.
 
 Light transport is linear in the emission vector when path trajectories
-are fixed, so rendering the scene once per pose while scattering path
-throughput into per-face bins yields a dense transport operator A with
-image = A @ E exactly (same seeds). The estimate then minimizes mean
+are fixed. The transport build runs the renderer's own bounce loop
+(`render._trace_paths`) from the same seeds, with a scatter accumulator in
+place of stored emission: each front-facing hit adds its path throughput
+to its pixel's bin for the hit face. That yields a dense transport
+operator A with image = A @ E exactly. The estimate then minimizes mean
 squared image error plus an L1 sparsity term by projected gradient
 descent, with the periodic clip-low/boost-high schedule, and finally
 prunes the mesh down to the surviving emissive faces.
@@ -11,14 +13,13 @@ prunes the mesh down to the surviving emissive faces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng as _rng
 from .core import luminance
 from .images import HdrImage
-from .render import Camera, EmitterSet, _sample_bsdf_groups, _sample_jitter
+from .render import EmitterSet, _primary_batches, _trace_paths
 from .surface import Lambertian
 
 TRANSPORT_BYTE_CAP = 1_500_000_000
@@ -68,47 +69,6 @@ class TransportOperator:
                 for i in range(self.n_poses)]
 
 
-def _trace_transport(scene, o, d, pix, smp, seed, acc):
-    """Surface path tracing that records per-face throughput instead of
-    multiplying stored emission; acc has shape (npix, faces, 3)."""
-    n = len(o)
-    T_spec = np.ones((n, 3))
-    ray_o = o.copy()
-    ray_d = d.copy()
-    alive = np.arange(n)
-    rc = scene.render
-    inv_spp = 1.0 / rc.spp
-    for bounce in range(1, rc.n_bounces + 1):
-        if not len(alive):
-            break
-        t_hit, face = scene.bvh.intersect_batch(ray_o[alive], ray_d[alive])
-        hit = face >= 0
-        hit_ids = alive[hit]
-        if not len(hit_ids):
-            break
-        hf = face[hit]
-        th = t_hit[hit]
-        point = ray_o[hit_ids] + th[:, None] * ray_d[hit_ids]
-        n_raw = scene.bvh.face_normal[hf]
-        facing = np.sum(n_raw * ray_d[hit_ids], axis=1) < 0.0
-        normal = np.where(facing[:, None], n_raw, -n_raw)
-
-        front_ids = hit_ids[facing]
-        if len(front_ids):
-            np.add.at(acc, (pix[front_ids], hf[facing]),
-                      T_spec[front_ids] * inv_spp)
-
-        wo = -ray_d[hit_ids]
-        new_d, weight = _sample_bsdf_groups(scene, scene.bvh, hf, wo, normal,
-                                            facing, pix[hit_ids], smp[hit_ids],
-                                            bounce, seed)
-        T_spec[hit_ids] *= weight
-        ray_o[hit_ids] = point + scene.spawn_eps * new_d
-        ray_d[hit_ids] = new_d
-        keep = np.max(T_spec[hit_ids], axis=1) >= rc.threshold
-        alive = hit_ids[keep]
-
-
 def build_transport(scene, poses, max_depth: int = 3) -> TransportOperator:
     """Transport columns for every face of every scene mesh.
 
@@ -136,30 +96,20 @@ def build_transport(scene, poses, max_depth: int = 3) -> TransportOperator:
             "use finite-difference gradients"
         )
 
-    rc_backup = (scene.render.n_bounces,)
-    scene.render.n_bounces = int(max_depth)
-    try:
-        a = np.zeros((rows, n_faces, 3))
-        spp = scene.render.spp
-        seed = scene.render.seed
-        for pi, cam in enumerate(poses):
-            if cam.resolution != (w, h):
-                raise EstimationError("all poses must share one resolution")
-            npix = w * h
-            acc = a[pi * npix:(pi + 1) * npix]
-            pix = np.arange(npix)
-            per_batch = max(1, 65536 // npix)
-            s = 0
-            while s < spp:
-                sb = min(per_batch, spp - s)
-                pix_rep = np.repeat(pix, sb)
-                smp_rep = np.tile(np.arange(s, s + sb), npix)
-                jx, jy = _sample_jitter(seed, pix_rep, smp_rep, spp)
-                o, d = cam.primary_rays(pix_rep, jx, jy)
-                _trace_transport(scene, o, d, pix_rep, smp_rep, seed, acc)
-                s += sb
-    finally:
-        scene.render.n_bounces = rc_backup[0]
+    a = np.zeros((rows, n_faces, 3))
+    spp = scene.render.spp
+    seed = scene.render.seed
+    inv_spp = 1.0 / spp
+    npix = w * h
+    for pi, cam in enumerate(poses):
+        if cam.resolution != (w, h):
+            raise EstimationError("all poses must share one resolution")
+        acc = a[pi * npix:(pi + 1) * npix]
+        for pix, smp, o, d in _primary_batches(cam, spp, seed, np.arange(npix)):
+            def scatter(ids, faces, T_spec):
+                np.add.at(acc, (pix[ids], faces), T_spec * inv_spp)
+
+            _trace_paths(scene, o, d, pix, smp, seed, int(max_depth), scatter)
     return TransportOperator(a=a, n_poses=len(poses), resolution=(w, h),
                              n_faces=n_faces, spp=spp, seed=seed)
 

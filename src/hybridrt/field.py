@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Ray, Transform, unit, vec3
+from .core import Transform, vec3
 
 
 def _as_res(res) -> tuple:
@@ -162,44 +161,8 @@ class RadianceGrid:
         return _ray_slab(self.bbox_lo, self.bbox_hi, of, df)
 
 
-def sample_field(grid: RadianceGrid, p_world):
-    """Scalar convenience wrapper over RadianceGrid.sample_batch."""
-    sigma, rad = grid.sample_batch(np.asarray(p_world, dtype=np.float64).reshape(1, 3))
-    return float(sigma[0]), rad[0]
-
-
 # ---------------------------------------------------------------------------
 # Marching
-
-
-@dataclass
-class PathState:
-    """Per-path accumulators: scalar medium throughput T, channel throughput
-    T_spec (BSDF weights times transmittance), accumulated radiance L."""
-
-    T: float = 1.0
-    T_spec: np.ndarray = None
-    L: np.ndarray = None
-    bounce: int = 0
-
-    def __post_init__(self):
-        if self.T_spec is None:
-            self.T_spec = np.ones(3)
-        if self.L is None:
-            self.L = np.zeros(3)
-        self.T_spec = np.asarray(self.T_spec, dtype=np.float64)
-        self.L = np.asarray(self.L, dtype=np.float64)
-
-
-@dataclass
-class MarchResult:
-    """Segment-local integral: throughput factor exp(-int sigma), the
-    radiance added per unit inbound throughput, and whether the caller's
-    path dropped below its termination threshold during this segment."""
-
-    throughput_factor: float
-    radiance_in: np.ndarray
-    terminated_early: bool
 
 
 # Field samples per march block; bounds the block's temporaries.
@@ -211,10 +174,10 @@ def _substep_counts(seg_len: np.ndarray, dt: float) -> np.ndarray:
     return np.where(seg_len > 0.0, np.maximum(n, 1), 0)
 
 
-def march_arrays(grid, o, d, s0, s1, dt, L, T_spec, T, shadow_fn=None):
+def march_arrays(grid, o, d, s0, s1, dt, L, T_spec, shadow_fn=None):
     """Vectorized midpoint march over per-ray segments [s0, s1].
 
-    Mutates L (N,3), T_spec (N,3), T (N,) in place. Consecutive substeps
+    Mutates L (N,3) and T_spec (N,3) in place. Consecutive substeps
     are taken in blocks of at most MARCH_BLOCK_POINTS samples, laid out
     substep-major, with one field sample and one shadow_fn call per block;
     the accumulator updates then run substep by substep in march order, so
@@ -222,8 +185,11 @@ def march_arrays(grid, o, d, s0, s1, dt, L, T_spec, T, shadow_fn=None):
 
     shadow_fn, if given, is called once per block as
     shadow_fn(points, substep_indices, ray_indices), with one substep and
-    one ray index per point, and returns mask values in [0, 1].
+    one ray index per point, and returns mask values in [0, 1]. A segment
+    with s1 <= s0 is empty and leaves its ray's state as it was.
     """
+    if not dt > 0:
+        raise ValueError(f"march step must be > 0, got {dt}")
     seg = np.maximum(s1 - s0, 0.0)
     n = _substep_counts(seg, dt)
     if not len(n) or n.max() == 0:
@@ -234,7 +200,7 @@ def march_arrays(grid, o, d, s0, s1, dt, L, T_spec, T, shadow_fn=None):
     order = np.argsort(-n, kind="stable")[:alive[0]]
     o, d, s0 = o[order], d[order], s0[order]
     step = seg[order] / n[order]
-    L_o, T_spec_o, T_o = L[order], T_spec[order], T[order]
+    L_o, T_spec_o = L[order], T_spec[order]
     ends = np.cumsum(alive)
     k0 = 0
     while k0 < len(alive):
@@ -262,57 +228,8 @@ def march_arrays(grid, o, d, s0, s1, dt, L, T_spec, T, shadow_fn=None):
         for c, r0, r1 in zip(counts, rows - counts, rows):
             L_o[:c] += T_spec_o[:c] * am[r0:r1, None] * rad[r0:r1]
             T_spec_o[:c] *= keep[r0:r1, None]
-            T_o[:c] *= keep[r0:r1]
         k0 = k1
-    L[order], T_spec[order], T[order] = L_o, T_spec_o, T_o
-
-
-def march_segment(grid, ray: Ray, s0: float, s1: float, dt: float,
-                  state: PathState, shadow_fn=None) -> PathState:
-    """Advance one path state across the field segment [s0, s1] of ray.
-
-    shadow_fn here takes a single world point and returns m in [0, 1]; it
-    is called once per point of each march block.
-    """
-    if not s0 < s1:
-        raise ValueError(f"need s0 < s1, got [{s0}, {s1}]")
-    if dt <= 0:
-        raise ValueError("march step must be > 0")
-    L = state.L.copy().reshape(1, 3)
-    T_spec = state.T_spec.copy().reshape(1, 3)
-    T = np.array([state.T])
-    fn = None
-    if shadow_fn is not None:
-        fn = lambda pts, k, ids: np.array([shadow_fn(pt) for pt in pts])
-    march_arrays(grid, ray.origin.reshape(1, 3), ray.dir.reshape(1, 3),
-                 np.array([s0]), np.array([s1]), dt, L, T_spec, T, fn)
-    return replace(state, T=float(T[0]), T_spec=T_spec[0], L=L[0])
-
-
-def march_result(grid, ray: Ray, s0: float, s1: float, dt: float,
-                 shadow_fn=None, threshold: float = 0.0) -> MarchResult:
-    """March with a fresh unit state and report the segment integral."""
-    out = march_segment(grid, ray, s0, s1, dt, PathState(), shadow_fn)
-    return MarchResult(
-        throughput_factor=out.T,
-        radiance_in=out.L,
-        terminated_early=bool(np.max(out.T_spec) < threshold),
-    )
-
-
-def transmittance(grid, ray: Ray, s0: float, s1: float, dt: float) -> float:
-    """Product over midpoint substeps of exp(-sigma_i * delta_i)."""
-    if not s0 < s1:
-        raise ValueError(f"need s0 < s1, got [{s0}, {s1}]")
-    if dt <= 0:
-        raise ValueError("march step must be > 0")
-    seg = s1 - s0
-    n = int(_substep_counts(np.array([seg]), dt)[0])
-    delta = seg / n
-    t_mid = s0 + (np.arange(n) + 0.5) * delta
-    p = ray.origin[None, :] + t_mid[:, None] * ray.dir[None, :]
-    sigma, _ = grid.sample_batch(p)
-    return float(np.prod(np.exp(-sigma * delta)))
+    L[order], T_spec[order] = L_o, T_spec_o
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +283,6 @@ class SdfGrid:
         grad[~valid] = (0.0, 0.0, 1.0)
         n_world = self.world_from_grid.direction(grad)
         return phi, n_world, valid
-
-
-def sdf_query(sdf: SdfGrid, p):
-    """Scalar (phi, normal, valid) lookup."""
-    phi, n, valid = sdf.query_batch(np.asarray(p, dtype=np.float64).reshape(1, 3))
-    return float(phi[0]), n[0], bool(valid[0])
 
 
 def _grid_axes(lo, hi, res) -> list:

@@ -1,13 +1,19 @@
-"""Hybrid per-pixel path construction: march the radiance field between
-surface intersections, bounce at surfaces, repeat.
+"""Hybrid path tracing: march the radiance field between surface
+intersections, bounce at surfaces, repeat.
 
-Paths alternate two updates. Between surface hits the field segment is
-integrated by midpoint substeps (throughput times exp(-sigma dt), radiance
-accumulating per-substep opacity, optionally shadow-masked). At a hit the
-surface emission weighted by the post-march throughput is added, then a
-BSDF sample rotates the ray and multiplies the channel throughput. A path
-ends when it leaves the scene, drops below the throughput threshold, or
-reaches the bounce limit.
+One bounce loop, `_trace_paths`, carries every path: camera paths of
+`render` and the transport paths of `emitters.build_transport`. A batch
+of paths alternates two updates. Between surface hits the field segment
+is integrated by midpoint substeps (throughput times exp(-sigma dt),
+radiance accumulating per-substep opacity, optionally shadow-masked). At
+a front-facing hit the surface emission weighted by the post-march
+throughput is added; given an `on_hit` hook, the loop hands the hit paths,
+faces and throughputs to the hook instead. Then a BSDF sample rotates the
+ray and multiplies the channel throughput. A path ends when it leaves the
+scene, drops below the throughput threshold, or reaches the bounce limit.
+The field march, the shadow mask and the BSDF samplers are looked up in
+this module's namespace at call time, so a wrapper installed here sees
+every path.
 
 Everything random is a counter-based function of (seed, pixel, sample,
 bounce, purpose, lane), so renders are bit-identical for any tile schedule
@@ -30,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .core import Ray, Transform
+from .core import Transform
 from .field import RadianceGrid, march_arrays
-from .images import HdrImage, encode_pfm, encode_ppm
+from .images import HdrImage
 from .surface import (
     ANYHIT_CHUNK,
     Bvh,
@@ -171,23 +177,7 @@ def shadow_candidates(points, emitters: EmitterSet, blocker_bvh: Bvh, pad: float
     return cand
 
 
-def shadow_mask(p, emitters: EmitterSet, bvh: Bvh, path_rng: _rng.PathRng,
-                bounce: int = 0, substep: int = 0, eps: float = 1e-6) -> float:
-    """Scalar shadow mask at a march sample point."""
-    if emitters is None or len(emitters) == 0:
-        return 1.0
-    keys = (path_rng.seed, path_rng.pixel, path_rng.sample, bounce)
-    u_pick = _rng.uniform(*keys, _rng.LIGHT_PICK, substep)
-    u1 = _rng.uniform(*keys, _rng.LIGHT_U, substep)
-    u2 = _rng.uniform(*keys, _rng.LIGHT_V, substep)
-    m = shadow_mask_batch(np.asarray(p, dtype=np.float64).reshape(1, 3),
-                          emitters, bvh,
-                          np.atleast_1d(u_pick), np.atleast_1d(u1),
-                          np.atleast_1d(u2), eps)
-    return float(m[0])
-
-
-def _march_field(scene, ids, o, d, s_end, bounce, pix, smp, seed, L, T_spec, T):
+def _march_field(scene, ids, o, d, s_end, bounce, pix, smp, seed, L, T_spec):
     """March rays `ids` from their bbox entry to min(s_end, bbox exit)."""
     field: RadianceGrid = scene.field
     t0, t1 = field.ray_bounds(o[ids], d[ids])
@@ -223,15 +213,13 @@ def _march_field(scene, ids, o, d, s_end, bounce, pix, smp, seed, L, T_spec, T):
 
     Lm = L[mids]
     Tm = T_spec[mids]
-    Ts = T[mids]
     march_arrays(field, o[mids], d[mids], s0[doit], s1[doit],
-                 scene.render.march_step, Lm, Tm, Ts, shadow_fn)
+                 scene.render.march_step, Lm, Tm, shadow_fn)
     L[mids] = Lm
     T_spec[mids] = Tm
-    T[mids] = Ts
 
 
-def _sample_bsdf_groups(scene, bvh, faces, wo, n, front, pix, smp, bounce, seed):
+def _sample_bsdf_groups(bvh, faces, wo, n, front, pix, smp, bounce, seed):
     """Vectorized next-direction sampling, grouped by mesh."""
     k = len(faces)
     new_d = np.zeros((k, 3))
@@ -265,23 +253,30 @@ def _check_radiance(L):
         raise FloatingPointError("NaN radiance in path batch")
 
 
-def _trace_batch_hybrid(scene, o, d, pix, smp, seed):
-    """Integrate one batch of camera paths; returns linear radiance (N,3)."""
+def _trace_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None):
+    """Trace a batch of paths from rays (o, d) for up to n_bounces surface
+    interactions; returns their linear radiance (N,3).
+
+    pix and smp are each path's pixel and sample index, the keys of its
+    random draws. At front-facing hits the stored face emission weighted by
+    the path throughput is added to L, unless on_hit is given: then
+    on_hit(ids, faces, T_spec) receives the hit paths, their faces and
+    their throughputs instead, and L holds the field's radiance only.
+    """
     n = len(o)
     L = np.zeros((n, 3))
     T_spec = np.ones((n, 3))
-    T = np.ones(n)
     ray_o = o.copy()
     ray_d = d.copy()
     alive = np.arange(n)
-    rc = scene.render
-    for bounce in range(1, rc.n_bounces + 1):
+    bvh = scene.bvh
+    for bounce in range(1, n_bounces + 1):
         if not len(alive):
             break
-        t_hit, face = scene.bvh.intersect_batch(ray_o[alive], ray_d[alive])
+        t_hit, face = bvh.intersect_batch(ray_o[alive], ray_d[alive])
         if scene.field is not None:
             _march_field(scene, alive, ray_o, ray_d, t_hit, bounce,
-                         pix, smp, seed, L, T_spec, T)
+                         pix, smp, seed, L, T_spec)
         hit = face >= 0
         hit_ids = alive[hit]
         if not len(hit_ids):
@@ -289,91 +284,28 @@ def _trace_batch_hybrid(scene, o, d, pix, smp, seed):
         hf = face[hit]
         th = t_hit[hit]
         point = ray_o[hit_ids] + th[:, None] * ray_d[hit_ids]
-        n_raw = scene.bvh.face_normal[hf]
+        n_raw = bvh.face_normal[hf]
         facing = np.sum(n_raw * ray_d[hit_ids], axis=1) < 0.0
         normal = np.where(facing[:, None], n_raw, -n_raw)
 
-        emit = scene.bvh.face_emission[hf]
-        L[hit_ids] += T_spec[hit_ids] * np.where(facing[:, None], emit, 0.0)
+        if on_hit is None:
+            emit = bvh.face_emission[hf]
+            L[hit_ids] += T_spec[hit_ids] * np.where(facing[:, None], emit, 0.0)
+        elif np.any(facing):
+            front_ids = hit_ids[facing]
+            on_hit(front_ids, hf[facing], T_spec[front_ids])
 
         wo = -ray_d[hit_ids]
-        new_d, weight = _sample_bsdf_groups(scene, scene.bvh, hf, wo, normal,
-                                            facing, pix[hit_ids], smp[hit_ids],
-                                            bounce, seed)
+        new_d, weight = _sample_bsdf_groups(bvh, hf, wo, normal, facing,
+                                            pix[hit_ids], smp[hit_ids], bounce, seed)
         T_spec[hit_ids] *= weight
         ray_o[hit_ids] = point + scene.spawn_eps * new_d
         ray_d[hit_ids] = new_d
 
-        keep = np.max(T_spec[hit_ids], axis=1) >= rc.threshold
+        keep = np.max(T_spec[hit_ids], axis=1) >= scene.render.threshold
         alive = hit_ids[keep]
     _check_radiance(L)
     return L
-
-
-def _trace_batch_surface(scene, o, d, pix, smp, seed):
-    """Reference: the same loop with the field removed (pure path tracer)."""
-    n = len(o)
-    L = np.zeros((n, 3))
-    T_spec = np.ones((n, 3))
-    T = np.ones(n)
-    ray_o = o.copy()
-    ray_d = d.copy()
-    alive = np.arange(n)
-    rc = scene.render
-    for bounce in range(1, rc.n_bounces + 1):
-        if not len(alive):
-            break
-        t_hit, face = scene.bvh.intersect_batch(ray_o[alive], ray_d[alive])
-        hit = face >= 0
-        hit_ids = alive[hit]
-        if not len(hit_ids):
-            break
-        hf = face[hit]
-        th = t_hit[hit]
-        point = ray_o[hit_ids] + th[:, None] * ray_d[hit_ids]
-        n_raw = scene.bvh.face_normal[hf]
-        facing = np.sum(n_raw * ray_d[hit_ids], axis=1) < 0.0
-        normal = np.where(facing[:, None], n_raw, -n_raw)
-        emit = scene.bvh.face_emission[hf]
-        L[hit_ids] += T_spec[hit_ids] * np.where(facing[:, None], emit, 0.0)
-        wo = -ray_d[hit_ids]
-        new_d, weight = _sample_bsdf_groups(scene, scene.bvh, hf, wo, normal,
-                                            facing, pix[hit_ids], smp[hit_ids],
-                                            bounce, seed)
-        T_spec[hit_ids] *= weight
-        ray_o[hit_ids] = point + scene.spawn_eps * new_d
-        ray_d[hit_ids] = new_d
-        keep = np.max(T_spec[hit_ids], axis=1) >= rc.threshold
-        alive = hit_ids[keep]
-    _check_radiance(L)
-    return L
-
-
-def _trace_batch_volume(scene, o, d, pix, smp, seed):
-    """Reference: pure field quadrature over each full ray (no meshes)."""
-    n = len(o)
-    L = np.zeros((n, 3))
-    T_spec = np.ones((n, 3))
-    T = np.ones(n)
-    alive = np.arange(n)
-    t_hit = np.full(n, np.inf)
-    if scene.field is not None:
-        _march_field(scene, alive, o, d, t_hit, 1, pix, smp, seed, L, T_spec, T)
-    _check_radiance(L)
-    return L
-
-
-def trace_path(ray: Ray, scene, path_rng: _rng.PathRng) -> np.ndarray:
-    """Linear radiance of a single camera path (batch of one)."""
-    L = _trace_batch_hybrid(
-        scene,
-        ray.origin.reshape(1, 3),
-        ray.dir.reshape(1, 3),
-        np.array([path_rng.pixel]),
-        np.array([path_rng.sample]),
-        path_rng.seed,
-    )
-    return L[0]
 
 
 def _sample_jitter(seed, pix, sample_ids, spp):
@@ -389,33 +321,46 @@ def _sample_jitter(seed, pix, sample_ids, spp):
     return u1, u2
 
 
-def _render_tile(scene, camera, spp, seed, rows, tracer):
-    w, h = camera.resolution
-    r0, r1 = rows
-    npix = (r1 - r0) * w
-    pix = np.arange(r0 * w, r1 * w)
-    acc = np.zeros((npix, 3))
-    per_batch = max(1, MAX_BATCH_RAYS // npix) if npix else spp
-    s = 0
-    while s < spp:
+def _primary_batches(camera, spp, seed, pix):
+    """Jittered camera rays for spp samples of every pixel in pix, in
+    batches of MAX_BATCH_RAYS // len(pix) samples per pixel; yields
+    (pix, smp, o, d) per batch, each pixel's samples adjacent."""
+    npix = len(pix)
+    per_batch = max(1, MAX_BATCH_RAYS // npix)
+    for s in range(0, spp, per_batch):
         sb = min(per_batch, spp - s)
         pix_rep = np.repeat(pix, sb)
         smp_rep = np.tile(np.arange(s, s + sb), npix)
         jx, jy = _sample_jitter(seed, pix_rep, smp_rep, spp)
         o, d = camera.primary_rays(pix_rep, jx, jy)
-        L = tracer(scene, o, d, pix_rep, smp_rep, seed)
-        acc += L.reshape(npix, sb, 3).sum(axis=1)
-        s += sb
+        yield pix_rep, smp_rep, o, d
+
+
+def _render_tile(scene, camera, spp, seed, rows):
+    w, _ = camera.resolution
+    r0, r1 = rows
+    pix = np.arange(r0 * w, r1 * w)
+    acc = np.zeros((len(pix), 3))
+    for pix_rep, smp_rep, o, d in _primary_batches(camera, spp, seed, pix):
+        L = _trace_paths(scene, o, d, pix_rep, smp_rep, seed, scene.render.n_bounces)
+        acc += L.reshape(len(pix), -1, 3).sum(axis=1)
     return (acc / spp).reshape(r1 - r0, w, 3)
 
 
-def _render_impl(scene, camera, spp, seed, threads, tracer) -> HdrImage:
+def render(scene, camera: Camera = None, spp: int = None, seed: int = None,
+           threads: int = 1) -> HdrImage:
+    """Average spp hybrid paths per pixel into a linear HDR image."""
+    camera = camera or scene.camera
+    spp = scene.render.spp if spp is None else int(spp)
+    seed = scene.render.seed if seed is None else int(seed)
+    if spp < 1:
+        raise ValueError("spp must be >= 1")
     w, h = camera.resolution
     out = np.zeros((h, w, 3))
     tiles = [(r, min(r + TILE_ROWS, h)) for r in range(0, h, TILE_ROWS)]
 
     def work(rows):
-        out[rows[0]:rows[1]] = _render_tile(scene, camera, spp, seed, rows, tracer)
+        out[rows[0]:rows[1]] = _render_tile(scene, camera, spp, seed, rows)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -427,35 +372,3 @@ def _render_impl(scene, camera, spp, seed, threads, tracer) -> HdrImage:
     if not (np.all(np.isfinite(img.pixels)) and np.all(img.pixels >= 0.0)):
         raise FloatingPointError("rendered image has non-finite or negative pixels")
     return img
-
-
-def render(scene, camera: Camera = None, spp: int = None, seed: int = None,
-           threads: int = 1) -> HdrImage:
-    """Average spp hybrid paths per pixel into a linear HDR image."""
-    camera = camera or scene.camera
-    spp = scene.render.spp if spp is None else int(spp)
-    seed = scene.render.seed if seed is None else int(seed)
-    if spp < 1:
-        raise ValueError("spp must be >= 1")
-    return _render_impl(scene, camera, spp, seed, threads, _trace_batch_hybrid)
-
-
-def render_surface_only(scene, camera=None, spp=None, seed=None, threads=1) -> HdrImage:
-    """Degeneracy reference A: no volume marching at all."""
-    camera = camera or scene.camera
-    spp = scene.render.spp if spp is None else int(spp)
-    seed = scene.render.seed if seed is None else int(seed)
-    return _render_impl(scene, camera, spp, seed, threads, _trace_batch_surface)
-
-
-def render_volume_only(scene, camera=None, spp=None, seed=None, threads=1) -> HdrImage:
-    """Degeneracy reference B: one full-field march per camera ray."""
-    camera = camera or scene.camera
-    spp = scene.render.spp if spp is None else int(spp)
-    seed = scene.render.seed if seed is None else int(seed)
-    return _render_impl(scene, camera, spp, seed, threads, _trace_batch_volume)
-
-
-def finalize(img: HdrImage, hdr_output: bool) -> bytes:
-    """PFM bytes for HDR output, else tone-mapped 8-bit PPM."""
-    return encode_pfm(img) if hdr_output else encode_ppm(img)

@@ -55,21 +55,3 @@ def uniform(*keys) -> np.ndarray:
     """Deterministic uniforms in [0, 1), one per broadcast key tuple."""
     h = hash_keys(*keys)
     return (h >> _U(11)).astype(np.float64) * _INV_2_53
-
-
-class PathRng:
-    """Draw source for one camera path, keyed by (seed, pixel, sample).
-
-    `pixel` is the flattened pixel index; standalone callers (tests,
-    single-ray tracing) can leave pixel and sample at 0.
-    """
-
-    def __init__(self, seed: int, pixel: int = 0, sample: int = 0):
-        self.seed = int(seed)
-        self.pixel = int(pixel)
-        self.sample = int(sample)
-
-    def draw(self, purpose: int, bounce: int = 0, lane: int = 0) -> float:
-        return float(
-            uniform(self.seed, self.pixel, self.sample, bounce, purpose, lane)
-        )

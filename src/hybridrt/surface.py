@@ -14,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Ray, Transform, unit, vec3
-from . import rng as _rng
+from .core import Transform, vec3
 
 _BARY_EPS = 1e-7
 _DET_EPS = 1e-12
@@ -63,15 +62,6 @@ class Dielectric:
 
 
 Bsdf = Lambertian | Mirror | Dielectric
-
-
-@dataclass
-class BsdfSample:
-    """Next direction and the throughput multiplier f*|cos|/pdf."""
-
-    dir_in: np.ndarray
-    weight: np.ndarray
-    pdf_kind: str  # "area" or "delta"
 
 
 def _onb(n: np.ndarray):
@@ -122,28 +112,6 @@ def dielectric_sample_batch(wo, n, front_face, ior, u_lobe):
     refr_norm = np.linalg.norm(refr, axis=1, keepdims=True)
     refr = refr / np.where(refr_norm > 0, refr_norm, 1.0)
     return np.where(take_reflect[:, None], refl, refr)
-
-
-def sample_bsdf(isect, wo, path_rng: _rng.PathRng, bounce: int = 0) -> BsdfSample:
-    """Sample one next direction for a single intersection."""
-    wo = unit(wo)
-    n = isect.normal.reshape(1, 3)
-    b = isect.bsdf
-    if isinstance(b, Lambertian):
-        u1 = np.array([path_rng.draw(_rng.BSDF_U, bounce)])
-        u2 = np.array([path_rng.draw(_rng.BSDF_V, bounce)])
-        d = cosine_sample_batch(n, u1, u2)[0]
-        return BsdfSample(d, b.albedo.copy(), "area")
-    if isinstance(b, Mirror):
-        d = reflect_batch(wo.reshape(1, 3), n)[0]
-        return BsdfSample(unit(d), b.reflectance.copy(), "delta")
-    if isinstance(b, Dielectric):
-        u = np.array([path_rng.draw(_rng.BSDF_LOBE, bounce)])
-        d = dielectric_sample_batch(
-            wo.reshape(1, 3), n, np.array([isect.front_face]), b.ior, u
-        )[0]
-        return BsdfSample(unit(d), b.tint.copy(), "delta")
-    raise TypeError(f"unknown bsdf {type(b)}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +197,6 @@ def save_obj(path, vertices: np.ndarray, indices: np.ndarray) -> None:
 
 # ---------------------------------------------------------------------------
 # Intersection
-
-
-@dataclass
-class Intersection:
-    t_hit: float
-    point: np.ndarray
-    normal: np.ndarray  # flipped to oppose the incoming ray
-    face_id: int        # global face index in the BVH
-    mesh_id: int
-    front_face: bool
-    bsdf: Bsdf = None
-    emission: Optional[np.ndarray] = None  # per-face value if the mesh has one
 
 
 def _slab_overlap(lo, hi, o, inv_d, t0, t1):
@@ -512,45 +468,3 @@ class Bvh:
             best_t[sl] = tk
             best_f[sl] = np.where(np.isfinite(tk), k, -1)
         return best_t, best_f
-
-    def hit_details(self, ray_o, ray_d, t, face) -> Intersection:
-        """Expand a (t, face) pair into a full Intersection record."""
-        mesh_id = int(self.face_mesh[face])
-        mesh = self.meshes[mesh_id]
-        local = int(self.face_local[face])
-        n_raw = mesh.face_normals[local]
-        front = bool(np.dot(n_raw, ray_d) < 0.0)
-        n = n_raw if front else -n_raw
-        emission = None
-        if mesh.emission is not None:
-            emission = mesh.emission[local]
-        return Intersection(
-            t_hit=float(t),
-            point=np.asarray(ray_o) + float(t) * np.asarray(ray_d),
-            normal=n,
-            face_id=int(face),
-            mesh_id=mesh_id,
-            front_face=front,
-            bsdf=mesh.bsdf,
-            emission=emission,
-        )
-
-
-def build_bvh(meshes) -> Bvh:
-    return Bvh(meshes)
-
-
-def intersect(bvh: Bvh, ray: Ray) -> Optional[Intersection]:
-    """Nearest surface hit for one ray, or None."""
-    t, f = bvh.intersect_batch(ray.origin.reshape(1, 3), ray.dir.reshape(1, 3),
-                               ray.t_min, ray.t_max)
-    if f[0] < 0:
-        return None
-    return bvh.hit_details(ray.origin, ray.dir, t[0], f[0])
-
-
-def eval_emission(isect: Intersection, wo=None) -> np.ndarray:
-    """Stored per-face emission for front-side hits, else black."""
-    if isect.emission is None or not isect.front_face:
-        return np.zeros(3)
-    return np.asarray(isect.emission, dtype=np.float64)

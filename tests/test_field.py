@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridrt import field as field_mod
-from hybridrt.core import Ray, Transform
+from hybridrt.core import Transform
 from hybridrt.field import (
-    PathState,
     RadianceGrid,
     SdfGrid,
     bake_sdf_from_mesh,
@@ -16,15 +15,10 @@ from hybridrt.field import (
     load_rfgrid,
     load_sdfgrid,
     march_arrays,
-    march_result,
-    march_segment,
-    sample_field,
     save_rfgrid,
     save_sdfgrid,
     sdf_from_density,
     sdf_from_function,
-    sdf_query,
-    transmittance,
 )
 from hybridrt import assets, surface
 
@@ -33,20 +27,25 @@ def unit_grid(sigma=2.0, radiance=(1.0, 0.0, 0.0)):
     return RadianceGrid.constant((0, 0, 0), (1, 1, 1), sigma, radiance)
 
 
+# The +z ray through the middle of the unit box, as a batch of one.
+Z_O = np.array([[0.5, 0.5, -1.0]])
+Z_D = np.array([[0.0, 0.0, 1.0]])
+
+
 # ---------------------------------------------------------------- sampling
 
 
 def test_sample_outside_bbox_is_vacuum():
     g = unit_grid()
-    s, r = sample_field(g, (2.0, 2.0, 2.0))
-    assert s == 0.0 and np.array_equal(r, np.zeros(3))
+    s, r = g.sample_batch(np.array([[2.0, 2.0, 2.0]]))
+    assert s[0] == 0.0 and np.array_equal(r[0], np.zeros(3))
 
 
 def test_sample_constant_grid_interior():
     g = unit_grid(sigma=2.0, radiance=(1.0, 0.0, 0.0))
-    s, r = sample_field(g, (0.3, 0.7, 0.5))
-    assert s == pytest.approx(2.0, abs=1e-12)
-    assert np.allclose(r, [1.0, 0.0, 0.0])
+    s, r = g.sample_batch(np.array([[0.3, 0.7, 0.5]]))
+    assert s[0] == pytest.approx(2.0, abs=1e-12)
+    assert np.allclose(r[0], [1.0, 0.0, 0.0])
 
 
 def test_sample_linear_profile_midpoint_mean():
@@ -58,16 +57,15 @@ def test_sample_linear_profile_midpoint_mean():
     rad = np.zeros((3, 2, 2, 3))
     g = RadianceGrid((0, 0, 0), (1, 1, 1), sig, rad)
     # node x-positions are 0, 0.5, 1; midpoint of first two nodes is 0.25
-    s, _ = sample_field(g, (0.25, 0.5, 0.5))
-    assert s == pytest.approx((1.0 + 3.0) / 2.0, abs=1e-12)
+    s, _ = g.sample_batch(np.array([[0.25, 0.5, 0.5]]))
+    assert s[0] == pytest.approx((1.0 + 3.0) / 2.0, abs=1e-12)
 
 
 def test_sample_respects_world_transform():
     g = unit_grid()
     g.world_from_field = Transform.translate([5.0, 0.0, 0.0])
-    s_in, _ = sample_field(g, (5.5, 0.5, 0.5))
-    s_out, _ = sample_field(g, (0.5, 0.5, 0.5))
-    assert s_in == pytest.approx(2.0) and s_out == 0.0
+    s, _ = g.sample_batch(np.array([[5.5, 0.5, 0.5], [0.5, 0.5, 0.5]]))
+    assert s[0] == pytest.approx(2.0) and s[1] == 0.0
 
 
 def test_field_rotation_invariance(rng):
@@ -77,13 +75,12 @@ def test_field_rotation_invariance(rng):
     sig = rng.uniform(0.5, 2.0, (8, 8, 8))
     rad = rng.uniform(0.0, 1.0, (8, 8, 8, 3))
     g = RadianceGrid((0, 0, 0), (1, 1, 1), sig, rad)
-    base = [sample_field(g, p) for p in pts]
+    s0, r0 = g.sample_batch(pts)
     rot = Transform.rotate([0.3, 1.0, -0.2], 1.1)
     g.world_from_field = rot
-    for p, (s0, r0) in zip(pts, base):
-        s1, r1 = sample_field(g, rot.point(p))
-        assert s1 == pytest.approx(s0, abs=1e-9)
-        assert np.allclose(r1, r0, atol=1e-9)
+    s1, r1 = g.sample_batch(rot.point(pts))
+    assert np.allclose(s1, s0, rtol=0.0, atol=1e-9)
+    assert np.allclose(r1, r0, atol=1e-9)
 
 
 def _trilinear_8_gathers(values, lo, res, p, scale):
@@ -173,31 +170,37 @@ def test_sample_keeps_homogeneous_part_exact(rng, const):
 
 
 # ------------------------------------------------------------ transmittance
+#
+# The march carries transmittance in the channel throughput T_spec: a path
+# that enters with T_spec = 1 leaves with exp(-int sigma) in every channel.
 
 
 def test_transmittance_vacuum_is_one():
     g = unit_grid(sigma=0.0)
-    ray = Ray((0.5, 0.5, -1.0), (0, 0, 1))
-    assert transmittance(g, ray, 0.0, 3.0, 1e-2) == 1.0
+    L, T_spec = np.zeros((1, 3)), np.ones((1, 3))
+    march_arrays(g, Z_O, Z_D, np.array([0.0]), np.array([3.0]), 1e-2, L, T_spec)
+    assert np.array_equal(T_spec, np.ones((1, 3)))
 
 
 def test_transmittance_homogeneous_closed_form():
     g = unit_grid(sigma=1.0)
-    ray = Ray((0.5, 0.5, -1.0), (0, 0, 1))
-    t = transmittance(g, ray, 1.0, 2.0, 1e-3)
-    assert t == pytest.approx(math.exp(-1.0), rel=1e-2)
+    L, T_spec = np.zeros((1, 3)), np.ones((1, 3))
+    march_arrays(g, Z_O, Z_D, np.array([1.0]), np.array([2.0]), 1e-3, L, T_spec)
+    assert np.allclose(T_spec, math.exp(-1.0), rtol=1e-2, atol=0.0)
 
 
 def test_transmittance_multiplicative_split():
     g = RadianceGrid.constant((0, 0, 0), (2, 2, 2), 1.0, (1, 0, 0))
-    ray = Ray((0.5, 0.5, -1.0), (0, 0, 1))  # inside the medium for t in [1, 3]
-    t_full = transmittance(g, ray, 1.0, 3.0, 0.25)
-    t_a = transmittance(g, ray, 1.0, 2.0, 0.25)
-    t_b = transmittance(g, ray, 2.0, 3.0, 0.25)
+    # inside the medium for t in [1, 3]
+    full, split = np.ones((1, 3)), np.ones((1, 3))
+    march_arrays(g, Z_O, Z_D, np.array([1.0]), np.array([3.0]), 0.25, np.zeros((1, 3)), full)
+    march_arrays(g, Z_O, Z_D, np.array([1.0]), np.array([2.0]), 0.25, np.zeros((1, 3)), split)
+    t_a = split.copy()
+    march_arrays(g, Z_O, Z_D, np.array([2.0]), np.array([3.0]), 0.25, np.zeros((1, 3)), split)
     # substep boundaries align: 8 = 4 + 4 steps of width 0.25
-    assert t_full == pytest.approx(t_a * t_b, abs=1e-6)
+    assert np.allclose(full, split, rtol=0.0, atol=1e-6)
     # homogeneous medium: length-2 equals the square of length-1
-    assert t_full == pytest.approx(t_a * t_a, abs=1e-12)
+    assert np.allclose(full, t_a * t_a, rtol=0.0, atol=1e-12)
 
 
 # ----------------------------------------------------------------- marching
@@ -205,66 +208,71 @@ def test_transmittance_multiplicative_split():
 
 def test_march_vacuum_keeps_state():
     g = unit_grid(sigma=0.0)
-    ray = Ray((0.5, 0.5, -1.0), (0, 0, 1))
-    st = PathState(T=0.7, T_spec=np.array([0.7, 0.5, 0.3]), L=np.array([0.1, 0.2, 0.3]))
-    out = march_segment(g, ray, 0.5, 2.5, 1e-2, st)
-    assert out.T == st.T
-    assert np.array_equal(out.T_spec, st.T_spec)
-    assert np.array_equal(out.L, st.L)
+    T_spec0, L0 = np.array([[0.7, 0.5, 0.3]]), np.array([[0.1, 0.2, 0.3]])
+    L, T_spec = L0.copy(), T_spec0.copy()
+    march_arrays(g, Z_O, Z_D, np.array([0.5]), np.array([2.5]), 1e-2, L, T_spec)
+    assert np.array_equal(T_spec, T_spec0)
+    assert np.array_equal(L, L0)
 
 
 def test_march_homogeneous_slab_closed_form():
     g = RadianceGrid.constant((0, 0, 0), (1, 1, 1), 1.0, (1, 1, 1))
-    ray = Ray((0.5, 0.5, -1.0), (0, 0, 1))
-    out = march_segment(g, ray, 1.0, 2.0, 1e-3, PathState())
+    L, T_spec = np.zeros((1, 3)), np.ones((1, 3))
+    march_arrays(g, Z_O, Z_D, np.array([1.0]), np.array([2.0]), 1e-3, L, T_spec)
     expect = 1.0 - math.exp(-1.0)
-    assert np.allclose(out.L, expect, rtol=1e-2)
-    assert out.T == pytest.approx(math.exp(-1.0), rel=1e-2)
+    assert np.allclose(L, expect, rtol=1e-2)
+    assert np.allclose(T_spec, math.exp(-1.0), rtol=1e-2, atol=0.0)
 
 
 def test_march_zero_mask_kills_radiance_not_absorption():
     g = RadianceGrid.constant((0, 0, 0), (1, 1, 1), 1.0, (1, 1, 1))
-    ray = Ray((0.5, 0.5, -1.0), (0, 0, 1))
-    out = march_segment(g, ray, 1.0, 2.0, 1e-3, PathState(), shadow_fn=lambda p: 0.0)
-    assert np.array_equal(out.L, np.zeros(3))
-    assert out.T == pytest.approx(math.exp(-1.0), rel=1e-2)
+    L, T_spec = np.zeros((1, 3)), np.ones((1, 3))
+    march_arrays(g, Z_O, Z_D, np.array([1.0]), np.array([2.0]), 1e-3, L, T_spec,
+                 shadow_fn=lambda p, k, ids: np.zeros(len(p)))
+    assert np.array_equal(L, np.zeros((1, 3)))
+    assert np.allclose(T_spec, math.exp(-1.0), rtol=1e-2, atol=0.0)
 
 
 def test_march_scalar_mask_scales_contribution_exactly():
     g = RadianceGrid.constant((0, 0, 0), (1, 1, 1), 1.0, (1, 1, 1))
-    ray = Ray((0.5, 0.5, -1.0), (0, 0, 1))
-    full = march_segment(g, ray, 1.0, 2.0, 1e-2, PathState())
-    masked = march_segment(g, ray, 1.0, 2.0, 1e-2, PathState(), shadow_fn=lambda p: 0.3)
-    assert np.allclose(masked.L, 0.3 * full.L, rtol=1e-12)
+    full, masked = np.zeros((1, 3)), np.zeros((1, 3))
+    march_arrays(g, Z_O, Z_D, np.array([1.0]), np.array([2.0]), 1e-2, full, np.ones((1, 3)))
+    march_arrays(g, Z_O, Z_D, np.array([1.0]), np.array([2.0]), 1e-2, masked, np.ones((1, 3)),
+                 shadow_fn=lambda p, k, ids: np.full(len(p), 0.3))
+    assert np.allclose(masked, 0.3 * full, rtol=1e-12)
 
 
 def test_march_final_t_matches_transmittance(rng):
-    # Identity between the march throughput and the transmittance product,
-    # independent of radiance values.
+    # Identity between the march throughput and the product over midpoint
+    # substeps of exp(-sigma_i * delta_i), independent of radiance values.
     sig = rng.uniform(0.0, 3.0, (6, 6, 6))
     rad = rng.uniform(0.0, 5.0, (6, 6, 6, 3))
     g = RadianceGrid((0, 0, 0), (1, 1, 1), sig, rad)
+    n, delta = 120, 1.2 / 120  # ceil((1.4 - 0.2) / 0.01) substeps
+    t_mid = 0.2 + (np.arange(n) + 0.5) * delta
     for _ in range(10):
         o = rng.uniform(-0.5, 0.0, 3)
         d = rng.uniform(0.2, 1.0, 3)
-        ray = Ray(o, d)
-        out = march_segment(g, ray, 0.2, 1.4, 0.01, PathState())
-        t_ref = transmittance(g, ray, 0.2, 1.4, 0.01)
-        assert out.T == pytest.approx(t_ref, abs=1e-9)
+        d /= np.linalg.norm(d)
+        L, T_spec = np.zeros((1, 3)), np.ones((1, 3))
+        march_arrays(g, o[None], d[None], np.array([0.2]), np.array([1.4]), 0.01, L, T_spec)
+        sigma, _ = g.sample_batch(o + t_mid[:, None] * d)
+        assert np.allclose(T_spec, np.prod(np.exp(-sigma * delta)), rtol=0.0, atol=1e-9)
 
 
 def test_march_monotonicity(rng):
     sig = rng.uniform(0.0, 3.0, (6, 6, 6))
     rad = rng.uniform(0.0, 5.0, (6, 6, 6, 3))
     g = RadianceGrid((0, 0, 0), (1, 1, 1), sig, rad)
-    ray = Ray((-0.2, 0.1, 0.3), (1.0, 0.3, 0.2))
-    st = PathState()
-    prev_t, prev_l = st.T, st.L.copy()
+    o = np.array([[-0.2, 0.1, 0.3]])
+    d = np.array([[1.0, 0.3, 0.2]]) / np.linalg.norm([1.0, 0.3, 0.2])
+    L, T_spec = np.zeros((1, 3)), np.ones((1, 3))
+    prev_t, prev_l = T_spec.copy(), L.copy()
     for k in range(8):
-        st = march_segment(g, ray, 0.2 * k, 0.2 * (k + 1), 0.02, st)
-        assert st.T <= prev_t
-        assert np.all(st.L >= prev_l)
-        prev_t, prev_l = st.T, st.L.copy()
+        march_arrays(g, o, d, np.array([0.2 * k]), np.array([0.2 * (k + 1)]), 0.02, L, T_spec)
+        assert np.all(T_spec <= prev_t)
+        assert np.all(L >= prev_l)
+        prev_t, prev_l = T_spec.copy(), L.copy()
 
 
 def test_march_step_refinement_converges(rng):
@@ -273,25 +281,31 @@ def test_march_step_refinement_converges(rng):
     # rule is exact on homogeneous slabs by construction).
     sig = rng.uniform(0.2, 3.0, (8, 8, 8))
     g = RadianceGrid((0, 0, 0), (1, 1, 1), sig, np.ones((8, 8, 8, 3)))
-    ray = Ray((-0.1, -0.05, -0.02), (0.8, 0.55, 0.6))
-    ref = march_segment(g, ray, 0.1, 1.2, 1e-5, PathState()).L[0]
+    o = np.array([[-0.1, -0.05, -0.02]])
+    d = np.array([[0.8, 0.55, 0.6]]) / np.linalg.norm([0.8, 0.55, 0.6])
+    s0, s1 = np.array([0.1]), np.array([1.2])
+    ref = np.zeros((1, 3))
+    march_arrays(g, o, d, s0, s1, 1e-5, ref, np.ones((1, 3)))
     errs = []
     for dt in (0.2, 0.05, 0.0125):
-        out = march_segment(g, ray, 0.1, 1.2, dt, PathState())
-        errs.append(abs(out.L[0] - ref))
+        L = np.zeros((1, 3))
+        march_arrays(g, o, d, s0, s1, dt, L, np.ones((1, 3)))
+        errs.append(abs(L[0, 0] - ref[0, 0]))
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_march_result_reports_early_termination():
+    # Optically thick: the throughput drops below a 1e-3 path threshold
+    # within the segment, and nearly all of the radiance is picked up.
     g = RadianceGrid.constant((0, 0, 0), (1, 1, 1), 50.0, (1, 1, 1))
-    ray = Ray((0.5, 0.5, -1.0), (0, 0, 1))
-    res = march_result(g, ray, 1.0, 2.0, 1e-2, threshold=1e-3)
-    assert res.terminated_early
-    assert 0.0 < res.throughput_factor < 1e-3
-    assert res.radiance_in[0] == pytest.approx(1.0, rel=1e-2)
+    L, T_spec = np.zeros((1, 3)), np.ones((1, 3))
+    march_arrays(g, Z_O, Z_D, np.array([1.0]), np.array([2.0]), 1e-2, L, T_spec)
+    assert np.max(T_spec) < 1e-3
+    assert 0.0 < T_spec[0, 0] < 1e-3
+    assert L[0, 0] == pytest.approx(1.0, rel=1e-2)
 
 
-def march_one_substep_at_a_time(grid, o, d, s0, s1, dt, L, T_spec, T, shadow_fn=None):
+def march_one_substep_at_a_time(grid, o, d, s0, s1, dt, L, T_spec, shadow_fn=None):
     """Reference march: one field sample and one shadow_fn call per substep."""
     seg = np.maximum(s1 - s0, 0.0)
     n = field_mod._substep_counts(seg, dt)
@@ -312,7 +326,6 @@ def march_one_substep_at_a_time(grid, o, d, s0, s1, dt, L, T_spec, T, shadow_fn=
         L[ids] += T_spec[ids] * (a * m)[:, None] * rad
         keep = 1.0 - a
         T_spec[ids] *= keep[:, None]
-        T[ids] *= keep
 
 
 @pytest.mark.parametrize("block", [1, 7, 50, 4096])
@@ -333,7 +346,7 @@ def test_march_blocks_match_per_substep_march_bitwise(rng, monkeypatch, block):
     s0 = rng.uniform(0.0, 0.5, n)
     s1 = s0 + rng.uniform(-0.2, 1.5, n)
     s1[:3] = s0[:3]
-    init = rng.uniform(0.1, 1.0, (n, 7))
+    init = rng.uniform(0.1, 1.0, (n, 6))
 
     def run(march):
         calls = []
@@ -342,26 +355,30 @@ def test_march_blocks_match_per_substep_march_bitwise(rng, monkeypatch, block):
             calls.extend(zip(map(bytes, p), k.tolist(), ids.tolist()))
             return ((k * 7 + ids * 3) % 5) / 4.0
 
-        L, T_spec, T = init[:, :3].copy(), init[:, 3:6].copy(), init[:, 6].copy()
-        march(g, o, d, s0, s1, 0.03, L, T_spec, T, shadow_fn)
-        return L, T_spec, T, calls
+        L, T_spec = init[:, :3].copy(), init[:, 3:].copy()
+        march(g, o, d, s0, s1, 0.03, L, T_spec, shadow_fn)
+        return L, T_spec, calls
 
     ref = run(march_one_substep_at_a_time)
     monkeypatch.setattr(field_mod, "MARCH_BLOCK_POINTS", block)
     got = run(march_arrays)
-    for want, have in zip(ref[:3], got[:3]):
+    for want, have in zip(ref[:2], got[:2]):
         assert np.array_equal(want, have)
-    assert sorted(got[3]) == sorted(ref[3])
-    assert len(ref[3]) > 100
+    assert sorted(got[2]) == sorted(ref[2])
+    assert len(ref[2]) > 100
 
 
 def test_march_rejects_bad_interval():
+    # A reversed segment is empty and leaves the state alone; a step that
+    # is not positive is an error.
     g = unit_grid()
-    ray = Ray((0.5, 0.5, -1.0), (0, 0, 1))
-    with pytest.raises(ValueError):
-        march_segment(g, ray, 2.0, 1.0, 1e-2, PathState())
-    with pytest.raises(ValueError):
-        transmittance(g, ray, 1.0, 2.0, 0.0)
+    L, T_spec = np.full((1, 3), 0.1), np.full((1, 3), 0.5)
+    march_arrays(g, Z_O, Z_D, np.array([2.0]), np.array([1.0]), 1e-2, L, T_spec)
+    assert np.array_equal(L, np.full((1, 3), 0.1))
+    assert np.array_equal(T_spec, np.full((1, 3), 0.5))
+    for dt in (0.0, -1e-2):
+        with pytest.raises(ValueError, match="march step"):
+            march_arrays(g, Z_O, Z_D, np.array([1.0]), np.array([2.0]), dt, L, T_spec)
 
 
 # -------------------------------------------------------------------- SDF
@@ -369,20 +386,19 @@ def test_march_rejects_bad_interval():
 
 def test_sdf_analytic_sphere_query():
     sdf = assets.sphere_sdf(1.0)
-    phi, n, ok = sdf_query(sdf, (2.0, 0.0, 0.0))
-    assert ok
-    assert phi == pytest.approx(1.0, rel=0.02)
-    assert np.allclose(n, [1, 0, 0], atol=0.02)
-    phi_c, _, _ = sdf_query(sdf, (0.0, 0.0, 0.0))
-    assert phi_c == pytest.approx(-1.0, rel=0.02)
+    phi, n, ok = sdf.query_batch(np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    assert ok[0]
+    assert phi[0] == pytest.approx(1.0, rel=0.02)
+    assert np.allclose(n[0], [1, 0, 0], atol=0.02)
+    assert phi[1] == pytest.approx(-1.0, rel=0.02)
 
 
 def test_sdf_plane_exact_on_aligned_grid():
     sdf = assets.plane_sdf(z=0.0)
-    phi, n, ok = sdf_query(sdf, (0.7, -1.3, -0.3))
-    assert ok
-    assert phi == pytest.approx(-0.3, abs=1e-12)
-    assert np.allclose(n, [0, 0, 1], atol=1e-9)
+    phi, n, ok = sdf.query_batch(np.array([[0.7, -1.3, -0.3]]))
+    assert ok[0]
+    assert phi[0] == pytest.approx(-0.3, abs=1e-12)
+    assert np.allclose(n[0], [0, 0, 1], atol=1e-9)
 
 
 def test_sdf_exterior_nonnegative(rng):
@@ -409,8 +425,8 @@ def test_sdf_eikonal_interior(rng):
 
 def test_sdf_degenerate_gradient_flagged():
     sdf = SdfGrid((0, 0, 0), (1, 1, 1), np.full((3, 3, 3), 0.5))
-    _, _, ok = sdf_query(sdf, (0.5, 0.5, 0.5))
-    assert not ok
+    _, _, ok = sdf.query_batch(np.array([[0.5, 0.5, 0.5]]))
+    assert not ok[0]
 
 
 # ------------------------------------------------------------------- baking
@@ -420,10 +436,9 @@ def test_bake_unit_cube_center_and_outside():
     v, f = assets.box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
     sdf = bake_sdf_from_mesh(v, f, (-1, -1, -1), (1, 1, 1), (33, 33, 33))
     voxel_diag = float(np.linalg.norm(sdf.cell_size()))
-    phi_c, _, _ = sdf_query(sdf, (0.0, 0.0, 0.0))
-    assert abs(phi_c - (-0.5)) < voxel_diag
-    phi_o, _, _ = sdf_query(sdf, (0.9, 0.0, 0.0))
-    assert abs(phi_o - 0.4) < voxel_diag
+    phi, _, _ = sdf.query_batch(np.array([[0.0, 0.0, 0.0], [0.9, 0.0, 0.0]]))
+    assert abs(phi[0] - (-0.5)) < voxel_diag
+    assert abs(phi[1] - 0.4) < voxel_diag
 
 
 def test_bake_icosphere_matches_analytic(icosphere_sdf64, rng):
@@ -572,10 +587,9 @@ def test_sdf_from_density_blob_radius():
     # Occupancy boundary where the profile crosses half max:
     # r = width * sqrt(2 ln 2)
     r_half = 0.3 * math.sqrt(2.0 * math.log(2.0))
-    phi, _, _ = sdf_query(sdf, (0.0, 0.0, 0.0))
-    assert phi == pytest.approx(-r_half, abs=0.1)
-    phi_out, _, _ = sdf_query(sdf, (0.9, 0.0, 0.0))
-    assert phi_out > 0.0
+    phi, _, _ = sdf.query_batch(np.array([[0.0, 0.0, 0.0], [0.9, 0.0, 0.0]]))
+    assert phi[0] == pytest.approx(-r_half, abs=0.1)
+    assert phi[1] > 0.0
 
 
 # ---------------------------------------------------------------- file I/O

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import inspect
 import math
 import os
 import subprocess
@@ -10,22 +11,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridrt import assets
-from hybridrt.core import Ray, Transform
+from hybridrt import rng as hrng
+from hybridrt.core import Transform
 from hybridrt.field import RadianceGrid
-from hybridrt.images import decode_ppm
+from hybridrt.images import decode_ppm, encode_pfm, encode_ppm
 from hybridrt.render import (
     Camera,
     EmitterSet,
-    finalize,
+    _trace_paths,
     render,
-    render_surface_only,
-    render_volume_only,
     shadow_candidates,
-    shadow_mask,
     shadow_mask_batch,
-    trace_path,
 )
-from hybridrt.rng import PathRng
 from hybridrt.scene import RenderConfig, Scene, SceneConfig, CameraConfig, scene_diagonal
 from hybridrt.surface import Bvh, Lambertian, Mirror, TriangleMesh
 
@@ -49,19 +46,26 @@ def emissive_quad_mesh(emission=(2.0, 2.0, 2.0), z=0.0, half=4.0):
     return TriangleMesh(v, f, Lambertian(np.zeros(3)), emission=np.array(emission))
 
 
-# ------------------------------------------------------------ trace_path
+# ----------------------------------------------------------- _trace_paths
+
+
+def trace_one(scene, o, d, seed=1):
+    """Radiance of the path of pixel 0, sample 0 from ray (o, d)."""
+    L = _trace_paths(scene, np.array([o], dtype=float), np.array([d], dtype=float),
+                     np.array([0]), np.array([0]), seed, scene.render.n_bounces)
+    return L[0]
 
 
 def test_vacuum_emissive_quad_direct():
     scene = make_scene(meshes=[emissive_quad_mesh()])
-    L = trace_path(Ray([0, 0, 3], [0, 0, -1]), scene, PathRng(1))
+    L = trace_one(scene, [0, 0, 3], [0, 0, -1])
     assert np.array_equal(L, [2.0, 2.0, 2.0])
 
 
 def test_homogeneous_slab_path():
     field = RadianceGrid.constant((0, 0, 0), (1, 1, 1), 1.0, (1, 1, 1))
     scene = make_scene(field=field, march_step=1e-3)
-    L = trace_path(Ray([0.5, 0.5, -1.0], [0, 0, 1]), scene, PathRng(1))
+    L = trace_one(scene, [0.5, 0.5, -1.0], [0, 0, 1])
     assert np.allclose(L, 1.0 - math.exp(-1.0), rtol=1e-2)
 
 
@@ -74,7 +78,7 @@ def test_mirror_behind_slab_two_segment_form():
     v, f = assets.quad((-2, -2, 1.0), (4, 0, 0), (0, 4, 0))
     mirror = TriangleMesh(v, f, Mirror(np.full(3, rho)))
     scene = make_scene(field=field, meshes=[mirror], march_step=1e-3)
-    L = trace_path(Ray([0.5, 0.5, -1.0], [0, 0, 1]), scene, PathRng(1))
+    L = trace_one(scene, [0.5, 0.5, -1.0], [0, 0, 1])
     seg = r_val * (1.0 - math.exp(-1.0))
     expect = seg + math.exp(-1.0) * rho * seg
     assert np.allclose(L, expect, rtol=2e-2)
@@ -87,47 +91,57 @@ def test_path_terminates_on_bounce_limit():
     m1 = TriangleMesh(v1, f1, Mirror(np.ones(3)))
     m2 = TriangleMesh(v2, f2, Mirror(np.ones(3)))
     scene = make_scene(meshes=[m1, m2], n_bounces=5)
-    L = trace_path(Ray([0, 0, 1.0], [0, 0, -1]), scene, PathRng(1))
+    L = trace_one(scene, [0, 0, 1.0], [0, 0, -1])
     assert np.array_equal(L, np.zeros(3))
 
 
 def test_throughput_threshold_terminates():
     field = RadianceGrid.constant((0, 0, 0), (1, 1, 1), 40.0, (1, 1, 1))
     scene = make_scene(field=field, march_step=1e-2, threshold=1e-3)
-    L = trace_path(Ray([0.5, 0.5, -1.0], [0, 0, 1]), scene, PathRng(1))
+    L = trace_one(scene, [0.5, 0.5, -1.0], [0, 0, 1])
     assert np.allclose(L, 1.0, rtol=1e-2)  # optically thick: all energy absorbed
 
 
 # ------------------------------------------------------------ shadow masks
 
 
+def light_draws(seed):
+    """Light-sample uniforms (u_pick, u1, u2) of pixel 0, sample 0,
+    bounce 0, substep 0, each an array of one."""
+    return [hrng.uniform(seed, 0, 0, 0, purpose, np.zeros(1, dtype=np.int64))
+            for purpose in (hrng.LIGHT_PICK, hrng.LIGHT_U, hrng.LIGHT_V)]
+
+
+ORIGIN = np.zeros((1, 3))
+
+
 def test_shadow_mask_no_emitters_is_one():
-    scene = make_scene()
-    assert shadow_mask((0, 0, 0), None, scene.blocker_bvh, PathRng(1)) == 1.0
+    bvh = make_scene().blocker_bvh
+    assert shadow_mask_batch(ORIGIN, None, bvh, *light_draws(1), 1e-6).tolist() == [1.0]
     empty = EmitterSet(np.zeros((0, 3, 3)), np.zeros(0))
-    assert shadow_mask((0, 0, 0), empty, scene.blocker_bvh, PathRng(1)) == 1.0
+    assert shadow_mask_batch(ORIGIN, empty, bvh, *light_draws(1), 1e-6).tolist() == [1.0]
 
 
 def test_shadow_mask_unblocked_is_one():
     em = EmitterSet([[[0, 0, 5], [1, 0, 5], [0, 1, 5]]], [0.7])
     bvh = Bvh([])
-    assert shadow_mask((0, 0, 0), em, bvh, PathRng(3)) == 1.0
+    assert shadow_mask_batch(ORIGIN, em, bvh, *light_draws(3), 1e-6).tolist() == [1.0]
 
 
 def test_shadow_mask_blocked_is_one_minus_rsrc():
     em = EmitterSet([[[-1, -1, 5], [1, -1, 5], [0, 1, 5]]], [0.7])
     v, f = assets.quad((-3, -3, 2.0), (6, 0, 0), (0, 6, 0))
     blocker = Bvh([TriangleMesh(v, f, Lambertian(np.full(3, 0.5)))])
-    m = shadow_mask((0, 0, 0), em, blocker, PathRng(3), eps=1e-6)
-    assert m == pytest.approx(1.0 - 0.7, abs=1e-12)
+    m = shadow_mask_batch(ORIGIN, em, blocker, *light_draws(3), 1e-6)
+    assert m[0] == pytest.approx(1.0 - 0.7, abs=1e-12)
 
 
 def test_shadow_mask_floor_clamp():
     em = EmitterSet([[[-1, -1, 5], [1, -1, 5], [0, 1, 5]]], [1.0])
     v, f = assets.quad((-3, -3, 2.0), (6, 0, 0), (0, 6, 0))
     blocker = Bvh([TriangleMesh(v, f, Lambertian(np.full(3, 0.5)))])
-    m = shadow_mask((0, 0, 0), em, blocker, PathRng(3), eps=1e-6)
-    assert m == 0.02  # 1 - r_src clamped to the documented floor
+    m = shadow_mask_batch(ORIGIN, em, blocker, *light_draws(3), 1e-6)
+    assert m[0] == 0.02  # 1 - r_src clamped to the documented floor
 
 
 def shadow_scene(r_src):
@@ -362,16 +376,29 @@ def surface_test_scene(sigma):
 
 def test_degeneracy_a_zero_sigma_matches_pure_surface():
     hybrid = render(surface_test_scene(sigma=0.0))
-    reference = render_surface_only(surface_test_scene(sigma=None))
+    reference = render(surface_test_scene(sigma=None))
     assert np.array_equal(hybrid.pixels, reference.pixels)
     assert hybrid.pixels.mean() > 0.01  # scene is actually lit
 
 
-def test_degeneracy_b_mesh_free_matches_pure_quadrature(slab_dir):
+def quadrature_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None):
+    """Reference for the bounce loop: one full-field march per camera ray,
+    no surfaces at all."""
+    render_mod = importlib.import_module("hybridrt.render")
+    n = len(o)
+    L, T_spec = np.zeros((n, 3)), np.ones((n, 3))
+    render_mod._march_field(scene, np.arange(n), o, d, np.full(n, np.inf), 1,
+                            pix, smp, seed, L, T_spec)
+    return L
+
+
+def test_degeneracy_b_mesh_free_matches_pure_quadrature(slab_dir, monkeypatch):
     from hybridrt.scene import load_scene
     scene = load_scene(str(slab_dir / "slab.json"))
     hybrid = render(scene, spp=16, seed=3)
-    reference = render_volume_only(scene, spp=16, seed=3)
+    monkeypatch.setattr(importlib.import_module("hybridrt.render"), "_trace_paths",
+                        quadrature_paths)
+    reference = render(scene, spp=16, seed=3)
     assert np.array_equal(hybrid.pixels, reference.pixels)
     assert hybrid.pixels.mean() > 0.05
 
@@ -419,13 +446,13 @@ def test_render_rejects_bad_spp(two_room_dir):
         render(scene, spp=0)
 
 
-# ---------------------------------------------------------------- finalize
+# ---------------------------------------------------------- output encoding
 
 
 def test_finalize_ldr_quantization():
     from hybridrt.images import HdrImage
     img = HdrImage(np.array([[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.5, 0.5]]]))
-    codes = decode_ppm(finalize(img, hdr_output=False))
+    codes = decode_ppm(encode_ppm(img))
     assert tuple(codes[0, 0]) == (0, 0, 0)
     assert tuple(codes[0, 1]) == (255, 255, 255)
     assert tuple(codes[0, 2]) == (188, 188, 188)
@@ -434,7 +461,7 @@ def test_finalize_ldr_quantization():
 def test_finalize_hdr_is_pfm():
     from hybridrt.images import HdrImage, decode_pfm
     img = HdrImage(np.full((2, 2, 3), 1.5))
-    out = finalize(img, hdr_output=True)
+    out = encode_pfm(img)
     assert out.startswith(b"PF\n2 2\n-1.0\n")
     assert np.allclose(decode_pfm(out).pixels, 1.5)
 
@@ -521,15 +548,16 @@ def test_field_hit_frame_checksums_pinned(field_hit_dir):
 # ------------------------------------------------------- runtime guards
 
 
-def test_nan_radiance_raises_floating_point_error():
+def test_nan_radiance_raises_floating_point_error(monkeypatch):
     render_mod = importlib.import_module("hybridrt.render")
     scene = make_scene()
 
-    def nan_tracer(scene, o, d, pix, smp, seed):
+    def nan_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None):
         return np.full((len(o), 3), np.nan)
 
+    monkeypatch.setattr(render_mod, "_trace_paths", nan_paths)
     with pytest.raises(FloatingPointError, match="non-finite"):
-        render_mod._render_impl(scene, scene.camera, 1, 0, 1, nan_tracer)
+        render(scene, spp=1, seed=0)
     with pytest.raises(FloatingPointError, match="NaN radiance"):
         render_mod._check_radiance(np.array([[0.0, np.nan, 0.0]]))
 
@@ -552,3 +580,24 @@ def test_guards_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr + proc.stdout
+
+
+# ------------------------------------------------------------- public API
+
+# Single-ray wrappers and references that only tests reached; the batched
+# calls above replace them.
+REMOVED_NAMES = {
+    "trace_path", "shadow_mask", "march_segment", "march_result", "transmittance",
+    "PathState", "MarchResult", "sample_field", "sdf_query", "sample_bsdf",
+    "BsdfSample", "intersect", "Intersection", "eval_emission", "Ray",
+    "transform_point", "build_bvh", "finalize", "render_surface_only",
+    "render_volume_only",
+}
+
+
+def test_render_name_is_the_module():
+    import hybridrt
+    import hybridrt.render as m
+    assert inspect.ismodule(m) and m is hybridrt.render
+    assert m.render is render
+    assert not REMOVED_NAMES & set(hybridrt.__all__)

@@ -35,9 +35,3 @@ def test_broadcasting_matches_scalars():
     batch = rng.uniform(3, pix, 2, 1, rng.LIGHT_U, 5)
     singles = np.array([rng.uniform(3, int(p), 2, 1, rng.LIGHT_U, 5) for p in pix])
     assert np.array_equal(batch, singles)
-
-
-def test_path_rng_wrapper():
-    pr = rng.PathRng(seed=9, pixel=4, sample=2)
-    v = pr.draw(rng.BSDF_U, bounce=3)
-    assert v == float(rng.uniform(9, 4, 2, 3, rng.BSDF_U, 0))

@@ -1,25 +1,22 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridrt import assets, surface
-from hybridrt.core import Ray, Transform
-from hybridrt.rng import PathRng
+from hybridrt.core import Transform
+from hybridrt.render import _sample_bsdf_groups, _trace_paths
+from hybridrt.scene import RenderConfig
 from hybridrt.surface import (
     Bvh,
     Dielectric,
-    Intersection,
     Lambertian,
     Mirror,
     TriangleMesh,
-    build_bvh,
     cosine_sample_batch,
-    eval_emission,
-    intersect,
     load_obj,
-    sample_bsdf,
     schlick_r0,
 )
 
@@ -90,19 +87,19 @@ def test_mesh_transform_applied():
 
 def test_single_triangle_bvh_is_leaf():
     mesh = make_mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-    bvh = build_bvh([mesh])
+    bvh = Bvh([mesh])
     assert bvh.node_leaf[0] == 0
     assert np.array_equal(bvh.leaf_faces, [[0, -1, -1, -1]])
 
 
 def test_empty_scene_misses():
-    bvh = build_bvh([])
-    assert intersect(bvh, Ray([0, 0, 0], [0, 0, 1])) is None
+    t, face = Bvh([]).intersect_batch(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
+    assert face[0] == -1 and t[0] == np.inf
 
 
 def test_bvh_equals_brute_force_on_soup(rng):
     mesh = soup_mesh(rng, n_tris=1000)
-    bvh = build_bvh([mesh])
+    bvh = Bvh([mesh])
     n = 10_000
     o = rng.uniform(-6, 6, (n, 3))
     d = rng.normal(size=(n, 3))
@@ -116,19 +113,16 @@ def test_bvh_equals_brute_force_on_soup(rng):
 
 def test_bvh_scalar_matches_batch(rng):
     mesh = soup_mesh(rng, n_tris=200)
-    bvh = build_bvh([mesh])
+    bvh = Bvh([mesh])
     for _ in range(50):
-        o = rng.uniform(-6, 6, 3)
-        d = rng.normal(size=3)
-        ray = Ray(o, d)
-        isect = intersect(bvh, ray)
-        t, f = bvh.brute_force_batch(ray.origin.reshape(1, 3), ray.dir.reshape(1, 3))
-        if f[0] < 0:
-            assert isect is None
-        else:
-            assert isect is not None
-            assert isect.face_id == f[0]
-            assert isect.t_hit == pytest.approx(t[0], abs=1e-9)
+        o = rng.uniform(-6, 6, (1, 3))
+        d = rng.normal(size=(1, 3))
+        d /= np.linalg.norm(d)
+        t_b, f_b = bvh.intersect_batch(o, d)
+        t, f = bvh.brute_force_batch(o, d)
+        assert f_b[0] == f[0]
+        if f[0] >= 0:
+            assert t_b[0] == pytest.approx(t[0], abs=1e-9)
 
 
 def any_hit_rays(rng, bvh, n, planes=None):
@@ -152,7 +146,7 @@ def any_hit_rays(rng, bvh, n, planes=None):
        chunk=st.sampled_from([1, 5, 64, surface.ANYHIT_CHUNK]))
 def test_any_hit_equals_brute_force(seed, n_tris, chunk):
     rng = np.random.default_rng(seed)
-    bvh = build_bvh([soup_mesh(rng, n_tris=n_tris, spread=2.0)])
+    bvh = Bvh([soup_mesh(rng, n_tris=n_tris, spread=2.0)])
     o, d, t_min, t_max = any_hit_rays(rng, bvh, 200)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(surface, "ANYHIT_CHUNK", chunk)
@@ -202,13 +196,13 @@ def shared_edge_rays(rng, mesh, n, bumpy):
 def test_nearest_hit_equals_brute_force(seed, layout, size, chunk):
     rng = np.random.default_rng(seed)
     if layout == "soup":
-        bvh = build_bvh([soup_mesh(rng, n_tris=size, spread=2.0)])
+        bvh = Bvh([soup_mesh(rng, n_tris=size, spread=2.0)])
         planes = np.concatenate([bvh.node_lo, bvh.node_hi])
         o, d, t_min, t_max = any_hit_rays(rng, bvh, 200, planes)
         t_min = np.where(rng.random(200) < 0.3, rng.uniform(0.0, 4.0, 200), t_min)
     else:
         mesh = grid_mesh(rng, 1 + size // 8, layout == "bumpy")
-        bvh = build_bvh([mesh])
+        bvh = Bvh([mesh])
         o, d, t_min, t_max = shared_edge_rays(rng, mesh, 200, layout == "bumpy")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Bvh, "BRUTE_FORCE_FACES", 0)
@@ -232,20 +226,20 @@ def test_nearest_hit_ties_break_toward_smaller_face(monkeypatch):
     o = mid + [0.0, 0.0, 1.0]
     d = np.tile([0.0, 0.0, -1.0], (len(o), 1))
     monkeypatch.setattr(Bvh, "BRUTE_FORCE_FACES", 0)
-    t, face = build_bvh([mesh]).intersect_batch(o, d)
+    t, face = Bvh([mesh]).intersect_batch(o, d)
     assert np.all(t == 1.0)
     assert np.array_equal(face, [min(fs) for fs in shared.values()])
 
 
 def test_any_hit_leaf_table_pads_short_leaves(rng):
-    bvh = build_bvh([soup_mesh(rng, n_tris=10)])
+    bvh = Bvh([soup_mesh(rng, n_tris=10)])
     faces = bvh.leaf_faces
     assert faces.shape[1] == Bvh.LEAF_SIZE and np.any(faces < 0)
     assert np.array_equal(np.sort(faces[faces >= 0]), np.arange(10))
 
 
 def test_any_hit_soup_blocks_some_rays(rng):
-    bvh = build_bvh([soup_mesh(rng, n_tris=300)])
+    bvh = Bvh([soup_mesh(rng, n_tris=300)])
     o, d, t_min, t_max = any_hit_rays(rng, bvh, 5000)
     blocked = bvh.any_hit_batch(o, d, t_min, t_max)
     assert 0 < blocked.sum() < len(blocked)
@@ -253,73 +247,80 @@ def test_any_hit_soup_blocks_some_rays(rng):
 
 
 def test_any_hit_empty_bvh():
-    blocked = build_bvh([]).any_hit_batch(np.zeros((3, 3)), np.eye(3), 0.0, np.inf)
+    blocked = Bvh([]).any_hit_batch(np.zeros((3, 3)), np.eye(3), 0.0, np.inf)
     assert blocked.shape == (3,) and not blocked.any()
 
 
 def test_intersect_sphere_distance():
     v, f = assets.icosphere(1.0, 3)
-    bvh = build_bvh([make_mesh(v, f)])
-    isect = intersect(bvh, Ray([0, 0, -5], [0, 0, 1]))
-    assert isect is not None
+    bvh = Bvh([make_mesh(v, f)])
+    t, face = bvh.intersect_batch(np.array([[0.0, 0.0, -5.0]]), np.array([[0.0, 0.0, 1.0]]))
+    assert face[0] >= 0
     # analytic first hit at t = 4; tessellation chord error below 1%
-    assert abs(isect.t_hit - 4.0) / 4.0 < 0.01
+    assert abs(t[0] - 4.0) / 4.0 < 0.01
 
 
 def test_ray_parallel_to_plane_misses():
     v, f = assets.quad((-1, -1, 0), (2, 0, 0), (0, 2, 0))
-    bvh = build_bvh([make_mesh(v, f)])
-    assert intersect(bvh, Ray([0, 0, 1], [1, 0, 0])) is None
+    bvh = Bvh([make_mesh(v, f)])
+    _, face = bvh.intersect_batch(np.array([[0.0, 0.0, 1.0]]), np.array([[1.0, 0.0, 0.0]]))
+    assert face[0] == -1
 
 
 def test_inside_closed_box_normals_oppose_ray(rng):
+    # Every ray from inside the outward-facing box hits a face from behind,
+    # so the bounce loop shades with the flipped normal, which opposes it.
     v, f = assets.box((-1, -1, -1), (1, 1, 1))
-    bvh = build_bvh([make_mesh(v, f)])
+    bvh = Bvh([make_mesh(v, f)])
     for _ in range(50):
-        d = rng.normal(size=3)
-        ray = Ray([0, 0, 0], d)
-        isect = intersect(bvh, ray)
-        assert isect is not None
-        assert float(np.dot(isect.normal, ray.dir)) <= 0.0
+        d = rng.normal(size=(1, 3))
+        d /= np.linalg.norm(d)
+        _, face = bvh.intersect_batch(np.zeros((1, 3)), d)
+        assert face[0] >= 0
+        assert float(np.dot(bvh.face_normal[face[0]], d[0])) > 0.0
 
 
 # ------------------------------------------------------------------- BSDFs
 
 
-def lam_isect(normal=(0, 0, 1), bsdf=None, front=True):
-    return Intersection(t_hit=1.0, point=np.zeros(3), normal=np.asarray(normal, float),
-                        face_id=0, mesh_id=0, front_face=front,
-                        bsdf=bsdf or Lambertian(np.array([0.5, 0.5, 0.5])))
+def one_face_bvh(bsdf):
+    v, f = assets.quad((-1, -1, 0), (2, 0, 0), (0, 2, 0))
+    return Bvh([make_mesh(v, f[:1], bsdf)])
+
+
+def sample_groups(bvh, wo, seed, front=True, normal=(0.0, 0.0, 1.0)):
+    """The bounce loop's BSDF step for one hit on face 0 of pixel 0,
+    sample 0, bounce 0: returns the (1,3) direction and weight arrays."""
+    return _sample_bsdf_groups(bvh, np.array([0]), np.asarray(wo, float).reshape(1, 3),
+                               np.array([normal]), np.array([front]), np.array([0]),
+                               np.array([0]), 0, seed)
 
 
 def test_lambertian_weight_is_albedo():
-    s = sample_bsdf(lam_isect(), np.array([0, 0, 1.0]), PathRng(1))
-    assert np.array_equal(s.weight, [0.5, 0.5, 0.5])
-    assert s.pdf_kind == "area"
-    assert s.dir_in[2] > 0.0  # upper hemisphere
+    d, w = sample_groups(one_face_bvh(Lambertian(np.array([0.5, 0.5, 0.5]))), [0, 0, 1.0], 1)
+    assert np.array_equal(w[0], [0.5, 0.5, 0.5])
+    assert d[0, 2] > 0.0  # upper hemisphere
 
 
 def test_mirror_reflection_law():
     wo = np.array([math.sin(math.radians(30)), 0.0, math.cos(math.radians(30))])
-    b = Mirror(np.array([0.9, 0.9, 0.9]))
-    s = sample_bsdf(lam_isect(bsdf=b), wo, PathRng(1))
+    d, w = sample_groups(one_face_bvh(Mirror(np.array([0.9, 0.9, 0.9]))), wo, 1)
     expect = np.array([-wo[0], 0.0, wo[2]])
-    assert np.allclose(s.dir_in, expect, atol=1e-12)
-    assert np.array_equal(s.weight, [0.9, 0.9, 0.9])
-    assert s.pdf_kind == "delta"
+    assert np.allclose(d[0], expect, atol=1e-12)
+    assert np.array_equal(w[0], [0.9, 0.9, 0.9])
 
 
 def test_dielectric_snell_angle():
     # entering ior 1.5 at 45 degrees: refracted angle asin(sin45/1.5)
     inc = math.radians(45.0)
     wo = np.array([math.sin(inc), 0.0, math.cos(inc)])
-    b = Dielectric(1.5)
+    bvh = one_face_bvh(Dielectric(1.5))
     expect = math.degrees(math.asin(math.sin(inc) / 1.5))
     got = None
     for seed in range(64):
-        s = sample_bsdf(lam_isect(bsdf=b), wo, PathRng(seed))
-        if s.dir_in[2] < 0.0:  # refracted into the surface
-            got = math.degrees(math.acos(-s.dir_in[2]))
+        d, _ = sample_groups(bvh, wo, seed)
+        if d[0, 2] < 0.0:  # refracted into the surface
+            got = math.degrees(math.acos(-d[0, 2]))
             break
     assert got is not None, "refraction branch never sampled"
     assert got == pytest.approx(28.1255, abs=1e-4)
@@ -332,10 +333,10 @@ def test_dielectric_total_internal_reflection():
     assert crit < 60.0
     inc = math.radians(60.0)
     wo = np.array([math.sin(inc), 0.0, math.cos(inc)])
-    b = Dielectric(1.5)
+    bvh = one_face_bvh(Dielectric(1.5))
     for seed in range(40):
-        s = sample_bsdf(lam_isect(bsdf=b, front=False), wo, PathRng(seed))
-        assert s.dir_in[2] > 0.0  # always reflected back
+        d, _ = sample_groups(bvh, wo, seed, front=False)
+        assert d[0, 2] > 0.0  # always reflected back
 
 
 def test_schlick_normal_incidence():
@@ -344,18 +345,18 @@ def test_schlick_normal_incidence():
 
 def test_bsdf_weights_never_exceed_one(rng):
     # energy conservation fuzz across variants and directions
-    bsdfs = [Lambertian(rng.uniform(0, 1, 3)), Mirror(rng.uniform(0, 1, 3)),
-             Dielectric(rng.uniform(1.05, 2.5), rng.uniform(0, 1, 3))]
+    bvhs = [one_face_bvh(b) for b in (
+        Lambertian(rng.uniform(0, 1, 3)), Mirror(rng.uniform(0, 1, 3)),
+        Dielectric(rng.uniform(1.05, 2.5), rng.uniform(0, 1, 3)))]
     for k in range(300):
-        b = bsdfs[k % 3]
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
         if d[2] < 0:
             d = -d
-        s = sample_bsdf(lam_isect(bsdf=b, front=bool(k % 2)), d, PathRng(k))
-        assert np.all(s.weight <= 1.0 + 1e-12)
-        assert np.all(s.weight >= 0.0)
-        assert abs(np.linalg.norm(s.dir_in) - 1.0) < 1e-9
+        d_in, w = sample_groups(bvhs[k % 3], d, k, front=bool(k % 2))
+        assert np.all(w <= 1.0 + 1e-12)
+        assert np.all(w >= 0.0)
+        assert abs(np.linalg.norm(d_in) - 1.0) < 1e-9
 
 
 def test_cosine_sampling_distribution_chi2():
@@ -381,22 +382,31 @@ def test_cosine_sampling_distribution_chi2():
 # ---------------------------------------------------------------- emission
 
 
+def emission_radiance(emission, from_front):
+    """Radiance of one path that hits a black quad in z = 0 (front side +z)
+    and traces no further bounce."""
+    v, f = assets.quad((-1, -1, 0), (2, 0, 0), (0, 2, 0))
+    mesh = make_mesh(v, f, Lambertian(np.zeros(3)), emission=emission)
+    scene = SimpleNamespace(bvh=Bvh([mesh]), field=None, render=RenderConfig(),
+                            spawn_eps=1e-6)
+    z = 1.0 if from_front else -1.0
+    L = _trace_paths(scene, np.array([[0.1, 0.2, z]]), np.array([[0.0, 0.0, -z]]),
+                     np.array([0]), np.array([0]), 1, 1)
+    return L[0]
+
+
 def test_emission_defaults_to_black():
-    isect = lam_isect()
-    isect.emission = None
-    assert np.array_equal(eval_emission(isect), np.zeros(3))
+    assert np.array_equal(emission_radiance(None, from_front=True), np.zeros(3))
 
 
 def test_emission_front_side_returns_value():
-    isect = lam_isect()
-    isect.emission = np.array([2.0, 2.0, 2.0])
-    assert np.array_equal(eval_emission(isect), [2.0, 2.0, 2.0])
+    assert np.array_equal(emission_radiance(np.array([2.0, 2.0, 2.0]), from_front=True),
+                          [2.0, 2.0, 2.0])
 
 
 def test_emission_back_side_is_black():
-    isect = lam_isect(front=False)
-    isect.emission = np.array([2.0, 2.0, 2.0])
-    assert np.array_equal(eval_emission(isect), np.zeros(3))
+    assert np.array_equal(emission_radiance(np.array([2.0, 2.0, 2.0]), from_front=False),
+                          np.zeros(3))
 
 
 def test_bsdf_parameter_validation():
