@@ -32,6 +32,30 @@ def unit(v) -> np.ndarray:
     return v / n
 
 
+def slab_interval(lo, hi, o, inv_d, t_min=-np.inf, t_max=np.inf):
+    """[t0, t1] of rays o + t d inside boxes [lo, hi], clipped to
+    [t_min, t_max], given inv_d = 1 / d; broadcasts over leading axes, the
+    last axis is xyz. Empty overlaps have t0 > t1.
+
+    A zero direction component leaves its axis unbounded when o lies in
+    the slab, on a plane included, and empty otherwise; an all-zero
+    direction outside the box comes out empty too.
+    """
+    with np.errstate(invalid="ignore"):  # 0 * inf: o on a plane, d zero
+        ta = (lo - o) * inv_d
+        tb = (hi - o) * inv_d
+    near = np.minimum(ta, tb)
+    far = np.maximum(ta, tb)
+    near = np.where(np.isnan(near), -np.inf, near)
+    far = np.where(np.isnan(far), np.inf, far)
+    t0 = np.maximum(near.max(axis=-1), t_min)
+    t1 = np.minimum(far.min(axis=-1), t_max)
+    # Only an all-zero direction outside the box ends at [inf, inf] or
+    # [-inf, -inf]: any nonzero component makes the other bound finite.
+    stuck = np.isinf(t0) & (t0 == t1)
+    return np.where(stuck, np.inf, t0), np.where(stuck, -np.inf, t1)
+
+
 def luminance(c) -> float:
     """Rec. 709 luminance of a linear RGB triple."""
     c = np.asarray(c, dtype=np.float64)

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .core import Transform, vec3
+from .core import Transform, slab_interval, vec3
 
 
 def _as_res(res) -> tuple:
@@ -72,22 +72,6 @@ def _trilinear(table: np.ndarray, res, lo, scale, p: np.ndarray) -> np.ndarray:
 
 def _inside_mask(lo, hi, p):
     return np.all((p >= lo) & (p <= hi), axis=-1)
-
-
-def _ray_slab(lo, hi, o, d):
-    """Entry/exit parameters of rays against a box; empty hits have t0 > t1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / d
-        ta = (lo - o) * inv
-        tb = (hi - o) * inv
-    # A zero direction component outside the slab never enters.
-    zero = d == 0.0
-    out_slab = (o < lo) | (o > hi)
-    tlo = np.where(zero, np.where(out_slab, np.inf, -np.inf), np.minimum(ta, tb))
-    thi = np.where(zero, np.where(out_slab, -np.inf, np.inf), np.maximum(ta, tb))
-    t0 = tlo.max(axis=-1)
-    t1 = thi.min(axis=-1)
-    return t0, t1
 
 
 class RadianceGrid:
@@ -154,11 +138,11 @@ class RadianceGrid:
         """
         o = np.asarray(o, dtype=np.float64).reshape(-1, 3)
         d = np.asarray(d, dtype=np.float64).reshape(-1, 3)
-        if self._is_identity():
-            return _ray_slab(self.bbox_lo, self.bbox_hi, o, d)
-        of = self.world_from_field.point(o, inverse=True)
-        df = self.world_from_field.direction(d, inverse=True)
-        return _ray_slab(self.bbox_lo, self.bbox_hi, of, df)
+        if not self._is_identity():
+            o = self.world_from_field.point(o, inverse=True)
+            d = self.world_from_field.direction(d, inverse=True)
+        with np.errstate(divide="ignore"):
+            return slab_interval(self.bbox_lo, self.bbox_hi, o, 1.0 / d)
 
 
 # ---------------------------------------------------------------------------

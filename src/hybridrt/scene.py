@@ -143,6 +143,14 @@ class RenderConfig:
     march_step: float = 0.05
     seed: int = 0
 
+    def __post_init__(self):
+        for key, ok, msg in (("spp", self.spp >= 1, "must be >= 1"),
+                             ("n_bounces", self.n_bounces >= 1, "must be >= 1"),
+                             ("march_step", self.march_step > 0, "must be > 0"),
+                             ("threshold", self.threshold >= 0, "must be >= 0")):
+            if not ok:
+                raise ValueError(f"{key}: {msg}")
+
 
 @dataclass
 class ColliderConfig:
@@ -304,17 +312,12 @@ def parse_scene(text, base_dir: str = ".", check_files: bool = True) -> SceneCon
         "march_step": (float, False, 0.05),
         "seed": (int, False, 0),
     })
-    if rset["spp"] < 1:
-        _fail("render.spp", "must be >= 1")
-    if rset["n_bounces"] < 1:
-        _fail("render.n_bounces", "must be >= 1")
-    if rset["march_step"] <= 0:
-        _fail("render.march_step", "must be > 0")
-    if rset["threshold"] < 0:
-        _fail("render.threshold", "must be >= 0")
-    render = RenderConfig(spp=rset["spp"], n_bounces=rset["n_bounces"],
-                          threshold=float(rset["threshold"]),
-                          march_step=float(rset["march_step"]), seed=rset["seed"])
+    try:
+        render = RenderConfig(spp=rset["spp"], n_bounces=rset["n_bounces"],
+                              threshold=float(rset["threshold"]),
+                              march_step=float(rset["march_step"]), seed=rset["seed"])
+    except ValueError as e:
+        raise SceneError(f"render.{e}") from None
 
     sset = _need(got["sim"], "sim", {
         "gravity": (list, False, [0.0, 0.0, -9.81]),

@@ -2,9 +2,11 @@
 
 All geometry is kept in world space; meshes deformed by the simulator get
 their normals and the scene BVH rebuilt on sync. Intersection is
-Moller-Trumbore with a small barycentric tolerance; the batched BVH
-traversal returns exactly the same hits as brute force over all faces
-(strictly nearest t, ties broken toward the smaller global face id).
+Moller-Trumbore with a small barycentric tolerance. The BVH has one layout,
+a complete binary heap with padded leaf boxes, and one level-synchronous
+traversal that serves nearest-hit and any-hit; both return exactly the hits
+of brute force over all faces (strictly nearest t, ties broken toward the
+smaller global face id).
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Transform, vec3
+from .core import Transform, slab_interval, vec3
 
 _BARY_EPS = 1e-7
 _DET_EPS = 1e-12
-# (ray, box) tests per chunk of an any-hit query, or per tree level of a
-# nearest-hit chunk; bounds the chunk's temporaries.
+# Leaf box margin per unit of the leaf's longest edge; the bound is in Bvh.
+_BOX_PAD = 1e-6
+# (ray, box) tests per tree level of a traversal chunk (and per chunk of
+# the shadow cull in render.py); bounds the chunk's temporaries.
 ANYHIT_CHUNK = 1 << 15
 
 
@@ -199,17 +203,13 @@ def save_obj(path, vertices: np.ndarray, indices: np.ndarray) -> None:
 # Intersection
 
 
-def _slab_overlap(lo, hi, o, inv_d, t0, t1):
-    """Clipped [t0, t1] of rays against boxes (lo, hi); broadcasts over
-    leading axes, the last axis is xyz. Empty overlaps have t0 > t1."""
-    with np.errstate(invalid="ignore"):  # 0 * inf at axis-aligned rays
-        ta = (lo - o) * inv_d
-        tb = (hi - o) * inv_d
-    near = np.minimum(ta, tb)
-    far = np.maximum(ta, tb)
-    near = np.where(np.isnan(near), -np.inf, near)
-    far = np.where(np.isnan(far), np.inf, far)
-    return np.maximum(near.max(axis=-1), t0), np.minimum(far.min(axis=-1), t1)
+def _ray_arrays(o, d, t_min, t_max):
+    """Rays as (N,3) float64 arrays and per-ray (N,) segment bounds."""
+    o = np.asarray(o, dtype=np.float64).reshape(-1, 3)
+    d = np.asarray(d, dtype=np.float64).reshape(-1, 3)
+    n = len(o)
+    return (o, d, np.broadcast_to(np.asarray(t_min, dtype=np.float64), (n,)),
+            np.broadcast_to(np.asarray(t_max, dtype=np.float64), (n,)))
 
 
 def _moller_trumbore(o, d, a, e1, e2, t_min, t_max):
@@ -249,24 +249,42 @@ def _moller_trumbore(o, d, a, e1, e2, t_min, t_max):
 
 
 class Bvh:
-    """Binary BVH, longest-axis median split, at most 4 faces per leaf.
+    """Complete binary BVH in heap order, one level-synchronous traversal.
 
-    Nearest-hit above BRUTE_FORCE_FACES faces is level-synchronous: a
-    frontier of (ray, node) pairs is slab-tested one tree level per call,
-    the children of the passing inner nodes form the next level, and the
-    faces of the passing leaves go through one Moller-Trumbore call. There
-    is no best-t pruning, so every (ray, face) pair a depth-first traversal
-    would test is tested, and each ray keeps its smallest t, ties going to
-    the smaller face id as in brute force.
+    Layout: every leaf sits at the same depth D, the smallest with
+    ceil(faces / 2^D) <= LEAF_SIZE, so node k has children 2k+1 and 2k+2
+    and the 2^D leaves start at node 2^D - 1. Row j of `leaf_faces` holds
+    the faces of leaf node 2^D - 1 + j, padded with -1. The build is the
+    longest-axis median split, one level per step over all segments: a
+    segment's box picks the axis and a stable sort of its face centres
+    along it gives the halves (the smaller one first).
 
-    At or below BRUTE_FORCE_FACES one dense sweep over all faces runs
-    instead. Replaying the nearest-hit calls of one benchmark pass, brute
-    force is 4.2x faster at 12 faces (calibrate), the traversal about 9%
-    faster at 94 (two-room) and 13x faster at 168 (field-hit). The
-    threshold stays above 94 because the slab test is not padded: a ray
-    that grazes a box edge can miss a hit in that box which the dense
-    sweep finds, and two-room's walls are axis-aligned. BRUTE_FORCE_FACES
-    governs nearest-hit only; any-hit always runs the flat leaf test.
+    Padding: leaf boxes grow by _BOX_PAD = 1e-6 times the leaf's longest
+    edge on every side, and inner boxes are the bottom-up min/max of their
+    children. Moller-Trumbore accepts u, v >= -1e-7 and u + v <= 1 + 1e-7,
+    a region that reaches at most 3e-7 edges beyond the face's box on any
+    axis. The other 7e-7 edges absorb rounding: that of u and v grows like
+    1e-16 times the origin's distance over the edge and over the cosine to
+    the face plane, that of the padded box and the slab t's like 1e-16
+    times the coordinates and the distance to the box. So a ray hits a
+    face only inside the padded leaf box, and both queries equal
+    `brute_force_batch` for any tree, unless ray or mesh lies some 1e9
+    leaf edges from the origin or a ray runs within about 1e-9 of a face's
+    plane, where Moller-Trumbore's own answer is rounding noise.
+
+    Traversal: `_hits` drops the rays that miss the root box, then walks
+    chunks of rays down one level per step, keeping the (ray, child)
+    pairs whose padded box meets the ray's [t_min, t_max], and tests the
+    faces of the leaves reached in one Moller-Trumbore call. There is no
+    best-t pruning. `intersect_batch` keeps per ray the smallest t, ties
+    going to the smaller face id; `any_hit_batch` marks the rays with any
+    hit.
+
+    At or below BRUTE_FORCE_FACES faces nearest-hit runs one dense sweep
+    over all faces instead, a choice of speed only. Replaying the
+    nearest-hit calls of one benchmark pass single-threaded, the sweep is
+    6-8x faster at 12 faces (calibrate) and 1.1-1.2x at 94 (two-room), the
+    traversal 17x faster at 168 (field-hit). Any-hit always traverses.
     """
 
     LEAF_SIZE = 4
@@ -308,44 +326,36 @@ class Bvh:
         # Per-face boxes; the shadow cull in render.py reads them too.
         self.face_lo = lo_f = self.tri.min(axis=1)
         self.face_hi = hi_f = self.tri.max(axis=1)
-        centers = 0.5 * (lo_f + hi_f)
-
-        nodes_lo, nodes_hi, children, node_leaf, leaves = [], [], [], [], []
-
-        def build(ids):
-            node = len(nodes_lo)
-            nodes_lo.append(lo_f[ids].min(axis=0))
-            nodes_hi.append(hi_f[ids].max(axis=0))
-            children.append([-1, -1])
-            node_leaf.append(-1)
-            if len(ids) <= self.LEAF_SIZE:
-                node_leaf[node] = len(leaves)
-                leaves.append(ids)
-                return node
-            extent = nodes_hi[node] - nodes_lo[node]
-            axis = int(np.argmax(extent))
-            mid = len(ids) // 2
-            part = ids[np.argsort(centers[ids, axis], kind="stable")]
-            children[node] = [build(part[:mid]), build(part[mid:])]
-            return node
-
-        if nf:
-            build(np.arange(nf))
-        else:
-            nodes_lo.append(np.zeros(3))
-            nodes_hi.append(np.full(3, -1.0))
-            children.append([-1, -1])
-            node_leaf.append(-1)
-        self.node_lo = np.array(nodes_lo)
-        self.node_hi = np.array(nodes_hi)
-        self.node_children = np.array(children, dtype=np.int64)
-        self.node_leaf = np.array(node_leaf, dtype=np.int64)
-        # Leaf boxes and their faces, padded with -1, rows in node_leaf order.
-        self.leaf_lo = self.node_lo[self.node_leaf >= 0]
-        self.leaf_hi = self.node_hi[self.node_leaf >= 0]
-        self.leaf_faces = np.full((len(leaves), self.LEAF_SIZE), -1, dtype=np.int64)
-        for row, ids in enumerate(leaves):
-            self.leaf_faces[row, :len(ids)] = ids
+        center = 0.5 * (lo_f + hi_f)
+        depth = 0
+        while nf > self.LEAF_SIZE << depth:
+            depth += 1
+        # Faces in tree order; segment j of a level spans order[start[j]:]
+        # up to the next start. Every segment below the root is non-empty.
+        order = np.arange(nf)
+        start = np.zeros(min(nf, 1), dtype=np.int64)
+        for _ in range(depth):
+            size = np.diff(start, append=nf)
+            seg = np.repeat(np.arange(len(start)), size)
+            extent = (np.maximum.reduceat(hi_f[order], start)
+                      - np.minimum.reduceat(lo_f[order], start))
+            axis = np.argmax(extent, axis=1)
+            order = order[np.lexsort((center[order, axis[seg]], seg))]
+            start = np.stack([start, start + size // 2], axis=1).ravel()
+        size = np.diff(start, append=nf)
+        seg = np.repeat(np.arange(len(start)), size)
+        self.leaf_faces = np.full((len(start), self.LEAF_SIZE), -1, dtype=np.int64)
+        self.leaf_faces[seg, np.arange(nf) - start[seg]] = order
+        edge = np.linalg.norm(np.stack([self.edge1, self.edge2, self.edge2 - self.edge1]),
+                              axis=2).max(axis=0)
+        pad = _BOX_PAD * np.maximum.reduceat(edge[order], start)[:, None]
+        lo = [np.minimum.reduceat(lo_f[order], start) - pad]
+        hi = [np.maximum.reduceat(hi_f[order], start) + pad]
+        while len(lo[-1]) > 1:
+            lo.append(np.minimum(lo[-1][0::2], lo[-1][1::2]))
+            hi.append(np.maximum(hi[-1][0::2], hi[-1][1::2]))
+        self.node_lo = np.concatenate(lo[::-1])
+        self.node_hi = np.concatenate(hi[::-1])
 
     @property
     def n_faces(self) -> int:
@@ -353,108 +363,72 @@ class Bvh:
 
     # -- queries ----------------------------------------------------------
 
-    def intersect_batch(self, o, d, t_min=0.0, t_max=np.inf):
-        """Nearest hits for rays (N,3): returns (t, face) with face -1 on miss."""
-        o = np.asarray(o, dtype=np.float64).reshape(-1, 3)
-        d = np.asarray(d, dtype=np.float64).reshape(-1, 3)
-        n = len(o)
-        best_t = np.full(n, np.inf)
-        best_f = np.full(n, -1, dtype=np.int64)
-        if self.n_faces == 0:
-            return best_t, best_f
-        if self.n_faces <= self.BRUTE_FORCE_FACES:
-            return self.brute_force_batch(o, d, t_min, t_max)
-        t_min = np.broadcast_to(np.asarray(t_min, dtype=np.float64), (n,))
-        t_max = np.broadcast_to(np.asarray(t_max, dtype=np.float64), (n,))
-        with np.errstate(divide="ignore", invalid="ignore"):
+    def _hits(self, o, d, t_min, t_max):
+        """Yield (ray, face, t) per chunk of rays for every hit within
+        (t_min, t_max], testing the faces of the leaves whose padded boxes
+        the ray segment meets."""
+        if not self.n_faces:
+            return
+        with np.errstate(divide="ignore"):
             inv_d = 1.0 / d
-        # Rays that miss the root box are dropped first. No tree level has
-        # more nodes than the tree has leaves, so no level of a chunk tests
-        # more than ANYHIT_CHUNK (ray, node) pairs.
-        t0, t1 = _slab_overlap(self.node_lo[0], self.node_hi[0], o, inv_d, t_min, t_max)
+        t0, t1 = slab_interval(self.node_lo[0], self.node_hi[0], o, inv_d, t_min, t_max)
         entering = np.flatnonzero(t0 <= t1)
-        rows = max(1, ANYHIT_CHUNK // len(self.leaf_faces))
+        # No level has more nodes than leaves, so no level of a chunk
+        # tests more than ANYHIT_CHUNK (ray, node) pairs.
+        leaves = len(self.leaf_faces)
+        rows = max(1, ANYHIT_CHUNK // leaves)
         for i in range(0, len(entering), rows):
             ray = entering[i:i + rows]
             node = np.zeros(len(ray), dtype=np.int64)
-            pair_ray, pair_face = [], []
-            while len(ray):
-                t0, t1 = _slab_overlap(self.node_lo[node], self.node_hi[node],
+            while len(ray) and node[0] < leaves - 1:
+                ray = np.repeat(ray, 2)
+                node = (2 * node[:, None] + [1, 2]).ravel()
+                t0, t1 = slab_interval(self.node_lo[node], self.node_hi[node],
                                        o[ray], inv_d[ray], t_min[ray], t_max[ray])
                 ray, node = ray[t0 <= t1], node[t0 <= t1]
-                leaf = self.node_leaf[node]
-                at_leaf = leaf >= 0
-                faces = self.leaf_faces[leaf[at_leaf]]
-                pair_ray.append(np.broadcast_to(ray[at_leaf, None], faces.shape)[faces >= 0])
-                pair_face.append(faces[faces >= 0])
-                ray = np.repeat(ray[~at_leaf], 2)
-                node = self.node_children[node[~at_leaf]].ravel()
-            ray = np.concatenate(pair_ray)
-            face = np.concatenate(pair_face)
+            if not len(ray):
+                continue
+            faces = self.leaf_faces[node - (leaves - 1)]
+            ray = np.broadcast_to(ray[:, None], faces.shape)[faces >= 0]
+            face = faces[faces >= 0]
             t = _moller_trumbore(o[ray], d[ray], self.tri[face, 0], self.edge1[face],
                                  self.edge2[face], t_min[ray], t_max[ray])
             hit = np.isfinite(t)
-            if not hit.any():
-                continue
+            if hit.any():
+                yield ray[hit], face[hit], t[hit]
+
+    def intersect_batch(self, o, d, t_min=0.0, t_max=np.inf):
+        """Nearest hits for rays (N,3): returns (t, face) with face -1 on miss."""
+        o, d, t_min, t_max = _ray_arrays(o, d, t_min, t_max)
+        if self.n_faces <= self.BRUTE_FORCE_FACES:
+            return self.brute_force_batch(o, d, t_min, t_max)
+        best_t = np.full(len(o), np.inf)
+        best_f = np.full(len(o), -1, dtype=np.int64)
+        for ray, face, t in self._hits(o, d, t_min, t_max):
             # Per ray the smallest t, then the smallest face id at that t:
             # the brute-force pick.
-            k = np.argsort(ray[hit], kind="stable")
-            ray, face, t = ray[hit][k], face[hit][k], t[hit][k]
-            starts = np.flatnonzero(np.r_[True, ray[1:] != ray[:-1]])
-            tk = np.minimum.reduceat(t, starts)
-            at_tk = t == np.repeat(tk, np.diff(np.r_[starts, len(t)]))
-            best_t[ray[starts]] = tk
-            best_f[ray[starts]] = np.minimum.reduceat(np.where(at_tk, face, self.n_faces),
-                                                      starts)
+            k = np.lexsort((face, t, ray))
+            k = k[np.r_[True, ray[k[1:]] != ray[k[:-1]]]]
+            best_t[ray[k]] = t[k]
+            best_f[ray[k]] = face[k]
         return best_t, best_f
 
     def any_hit_batch(self, o, d, t_min, t_max):
-        """True where any face blocks the ray within (t_min, t_max].
-
-        Flat, not a traversal: every leaf box is slab-tested at once, then
-        the faces of the passing leaves. An ancestor's box contains its
-        leaf's and rounding is monotone, so a leaf passes exactly when the
-        traversal would reach it and the (ray, face) pairs tested are the
-        traversal's.
-        """
-        o = np.asarray(o, dtype=np.float64).reshape(-1, 3)
-        d = np.asarray(d, dtype=np.float64).reshape(-1, 3)
-        n = len(o)
-        blocked = np.zeros(n, dtype=bool)
-        if self.n_faces == 0:
-            return blocked
-        t_min = np.broadcast_to(np.asarray(t_min, dtype=np.float64), (n,))
-        t_max = np.broadcast_to(np.asarray(t_max, dtype=np.float64), (n,))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_d = 1.0 / d
-        rows = max(1, ANYHIT_CHUNK // len(self.leaf_faces))
-        for i in range(0, n, rows):
-            sl = slice(i, i + rows)
-            t0, t1 = _slab_overlap(self.leaf_lo, self.leaf_hi,
-                                   o[sl, None, :], inv_d[sl, None, :],
-                                   t_min[sl, None], t_max[sl, None])
-            ray, leaf = np.nonzero(t0 <= t1)
-            faces = self.leaf_faces[leaf]
-            real = faces >= 0
-            ray = np.broadcast_to(ray[:, None] + i, faces.shape)[real]
-            faces = faces[real]
-            t = _moller_trumbore(o[ray], d[ray], self.tri[faces, 0],
-                                 self.edge1[faces], self.edge2[faces],
-                                 t_min[ray], t_max[ray])
-            blocked[ray[np.isfinite(t)]] = True
+        """True where any face blocks the ray within (t_min, t_max]."""
+        o, d, t_min, t_max = _ray_arrays(o, d, t_min, t_max)
+        blocked = np.zeros(len(o), dtype=bool)
+        for ray, _, _ in self._hits(o, d, t_min, t_max):
+            blocked[ray] = True
         return blocked
 
     def brute_force_batch(self, o, d, t_min=0.0, t_max=np.inf, chunk=4_000_000):
         """Oracle: test every face for every ray, same tie-break rule."""
-        o = np.asarray(o, dtype=np.float64).reshape(-1, 3)
-        d = np.asarray(d, dtype=np.float64).reshape(-1, 3)
+        o, d, t_min, t_max = _ray_arrays(o, d, t_min, t_max)
         n = len(o)
         best_t = np.full(n, np.inf)
         best_f = np.full(n, -1, dtype=np.int64)
         if self.n_faces == 0:
             return best_t, best_f
-        t_min = np.broadcast_to(np.asarray(t_min, dtype=np.float64), (n,))
-        t_max = np.broadcast_to(np.asarray(t_max, dtype=np.float64), (n,))
         rows = max(1, chunk // self.n_faces)
         for i in range(0, n, rows):
             sl = slice(i, min(i + rows, n))

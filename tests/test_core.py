@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hybridrt.core import Transform, luminance, tone_map, unit, vec3
+from hybridrt.core import Transform, luminance, slab_interval, tone_map, unit, vec3
 
 
 def test_tone_map_fixed_points():
@@ -93,3 +93,39 @@ def test_vec3_rejects_nonfinite():
 def test_luminance_weights():
     assert abs(luminance([1.0, 1.0, 1.0]) - 1.0) < 1e-12
     assert abs(luminance([1.0, 0.0, 0.0]) - 0.2126) < 1e-12
+
+
+def slab_reference(lo, hi, o, d):
+    """Ray/box [t0, t1] with every zero direction component handled
+    explicitly: its axis is unbounded inside the slab, empty outside."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / d
+        ta = (lo - o) * inv
+        tb = (hi - o) * inv
+    zero = d == 0.0
+    out_slab = (o < lo) | (o > hi)
+    tlo = np.where(zero, np.where(out_slab, np.inf, -np.inf), np.minimum(ta, tb))
+    thi = np.where(zero, np.where(out_slab, -np.inf, np.inf), np.maximum(ta, tb))
+    return tlo.max(axis=-1), thi.min(axis=-1)
+
+
+def test_slab_interval_matches_explicit_zero_handling(rng):
+    # Zero (and negative-zero) direction components, all-zero directions
+    # and origins on the box planes: the same empty set, and every
+    # non-empty interval bitwise equal.
+    n = 100_000
+    lo = rng.uniform(-2.0, 0.0, (n, 3))
+    hi = lo + rng.uniform(0.1, 2.0, (n, 3))
+    o = rng.uniform(-3.0, 3.0, (n, 3))
+    on_plane = rng.random((n, 3)) < 0.3
+    o[on_plane] = np.where(rng.random((n, 3)) < 0.5, lo, hi)[on_plane]
+    d = rng.normal(size=(n, 3))
+    d[rng.random((n, 3)) < 0.4] = 0.0
+    d[rng.random((n, 3)) < 0.1] = -0.0
+    assert (~d.any(axis=1)).sum() > 1000
+    with np.errstate(divide="ignore"):
+        t0, t1 = slab_interval(lo, hi, o, 1.0 / d)
+    r0, r1 = slab_reference(lo, hi, o, d)
+    hit = r0 <= r1
+    assert np.array_equal(t0 <= t1, hit)
+    assert np.array_equal(t0[hit], r0[hit]) and np.array_equal(t1[hit], r1[hit])

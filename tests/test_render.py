@@ -500,11 +500,13 @@ def test_furnace_small_scale(furnace_dir):
 # ------------------------------------------------------ pinned checksums
 #
 # SHA-256 of the float64 pixel buffers, recorded before the flat any-hit
-# and the block-batched march went in: speed-ups must leave every bit of
-# these images as it was. Pinned with numpy 2.4 on x86-64; another numpy
-# or libm may round exp/pow differently and legitimately change them.
+# and the block-batched march went in (the furnace before the heap BVH):
+# speed-ups must leave every bit of these images as it was. Pinned with
+# numpy 2.4 on x86-64; another numpy or libm may round exp/pow differently
+# and legitimately change them.
 
 TWO_ROOM_16PX_SHA = "b1ab2e12c0f4bf9a1e8c7d78a8a7560f0941b91ef44341b8df07c80be649c3c0"
+FURNACE_16PX_SHA = "12947ed8e5beb018b30ec36602ee826c8e746165a3ce2ee730a3415504dc0156"
 FIELD_HIT_FRAME_SHA = {
     1: "4c0c0524730667f2330e77f20b1c9f3c46805b0e831b2f9cecd5020b59e8ca36",
     12: "8cd9de6f2e75df75f755a1f3507be226f220bf4770889ff734d3eed27e9bb3da",
@@ -526,6 +528,14 @@ def test_two_room_checksum_pinned(two_room_dir):
     from hybridrt.scene import load_scene
     scene = at_16px(load_scene(str(two_room_dir / "two_room.json")))
     assert pixel_sha(render(scene, spp=1, seed=1)) == TWO_ROOM_16PX_SHA
+
+
+def test_furnace_checksum_pinned(furnace_dir):
+    # The only preset whose mesh (320 faces) takes the BVH traversal with
+    # dense hits: a third of its primary rays hit the sphere.
+    from hybridrt.scene import load_scene
+    scene = at_16px(load_scene(str(furnace_dir / "furnace.json")))
+    assert pixel_sha(render(scene, spp=4, seed=7)) == FURNACE_16PX_SHA
 
 
 def test_field_hit_frame_checksums_pinned(field_hit_dir):

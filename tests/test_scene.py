@@ -6,6 +6,7 @@ import pytest
 from hybridrt import assets
 from hybridrt.field import RadianceGrid, save_rfgrid
 from hybridrt.scene import (
+    RenderConfig,
     SceneError,
     build_scene,
     load_scene,
@@ -53,6 +54,15 @@ def test_spp_zero_names_key(tmp_path):
     doc["render"] = {"spp": 0}
     with pytest.raises(SceneError, match="render.spp"):
         parse_scene(json.dumps(doc), base_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("key, value", [("spp", 0), ("n_bounces", 0), ("threshold", -1e-3),
+                                        ("march_step", 0.0), ("march_step", float("nan"))])
+def test_render_config_validates_direct_construction(key, value):
+    # Built without a scene file, a bad setting still fails by name; a
+    # zero bounce count used to render an all-black image.
+    with pytest.raises(ValueError, match=f"^{key}: must be"):
+        RenderConfig(**{key: value})
 
 
 def test_missing_mesh_path_named(tmp_path):

@@ -88,8 +88,49 @@ def test_mesh_transform_applied():
 def test_single_triangle_bvh_is_leaf():
     mesh = make_mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
     bvh = Bvh([mesh])
-    assert bvh.node_leaf[0] == 0
+    assert len(bvh.node_lo) == 1
     assert np.array_equal(bvh.leaf_faces, [[0, -1, -1, -1]])
+
+
+def median_split_leaves(bvh, ids, depth):
+    """Reference build: the longest-axis median split, recursively, down
+    to `depth`; returns the leaves' face lists left to right."""
+    if depth == 0:
+        return [list(ids)]
+    extent = bvh.face_hi[ids].max(axis=0) - bvh.face_lo[ids].min(axis=0)
+    axis = int(np.argmax(extent))
+    center = 0.5 * (bvh.face_lo[ids, axis] + bvh.face_hi[ids, axis])
+    part = ids[np.argsort(center, kind="stable")]
+    mid = len(ids) // 2
+    return (median_split_leaves(bvh, part[:mid], depth - 1)
+            + median_split_leaves(bvh, part[mid:], depth - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tris=st.integers(1, 300))
+def test_bvh_is_a_complete_median_split_heap(seed, n_tris):
+    rng = np.random.default_rng(seed)
+    bvh = Bvh([soup_mesh(rng, n_tris=n_tris, spread=2.0)])
+    faces, leaves = bvh.leaf_faces, len(bvh.leaf_faces)
+    # 2^D leaves after 2^D - 1 inner nodes, so every leaf sits at depth D,
+    # the smallest depth that leaves at most LEAF_SIZE faces per leaf.
+    depth = leaves.bit_length() - 1
+    assert leaves == 1 << depth and len(bvh.node_lo) == 2 * leaves - 1
+    assert n_tris <= Bvh.LEAF_SIZE * leaves
+    assert depth == 0 or n_tris > Bvh.LEAF_SIZE * leaves // 2
+    assert np.array_equal(np.sort(faces[faces >= 0]), np.arange(n_tris))
+    assert [list(row[row >= 0]) for row in faces] == median_split_leaves(
+        bvh, np.arange(n_tris), depth)
+    # Leaf boxes strictly contain their faces' boxes (the padding), and
+    # every inner box contains its children's.
+    real = (faces >= 0)[:, :, None]
+    leaf_lo, leaf_hi = bvh.node_lo[leaves - 1:, None], bvh.node_hi[leaves - 1:, None]
+    assert np.all((leaf_lo < bvh.face_lo[faces]) | ~real)
+    assert np.all((leaf_hi > bvh.face_hi[faces]) | ~real)
+    k = np.arange(leaves - 1)
+    for child in (2 * k + 1, 2 * k + 2):
+        assert np.all(bvh.node_lo[k] <= bvh.node_lo[child])
+        assert np.all(bvh.node_hi[k] >= bvh.node_hi[child])
 
 
 def test_empty_scene_misses():
@@ -125,16 +166,15 @@ def test_bvh_scalar_matches_batch(rng):
             assert t_b[0] == pytest.approx(t[0], abs=1e-9)
 
 
-def any_hit_rays(rng, bvh, n, planes=None):
+def any_hit_rays(rng, bvh, n):
     """Rays that probe the slab test's edge cases: zero direction
-    components, origins on box planes (by default the leaf boxes'), finite
-    and open segments."""
+    components, origins on the planes of the node boxes, finite and open
+    segments."""
     o = rng.uniform(-6, 6, (n, 3))
     d = rng.normal(size=(n, 3))
     d[rng.random((n, 3)) < 0.2] = 0.0
     on_plane = rng.random((n, 3)) < 0.2
-    if planes is None:
-        planes = np.concatenate([bvh.leaf_lo, bvh.leaf_hi])
+    planes = np.concatenate([bvh.node_lo, bvh.node_hi])
     o[on_plane] = planes[rng.integers(len(planes), size=(n, 3)), np.arange(3)][on_plane]
     t_min = np.where(rng.random(n) < 0.5, 0.0, 1e-4)
     t_max = np.where(rng.random(n) < 0.5, np.inf, rng.uniform(0.0, 8.0, n))
@@ -142,12 +182,10 @@ def any_hit_rays(rng, bvh, n, planes=None):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_tris=st.integers(1, 45),
-       chunk=st.sampled_from([1, 5, 64, surface.ANYHIT_CHUNK]))
-def test_any_hit_equals_brute_force(seed, n_tris, chunk):
-    rng = np.random.default_rng(seed)
-    bvh = Bvh([soup_mesh(rng, n_tris=n_tris, spread=2.0)])
-    o, d, t_min, t_max = any_hit_rays(rng, bvh, 200)
+@given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["soup", "grid", "bumpy"]),
+       size=st.integers(1, 45), chunk=st.sampled_from([1, 5, 64, surface.ANYHIT_CHUNK]))
+def test_any_hit_equals_brute_force(seed, layout, size, chunk):
+    bvh, (o, d, t_min, t_max) = oracle_case(np.random.default_rng(seed), layout, size)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(surface, "ANYHIT_CHUNK", chunk)
         blocked = bvh.any_hit_batch(o, d, t_min, t_max)
@@ -157,7 +195,7 @@ def test_any_hit_equals_brute_force(seed, n_tris, chunk):
 def grid_mesh(rng, k, bumpy):
     """k x k unit quads of two triangles each, so neighbouring faces share
     edges. Flat and axis-aligned, or with random heights and a random
-    rotation, which puts no edge midpoint on a box plane."""
+    rotation."""
     i, j = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
     z = rng.uniform(-0.3, 0.3, i.shape) if bumpy else np.zeros(i.shape)
     verts = np.stack([i, j, z], axis=-1).reshape(-1, 3).astype(float)
@@ -168,42 +206,47 @@ def grid_mesh(rng, k, bumpy):
     return make_mesh(verts, faces, world_from_object=pose)
 
 
-def shared_edge_rays(rng, mesh, n, bumpy):
-    """Rays through edge midpoints, where two faces tie or nearly tie.
-
-    On the flat grid the rays run along z and also pass through vertices;
-    there both the ties and the box tests are exact. A tilted ray through
-    a vertex or along a box edge can graze a box by one rounding step, so
-    the bumpy grid's rays only pass through edge midpoints."""
+def shared_edge_rays(rng, mesh, n):
+    """Tilted rays through vertices, edge midpoints and the corners of the
+    region Moller-Trumbore accepts, where faces tie or nearly tie and the
+    rays graze the edges and corners of boxes; a fifth of the direction
+    components are zero."""
     tri = mesh.triangle_vertices()
     face, corner = rng.integers(len(tri), size=n), rng.integers(3, size=n)
     a, b = tri[face, corner], tri[face, (corner + 1) % 3]
-    if bumpy:
-        target = 0.5 * (a + b)
-        d = rng.normal(size=(n, 3))
-    else:
-        target = np.where((rng.random(n) < 0.3)[:, None], a, 0.5 * (a + b))
-        d = np.zeros((n, 3))
-        d[:, 2] = rng.choice([-1.0, 1.0], n)
+    # Barycentric (u, v) just inside the 1e-7 slack at a corner: up to
+    # 3e-7 edges outside the face's box.
+    s = 0.99e-7
+    uv = np.array([[-s, -s], [1 + 2 * s, -s], [-s, 1 + 2 * s]])[corner]
+    slack = (tri[face, 0] + uv[:, :1] * (tri[face, 1] - tri[face, 0])
+             + uv[:, 1:] * (tri[face, 2] - tri[face, 0]))
+    pick = rng.integers(3, size=n)[:, None]
+    target = np.where(pick == 0, a, np.where(pick == 1, slack, 0.5 * (a + b)))
+    d = rng.normal(size=(n, 3))
+    d[rng.random((n, 3)) < 0.2] = 0.0
     t_min = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, n))
     t_max = np.where(rng.random(n) < 0.5, np.inf, rng.uniform(0.0, 4.0, n))
     return target - 2.0 * d, d, t_min, t_max
+
+
+def oracle_case(rng, layout, size):
+    """A BVH and 200 rays for the brute-force oracles: a triangle soup
+    probed at its box planes, or a flat or bumpy grid probed through
+    vertices and edges."""
+    if layout == "soup":
+        bvh = Bvh([soup_mesh(rng, n_tris=size, spread=2.0)])
+        o, d, t_min, t_max = any_hit_rays(rng, bvh, 200)
+        t_min = np.where(rng.random(200) < 0.3, rng.uniform(0.0, 4.0, 200), t_min)
+        return bvh, (o, d, t_min, t_max)
+    mesh = grid_mesh(rng, 1 + size // 6, layout == "bumpy")
+    return Bvh([mesh]), shared_edge_rays(rng, mesh, 200)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["soup", "grid", "bumpy"]),
        size=st.integers(1, 45), chunk=st.sampled_from([1, 7, surface.ANYHIT_CHUNK]))
 def test_nearest_hit_equals_brute_force(seed, layout, size, chunk):
-    rng = np.random.default_rng(seed)
-    if layout == "soup":
-        bvh = Bvh([soup_mesh(rng, n_tris=size, spread=2.0)])
-        planes = np.concatenate([bvh.node_lo, bvh.node_hi])
-        o, d, t_min, t_max = any_hit_rays(rng, bvh, 200, planes)
-        t_min = np.where(rng.random(200) < 0.3, rng.uniform(0.0, 4.0, 200), t_min)
-    else:
-        mesh = grid_mesh(rng, 1 + size // 8, layout == "bumpy")
-        bvh = Bvh([mesh])
-        o, d, t_min, t_max = shared_edge_rays(rng, mesh, 200, layout == "bumpy")
+    bvh, (o, d, t_min, t_max) = oracle_case(np.random.default_rng(seed), layout, size)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Bvh, "BRUTE_FORCE_FACES", 0)
         mp.setattr(surface, "ANYHIT_CHUNK", chunk)
