@@ -339,8 +339,8 @@ def gen_estimation_room(out_dir: str) -> list:
     """12-face inward box with two ground-truth emissive ceiling faces,
     eight interior poses, and ground-truth renders at transport settings."""
     from .images import write_pfm
-    from .render import Camera, render
-    from .scene import load_scene
+    from .render import render
+    from .scene import load_poses, load_scene
 
     os.makedirs(out_dir, exist_ok=True)
     v, f = box((-1, -1, -1), (1, 1, 1), inward=True)
@@ -373,11 +373,7 @@ def gen_estimation_room(out_dir: str) -> list:
         emission[face] = ESTIMATION_GT_VALUE
     scene.meshes[0].emission = emission
     scene.rebuild_bvh()
-    from .core import Transform
-    for i, p in enumerate(poses_doc["poses"]):
-        cam = Camera(pose=Transform.look_at(p["position"], p["look_at"], p["up"]),
-                     fov=math.radians(poses_doc["fov_deg"]),
-                     resolution=tuple(poses_doc["resolution"]))
+    for i, cam in enumerate(load_poses(poses_path)):
         img = render(scene, camera=cam)
         write_pfm(os.path.join(out_dir, f"gt_{i:04d}.pfm"), img)
     return [scene_path, poses_path]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -195,35 +194,13 @@ def _cmd_hdr_merge(args) -> int:
     return EXIT_OK
 
 
-def _load_poses(path):
-    from .core import Transform
-    from .emitters import EstimationError
-    from .render import Camera
-    with open(path) as f:
-        doc = json.load(f)
-    try:
-        fov = math.radians(float(doc["fov_deg"]))
-        res = tuple(int(v) for v in doc["resolution"])
-        poses = list(doc["poses"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise EstimationError(f"{path}: pose file needs a numeric 'fov_deg', a "
-                              f"'resolution' pair and a 'poses' list ({e!r})") from e
-    cams = []
-    for i, p in enumerate(poses):
-        if not isinstance(p, dict) or "position" not in p or "look_at" not in p:
-            raise EstimationError(f"{path}: poses[{i}] needs 'position' and 'look_at'")
-        cams.append(Camera(
-            pose=Transform.look_at(p["position"], p["look_at"], p.get("up", [0, 1, 0])),
-            fov=fov, resolution=res))
-    return cams
-
-
 def _cmd_estimate(args) -> int:
     from . import emitters as est
     from .images import read_pfm
+    from .scene import load_poses
 
     scene = _load_scene(args.scene)
-    poses = _load_poses(args.poses)
+    poses = load_poses(args.poses)
     gt = []
     for i in range(len(poses)):
         gt.append(read_pfm(os.path.join(args.gt_dir, f"gt_{i:04d}.pfm")).pixels)

@@ -10,6 +10,7 @@ same hat weights.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field as dc_field
 
@@ -39,8 +40,9 @@ class ExposureBracket:
         if any(im.shape != shape or im.ndim != 3 or im.shape[2] != 3 for im in self.images):
             raise HdrError("bracket images must share one (h, w, 3) shape")
         t = [float(x) for x in self.exposure_times]
-        if any(b <= a for a, b in zip(t, t[1:])) or t[0] <= 0:
-            raise HdrError("exposure times must be positive and strictly increasing")
+        if (not all(map(math.isfinite, t)) or t[0] <= 0
+                or any(b <= a for a, b in zip(t, t[1:]))):
+            raise HdrError("exposure times must be finite, positive and strictly increasing")
         self.exposure_times = t
 
 

@@ -1,73 +1,50 @@
-"""Scene description: a single JSON document, strictly validated.
+"""Scene and pose files: JSON documents read into config dataclasses.
 
-Top-level keys: `field`, `meshes`, `emitters`, `camera`, `render`, `sim`,
-`colliders`. Unknown keys anywhere are rejected with a path-qualified
-error, file references are checked against the scene file's directory,
-and omitted render settings fall back to documented defaults (spp 16,
-8 bounces, throughput threshold 1e-3). parse/serialize round-trip to the
-same SceneConfig.
+The dataclasses below are the schema. A field's annotation is its JSON
+type, its default is what an omitted key means, and each class's
+`__post_init__` checks its own ranges, raising ValueError("key: msg").
+One reader, `_read`, walks a document against the annotations. It
+rejects unknown keys, missing required keys, values of the wrong type and
+non-finite numbers, checks that referenced files exist next to the scene
+file, and reports each failure as a SceneError whose message starts with
+the offending key path. A scene's `emitters` may also be the path of a
+JSON file holding the list. serialize_scene writes text that parses back
+to an equal SceneConfig.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field as dc_field, asdict
-from typing import Optional
+import sys
+import typing
+from dataclasses import MISSING, asdict, dataclass, field as dc_field, fields, is_dataclass
+from typing import Literal, NewType, Optional, Union
 
 import numpy as np
 
 from .core import Transform
-from .field import RadianceGrid, SdfGrid, load_rfgrid, load_sdfgrid
+from .field import RadianceGrid, load_rfgrid, load_sdfgrid
 from .render import Camera, EmitterSet
-from .surface import Bvh, Dielectric, Lambertian, Mirror, TriangleMesh, load_obj
+from .surface import Bvh, Dielectric, Lambertian, Mirror, load_obj
 
 
 class SceneError(ValueError):
     """Validation failure; the message starts with the offending key path."""
 
 
-def _fail(path: str, msg: str):
-    raise SceneError(f"{path}: {msg}")
+Vec3 = tuple[float, float, float]
+# A path relative to the scene file's directory, naming a file that exists.
+File = NewType("File", str)
 
 
-def _need(obj: dict, path: str, allowed: dict):
-    """Reject unknown keys and type-check the known ones."""
-    for k in obj:
-        if k not in allowed:
-            _fail(f"{path}.{k}" if path else k, "unknown key")
-    out = {}
-    for k, (typ, required, default) in allowed.items():
-        here = f"{path}.{k}" if path else k
-        if k not in obj:
-            if required:
-                _fail(here, "missing required key")
-            out[k] = default
-            continue
-        v = obj[k]
-        if typ is float and isinstance(v, int) and not isinstance(v, bool):
-            v = float(v)
-        if typ is not None and not isinstance(v, typ):
-            _fail(here, f"expected {getattr(typ, '__name__', typ)}, got {type(v).__name__}")
-        out[k] = v
-    return out
-
-
-def _vec(v, path, n=3):
-    if (not isinstance(v, list) or len(v) != n
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
-        _fail(path, f"expected a list of {n} numbers")
-    if not all(math.isfinite(float(x)) for x in v):
-        _fail(path, "components must be finite")
-    return [float(x) for x in v]
-
-
-def _check_file(rel_path, key_path, base_dir):
-    p = os.path.join(base_dir, rel_path) if base_dir else rel_path
-    if not os.path.isfile(p):
-        _fail(key_path, f"referenced file not found: {rel_path}")
-    return p
+def _check(*rules):
+    """Raise ValueError("key: msg") for the first (key, ok, msg) that fails."""
+    for key, ok, msg in rules:
+        if not ok:
+            raise ValueError(f"{key}: {msg}")
 
 
 # -- config dataclasses (plain data, value-comparable) ----------------------
@@ -75,8 +52,8 @@ def _check_file(rel_path, key_path, base_dir):
 
 @dataclass
 class TransformConfig:
-    translate: list = dc_field(default_factory=lambda: [0.0, 0.0, 0.0])
-    rotate_axis: list = dc_field(default_factory=lambda: [0.0, 0.0, 1.0])
+    translate: Vec3 = (0.0, 0.0, 0.0)
+    rotate_axis: Vec3 = (0.0, 0.0, 1.0)
     rotate_deg: float = 0.0
 
     def build(self) -> Transform:
@@ -88,51 +65,127 @@ class TransformConfig:
 
 @dataclass
 class DynamicConfig:
-    type: str = "rigid"  # "rigid" or "cloth"
+    type: Literal["rigid", "cloth"] = "rigid"
     mass: float = 1.0
-    velocity: list = dc_field(default_factory=lambda: [0.0, 0.0, 0.0])
-    pinned: list = dc_field(default_factory=list)
+    velocity: Vec3 = (0.0, 0.0, 0.0)
+    pinned: list[int] = dc_field(default_factory=list)
     compliance: float = 0.0
     sigma_threshold: float = 0.5  # rigid field objects: density cut for the SDF
-    sdf: Optional[str] = None     # optional precomputed collision SDF
+    sdf: Optional[File] = None    # optional precomputed collision SDF
+
+    def __post_init__(self):
+        _check(("mass", self.mass > 0, "must be > 0"),
+               ("compliance", self.compliance >= 0, "must be >= 0"))
+
+
+# `false`, like null or an omitted key, declares a static object.
+Static = Literal[False]
+Dynamic = Union[DynamicConfig, Static, None]
 
 
 @dataclass
 class FieldConfig:
-    path: str
+    path: File
     transform: Optional[TransformConfig] = None
-    dynamic: Optional[DynamicConfig] = None
+    dynamic: Dynamic = None
+
+
+class _BsdfConfig:
+    def __post_init__(self):
+        self.build()  # the material checks its own ranges
+
+
+@dataclass
+class LambertianConfig(_BsdfConfig):
+    type: Literal["lambertian"] = "lambertian"
+    albedo: Vec3 = (0.8, 0.8, 0.8)
+
+    def build(self) -> Lambertian:
+        return Lambertian(np.array(self.albedo))
+
+
+@dataclass
+class MirrorConfig(_BsdfConfig):
+    type: Literal["mirror"] = "mirror"
+    reflectance: Vec3 = (1.0, 1.0, 1.0)
+
+    def build(self) -> Mirror:
+        return Mirror(np.array(self.reflectance))
+
+
+@dataclass
+class DielectricConfig(_BsdfConfig):
+    type: Literal["dielectric"] = "dielectric"
+    ior: float = 1.5
+    tint: Vec3 = (1.0, 1.0, 1.0)
+
+    def build(self) -> Dielectric:
+        return Dielectric(self.ior, np.array(self.tint))
+
+
+# Told apart by their `type` key.
+BsdfConfig = Union[LambertianConfig, MirrorConfig, DielectricConfig]
 
 
 @dataclass
 class MeshConfig:
-    path: str
-    bsdf: dict = dc_field(default_factory=lambda: {"type": "lambertian", "albedo": [0.8, 0.8, 0.8]})
+    path: File
+    bsdf: BsdfConfig = dc_field(default_factory=LambertianConfig)
     transform: Optional[TransformConfig] = None
-    emission: Optional[list] = None
-    dynamic: Optional[DynamicConfig] = None
+    emission: Optional[Vec3] = None
+    dynamic: Dynamic = None
+
+    def __post_init__(self):
+        _check(("emission", self.emission is None or min(self.emission) >= 0, "must be >= 0"))
 
 
 @dataclass
 class EmitterConfig:
-    triangle: list  # three [x, y, z] corners
+    triangle: tuple[Vec3, Vec3, Vec3]
     r_src: float
+
+    def __post_init__(self):
+        _check(("r_src", 0.0 <= self.r_src <= 1.0, "must lie in [0, 1]"))
 
 
 @dataclass
-class CameraConfig:
-    position: list
-    look_at: list
-    resolution: list
-    up: list = dc_field(default_factory=lambda: [0.0, 1.0, 0.0])
+class PoseConfig:
+    """Where a camera stands and looks."""
+
+    position: Vec3
+    look_at: Vec3
+    up: Vec3 = (0.0, 1.0, 0.0)
+
+
+def _check_lens(fov_deg, resolution):
+    # In radians, as Camera checks it: a tiny fov_deg rounds to 0.
+    _check(("fov_deg", 0.0 < math.radians(fov_deg) < math.pi, "must lie in (0, 180)"),
+           ("resolution", min(resolution) >= 1, "must be positive"))
+
+
+@dataclass(kw_only=True)
+class CameraConfig(PoseConfig):
+    resolution: tuple[int, int]
     fov_deg: float = 45.0
 
+    def __post_init__(self):
+        _check_lens(self.fov_deg, self.resolution)
+
     def build(self) -> Camera:
-        return Camera(
-            pose=Transform.look_at(self.position, self.look_at, self.up),
-            fov=math.radians(self.fov_deg),
-            resolution=(int(self.resolution[0]), int(self.resolution[1])),
-        )
+        return Camera(pose=Transform.look_at(self.position, self.look_at, self.up),
+                      fov=math.radians(self.fov_deg), resolution=self.resolution)
+
+
+@dataclass
+class PosesConfig:
+    """A pose file: the lens every view shares, and one pose per view."""
+
+    fov_deg: float
+    resolution: tuple[int, int]
+    poses: list[PoseConfig]
+
+    def __post_init__(self):
+        _check_lens(self.fov_deg, self.resolution)
 
 
 @dataclass
@@ -144,23 +197,21 @@ class RenderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key, ok, msg in (("spp", self.spp >= 1, "must be >= 1"),
-                             ("n_bounces", self.n_bounces >= 1, "must be >= 1"),
-                             ("march_step", self.march_step > 0, "must be > 0"),
-                             ("threshold", self.threshold >= 0, "must be >= 0")):
-            if not ok:
-                raise ValueError(f"{key}: {msg}")
+        _check(("spp", self.spp >= 1, "must be >= 1"),
+               ("n_bounces", self.n_bounces >= 1, "must be >= 1"),
+               ("march_step", self.march_step > 0, "must be > 0"),
+               ("threshold", self.threshold >= 0, "must be >= 0"))
 
 
 @dataclass
 class ColliderConfig:
-    sdf: str
+    sdf: File
     transform: Optional[TransformConfig] = None
 
 
 @dataclass
 class SimConfig:
-    gravity: list = dc_field(default_factory=lambda: [0.0, 0.0, -9.81])
+    gravity: Vec3 = (0.0, 0.0, -9.81)
     dt: float = 1.0 / 60.0
     substeps: int = 4
     iterations: int = 8
@@ -169,278 +220,143 @@ class SimConfig:
     damping: float = 0.0
     velocity_cap: float = 1e3
 
+    def __post_init__(self):
+        _check(("dt", self.dt > 0, "must be > 0"),
+               ("substeps", self.substeps >= 1, "must be >= 1"),
+               ("iterations", self.iterations >= 1, "must be >= 1"),
+               ("restitution", 0.0 <= self.restitution <= 1.0, "must lie in [0, 1]"),
+               ("friction", self.friction >= 0, "must be >= 0"),
+               ("damping", self.damping >= 0, "must be >= 0"),
+               ("velocity_cap", self.velocity_cap > 0, "must be > 0"))
+
 
 @dataclass
 class SceneConfig:
     camera: CameraConfig
     field: Optional[FieldConfig] = None
-    meshes: list = dc_field(default_factory=list)
-    emitters: list = dc_field(default_factory=list)
+    meshes: list[MeshConfig] = dc_field(default_factory=list)
+    emitters: list[EmitterConfig] = dc_field(default_factory=list)
     render: RenderConfig = dc_field(default_factory=RenderConfig)
     sim: SimConfig = dc_field(default_factory=SimConfig)
-    colliders: list = dc_field(default_factory=list)
+    colliders: list[ColliderConfig] = dc_field(default_factory=list)
 
 
-# -- parsing ----------------------------------------------------------------
+# -- reading ----------------------------------------------------------------
+
+@functools.cache
+def _schema(cls):
+    """A config dataclass's field annotations and its required keys."""
+    return typing.get_type_hints(cls), [f.name for f in fields(cls) if f.default is MISSING
+                                        and f.default_factory is MISSING]
 
 
-def _parse_transform(obj, path) -> Optional[TransformConfig]:
-    if obj is None:
-        return None
-    got = _need(obj, path, {
-        "translate": (list, False, [0.0, 0.0, 0.0]),
-        "rotate_axis": (list, False, [0.0, 0.0, 1.0]),
-        "rotate_deg": (float, False, 0.0),
-    })
-    return TransformConfig(
-        translate=_vec(got["translate"], f"{path}.translate"),
-        rotate_axis=_vec(got["rotate_axis"], f"{path}.rotate_axis"),
-        rotate_deg=float(got["rotate_deg"]),
-    )
+_form = functools.cache(lambda tp: (typing.get_origin(tp), typing.get_args(tp)))
 
 
-def _parse_dynamic(obj, path) -> Optional[DynamicConfig]:
-    if obj is None or obj is False:
-        return None
-    if not isinstance(obj, dict):
-        _fail(path, "expected false or an object")
-    got = _need(obj, path, {
-        "type": (str, False, "rigid"),
-        "mass": (float, False, 1.0),
-        "velocity": (list, False, [0.0, 0.0, 0.0]),
-        "pinned": (list, False, []),
-        "compliance": (float, False, 0.0),
-        "sigma_threshold": (float, False, 0.5),
-        "sdf": (str, False, None),
-    })
-    if got["type"] not in ("rigid", "cloth"):
-        _fail(f"{path}.type", f"unknown dynamic type {got['type']!r}")
-    if got["mass"] <= 0:
-        _fail(f"{path}.mass", "mass must be > 0")
-    return DynamicConfig(
-        type=got["type"], mass=float(got["mass"]),
-        velocity=_vec(got["velocity"], f"{path}.velocity"),
-        pinned=[int(i) for i in got["pinned"]],
-        compliance=float(got["compliance"]),
-        sigma_threshold=float(got["sigma_threshold"]),
-        sdf=got["sdf"],
-    )
+def _fail(path: str, msg: str):
+    raise SceneError(f"{path}: {msg}" if path else msg)
 
 
-def _parse_bsdf(obj, path) -> dict:
-    if not isinstance(obj, dict):
-        _fail(path, "expected an object")
-    kind = obj.get("type")
-    if kind == "lambertian":
-        got = _need(obj, path, {"type": (str, True, None), "albedo": (list, False, [0.8, 0.8, 0.8])})
-        albedo = _vec(got["albedo"], f"{path}.albedo")
-        if any(c < 0 or c > 1 for c in albedo):
-            _fail(f"{path}.albedo", "channels must lie in [0, 1]")
-        return {"type": "lambertian", "albedo": albedo}
-    if kind == "mirror":
-        got = _need(obj, path, {"type": (str, True, None), "reflectance": (list, False, [1.0, 1.0, 1.0])})
-        refl = _vec(got["reflectance"], f"{path}.reflectance")
-        if any(c < 0 or c > 1 for c in refl):
-            _fail(f"{path}.reflectance", "channels must lie in [0, 1]")
-        return {"type": "mirror", "reflectance": refl}
-    if kind == "dielectric":
-        got = _need(obj, path, {"type": (str, True, None), "ior": (float, False, 1.5),
-                                "tint": (list, False, [1.0, 1.0, 1.0])})
-        if got["ior"] <= 0:
-            _fail(f"{path}.ior", "ior must be > 0")
-        tint = _vec(got["tint"], f"{path}.tint")
-        if any(c < 0 or c > 1 for c in tint):
-            _fail(f"{path}.tint", "channels must lie in [0, 1]")
-        return {"type": "dielectric", "ior": float(got["ior"]), "tint": tint}
-    _fail(f"{path}.type", f"unknown bsdf type {kind!r}")
+def _key(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def build_bsdf(spec: dict):
-    if spec["type"] == "lambertian":
-        return Lambertian(np.array(spec["albedo"]))
-    if spec["type"] == "mirror":
-        return Mirror(np.array(spec["reflectance"]))
-    return Dielectric(spec["ior"], np.array(spec["tint"]))
-
-
-def parse_scene(text, base_dir: str = ".", check_files: bool = True) -> SceneConfig:
-    """Validate a scene JSON document into a SceneConfig."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SceneError(f"scene is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise SceneError("scene root must be a JSON object")
-    got = _need(doc, "", {
-        "field": (dict, False, None),
-        "meshes": (list, False, []),
-        "emitters": (None, False, []),
-        "camera": (dict, True, None),
-        "render": (dict, False, {}),
-        "sim": (dict, False, {}),
-        "colliders": (list, False, []),
-    })
-
-    cam = _need(got["camera"], "camera", {
-        "position": (list, True, None),
-        "look_at": (list, True, None),
-        "up": (list, False, [0.0, 1.0, 0.0]),
-        "fov_deg": (float, False, 45.0),
-        "resolution": (list, True, None),
-    })
-    res = cam["resolution"]
-    if (not isinstance(res, list) or len(res) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in res)
-            or res[0] < 1 or res[1] < 1):
-        _fail("camera.resolution", "expected [width, height] positive integers")
-    if not 0.0 < float(cam["fov_deg"]) < 180.0:
-        _fail("camera.fov_deg", "must lie in (0, 180)")
-    camera = CameraConfig(
-        position=_vec(cam["position"], "camera.position"),
-        look_at=_vec(cam["look_at"], "camera.look_at"),
-        up=_vec(cam["up"], "camera.up"),
-        fov_deg=float(cam["fov_deg"]),
-        resolution=[int(res[0]), int(res[1])],
-    )
-
-    rset = _need(got["render"], "render", {
-        "spp": (int, False, 16),
-        "n_bounces": (int, False, 8),
-        "threshold": (float, False, 1e-3),
-        "march_step": (float, False, 0.05),
-        "seed": (int, False, 0),
-    })
-    try:
-        render = RenderConfig(spp=rset["spp"], n_bounces=rset["n_bounces"],
-                              threshold=float(rset["threshold"]),
-                              march_step=float(rset["march_step"]), seed=rset["seed"])
-    except ValueError as e:
-        raise SceneError(f"render.{e}") from None
-
-    sset = _need(got["sim"], "sim", {
-        "gravity": (list, False, [0.0, 0.0, -9.81]),
-        "dt": (float, False, 1.0 / 60.0),
-        "substeps": (int, False, 4),
-        "iterations": (int, False, 8),
-        "restitution": (float, False, 0.3),
-        "friction": (float, False, 0.5),
-        "damping": (float, False, 0.0),
-        "velocity_cap": (float, False, 1e3),
-    })
-    if sset["dt"] <= 0:
-        _fail("sim.dt", "must be > 0")
-    if sset["substeps"] < 1:
-        _fail("sim.substeps", "must be >= 1")
-    if sset["iterations"] < 1:
-        _fail("sim.iterations", "must be >= 1")
-    if not 0.0 <= sset["restitution"] <= 1.0:
-        _fail("sim.restitution", "must lie in [0, 1]")
-    if sset["friction"] < 0:
-        _fail("sim.friction", "must be >= 0")
-    sim = SimConfig(gravity=_vec(sset["gravity"], "sim.gravity"), dt=float(sset["dt"]),
-                    substeps=sset["substeps"], iterations=sset["iterations"],
-                    restitution=float(sset["restitution"]), friction=float(sset["friction"]),
-                    damping=float(sset["damping"]), velocity_cap=float(sset["velocity_cap"]))
-
-    field_cfg = None
-    if got["field"] is not None:
-        f = _need(got["field"], "field", {
-            "path": (str, True, None),
-            "transform": (dict, False, None),
-            "dynamic": (None, False, None),
-        })
-        if check_files:
-            _check_file(f["path"], "field.path", base_dir)
-        field_cfg = FieldConfig(
-            path=f["path"],
-            transform=_parse_transform(f["transform"], "field.transform"),
-            dynamic=_parse_dynamic(f["dynamic"], "field.dynamic"),
-        )
-        dyn = field_cfg.dynamic
-        if dyn is not None and dyn.sdf is not None and check_files:
-            _check_file(dyn.sdf, "field.dynamic.sdf", base_dir)
-
-    meshes = []
-    for i, m in enumerate(got["meshes"]):
-        if not isinstance(m, dict):
-            _fail(f"meshes[{i}]", "expected an object")
-        mm = _need(m, f"meshes[{i}]", {
-            "path": (str, True, None),
-            "bsdf": (dict, False, {"type": "lambertian", "albedo": [0.8, 0.8, 0.8]}),
-            "transform": (dict, False, None),
-            "emission": (list, False, None),
-            "dynamic": (None, False, None),
-        })
-        if check_files:
-            _check_file(mm["path"], f"meshes[{i}].path", base_dir)
-        emission = None
-        if mm["emission"] is not None:
-            emission = _vec(mm["emission"], f"meshes[{i}].emission")
-            if any(c < 0 for c in emission):
-                _fail(f"meshes[{i}].emission", "must be >= 0")
-        meshes.append(MeshConfig(
-            path=mm["path"],
-            bsdf=_parse_bsdf(mm["bsdf"], f"meshes[{i}].bsdf"),
-            transform=_parse_transform(mm["transform"], f"meshes[{i}].transform"),
-            emission=emission,
-            dynamic=_parse_dynamic(mm["dynamic"], f"meshes[{i}].dynamic"),
-        ))
-
-    emitters = []
-    esrc = got["emitters"]
-    if isinstance(esrc, str):
-        p = _check_file(esrc, "emitters", base_dir) if check_files else esrc
+def _read(tp, v, path: str, base_dir: str = "."):
+    """The parsed JSON value `v`, found at key `path`, read as annotation `tp`."""
+    if tp is float or tp is int or tp is str:
+        if isinstance(v, bool) or not isinstance(v, (int, float) if tp is float else tp):
+            _fail(path, f"expected {tp.__name__}, got {type(v).__name__}")
+        if tp is float:
+            if not abs(v) <= sys.float_info.max:  # also NaN, and ints too large for a float
+                _fail(path, "must be finite")
+            v = float(v)
+        return v
+    if is_dataclass(tp):
+        hints, required = _schema(tp)
+        if not isinstance(v, dict):
+            _fail(path, "expected an object")
+        for k in v:
+            if k not in hints:
+                _fail(_key(path, k), "unknown key")
+        for k in required:
+            if k not in v:
+                _fail(_key(path, k), "missing required key")
+        kwargs = {k: _read(hints[k], x, _key(path, k), base_dir) for k, x in v.items()}
         try:
-            with open(p) as fh:
-                esrc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise SceneError(f"emitters: cannot read {p}: {e}") from e
-    if not isinstance(esrc, list):
-        _fail("emitters", "expected a list or a path to an emitter JSON file")
-    for i, e in enumerate(esrc):
-        if not isinstance(e, dict):
-            _fail(f"emitters[{i}]", "expected an object")
-        ee = _need(e, f"emitters[{i}]", {
-            "triangle": (list, True, None),
-            "r_src": (float, True, None),
-        })
-        tri = ee["triangle"]
-        if not isinstance(tri, list) or len(tri) != 3:
-            _fail(f"emitters[{i}].triangle", "expected three corner points")
-        tri = [_vec(c, f"emitters[{i}].triangle[{j}]") for j, c in enumerate(tri)]
-        if not 0.0 <= float(ee["r_src"]) <= 1.0:
-            _fail(f"emitters[{i}].r_src", "must lie in [0, 1]")
-        emitters.append(EmitterConfig(triangle=tri, r_src=float(ee["r_src"])))
+            return tp(**kwargs)
+        except ValueError as e:
+            raise SceneError(_key(path, str(e))) from None
+    origin, args = _form(tp)
+    if origin is Union:
+        if v is None and type(None) in args or v is False and Static in args:
+            return None
+        kinds = [a for a in args if a is not type(None) and a != Static]
+        if len(kinds) > 1 and isinstance(v, dict):  # configs told apart by `type`
+            kinds = [a for a in kinds if a.type == v.get("type")]
+            if not kinds:
+                _fail(_key(path, "type"), f"unknown type {v.get('type')!r}")
+        return _read(kinds[0], v, path, base_dir)
+    if origin is Literal:
+        if v not in args:
+            _fail(path, f"expected one of {', '.join(map(repr, args))}")
+        return v
+    if origin is list:
+        if not isinstance(v, list):
+            _fail(path, "expected a list")
+        return [_read(args[0], x, f"{path}[{i}]", base_dir) for i, x in enumerate(v)]
+    if origin is tuple:
+        if not isinstance(v, list) or len(v) != len(args):
+            _fail(path, f"expected a list of {len(args)}")
+        return tuple([_read(a, x, f"{path}[{i}]", base_dir)
+                      for i, (a, x) in enumerate(zip(args, v))])
+    if tp is File:
+        v = _read(str, v, path)
+        if not os.path.isfile(os.path.join(base_dir, v)):
+            _fail(path, f"referenced file not found: {v}")
+        return v
+    raise TypeError(f"no JSON reading for {tp!r}")
 
-    collider_cfgs = []
-    for i, c in enumerate(got["colliders"]):
-        if not isinstance(c, dict):
-            _fail(f"colliders[{i}]", "expected an object")
-        cc = _need(c, f"colliders[{i}]", {
-            "sdf": (str, True, None),
-            "transform": (dict, False, None),
-        })
-        if check_files:
-            _check_file(cc["sdf"], f"colliders[{i}].sdf", base_dir)
-        collider_cfgs.append(ColliderConfig(
-            sdf=cc["sdf"],
-            transform=_parse_transform(cc["transform"], f"colliders[{i}].transform"),
-        ))
 
-    return SceneConfig(camera=camera, field=field_cfg, meshes=meshes,
-                       emitters=emitters, render=render, sim=sim,
-                       colliders=collider_cfgs)
+def _parse_json(text, what: str):
+    try:
+        return json.loads(text)
+    except ValueError as e:  # bad JSON, or bytes that are not UTF-8
+        raise SceneError(f"{what}: not valid JSON: {e}") from None
+
+
+def _read_file(path, what: str) -> bytes:
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as e:
+        raise SceneError(f"{what}: cannot read {path}: {e}") from e
+
+
+def parse_scene(text, base_dir: str = ".") -> SceneConfig:
+    """Validate a scene JSON document into a SceneConfig."""
+    doc = _parse_json(text, "scene")
+    if isinstance(doc, dict) and isinstance(doc.get("emitters"), str):
+        path = os.path.join(base_dir, _read(File, doc["emitters"], "emitters", base_dir))
+        doc["emitters"] = _parse_json(_read_file(path, "emitters"), "emitters")
+    return _read(SceneConfig, doc, "", base_dir)
 
 
 def load_scene_config(path) -> SceneConfig:
-    try:
-        with open(path, "rb") as f:
-            text = f.read()
-    except OSError as e:
-        raise SceneError(f"cannot read scene file {path}: {e}") from e
-    return parse_scene(text, base_dir=os.path.dirname(os.path.abspath(path)))
+    return parse_scene(_read_file(path, "scene"),
+                       base_dir=os.path.dirname(os.path.abspath(path)))
+
+
+def load_poses(path) -> list[Camera]:
+    """The cameras of a pose file, one per pose, all with the file's lens."""
+    cfg = _read(PosesConfig, _parse_json(_read_file(path, "pose file"), "pose file"), "")
+    cams = []
+    for i, p in enumerate(cfg.poses):
+        try:
+            cams.append(CameraConfig(position=p.position, look_at=p.look_at, up=p.up,
+                                     resolution=cfg.resolution, fov_deg=cfg.fov_deg).build())
+        except ValueError as e:  # no view: look_at at the position, or up along the view
+            raise SceneError(f"poses[{i}]: {e}") from None
+    return cams
 
 
 def serialize_scene(cfg: SceneConfig) -> str:
@@ -525,7 +441,7 @@ def build_scene(cfg: SceneConfig, base_dir: str = ".") -> Scene:
     for mc in cfg.meshes:
         mesh = load_obj(
             full(mc.path),
-            bsdf=build_bsdf(mc.bsdf),
+            bsdf=mc.bsdf.build(),
             emission=np.array(mc.emission) if mc.emission is not None else None,
             world_from_object=mc.transform.build() if mc.transform else None,
             name=os.path.splitext(os.path.basename(mc.path))[0],

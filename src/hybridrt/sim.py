@@ -278,17 +278,17 @@ def _contact_world_point(world: World, c: Contact) -> np.ndarray:
     return quat_rotate(b.q, b.verts[c.vert]) + b.com
 
 
-def _contact_velocity(world: World, c: Contact, p: np.ndarray) -> float:
-    """Normal component of penetrator-minus-owner velocity at the contact."""
+def _relative_velocity(world: World, c: Contact, p: np.ndarray) -> np.ndarray:
+    """Penetrator-minus-owner velocity at contact point p."""
     if c.kind == "particle":
-        v = world.particles.vel[c.index]
+        v = world.particles.vel[c.index].copy()
     else:
         b = world.bodies[c.index]
         v = b.point_velocity(p - b.com)
     if c.owner_is_body:
         ob = world.bodies[c.owner]
         v = v - ob.point_velocity(p - ob.com)
-    return float(v @ c.normal)
+    return v
 
 
 def _apply_body_position(b: RigidBody, dp: np.ndarray, r: np.ndarray):
@@ -379,20 +379,13 @@ def _solve_contact_velocities(world: World, contacts: list, h: float):
         w_n = w_src + w_own
         if w_n == 0.0:
             continue
-        v_n = _contact_velocity(world, c, p)
+        v_n = float(_relative_velocity(world, c, p) @ n)
         target = -e * min(c.v_pre, 0.0)
         j_n = (target - v_n) / w_n
         _apply_velocity_impulse(world, c, p, j_n * n)
 
         # Friction against the post-normal-impulse tangential velocity.
-        if c.kind == "particle":
-            v = world.particles.vel[c.index].copy()
-        else:
-            b = world.bodies[c.index]
-            v = b.point_velocity(p - b.com)
-        if c.owner_is_body:
-            ob = world.bodies[c.owner]
-            v = v - ob.point_velocity(p - ob.com)
+        v = _relative_velocity(world, c, p)
         v_t = v - (v @ n) * n
         speed_t = float(np.linalg.norm(v_t))
         if speed_t < 1e-12 or mu <= 0.0:
@@ -526,7 +519,7 @@ def step(world: World, dt: float, substeps: int, iterations: int) -> World:
         contacts = detect_contacts(world)
         for c in contacts:
             p = _contact_world_point(world, c)
-            c.v_pre = _contact_velocity(world, c, p)
+            c.v_pre = float(_relative_velocity(world, c, p) @ c.normal)
         lambdas = [0.0] * len(world.constraints)
         for _ in range(iterations):
             if world.constraints:

@@ -34,7 +34,7 @@ ANYHIT_CHUNK = 1 << 15
 def _unit_interval_spectrum(c, name):
     c = vec3(c)
     if np.any(c < 0) or np.any(c > 1):
-        raise ValueError(f"{name} channels must lie in [0, 1], got {c}")
+        raise ValueError(f"{name}: channels must lie in [0, 1], got {c}")
     return c
 
 
@@ -61,7 +61,7 @@ class Dielectric:
 
     def __post_init__(self):
         if not self.ior > 0:
-            raise ValueError(f"ior must be > 0, got {self.ior}")
+            raise ValueError(f"ior: must be > 0, got {self.ior}")
         self.tint = _unit_interval_spectrum(self.tint, "tint")
 
 

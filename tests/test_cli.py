@@ -23,10 +23,16 @@ def drop_image_key(key):
     return edit
 
 
+def nan_image_time(doc):
+    doc["images"][2]["time"] = float("nan")
+    return doc
+
+
 @pytest.mark.parametrize("edit, match", [
     (drop_image_key("path"), "images[2]"),
     (drop_image_key("time"), "images[2]"),
     (lambda doc: doc["images"], "'images' list"),
+    (nan_image_time, "exposure times must be finite"),
 ])
 def test_malformed_bracket_manifest_exits_2(hdr_dir, tmp_path, capsys, edit, match):
     d = tmp_path / "hdr"
@@ -56,8 +62,8 @@ def set_pose_field(key, value):
 @pytest.mark.parametrize("edit, match", [
     (drop_pose_key("look_at"), "poses[1]"),
     (drop_pose_key("position"), "poses[1]"),
-    (set_pose_field("resolution", 24), "'resolution' pair"),
-    (lambda doc: {k: v for k, v in doc.items() if k != "fov_deg"}, "'fov_deg'"),
+    (set_pose_field("resolution", 24), "resolution: expected a list of 2"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "fov_deg"}, "fov_deg: missing required key"),
 ])
 def test_malformed_pose_file_exits_2(estimation_dir, tmp_path, capsys, edit, match):
     doc = json.loads((estimation_dir / "poses.json").read_text())
@@ -69,6 +75,22 @@ def test_malformed_pose_file_exits_2(estimation_dir, tmp_path, capsys, edit, mat
                         "--out", str(tmp_path / "em.json"))
     assert code == 2
     assert err.startswith("error: estimate-emitters: ") and match in err
+
+
+@pytest.mark.parametrize("command, edit, match", [
+    ("simulate", lambda doc: doc["sim"].update(damping=float("nan")), "sim.damping: "),
+    ("render", lambda doc: doc["meshes"][0]["dynamic"].update(pinned=[None]),
+     "meshes[0].dynamic.pinned[0]: "),
+])
+def test_malformed_scene_exits_2(tmp_path, capsys, command, edit, match):
+    assets.gen_drop(str(tmp_path))
+    scene = tmp_path / "drop.json"
+    doc = json.loads(scene.read_text())
+    edit(doc)
+    scene.write_text(json.dumps(doc))
+    code, err = run_cli(capsys, command, "--scene", str(scene), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith(f"error: {command}: {match}")
 
 
 def crf_table():

@@ -1,15 +1,12 @@
 import hashlib
-import json
-import math
 
 import numpy as np
 import pytest
 
 from hybridrt import assets, emitters
-from hybridrt.core import Transform
 from hybridrt.images import read_pfm
-from hybridrt.render import Camera, render
-from hybridrt.scene import load_scene
+from hybridrt.render import render
+from hybridrt.scene import load_poses, load_scene
 
 # SHA-256 of the float64 transport operator of the estimation room (eight
 # poses, 24x24, 8 spp, seed 5, depth 3). Pinned with numpy 2.4 on x86-64,
@@ -17,17 +14,10 @@ from hybridrt.scene import load_scene
 ESTIMATION_TRANSPORT_SHA = "2265d229ffefb2955f4ee45770237535fa46b801b7cd7f53b595b0c200a50b3f"
 
 
-def load_poses(est_dir):
-    doc = json.loads((est_dir / "poses.json").read_text())
-    return [Camera(pose=Transform.look_at(p["position"], p["look_at"], p["up"]),
-                   fov=math.radians(doc["fov_deg"]), resolution=tuple(doc["resolution"]))
-            for p in doc["poses"]]
-
-
 @pytest.fixture(scope="module")
 def estimation(estimation_dir):
     scene = load_scene(str(estimation_dir / "room.json"))
-    poses = load_poses(estimation_dir)
+    poses = load_poses(estimation_dir / "poses.json")
     return scene, poses, emitters.build_transport(scene, poses, 3)
 
 

@@ -1,14 +1,21 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridrt import assets
-from hybridrt.field import RadianceGrid, save_rfgrid
+from hybridrt.field import RadianceGrid, save_rfgrid, save_sdfgrid
+from hybridrt.render import Camera
 from hybridrt.scene import (
+    DynamicConfig,
     RenderConfig,
+    SceneConfig,
     SceneError,
+    SimConfig,
     build_scene,
+    load_poses,
     load_scene,
     parse_scene,
     serialize_scene,
@@ -63,6 +70,42 @@ def test_render_config_validates_direct_construction(key, value):
     # zero bounce count used to render an all-black image.
     with pytest.raises(ValueError, match=f"^{key}: must be"):
         RenderConfig(**{key: value})
+
+
+@pytest.mark.parametrize("cls, key, value", [
+    (SimConfig, "dt", float("nan")), (SimConfig, "damping", float("nan")),
+    (SimConfig, "damping", -0.1), (SimConfig, "velocity_cap", 0.0),
+    (SimConfig, "velocity_cap", -1.0), (DynamicConfig, "mass", float("nan")),
+    (DynamicConfig, "compliance", -1e-3)])
+def test_sim_configs_validate_direct_construction(cls, key, value):
+    with pytest.raises(ValueError, match=f"^{key}: must be"):
+        cls(**{key: value})
+
+
+def cloth_mesh(**dynamic):
+    return {"path": "q.obj", "dynamic": {"type": "cloth", **dynamic}}
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d.update(meshes=[cloth_mesh(pinned=[1.5])]),
+     r"^meshes\[0\]\.dynamic\.pinned\[0\]: expected int, got float"),
+    (lambda d: d.update(meshes=[cloth_mesh(pinned=[True])]),
+     r"^meshes\[0\]\.dynamic\.pinned\[0\]: expected int, got bool"),
+    (lambda d: d.update(meshes=[cloth_mesh(mass=float("nan"))]), r"^meshes\[0\]\.dynamic\.mass"),
+    (lambda d: d.update(meshes=[{"path": "q.obj", "bsdf": {"type": "dielectric",
+                                                           "ior": float("nan")}}]),
+     r"^meshes\[0\]\.bsdf\.ior: must be finite"),
+    (lambda d: d.update(sim={"dt": float("nan")}), r"^sim\.dt: must be finite"),
+    (lambda d: d.update(sim={"velocity_cap": -1}), r"^sim\.velocity_cap: must be > 0"),
+    (lambda d: d.update(sim={"gravity": [0, 0, float("inf")]}), r"^sim\.gravity\[2\]: must be finite"),
+    (lambda d: d.update(render={"spp": 2.5}), r"^render\.spp: expected int"),
+])
+def test_malformed_value_names_key(tmp_path, edit, match):
+    write_assets(tmp_path)
+    doc = minimal_doc()
+    edit(doc)
+    with pytest.raises(SceneError, match=match):
+        parse_scene(json.dumps(doc), base_dir=str(tmp_path))
 
 
 def test_missing_mesh_path_named(tmp_path):
@@ -192,3 +235,87 @@ def test_blocker_bvh_leaves_out_emissive_meshes(tmp_path):
         assert (scene.bvh.n_faces, scene.blocker_bvh.n_faces) == (4, 2)
         assert np.array_equal(scene.blocker_bvh.tri, scene.meshes[0].triangle_vertices())
         scene.rebuild_bvh()
+
+
+# -- fuzzing the readers ------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids,
+                                                              max_size=4),
+    max_leaves=8)
+
+
+def full_doc():
+    """A valid scene that uses every section and key kind."""
+    tri = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    return {
+        "field": {"path": "f.rfgrid", "transform": {"translate": [0, 0, 1], "rotate_deg": 30},
+                  "dynamic": {"type": "rigid", "mass": 2, "sdf": "p.sdfgrid"}},
+        "meshes": [{"path": "q.obj", "bsdf": {"type": "dielectric", "ior": 1.3},
+                    "emission": [1, 1, 1], "dynamic": {"type": "cloth", "pinned": [0, 1]}},
+                   {"path": "q.obj", "bsdf": {"type": "mirror"}, "dynamic": False}],
+        "emitters": [{"triangle": tri, "r_src": 0.5}],
+        "camera": {"position": [0, 0, 3], "look_at": [0, 0, 0], "resolution": [8, 8]},
+        "render": {"spp": 2, "seed": 1},
+        "sim": {"dt": 0.01, "damping": 0.1, "velocity_cap": 50},
+        "colliders": [{"sdf": "p.sdfgrid", "transform": {"rotate_axis": [1, 0, 0]}}],
+    }
+
+
+def subtrees(x, here=()):
+    """Key paths to every value in a JSON document, the root included."""
+    yield here
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for k, v in items:
+        yield from subtrees(v, here + (k,))
+
+
+def replace_one(doc, data):
+    """`doc` with one value drawn by `data` in place of one drawn subtree."""
+    path = data.draw(st.sampled_from(list(subtrees(doc))))
+    value = data.draw(json_values)
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    write_assets(d)
+    save_sdfgrid(d / "p.sdfgrid", assets.plane_sdf())
+    return d
+
+
+def test_full_doc_is_valid(fuzz_dir):
+    cfg = parse_scene(json.dumps(full_doc()), base_dir=str(fuzz_dir))
+    assert parse_scene(serialize_scene(cfg), base_dir=str(fuzz_dir)) == cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_scene_parses_or_names_its_error(fuzz_dir, data):
+    text = json.dumps(replace_one(full_doc(), data))
+    try:
+        assert isinstance(parse_scene(text, base_dir=str(fuzz_dir)), SceneConfig)
+    except SceneError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_poses_load_or_name_their_error(estimation_dir, tmp_path_factory, data):
+    doc = json.loads((estimation_dir / "poses.json").read_text())
+    path = tmp_path_factory.getbasetemp() / "fuzzed_poses.json"
+    path.write_text(json.dumps(replace_one(doc, data)))
+    try:
+        cams = load_poses(path)
+    except SceneError:
+        return
+    assert all(isinstance(c, Camera) for c in cams)

@@ -24,6 +24,36 @@ def write_cloth_scene(d, cloths):
     return path
 
 
+def run_frames(scene_path, frames):
+    scene = load_scene(scene_path)
+    world, binding = sim.build_world(scene)
+    cfg = scene.config.sim
+    for _ in range(frames):
+        sim.step(world, cfg.dt, cfg.substeps, cfg.iterations)
+    return world, binding
+
+
+def test_field_hit_conserves_momentum_with_scene_restitution(field_hit_dir):
+    # Ball (mass 1, +3 m/s) meets the field blob (mass 2, at rest) head on:
+    # 1 * 3 = 1 * -0.6 + 2 * 1.8, and the relative velocity 3 reverses with
+    # the scene's restitution 0.8.
+    world, binding = run_frames(field_hit_dir / "field_hit.json", 40)
+    ball, blob = world.bodies[0], world.bodies[binding.field_body]
+    assert ball.lin_vel[0] == pytest.approx(-0.6, abs=1e-6)
+    assert blob.lin_vel[0] == pytest.approx(1.8, abs=1e-6)
+    momentum = ball.mass * ball.lin_vel + blob.mass * blob.lin_vel
+    np.testing.assert_allclose(momentum, [3.0, 0.0, 0.0], rtol=0, atol=1e-6)
+    assert (blob.lin_vel[0] - ball.lin_vel[0]) / 3.0 == pytest.approx(0.8, abs=1e-6)
+
+
+def test_drop_comes_to_rest_on_the_plane(tmp_path):
+    assets.gen_drop(str(tmp_path))
+    world, _ = run_frames(tmp_path / "drop.json", 60)
+    (ball,) = world.bodies
+    assert ball.com[2] == pytest.approx(0.5, abs=1e-9)
+    assert np.linalg.norm(ball.lin_vel) < 1e-9
+
+
 def test_each_cloth_keeps_its_own_compliance(tmp_path):
     path = write_cloth_scene(tmp_path, [("stiff", {"compliance": 0.0}),
                                         ("soft", {"compliance": 0.25})])
