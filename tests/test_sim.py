@@ -1,12 +1,20 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from hybridrt import assets, cli, sim
-from hybridrt.field import RadianceGrid, save_rfgrid
+from hybridrt.field import RadianceGrid, save_rfgrid, save_sdfgrid
 from hybridrt.scene import load_scene
 from hybridrt.surface import save_obj
+
+
+# Per-frame simulation state digests (state_digest below); a change to the
+# solver that moves any bit of any frame changes them.
+FIELD_HIT_STATES = "db9f269278b03d29d0e5df1aa480fb1ecb62abcab415cca9b117461bd7875eb7"
+DROP_STATES = "dd53e084dc646ea4e793e6eddcf8b8e84d16f8ea802a89f98d44291595540698"
+CLOTH_STATES = "b203036ae7cf84fb1ec8d54bc0ed14813c8ad50392a891dbcd1418396c6a899b"
 
 
 def write_cloth_scene(d, cloths):
@@ -22,6 +30,38 @@ def write_cloth_scene(d, cloths):
     path = d / "scene.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def write_blob_scene(d, sheet, sim_cfg, pinned=(), ball=False, plane=False):
+    """A 5x5 cloth sheet, given as (corner, edge_u, edge_v), and the
+    field-hit blob as a free rigid body; optionally a rigid ball flying at
+    the blob and a plane collider 0.4 below it."""
+    save_rfgrid(d / "blob.rfgrid", assets.gaussian_blob_field(
+        (-0.8,) * 3, (0.8,) * 3, (0, 0, 0), 0.28, 8.0, (1.5, 1.2, 0.7), res=(16, 16, 16)))
+    v, f = assets.cloth_grid(5, 5, *sheet)
+    save_obj(d / "sheet.obj", v, f)
+    meshes = [{"path": "sheet.obj",
+               "dynamic": {"type": "cloth", "mass": 0.5, "pinned": list(pinned)}}]
+    if ball:
+        save_obj(d / "ball.obj", *assets.uv_sphere(0.2, rings=6, segments=8))
+        meshes.append({"path": "ball.obj", "transform": {"translate": [-1.0, 0.0, 0.0]},
+                       "dynamic": {"type": "rigid", "mass": 1.0, "velocity": [3.0, 0.0, 0.0]}})
+    doc = {"field": {"path": "blob.rfgrid", "dynamic": {"type": "rigid", "mass": 2.0}},
+           "meshes": meshes, "sim": sim_cfg,
+           "camera": {"position": [0, -3, 0], "look_at": [0, 0, 0], "up": [0, 0, 1],
+                      "resolution": [8, 8]}}
+    if plane:
+        save_sdfgrid(d / "plane.sdfgrid", assets.plane_sdf())
+        doc["colliders"] = [{"sdf": "plane.sdfgrid", "transform": {"translate": [0, 0, -0.4]}}]
+    path = d / "scene.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def throw_sheet(world, velocity):
+    """Free particles start at `velocity`, set on the world itself."""
+    ps = world.particles
+    ps.vel[ps.inv_mass > 0] = velocity
 
 
 def run_frames(scene_path, frames):
@@ -44,6 +84,68 @@ def test_field_hit_conserves_momentum_with_scene_restitution(field_hit_dir):
     momentum = ball.mass * ball.lin_vel + blob.mass * blob.lin_vel
     np.testing.assert_allclose(momentum, [3.0, 0.0, 0.0], rtol=0, atol=1e-6)
     assert (blob.lin_vel[0] - ball.lin_vel[0]) / 3.0 == pytest.approx(0.8, abs=1e-6)
+
+
+def state_digest(scene_path, frames, setup=lambda world: None):
+    """SHA-256 over every frame's particle and body state and field transform."""
+    scene = load_scene(scene_path)
+    world, binding = sim.build_world(scene)
+    setup(world)
+    cfg = scene.config.sim
+    h = hashlib.sha256()
+    for _ in range(frames):
+        sim.step(world, cfg.dt, cfg.substeps, cfg.iterations)
+        sim.sync_to_renderer(world, scene, binding)
+        if world.particles is not None:
+            h.update(world.particles.pos.tobytes())
+            h.update(world.particles.vel.tobytes())
+        for b in world.bodies:
+            h.update(np.concatenate([b.com, b.q, b.lin_vel, b.ang_vel]).tobytes())
+        h.update(scene.field.world_from_field.m.tobytes())
+    return h.hexdigest()
+
+
+def test_field_hit_states_pinned(field_hit_dir):
+    assert state_digest(field_hit_dir / "field_hit.json", 40) == FIELD_HIT_STATES
+
+
+def test_drop_states_pinned(tmp_path):
+    assets.gen_drop(str(tmp_path))
+    assert state_digest(tmp_path / "drop.json", 60) == DROP_STATES
+
+
+def test_cloth_contact_states_pinned(tmp_path):
+    # Covers every contact pairing: particle-static, particle-body,
+    # body-body (ball on blob) and body-static (both bodies on the plane).
+    path = write_blob_scene(
+        tmp_path, ((-0.5, -0.5, 0.2), (1, 0, 0), (0, 1, 0)),
+        {"gravity": [0, 0, -9.81], "friction": 0.3, "restitution": 0.3},
+        pinned=[0], ball=True, plane=True)
+    digest = state_digest(path, 40, lambda world: throw_sheet(world, (0.0, 0.0, -2.0)))
+    assert digest == CLOTH_STATES
+
+
+@pytest.mark.parametrize("friction", [0.0, 0.3])
+def test_cloth_on_field_blob_conserves_momentum(tmp_path, friction):
+    path = write_blob_scene(
+        tmp_path, ((-0.6, -0.5, -0.5), (0, 1, 0), (0, 0, 1)),
+        {"gravity": [0, 0, 0], "friction": friction, "restitution": 0.3})
+    scene = load_scene(path)
+    world, binding = sim.build_world(scene)
+    throw_sheet(world, (2.0, 0.0, 0.0))
+    ps, blob = world.particles, world.bodies[binding.field_body]
+
+    def momentum():
+        return (ps.vel / ps.inv_mass[:, None]).sum(axis=0) + blob.mass * blob.lin_vel
+
+    before = momentum()
+    cfg = scene.config.sim
+    contacts = 0
+    for _ in range(40):
+        sim.step(world, cfg.dt, cfg.substeps, cfg.iterations)
+        contacts += len(sim.detect_contacts(world))
+    assert contacts > 0
+    np.testing.assert_allclose(momentum(), before, rtol=0, atol=1e-9)
 
 
 def test_drop_comes_to_rest_on_the_plane(tmp_path):
