@@ -202,8 +202,15 @@ def _cmd_estimate(args) -> int:
     scene = _load_scene(args.scene)
     poses = load_poses(args.poses)
     gt = []
-    for i in range(len(poses)):
-        gt.append(read_pfm(os.path.join(args.gt_dir, f"gt_{i:04d}.pfm")).pixels)
+    for i, cam in enumerate(poses):
+        path = os.path.join(args.gt_dir, f"gt_{i:04d}.pfm")
+        img = read_pfm(path)
+        if (img.w, img.h) != cam.resolution:
+            raise est.EstimationError(f"{path}: {img.w}x{img.h} image, but pose {i} "
+                                      f"renders {cam.resolution[0]}x{cam.resolution[1]}")
+        if not np.all(np.isfinite(img.pixels)):
+            raise est.EstimationError(f"{path}: non-finite pixel values")
+        gt.append(img.pixels)
     gt_flat = np.concatenate([g.reshape(-1, 3) for g in gt])
 
     op = est.build_transport(scene, poses, max_depth=args.max_depth)

@@ -25,7 +25,7 @@ from typing import Literal, NewType, Optional, Union
 
 import numpy as np
 
-from .core import Transform
+from .core import Transform, unit
 from .field import RadianceGrid, load_rfgrid, load_sdfgrid
 from .render import Camera, EmitterSet
 from .surface import Bvh, Dielectric, Lambertian, Mirror, load_obj
@@ -47,6 +47,14 @@ def _check(*rules):
             raise ValueError(f"{key}: {msg}")
 
 
+def _direction(v) -> Optional[np.ndarray]:
+    """unit(v), or None where unit rejects v (non-finite or near-zero)."""
+    try:
+        return unit(v)
+    except ValueError:
+        return None
+
+
 # -- config dataclasses (plain data, value-comparable) ----------------------
 
 
@@ -55,6 +63,10 @@ class TransformConfig:
     translate: Vec3 = (0.0, 0.0, 0.0)
     rotate_axis: Vec3 = (0.0, 0.0, 1.0)
     rotate_deg: float = 0.0
+
+    def __post_init__(self):
+        _check(("rotate_axis", self.rotate_deg == 0.0 or _direction(self.rotate_axis) is not None,
+                "must be nonzero"))
 
     def build(self) -> Transform:
         t = Transform.translate(self.translate)
@@ -156,6 +168,14 @@ class PoseConfig:
     look_at: Vec3
     up: Vec3 = (0.0, 1.0, 0.0)
 
+    def __post_init__(self):
+        # The tests Transform.look_at makes, without building the view.
+        fwd = _direction(np.subtract(self.look_at, self.position))
+        _check(("look_at", fwd is not None, "must differ from position"))
+        up = _direction(self.up)
+        _check(("up", up is not None and _direction(np.cross(fwd, up)) is not None,
+                "must be nonzero and not along the view"))
+
 
 def _check_lens(fov_deg, resolution):
     # In radians, as Camera checks it: a tiny fov_deg rounds to 0.
@@ -169,6 +189,7 @@ class CameraConfig(PoseConfig):
     fov_deg: float = 45.0
 
     def __post_init__(self):
+        super().__post_init__()
         _check_lens(self.fov_deg, self.resolution)
 
     def build(self) -> Camera:
@@ -354,7 +375,7 @@ def load_poses(path) -> list[Camera]:
         try:
             cams.append(CameraConfig(position=p.position, look_at=p.look_at, up=p.up,
                                      resolution=cfg.resolution, fov_deg=cfg.fov_deg).build())
-        except ValueError as e:  # no view: look_at at the position, or up along the view
+        except ValueError as e:  # Transform and Camera checks the config does not repeat
             raise SceneError(f"poses[{i}]: {e}") from None
     return cams
 

@@ -14,13 +14,16 @@ single-threaded in deterministic order, so trajectories are bit-stable.
 from __future__ import annotations
 
 import logging
+import math
+import os
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .core import Transform
-from .field import SdfGrid, sdf_from_density
+from .field import SdfGrid, _grid_to_xfastest, grid_points, load_sdfgrid, sdf_from_density
+from .scene import SimConfig
 
 log = logging.getLogger(__name__)
 
@@ -37,10 +40,6 @@ def quat_mul(a, b):
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
     ])
-
-
-def quat_conj(q):
-    return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
 def quat_rotate(q, v):
@@ -85,18 +84,24 @@ class ParticleSystem:
         return len(self.pos)
 
 
-@dataclass
-class DistanceConstraint:
+class DistanceConstraint(NamedTuple):
+    """|x_i - x_j| = rest, with XPBD compliance; plain Python numbers,
+    which the Gauss-Seidel loop reads an order of magnitude faster than
+    numpy scalars."""
+
     i: int
     j: int
     rest: float
-    compliance: float = 0.0
+    compliance: float
 
-    def __post_init__(self):
-        if self.rest <= 0:
-            raise ValueError("rest length must be > 0")
-        if self.compliance < 0:
-            raise ValueError("compliance must be >= 0")
+
+# -- contact participants -----------------------------------------------------
+#
+# Each side of a contact answers five questions (Mueller et al. 2020): its
+# contact point, its velocity at a point p, its generalized inverse mass
+# w = 1/m + (r x n)^T I^-1 (r x n) along n at p, and how a position
+# correction s * n or an impulse j at p moves it. A particle is a body
+# without inertia; a static collider has w = 0 and never moves.
 
 
 class RigidBody:
@@ -139,9 +144,33 @@ class RigidBody:
         r = quat_to_matrix(self.q)
         return r @ self.inv_inertia @ r.T
 
-    def point_velocity(self, r_world: np.ndarray) -> np.ndarray:
-        """Velocity of a material point at world arm r (point - com)."""
-        return self.lin_vel + np.cross(self.ang_vel, r_world)
+    def query(self, p_world: np.ndarray):
+        """The body SDF's (phi, normal, valid) at world points, at the
+        body's current pose."""
+        world_from_body = self.world_from_body()
+        phi, n, valid = self.sdf.query_batch(world_from_body.point(p_world, inverse=True))
+        return phi, world_from_body.direction(n), valid
+
+    def point(self, vert: int) -> np.ndarray:
+        return quat_rotate(self.q, self.verts[vert]) + self.com
+
+    def velocity(self, p: np.ndarray) -> np.ndarray:
+        return self.lin_vel + np.cross(self.ang_vel, p - self.com)
+
+    def w(self, p: np.ndarray, n: np.ndarray) -> float:
+        rn = np.cross(p - self.com, n)
+        return self.inv_mass + float(rn @ self.inv_inertia_world() @ rn)
+
+    def shift(self, s: float, n: np.ndarray, p: np.ndarray):
+        dp = s * n
+        r = p - self.com
+        self.com += self.inv_mass * dp
+        dw = self.inv_inertia_world() @ np.cross(r, dp)
+        self.q = quat_normalize(self.q + 0.5 * quat_mul(np.array([0.0, *dw]), self.q))
+
+    def push(self, j: np.ndarray, p: np.ndarray):
+        self.lin_vel += self.inv_mass * j
+        self.ang_vel += self.inv_inertia_world() @ np.cross(p - self.com, j)
 
 
 def point_mass_inertia(verts_body: np.ndarray, mass: float) -> np.ndarray:
@@ -161,41 +190,98 @@ def _safe_inv(m: np.ndarray) -> np.ndarray:
     return np.linalg.inv(m)
 
 
+class Particle:
+    """Particle k of a ParticleSystem, as a contact participant: its one
+    collision point is its position."""
+
+    def __init__(self, ps: ParticleSystem, k: int):
+        self.ps = ps
+        self.k = k
+
+    def point(self, vert: int) -> np.ndarray:
+        return self.ps.pos[self.k].copy()  # a copy: corrections move pos
+
+    def velocity(self, p: np.ndarray) -> np.ndarray:
+        return self.ps.vel[self.k].copy()
+
+    def w(self, p: np.ndarray, n: np.ndarray) -> float:
+        return float(self.ps.inv_mass[self.k])
+
+    def shift(self, s: float, n: np.ndarray, p: np.ndarray):
+        self.ps.pos[self.k] += self.ps.inv_mass[self.k] * s * n
+
+    def push(self, j: np.ndarray, p: np.ndarray):
+        self.ps.vel[self.k] += self.ps.inv_mass[self.k] * j
+
+
+class StaticCollider:
+    """A fixed world-frame SDF: infinite mass, at rest, never moved."""
+
+    def __init__(self, sdf: SdfGrid):
+        self.sdf = sdf
+
+    def query(self, p_world: np.ndarray):
+        return self.sdf.query_batch(p_world)
+
+    def velocity(self, p: np.ndarray) -> np.ndarray:
+        return np.zeros(3)
+
+    def w(self, p: np.ndarray, n: np.ndarray) -> float:
+        return 0.0
+
+    def shift(self, s: float, n: np.ndarray, p: np.ndarray):
+        pass
+
+    def push(self, j: np.ndarray, p: np.ndarray):
+        pass
+
+
 @dataclass
 class Contact:
-    """One penetrating vertex: phi < 0 along the owner SDF's normal."""
+    """Collision point `vert` of `src` inside `owner`'s SDF, along `normal`.
 
-    kind: str              # "particle" or "body"
-    index: int             # particle index or body index
-    vert: int              # collision-vertex index for body contacts
-    owner: int             # -1 static SDF id encoded separately; body index otherwise
-    owner_sdf: SdfGrid
-    owner_is_body: bool
-    phi: float
+    The methods combine both sides: `src` moves along +n, `owner` along -n.
+    """
+
+    src: object
+    vert: int
+    owner: object
     normal: np.ndarray
     v_pre: float = 0.0     # approach speed recorded before the position solve
 
+    def point(self) -> np.ndarray:
+        return self.src.point(self.vert)
+
+    def velocity(self, p: np.ndarray) -> np.ndarray:
+        """Source-minus-owner velocity at p."""
+        return self.src.velocity(p) - self.owner.velocity(p)
+
+    def w(self, p: np.ndarray, n: np.ndarray) -> float:
+        return self.src.w(p, n) + self.owner.w(p, n)
+
+    def shift(self, s: float, n: np.ndarray, p: np.ndarray):
+        self.src.shift(s, n, p)
+        self.owner.shift(-s, n, p)
+
+    def push(self, j: np.ndarray, p: np.ndarray):
+        self.src.push(j, p)
+        self.owner.push(-j, p)
+
 
 class World:
-    """All simulation state plus the solver parameters."""
+    """All simulation state plus the SimConfig it steps with."""
 
-    def __init__(self, gravity=(0.0, 0.0, -9.81), restitution=0.3, friction=0.5,
-                 damping=0.0, velocity_cap=1e3):
-        self.particles: Optional[ParticleSystem] = None
-        self.constraints: list = []
-        self.bodies: list = []
-        self.static_sdfs: list = []
-        self.gravity = np.asarray(gravity, dtype=np.float64).reshape(3)
-        self.restitution = float(restitution)
-        self.friction = float(friction)
-        self.damping = float(damping)
-        self.velocity_cap = float(velocity_cap)
-        self._lambdas = np.zeros(0)
+    def __init__(self, config: Optional[SimConfig] = None):
+        self.config = SimConfig() if config is None else config
+        self.particles = ParticleSystem(np.zeros((0, 3)), np.zeros(0))
+        self.constraints: list[DistanceConstraint] = []
+        self.bodies: list[RigidBody] = []
+        self.static_sdfs: list[SdfGrid] = []
 
     def add_cloth(self, positions, inv_mass, edges, rest, compliance=0.0,
                   velocities=None) -> ParticleSystem:
         """compliance is one value for every edge or a sequence, one per edge."""
-        if self.particles is not None:
+        if len(self.particles):
             raise ValueError("one particle system per world")
         if np.ndim(compliance) == 0:
             compliance = [compliance] * len(edges)
@@ -203,6 +289,10 @@ class World:
             raise ValueError(f"{len(compliance)} compliances for {len(edges)} edges")
         self.particles = ParticleSystem(positions, inv_mass, velocities)
         for (i, j), r, c in zip(edges, rest, compliance):
+            if not r > 0:
+                raise ValueError("rest length must be > 0")
+            if not c >= 0:
+                raise ValueError("compliance must be >= 0")
             self.constraints.append(DistanceConstraint(int(i), int(j), float(r), float(c)))
         return self.particles
 
@@ -219,201 +309,93 @@ def cloth_edges(indices: np.ndarray):
 # -- contacts ------------------------------------------------------------------
 
 
-def _body_sdf_query(body: RigidBody, p_world: np.ndarray):
-    """Query a body-attached SDF at world points."""
-    world_from_body = body.world_from_body()
-    saved = body.sdf.world_from_grid
-    body.sdf.world_from_grid = world_from_body
-    try:
-        return body.sdf.query_batch(p_world)
-    finally:
-        body.sdf.world_from_grid = saved
+def detect_contacts(world: World) -> list:
+    """Every particle and rigid collision vertex against every SDF but its own."""
+    ps = world.particles
+    # (body the points belong to, world points, contact participant of point k)
+    sources = [(None, ps.pos, lambda k: (Particle(ps, k), 0))] if len(ps) else []
+    sources += [(b, b.world_verts(), lambda k, b=b: (b, k)) for b in world.bodies if len(b.verts)]
+    owners = [StaticCollider(s) for s in world.static_sdfs]
+    owners += [b for b in world.bodies if b.sdf is not None]
 
-
-def detect_contacts(world: World, sdfs=None) -> list:
-    """Every particle and rigid collision vertex against every SDF."""
     contacts = []
-    static_sdfs = world.static_sdfs if sdfs is None else sdfs
-
-    sources = []
-    if world.particles is not None and len(world.particles):
-        sources.append(("particle", -1, world.particles.pos))
-    for bi, b in enumerate(world.bodies):
-        if len(b.verts):
-            sources.append(("body", bi, b.world_verts()))
-
-    owners = [(False, si, s) for si, s in enumerate(static_sdfs)]
-    owners += [(True, bi, b.sdf) for bi, b in enumerate(world.bodies) if b.sdf is not None]
-
-    for kind, src_body, pts in sources:
-        for owner_is_body, owner_id, sdf in owners:
-            if owner_is_body and kind == "body" and owner_id == src_body:
-                continue  # a body does not collide with itself
-            if owner_is_body:
-                phi, n, valid = _body_sdf_query(world.bodies[owner_id], pts)
-            else:
-                phi, n, valid = sdf.query_batch(pts)
-            pen = phi < 0.0
-            for k in np.nonzero(pen)[0]:
+    for body, pts, participant in sources:
+        for owner in owners:
+            if owner is body:
+                continue
+            phi, n, valid = owner.query(pts)
+            for k in np.nonzero(phi < 0.0)[0]:
                 if not valid[k]:
                     log.debug("skipping contact with degenerate SDF normal at %s", pts[k])
                     continue
-                contacts.append(Contact(
-                    kind=kind,
-                    index=int(k) if kind == "particle" else src_body,
-                    vert=int(k) if kind == "body" else -1,
-                    owner=owner_id,
-                    owner_sdf=sdf,
-                    owner_is_body=owner_is_body,
-                    phi=float(phi[k]),
-                    normal=n[k].copy(),
-                ))
+                contacts.append(Contact(*participant(int(k)), owner, n[k].copy()))
     return contacts
 
 
-def _contact_world_point(world: World, c: Contact) -> np.ndarray:
-    if c.kind == "particle":
-        return world.particles.pos[c.index]
-    b = world.bodies[c.index]
-    return quat_rotate(b.q, b.verts[c.vert]) + b.com
-
-
-def _relative_velocity(world: World, c: Contact, p: np.ndarray) -> np.ndarray:
-    """Penetrator-minus-owner velocity at contact point p."""
-    if c.kind == "particle":
-        v = world.particles.vel[c.index].copy()
-    else:
-        b = world.bodies[c.index]
-        v = b.point_velocity(p - b.com)
-    if c.owner_is_body:
-        ob = world.bodies[c.owner]
-        v = v - ob.point_velocity(p - ob.com)
-    return v
-
-
-def _apply_body_position(b: RigidBody, dp: np.ndarray, r: np.ndarray):
-    """Positional correction dp applied at world arm r."""
-    b.com += b.inv_mass * dp
-    dw = b.inv_inertia_world() @ np.cross(r, dp)
-    b.q = quat_normalize(b.q + 0.5 * quat_mul(np.array([0.0, *dw]), b.q))
-
-
-def _generalized_w(world: World, c: Contact, p: np.ndarray, n: np.ndarray):
-    """Inverse-mass sum of both participants along direction n."""
-    if c.kind == "particle":
-        w_src = float(world.particles.inv_mass[c.index])
-    else:
-        b = world.bodies[c.index]
-        rn = np.cross(p - b.com, n)
-        w_src = b.inv_mass + float(rn @ b.inv_inertia_world() @ rn)
-    w_own = 0.0
-    if c.owner_is_body:
-        ob = world.bodies[c.owner]
-        rn = np.cross(p - ob.com, n)
-        w_own = ob.inv_mass + float(rn @ ob.inv_inertia_world() @ rn)
-    return w_src, w_own
-
-
-def _solve_contacts_position(world: World, contacts: list):
+def _solve_contacts_position(contacts: list):
     """Project penetrating points to phi = 0 along the sampled normal.
 
     Depths and normals are sampled per iteration, then corrections apply
     in fixed contact order.
     """
-    if not contacts:
-        return
-    pts = np.array([_contact_world_point(world, c) for c in contacts])
-    for ci, c in enumerate(contacts):
-        if c.owner_is_body:
-            phi, n, valid = _body_sdf_query(world.bodies[c.owner], pts[ci:ci + 1])
-        else:
-            phi, n, valid = c.owner_sdf.query_batch(pts[ci:ci + 1])
+    pts = [c.point() for c in contacts]
+    for c, p in zip(contacts, pts):
+        phi, n, valid = c.owner.query(p[None])
         if phi[0] >= 0.0 or not valid[0]:
             continue
-        n0 = n[0]
-        p = pts[ci]
-        w_src, w_own = _generalized_w(world, c, p, n0)
-        w_total = w_src + w_own
-        if w_total == 0.0:
+        w = c.w(p, n[0])
+        if w == 0.0:
             continue
-        dlam = -phi[0] / w_total
-        if c.kind == "particle":
-            world.particles.pos[c.index] += (
-                world.particles.inv_mass[c.index] * dlam * n0
-            )
-        else:
-            b = world.bodies[c.index]
-            _apply_body_position(b, dlam * n0, p - b.com)
-        if c.owner_is_body:
-            ob = world.bodies[c.owner]
-            _apply_body_position(ob, -dlam * n0, p - ob.com)
+        c.shift(-phi[0] / w, n[0], p)
 
 
-def _apply_velocity_impulse(world: World, c: Contact, p: np.ndarray, j: np.ndarray):
-    """Impulse j on the penetrator, -j on a dynamic owner."""
-    if c.kind == "particle":
-        world.particles.vel[c.index] += world.particles.inv_mass[c.index] * j
-    else:
-        b = world.bodies[c.index]
-        b.lin_vel += b.inv_mass * j
-        b.ang_vel += b.inv_inertia_world() @ np.cross(p - b.com, j)
-    if c.owner_is_body:
-        ob = world.bodies[c.owner]
-        ob.lin_vel -= ob.inv_mass * j
-        ob.ang_vel += ob.inv_inertia_world() @ np.cross(p - ob.com, -j)
-
-
-def _solve_contact_velocities(world: World, contacts: list, h: float):
+def _solve_contact_velocities(world: World, contacts: list):
     """Restitution on the normal component, Coulomb friction tangentially.
 
     The normal target is -e * v_pre (approach speed before the position
     solve), which also cancels the artificial bounce injected by position
     projection.
     """
-    e = world.restitution
-    mu = world.friction
+    e = world.config.restitution
+    mu = world.config.friction
     for c in contacts:
-        p = _contact_world_point(world, c)
+        p = c.point()
         n = c.normal
-        w_src, w_own = _generalized_w(world, c, p, n)
-        w_n = w_src + w_own
+        w_n = c.w(p, n)
         if w_n == 0.0:
             continue
-        v_n = float(_relative_velocity(world, c, p) @ n)
+        v_n = float(c.velocity(p) @ n)
         target = -e * min(c.v_pre, 0.0)
         j_n = (target - v_n) / w_n
-        _apply_velocity_impulse(world, c, p, j_n * n)
+        c.push(j_n * n, p)
 
         # Friction against the post-normal-impulse tangential velocity.
-        v = _relative_velocity(world, c, p)
+        v = c.velocity(p)
         v_t = v - (v @ n) * n
         speed_t = float(np.linalg.norm(v_t))
         if speed_t < 1e-12 or mu <= 0.0:
             continue
         t_hat = v_t / speed_t
-        w_src_t, w_own_t = _generalized_w(world, c, p, t_hat)
-        w_t = w_src_t + w_own_t
+        w_t = c.w(p, t_hat)
         if w_t == 0.0:
             continue
-        j_stop = speed_t / w_t
-        j_t = min(j_stop, mu * abs(j_n))
-        _apply_velocity_impulse(world, c, p, -j_t * t_hat)
+        j_t = min(speed_t / w_t, mu * abs(j_n))
+        c.push(-j_t * t_hat, p)
 
 
 # -- stepping ------------------------------------------------------------------
 
 
 def _integrate(world: World, h: float):
-    g = world.gravity
-    damp = float(np.exp(-world.damping * h)) if world.damping > 0 else 1.0
+    g = np.asarray(world.config.gravity, dtype=np.float64)
+    damping = world.config.damping
+    damp = float(np.exp(-damping * h)) if damping > 0 else 1.0
     ps = world.particles
-    if ps is not None and len(ps):
-        free = ps.inv_mass > 0
-        ps.vel[free] += g * h
-        if damp != 1.0:
-            ps.vel *= damp
-        ps.prev[:] = ps.pos
-        ps.pos += ps.vel * h
+    ps.vel[ps.inv_mass > 0] += g * h
+    if damp != 1.0:
+        ps.vel *= damp
+    ps.prev[:] = ps.pos
+    ps.pos += ps.vel * h
     for b in world.bodies:
         b.prev_com[:] = b.com
         b.prev_q[:] = b.q
@@ -428,24 +410,12 @@ def _integrate(world: World, h: float):
             b.q = quat_normalize(b.q + 0.5 * h * quat_mul(np.array([0.0, *b.ang_vel]), b.q))
 
 
-def _constraint_buffer(world: World):
-    """Flat tuples for the hot Gauss-Seidel loop; plain floats beat numpy
-    scalar indexing by an order of magnitude here."""
-    buf = getattr(world, "_cbuf", None)
-    if buf is None or len(buf) != len(world.constraints):
-        buf = [(dc.i, dc.j, dc.rest, dc.compliance) for dc in world.constraints]
-        world._cbuf = buf
-    return buf
-
-
 def _solve_distance_constraints(world: World, h: float, lambdas: list):
-    import math
-
     ps = world.particles
     pos = ps.pos.tolist()
     inv = ps.inv_mass.tolist()
     h2 = h * h
-    for k, (i, j, rest, compliance) in enumerate(_constraint_buffer(world)):
+    for k, (i, j, rest, compliance) in enumerate(world.constraints):
         pi = pos[i]
         pj = pos[j]
         dx = pi[0] - pj[0]
@@ -474,31 +444,24 @@ def _solve_distance_constraints(world: World, h: float, lambdas: list):
 
 def _velocity_update(world: World, h: float):
     ps = world.particles
-    if ps is not None and len(ps):
-        ps.vel[:] = (ps.pos - ps.prev) / h
+    ps.vel[:] = (ps.pos - ps.prev) / h
     for b in world.bodies:
         if b.inv_mass == 0.0:
             continue
         b.lin_vel = (b.com - b.prev_com) / h
-        dq = quat_mul(b.q, quat_conj(b.prev_q))
+        dq = quat_mul(b.q, b.prev_q * (1.0, -1.0, -1.0, -1.0))
         if dq[0] < 0.0:
             dq = -dq
         b.ang_vel = 2.0 * dq[1:4] / h
 
 
 def _stability_check(world: World):
-    worst = 0.0
-    what = "none"
     ps = world.particles
-    if ps is not None and len(ps):
-        v = float(np.max(np.linalg.norm(ps.vel, axis=1)))
-        if v > worst:
-            worst, what = v, "particles"
-    for b in world.bodies:
-        v = float(np.linalg.norm(b.lin_vel))
-        if v > worst:
-            worst, what = v, b.name
-    if worst > world.velocity_cap:
+    speeds = [(float(np.max(np.linalg.norm(ps.vel, axis=1))), "particles")] if len(ps) else []
+    speeds += [(float(np.linalg.norm(b.lin_vel)), b.name) for b in world.bodies]
+    worst, what = max(speeds, key=lambda s: s[0], default=(0.0, "none"))
+    cap = world.config.velocity_cap
+    if worst > cap:
         state = {
             "max_velocity": worst,
             "source": what,
@@ -506,7 +469,7 @@ def _stability_check(world: World):
                         "lin_vel": b.lin_vel.tolist()} for b in world.bodies],
         }
         raise RuntimeError(f"simulation unstable: |v|={worst:.3g} exceeds cap "
-                           f"{world.velocity_cap:.3g}; state: {state}")
+                           f"{cap:.3g}; state: {state}")
 
 
 def step(world: World, dt: float, substeps: int, iterations: int) -> World:
@@ -518,15 +481,14 @@ def step(world: World, dt: float, substeps: int, iterations: int) -> World:
         _integrate(world, h)
         contacts = detect_contacts(world)
         for c in contacts:
-            p = _contact_world_point(world, c)
-            c.v_pre = float(_relative_velocity(world, c, p) @ c.normal)
+            c.v_pre = float(c.velocity(c.point()) @ c.normal)
         lambdas = [0.0] * len(world.constraints)
         for _ in range(iterations):
             if world.constraints:
                 _solve_distance_constraints(world, h, lambdas)
-            _solve_contacts_position(world, contacts)
+            _solve_contacts_position(contacts)
         _velocity_update(world, h)
-        _solve_contact_velocities(world, contacts, h)
+        _solve_contact_velocities(world, contacts)
         _stability_check(world)
     return world
 
@@ -546,19 +508,12 @@ class SimBinding:
 
 def build_world(scene) -> tuple:
     """World + binding from a loaded Scene's dynamic declarations."""
-    cfg = scene.config.sim
-    world = World(gravity=cfg.gravity, restitution=cfg.restitution,
-                  friction=cfg.friction, damping=cfg.damping,
-                  velocity_cap=cfg.velocity_cap)
+    world = World(scene.config.sim)
     binding = SimBinding()
     world.static_sdfs = list(scene.collider_sdfs)
 
-    cloth_positions = []
-    cloth_inv_mass = []
-    cloth_edges_all = []
-    cloth_rest = []
-    cloth_compliance = []
     offset = 0
+    inv_mass, vel, compliance = [], [], []  # per particle of every cloth mesh
     for mesh, mc in zip(scene.meshes, scene.config.meshes):
         dyn = mc.dynamic
         if dyn is None:
@@ -571,12 +526,10 @@ def build_world(scene) -> tuple:
                     raise ValueError(f"mesh '{mesh.name}': pinned vertex {pin} "
                                      f"out of range [0, {n})")
                 inv[pin] = 0.0
-            cloth_positions.append(mesh.vertices.copy())
-            cloth_inv_mass.append(inv)
-            for a, b in cloth_edges(mesh.indices):
-                cloth_edges_all.append((a + offset, b + offset))
-                cloth_rest.append(float(np.linalg.norm(mesh.vertices[a] - mesh.vertices[b])))
-                cloth_compliance.append(dyn.compliance)
+            inv_mass.append(inv)
+            # Pinned particles stay at rest: _integrate moves every particle.
+            vel.append(np.where(inv[:, None] > 0, dyn.velocity, 0.0))
+            compliance += [dyn.compliance] * n
             binding.cloth_meshes.append((mesh, slice(offset, offset + n)))
             offset += n
         elif dyn.type == "rigid":
@@ -586,17 +539,20 @@ def build_world(scene) -> tuple:
                              lin_vel=dyn.velocity, name=mesh.name)
             binding.rigid_meshes.append((mesh, len(world.bodies), mesh.vertices - com))
             world.bodies.append(body)
-    if cloth_positions:
-        world.add_cloth(np.concatenate(cloth_positions),
-                        np.concatenate(cloth_inv_mass),
-                        cloth_edges_all, cloth_rest, compliance=cloth_compliance)
+    if binding.cloth_meshes:
+        pos = np.concatenate([m.vertices for m, _ in binding.cloth_meshes])
+        # Sorted over all meshes, edges keep the meshes' order.
+        edges = cloth_edges(np.concatenate([m.indices + sl.start
+                                            for m, sl in binding.cloth_meshes]))
+        world.add_cloth(pos, np.concatenate(inv_mass), edges,
+                        [float(np.linalg.norm(pos[a] - pos[b])) for a, b in edges],
+                        compliance=[compliance[a] for a, _ in edges],
+                        velocities=np.concatenate(vel))
 
     fc = scene.config.field
     if fc is not None and fc.dynamic is not None and scene.field is not None:
         dyn = fc.dynamic
         if dyn.sdf is not None:
-            import os
-            from .field import load_sdfgrid
             sdf = load_sdfgrid(os.path.join(scene.base_dir, dyn.sdf))
         else:
             sdf = sdf_from_density(scene.field, dyn.sigma_threshold)
@@ -609,16 +565,18 @@ def build_world(scene) -> tuple:
     return world, binding
 
 
+# Collision vertices a field body keeps, at most.
+FIELD_BODY_SURFACE_VERTS = 200
+
+
 def make_field_body(grid, sdf: SdfGrid, mass: float, velocity=(0.0, 0.0, 0.0),
-                    sigma_threshold: float = 0.5, max_surface_verts: int = 200) -> tuple:
+                    sigma_threshold: float = 0.5) -> tuple:
     """Rigid body for a radiance-field object.
 
     Returns (body, field_origin): the body frame sits at the occupancy
     centroid of the density field; collision vertices are near-surface SDF
     grid nodes, deterministically subsampled.
     """
-    from .field import grid_points, _grid_to_xfastest
-
     occ_flat = _grid_to_xfastest(grid.sigma) >= sigma_threshold * float(grid.sigma.max())
     pts = grid_points(grid.bbox_lo, grid.bbox_hi, grid.res)
     if not np.any(occ_flat):
@@ -631,7 +589,7 @@ def make_field_body(grid, sdf: SdfGrid, mass: float, velocity=(0.0, 0.0, 0.0),
     surf = pts[near]
     if len(surf) == 0:
         surf = pts[occ_flat]
-    stride = max(1, len(surf) // max_surface_verts)
+    stride = max(1, len(surf) // FIELD_BODY_SURFACE_VERTS)
     surf = surf[::stride]
 
     body_sdf = SdfGrid(sdf.bbox_lo - origin, sdf.bbox_hi - origin, sdf.phi)

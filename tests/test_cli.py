@@ -9,6 +9,7 @@ import pytest
 
 from hybridrt import assets, cli
 from hybridrt.hdr import CrfTable, HdrError, load_crf_csv, save_crf_csv
+from hybridrt.images import HdrImage, read_pfm, write_pfm
 
 
 def run_cli(capsys, *argv):
@@ -59,8 +60,14 @@ def set_pose_field(key, value):
     return edit
 
 
+def pose_looks_at_itself(doc):
+    doc["poses"][1]["look_at"] = doc["poses"][1]["position"]
+    return doc
+
+
 @pytest.mark.parametrize("edit, match", [
     (drop_pose_key("look_at"), "poses[1]"),
+    (pose_looks_at_itself, "poses[1].look_at: must differ from position"),
     (drop_pose_key("position"), "poses[1]"),
     (set_pose_field("resolution", 24), "resolution: expected a list of 2"),
     (lambda doc: {k: v for k, v in doc.items() if k != "fov_deg"}, "fov_deg: missing required key"),
@@ -75,6 +82,29 @@ def test_malformed_pose_file_exits_2(estimation_dir, tmp_path, capsys, edit, mat
                         "--out", str(tmp_path / "em.json"))
     assert code == 2
     assert err.startswith("error: estimate-emitters: ") and match in err
+
+
+def nan_pixel(img):
+    img.pixels[3, 5, 1] = np.nan
+    return img
+
+
+@pytest.mark.parametrize("edit, match", [
+    (nan_pixel, "gt_0002.pfm: non-finite pixel values"),
+    (lambda img: HdrImage(img.pixels[1:]), "gt_0002.pfm: 24x23 image, but pose 2 renders 24x24"),
+])
+def test_malformed_ground_truth_exits_2(estimation_dir, tmp_path, capsys, edit, match):
+    gt_dir = tmp_path / "gt"
+    shutil.copytree(estimation_dir, gt_dir)
+    write_pfm(gt_dir / "gt_0002.pfm", edit(read_pfm(gt_dir / "gt_0002.pfm")))
+    out = tmp_path / "em.json"
+    code, err = run_cli(capsys, "estimate-emitters",
+                        "--scene", str(estimation_dir / "room.json"),
+                        "--poses", str(estimation_dir / "poses.json"),
+                        "--gt-dir", str(gt_dir), "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: estimate-emitters: ") and match in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, edit, match", [

@@ -99,6 +99,11 @@ def cloth_mesh(**dynamic):
     (lambda d: d.update(sim={"velocity_cap": -1}), r"^sim\.velocity_cap: must be > 0"),
     (lambda d: d.update(sim={"gravity": [0, 0, float("inf")]}), r"^sim\.gravity\[2\]: must be finite"),
     (lambda d: d.update(render={"spp": 2.5}), r"^render\.spp: expected int"),
+    (lambda d: d["camera"].update(look_at=[0, 0, 3]), r"^camera\.look_at: must differ"),
+    (lambda d: d["camera"].update(up=[0, 0, -2]), r"^camera\.up: must be nonzero and not along"),
+    (lambda d: d["camera"].update(up=[0, 0, 0]), r"^camera\.up: must be nonzero"),
+    (lambda d: d["field"].update(transform={"rotate_axis": [0, 0, 0], "rotate_deg": 30}),
+     r"^field\.transform\.rotate_axis: must be nonzero"),
 ])
 def test_malformed_value_names_key(tmp_path, edit, match):
     write_assets(tmp_path)

@@ -165,6 +165,21 @@ def test_each_cloth_keeps_its_own_compliance(tmp_path):
     got = {(stiff.start <= c.i < stiff.stop, c.compliance) for c in world.constraints}
     assert got == {(True, 0.0), (False, 0.25)}
 
+
+def test_cloth_starts_at_its_declared_velocity_with_pins_at_rest(tmp_path):
+    path = write_cloth_scene(tmp_path, [("sheet", {"velocity": [3.0, 0.0, 0.0], "pinned": [4]})])
+    scene = load_scene(path)
+    world, _ = sim.build_world(scene)
+    ps = world.particles
+    free = np.arange(len(ps)) != 4
+    np.testing.assert_array_equal(ps.vel[free], np.tile([3.0, 0.0, 0.0], (8, 1)))
+    np.testing.assert_array_equal(ps.vel[4], 0.0)
+    pin = ps.pos[4].copy()
+    cfg = scene.config.sim
+    sim.step(world, cfg.dt, cfg.substeps, cfg.iterations)
+    np.testing.assert_array_equal(ps.pos[4], pin)
+
+
 def test_add_cloth_per_edge_compliance():
     world = sim.World()
     pos = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0]])
