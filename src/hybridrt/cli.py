@@ -199,6 +199,8 @@ def _cmd_estimate(args) -> int:
     from .images import read_pfm
     from .scene import load_poses
 
+    config = est.EstimatorConfig(alpha=args.alpha, epochs=args.epochs,
+                                 brightness_threshold=args.threshold)
     scene = _load_scene(args.scene)
     poses = load_poses(args.poses)
     gt = []
@@ -214,8 +216,6 @@ def _cmd_estimate(args) -> int:
     gt_flat = np.concatenate([g.reshape(-1, 3) for g in gt])
 
     op = est.build_transport(scene, poses, max_depth=args.max_depth)
-    config = est.EstimatorConfig(alpha=args.alpha, epochs=args.epochs,
-                                 brightness_threshold=args.threshold)
     emission, history = est.optimize_emission(config, op, gt_flat)
     emitter_set = est.prune_emitters(scene.bvh.tri, emission, args.threshold)
     est.save_emitters_json(args.out, emitter_set)

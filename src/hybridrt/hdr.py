@@ -3,7 +3,9 @@
 The response solve is the classic log-domain least squares: hat-weighted
 data terms g(z) - ln E - ln dt, a second-difference smoothness term, and
 the gauge g(128) = 0, solved per channel, then projected to a monotone
-table. Merging averages the per-exposure log-radiance estimates with the
+table. The per-sample log exposures ln E are projected out in closed form
+(variable projection), so each channel's solve has the 256 unknowns of g
+only. Merging averages the per-exposure log-radiance estimates with the
 same hat weights.
 """
 
@@ -100,7 +102,19 @@ def recover_crf(bracket: ExposureBracket, lam: float = 50.0,
     Sample pixels are a uniform grid over one representative image (the
     middle exposure); the system must stay overdetermined, i.e.
     n_samples * (images - 1) >= 256.
+
+    A sample's log exposure ln E appears only in that sample's own data
+    rows, with the sample's hat weights w as its column, so it is
+    eliminated in closed form (variable projection): multiplying those
+    rows and their right-hand side by I - w~ w~^T, with w~ = w / |w|, is
+    an exact orthogonal projection that leaves the least-squares g
+    unchanged. What is solved is 256 columns per channel: the projected
+    data rows, the smoothness rows and the gauge row.
     """
+    if not (math.isfinite(lam) and lam >= 0):
+        raise HdrError(f"smoothness lambda must be finite and >= 0, got {lam}")
+    if not n_samples >= 1:
+        raise HdrError(f"n_samples must be >= 1, got {n_samples}")
     j_count = len(bracket.images)
     h, w = bracket.images[0].shape[:2]
     xs, ys = _sample_grid(w, h, n_samples)
@@ -112,47 +126,46 @@ def recover_crf(bracket: ExposureBracket, lam: float = 50.0,
         )
     ln_t = np.log(np.array(bracket.exposure_times))
 
+    # Smoothness rows lam * w(z) * g''(z) for z = 1..254, then g(128) = 0.
+    zmid = np.arange(1, 255)
+    wz = lam * hat_weights(zmid)
+    prior = np.zeros((255, 256))
+    prior[zmid - 1, zmid - 1] = wz
+    prior[zmid - 1, zmid] = -2.0 * wz
+    prior[zmid - 1, zmid + 1] = wz
+    prior[254, 128] = 1.0
+
     g = np.empty((256, 3))
     for c in range(3):
-        z_all = np.stack([im[ys, xs, c] for im in bracket.images]).astype(np.int64)
+        # (samples, images) codes and weights.
+        z_all = np.stack([im[ys, xs, c] for im in bracket.images], axis=1).astype(np.int64)
+        wgt = hat_weights(z_all)
         # Samples clipped to a rail in every exposure carry no data rows and
         # would leave their log-exposure unknown floating.
-        usable = hat_weights(z_all).sum(axis=0) > 0
-        z_all = z_all[:, usable]
-        pc = int(usable.sum())
+        usable = wgt.sum(axis=1) > 0
+        z_all, wgt = z_all[usable], wgt[usable]
+        pc = len(z_all)
         if pc * (j_count - 1) < 256:
             raise HdrError(
                 f"too few usable samples for channel {c}: {pc} after dropping "
                 "fully saturated pixels"
             )
-        rows = pc * j_count + 254 + 1
-        cols = 256 + pc
-        a = np.zeros((rows, cols))
-        b = np.zeros(rows)
-        r = 0
-        for j in range(j_count):
-            z = z_all[j]
-            wgt = hat_weights(z)
-            rr = np.arange(r, r + pc)
-            a[rr, z] = wgt
-            a[rr, 256 + np.arange(pc)] = -wgt
-            b[rr] = wgt * ln_t[j]
-            r += pc
-        zmid = np.arange(1, 255)
-        wz = lam * hat_weights(zmid)
-        rr = np.arange(r, r + 254)
-        a[rr, zmid - 1] = wz
-        a[rr, zmid] = -2.0 * wz
-        a[rr, zmid + 1] = wz
-        r += 254
-        a[r, 128] = 1.0
+        # Sample i's rows: wgt[i, j] * (g[z[i, j]] - ln E_i) = wgt[i, j] * ln t_j.
+        data = np.zeros((pc, j_count, 256))
+        data[np.arange(pc)[:, None], np.arange(j_count), z_all] = wgt
+        rhs = wgt * ln_t
+        unit = wgt / np.linalg.norm(wgt, axis=1, keepdims=True)
+        data -= unit[:, :, None] * (unit[:, None, :] @ data)
+        rhs -= unit * np.sum(unit * rhs, axis=1, keepdims=True)
+        a = np.concatenate([data.reshape(pc * j_count, 256), prior])
+        b = np.concatenate([rhs.ravel(), np.zeros(255)])
         sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-        if rank < cols:
+        if rank < 256:
             raise HdrError(
                 f"rank-deficient response system for channel {c} "
-                f"(rank {rank} of {cols}); add samples or exposures"
+                f"(rank {rank} of 256); add samples or exposures"
             )
-        gc = _monotone_projection(sol[:256])
+        gc = _monotone_projection(sol)
         g[:, c] = gc - gc[128]
     return CrfTable(g=g, lam=lam)
 

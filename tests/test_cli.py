@@ -123,6 +123,43 @@ def test_malformed_scene_exits_2(tmp_path, capsys, command, edit, match):
     assert err.startswith(f"error: {command}: {match}")
 
 
+def estimate_args(d):
+    return ["estimate-emitters", "--scene", str(d / "room.json"),
+            "--poses", str(d / "poses.json"), "--gt-dir", str(d)]
+
+
+def recover_args(d):
+    return ["hdr-recover", "--bracket", str(d / "bracket.json")]
+
+
+@pytest.mark.parametrize("args, option, match", [
+    pytest.param(estimate_args, ["--alpha", "nan"], "alpha must be finite and >= 0",
+                 id="alpha-nan"),
+    pytest.param(estimate_args, ["--alpha", "inf"], "alpha must be finite and >= 0",
+                 id="alpha-inf"),
+    pytest.param(estimate_args, ["--threshold", "nan"],
+                 "brightness_threshold must be finite and >= 0", id="threshold-nan"),
+    pytest.param(recover_args, ["--smoothness", "nan"],
+                 "smoothness lambda must be finite and >= 0", id="smoothness-nan"),
+    pytest.param(recover_args, ["--smoothness", "inf"],
+                 "smoothness lambda must be finite and >= 0", id="smoothness-inf"),
+    pytest.param(recover_args, ["--samples", "-4"], "n_samples must be >= 1",
+                 id="samples-negative"),
+])
+def test_bad_solver_option_exits_2(estimation_dir, hdr_dir, tmp_path, capfd, recwarn,
+                                   args, option, match):
+    # capfd, not capsys: LAPACK writes its own complaints to file descriptor 2.
+    argv = args(estimation_dir if args is estimate_args else hdr_dir)
+    out = tmp_path / "out"
+    code = cli.main(argv + ["--out", str(out)] + option)
+    lines = capfd.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith(f"error: {argv[0]}: ")
+    assert match in lines[0]
+    assert not recwarn.list
+    assert not out.exists()
+
+
 def crf_table():
     z = np.arange(256, dtype=np.float64)
     g = np.log1p(z)[:, None] * np.array([1.0, 1.1, 0.9]) - np.log1p(128.0)

@@ -51,13 +51,125 @@ def test_transport_is_linear_in_emission(estimation):
     np.testing.assert_allclose(op.apply(e), want, rtol=1e-12, atol=0.0)
 
 
-def test_estimate_recovers_true_faces(estimation, estimation_dir):
+@pytest.fixture(scope="module")
+def gt_flat(estimation, estimation_dir):
+    _, poses, _ = estimation
+    return np.concatenate([read_pfm(str(estimation_dir / f"gt_{i:04d}.pfm"))
+                           .pixels.reshape(-1, 3) for i in range(len(poses))])
+
+
+def test_estimate_recovers_true_faces(estimation, gt_flat):
     scene, poses, op = estimation
-    gt_flat = np.concatenate([read_pfm(str(estimation_dir / f"gt_{i:04d}.pfm"))
-                              .pixels.reshape(-1, 3) for i in range(len(poses))])
     config = emitters.EstimatorConfig()
     emission, _ = emitters.optimize_emission(config, op, gt_flat)
     kept = emitters.prune_emitters(scene.bvh.tri, emission, config.brightness_threshold)
     faces = np.flatnonzero(emission.max(axis=1) >= config.brightness_threshold)
     assert faces.tolist() == sorted(assets.ESTIMATION_GT_FACES)
     assert np.array_equal(kept.triangles, scene.bvh.tri[faces])
+
+
+# -- reference: the descent as it ran over the full operator ----------------
+# Every step contracts the whole (rows, faces, 3) pose block twice, the loss
+# goes through op.apply, and the step comes from a power iteration.
+
+
+def _reference_loss(emission, gt_flat, op, alpha):
+    res = op.apply(emission) - gt_flat
+    return float(np.mean(res * res)) + alpha * float(np.mean(np.abs(emission)))
+
+
+def _reference_lipschitz_step(op):
+    w, h = op.resolution
+    rows_per_pose = w * h
+    worst = 0.0
+    for pi in range(op.n_poses):
+        block = op.a[pi * rows_per_pose:(pi + 1) * rows_per_pose]
+        for c in range(3):
+            a = block[:, :, c]
+            v = np.full(op.n_faces, 1.0 / np.sqrt(op.n_faces))
+            for _ in range(30):
+                u = a @ v
+                v = a.T @ u
+                nv = np.linalg.norm(v)
+                if nv == 0.0:
+                    break
+                v /= nv
+            s2 = float(v @ (a.T @ (a @ v)))
+            worst = max(worst, s2)
+    return 1.0 / (2.0 * worst / (rows_per_pose * 3))
+
+
+def _reference_optimize(config, op, gt_flat, init=0.01):
+    e = np.full((op.n_faces, 3), float(init))
+    step = config.step_size if config.step_size is not None else _reference_lipschitz_step(op)
+    w, h = op.resolution
+    rpp = w * h
+    pose_a = [op.a[pi * rpp:(pi + 1) * rpp] for pi in range(op.n_poses)]
+    pose_gt = [gt_flat[pi * rpp:(pi + 1) * rpp] for pi in range(op.n_poses)]
+    n_img = rpp * 3
+    history = [_reference_loss(e, gt_flat, op, config.alpha)]
+    for epoch in range(1, config.epochs + 1):
+        for a, gt in zip(pose_a, pose_gt):
+            res = np.einsum("rfc,fc->rc", a, e) - gt
+            grad = 2.0 * np.einsum("rfc,rc->fc", a, res) / n_img
+            grad += config.alpha * np.sign(e) / e.size
+            e = np.maximum(e - step * grad, 0.0)
+        if epoch % config.clip_period_epochs == 0 and epoch < config.epochs:
+            e = emitters.boost_high(emitters.clip_low(e, config.brightness_threshold),
+                                    config.brightness_threshold, config.boost_factor)
+        history.append(_reference_loss(e, gt_flat, op, config.alpha))
+    e = emitters.clip_low(e, config.brightness_threshold)
+    history.append(_reference_loss(e, gt_flat, op, config.alpha))
+    return e, history
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"alpha": 1e-2, "epochs": 40},
+                                    {"step_size": 0.5, "epochs": 40}])
+def test_face_space_descent_matches_reference(estimation, gt_flat, kwargs):
+    # Face-space steps and the channel-major loss reorder sums only.
+    _, _, op = estimation
+    config = emitters.EstimatorConfig(**kwargs)
+    emission, history = emitters.optimize_emission(config, op, gt_flat)
+    ref_e, ref_history = _reference_optimize(config, op, gt_flat)
+    assert np.abs(emission - ref_e).max() <= 1e-12 * np.abs(ref_e).max()
+    assert np.array_equal(emission.max(axis=1) >= config.brightness_threshold,
+                          ref_e.max(axis=1) >= config.brightness_threshold)
+    assert len(history) == len(ref_history) == config.epochs + 2
+    np.testing.assert_allclose(history, ref_history, rtol=1e-10, atol=0.0)
+
+
+def test_eigvalsh_step_matches_power_iteration(estimation, gt_flat):
+    _, _, op = estimation
+    a = op.a.reshape(op.n_poses, -1, op.n_faces, 3).transpose(0, 3, 1, 2)
+    gram = a.transpose(0, 1, 3, 2) @ a
+    step = emitters._lipschitz_step(gram, a.shape[2] * 3)
+    assert step == pytest.approx(_reference_lipschitz_step(op), rel=1e-12)
+
+
+def test_all_zero_transport_is_rejected(estimation, gt_flat):
+    _, _, op = estimation
+    zero = emitters.TransportOperator(np.zeros_like(op.a), op.n_poses, op.resolution,
+                                      op.n_faces, op.spp, op.seed)
+    with pytest.raises(emitters.EstimationError, match="all zero"):
+        emitters.optimize_emission(emitters.EstimatorConfig(epochs=1), zero, gt_flat)
+
+
+def test_non_finite_loss_counts_as_divergence(estimation, gt_flat):
+    # NaN compares false with anything, so "10 x initial" alone never fires.
+    _, _, op = estimation
+    bad = gt_flat.copy()
+    bad[7, 1] = np.nan
+    with pytest.raises(RuntimeError, match="diverged at epoch 1"):
+        emitters.optimize_emission(emitters.EstimatorConfig(epochs=3), op, bad)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", float("nan")), ("alpha", float("inf")), ("alpha", -1e-4),
+    ("brightness_threshold", float("nan")), ("brightness_threshold", float("inf")),
+    ("brightness_threshold", -0.1), ("boost_factor", float("nan")),
+    ("epochs", -1), ("step_size", 0.0), ("step_size", -1.0),
+    ("step_size", float("nan")), ("step_size", float("inf")),
+])
+def test_estimator_config_rejects_bad_values(field, value):
+    with pytest.raises(emitters.EstimationError, match=field):
+        emitters.EstimatorConfig(**{field: value})

@@ -1,0 +1,94 @@
+"""Camera response recovery and HDR merge on the hdr-bracket preset."""
+
+import numpy as np
+import pytest
+
+from hybridrt import hdr
+from hybridrt.images import read_pfm
+
+
+@pytest.fixture(scope="module")
+def bracket(hdr_dir):
+    return hdr.load_bracket(str(hdr_dir / "bracket.json"))
+
+
+# -- reference: the full Debevec-Malik system with one log-exposure column
+# per usable sample, solved densely.
+
+
+def _reference_recover_crf(bracket, lam=50.0, n_samples=200):
+    j_count = len(bracket.images)
+    h, w = bracket.images[0].shape[:2]
+    xs, ys = hdr._sample_grid(w, h, n_samples)
+    ln_t = np.log(np.array(bracket.exposure_times))
+    g = np.empty((256, 3))
+    for c in range(3):
+        z_all = np.stack([im[ys, xs, c] for im in bracket.images]).astype(np.int64)
+        usable = hdr.hat_weights(z_all).sum(axis=0) > 0
+        z_all = z_all[:, usable]
+        pc = int(usable.sum())
+        rows = pc * j_count + 254 + 1
+        cols = 256 + pc
+        a = np.zeros((rows, cols))
+        b = np.zeros(rows)
+        r = 0
+        for j in range(j_count):
+            z = z_all[j]
+            wgt = hdr.hat_weights(z)
+            rr = np.arange(r, r + pc)
+            a[rr, z] = wgt
+            a[rr, 256 + np.arange(pc)] = -wgt
+            b[rr] = wgt * ln_t[j]
+            r += pc
+        zmid = np.arange(1, 255)
+        wz = lam * hdr.hat_weights(zmid)
+        rr = np.arange(r, r + 254)
+        a[rr, zmid - 1] = wz
+        a[rr, zmid] = -2.0 * wz
+        a[rr, zmid + 1] = wz
+        r += 254
+        a[r, 128] = 1.0
+        sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+        assert rank == cols
+        gc = hdr._monotone_projection(sol[:256])
+        g[:, c] = gc - gc[128]
+    return g
+
+
+@pytest.mark.parametrize("lam, n_samples", [(50.0, 200), (5.0, 200), (500.0, 400)])
+def test_projected_solve_matches_full_system(bracket, lam, n_samples):
+    crf = hdr.recover_crf(bracket, lam=lam, n_samples=n_samples)
+    assert np.abs(crf.g - _reference_recover_crf(bracket, lam, n_samples)).max() <= 1e-10
+
+
+def test_zero_smoothness_is_rank_deficient(bracket):
+    # Codes no sample hits leave their g column empty without the prior.
+    with pytest.raises(hdr.HdrError, match="rank-deficient"):
+        hdr.recover_crf(bracket, lam=0.0)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"lam": float("nan")}, "smoothness"), ({"lam": float("inf")}, "smoothness"),
+    ({"lam": -1.0}, "smoothness"), ({"n_samples": 0}, "n_samples"),
+    ({"n_samples": -4}, "n_samples"),
+])
+def test_bad_solve_options_raise(bracket, kwargs, match):
+    with pytest.raises(hdr.HdrError, match=match):
+        hdr.recover_crf(bracket, **kwargs)
+
+
+def test_recovered_crf_is_monotone_with_gauge(bracket):
+    g = hdr.recover_crf(bracket).g
+    assert np.all(np.isfinite(g))
+    assert np.all(np.diff(g, axis=0) >= 0.0)
+    assert np.all(g[128] == 0.0)
+
+
+def test_merge_matches_ground_truth_up_to_one_scale(bracket, hdr_dir):
+    # The gauge g(128) = 0 fixes radiance only up to one global scale; the
+    # merged/true ratio must be that scale nearly everywhere.
+    merged = hdr.merge_hdr(bracket, hdr.recover_crf(bracket)).pixels
+    gt = read_pfm(str(hdr_dir / "hdr_gt.pfm")).pixels
+    ratio = merged[gt > 0] / gt[gt > 0]
+    p5, p95 = np.percentile(ratio, [5, 95])
+    assert 4.475 <= p5 and p95 < 4.585
