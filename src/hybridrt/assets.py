@@ -151,11 +151,6 @@ def cloth_grid(nx: int, ny: int, corner, edge_u, edge_v):
 # -- grids --------------------------------------------------------------------
 
 
-def slab_field(sigma: float = 1.0, radiance=(1.0, 1.0, 1.0),
-               lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> RadianceGrid:
-    return RadianceGrid.constant(lo, hi, sigma, radiance)
-
-
 def gaussian_blob_field(lo, hi, center, width, peak_sigma, radiance, res=(32, 32, 32)) -> RadianceGrid:
     """Smooth density bump; radiance follows the density profile."""
     pts = grid_points(lo, hi, res)
@@ -216,8 +211,8 @@ def gen_smoke_slab(out_dir: str) -> list:
     """Homogeneous unit slab plus two scenes: a normal view and a 1x1
     head-on probe whose center ray crosses exactly unit thickness."""
     os.makedirs(out_dir, exist_ok=True)
-    grid = slab_field()
-    save_rfgrid(os.path.join(out_dir, "slab.rfgrid"), grid)
+    save_rfgrid(os.path.join(out_dir, "slab.rfgrid"),
+                RadianceGrid.constant((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 1.0, (1.0, 1.0, 1.0)))
     view = {
         "field": {"path": "slab.rfgrid"},
         "camera": {"position": [0.5, 0.5, -1.5], "look_at": [0.5, 0.5, 0.5],
@@ -255,12 +250,14 @@ def gen_box(out_dir: str, res: int = 48) -> list:
     return [os.path.join(out_dir, n) for n in ("box.obj", "box.sdfgrid", "plane.sdfgrid")]
 
 
+FURNACE_R_ENV = 0.8
+
+
 def gen_furnace(out_dir: str) -> list:
     """Uniform emissive medium enclosing an albedo-1 sphere: any
     energy-conserving path integrator must return the field radiance."""
     os.makedirs(out_dir, exist_ok=True)
-    r_env = 0.8
-    grid = RadianceGrid.constant((-2, -2, -2), (2, 2, 2), 2.0, (r_env, r_env, r_env))
+    grid = RadianceGrid.constant((-2, -2, -2), (2, 2, 2), 2.0, (FURNACE_R_ENV,) * 3)
     save_rfgrid(os.path.join(out_dir, "furnace.rfgrid"), grid)
     v, f = icosphere(0.5, 2)
     save_obj(os.path.join(out_dir, "fsphere.obj"), v, f)
@@ -273,9 +270,6 @@ def gen_furnace(out_dir: str) -> list:
         "render": {"spp": 64, "n_bounces": 8, "march_step": 0.2, "seed": 7},
     }
     return [_write_scene(out_dir, "furnace.json", scene)]
-
-
-FURNACE_R_ENV = 0.8
 
 
 def gen_two_room(out_dir: str) -> list:

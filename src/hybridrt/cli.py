@@ -21,14 +21,6 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-def _threads_default() -> int:
-    env = os.environ.get("HYBRIDRT_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hybridrt",
@@ -45,8 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--width", type=int, default=None, help="image width override")
         sp.add_argument("--height", type=int, default=None, help="image height override")
         sp.add_argument("--hdr", action="store_true", help="write float PFM instead of 8-bit PPM")
-        sp.add_argument("--threads", type=int, default=_threads_default(),
-                        help="render worker threads (env HYBRIDRT_THREADS)")
+        sp.add_argument("--threads", type=int, default=1, help="render worker threads")
 
     sp = sub.add_parser("render", help="render one frame of a scene")
     add_common_render(sp)
@@ -90,11 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_scene(path):
-    from .scene import load_scene
-    return load_scene(path)
-
-
 def _apply_overrides(scene, args):
     from .render import Camera
     if getattr(args, "width", None) or getattr(args, "height", None):
@@ -119,7 +105,8 @@ def _write_image(img, out_path, hdr: bool):
 
 def _cmd_render(args) -> int:
     from .render import render
-    scene = _load_scene(args.scene)
+    from .scene import load_scene
+    scene = load_scene(args.scene)
     _apply_overrides(scene, args)
     img = render(scene, spp=args.spp, seed=args.seed, threads=args.threads)
     out = args.out or ("render.pfm" if args.hdr else "render.ppm")
@@ -131,11 +118,12 @@ def _cmd_render(args) -> int:
 def _cmd_simulate(args) -> int:
     from . import sim
     from .render import render
+    from .scene import load_scene
     from .surface import save_obj
 
     if args.frames < 0:
         raise ValueError("--frames must be >= 0")
-    scene = _load_scene(args.scene)
+    scene = load_scene(args.scene)
     _apply_overrides(scene, args)
     out_dir = args.out or "sim_out"
     os.makedirs(out_dir, exist_ok=True)
@@ -197,11 +185,11 @@ def _cmd_hdr_merge(args) -> int:
 def _cmd_estimate(args) -> int:
     from . import emitters as est
     from .images import read_pfm
-    from .scene import load_poses
+    from .scene import load_poses, load_scene
 
     config = est.EstimatorConfig(alpha=args.alpha, epochs=args.epochs,
                                  brightness_threshold=args.threshold)
-    scene = _load_scene(args.scene)
+    scene = load_scene(args.scene)
     poses = load_poses(args.poses)
     gt = []
     for i, cam in enumerate(poses):

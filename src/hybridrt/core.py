@@ -24,11 +24,13 @@ def vec3(x, y=None, z=None) -> np.ndarray:
 
 
 def unit(v) -> np.ndarray:
-    """Normalize to unit length; rejects near-zero vectors."""
+    """Normalize to unit length; rejects near-zero vectors and those whose
+    length overflows (beyond about 1e154) or is non-finite."""
     v = np.asarray(v, dtype=np.float64).reshape(3)
-    n = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(v))
     if not np.isfinite(n) or n < 1e-12:
-        raise ValueError(f"cannot normalize near-zero vector {v}")
+        raise ValueError(f"cannot normalize vector {v} of length {n}")
     return v / n
 
 
@@ -56,6 +58,14 @@ def slab_interval(lo, hi, o, inv_d, t_min=-np.inf, t_max=np.inf):
     return np.where(stuck, np.inf, t0), np.where(stuck, -np.inf, t1)
 
 
+def widen_f32(a: np.ndarray) -> np.ndarray:
+    """float64 copy of a float32 payload read from a file. A signalling NaN
+    raises the invalid flag in the cast; it stays NaN, without a warning,
+    so the reader's finiteness check rejects it."""
+    with np.errstate(invalid="ignore"):
+        return a.astype(np.float64)
+
+
 def luminance(c) -> float:
     """Rec. 709 luminance of a linear RGB triple."""
     c = np.asarray(c, dtype=np.float64)
@@ -77,6 +87,16 @@ def tone_map(c: np.ndarray) -> np.ndarray:
     # 1.055 - 0.055 lands one ulp under 1, so pin the upper rail exactly.
     out = np.where(c >= 1.0, 1.0, out)
     return np.clip(out, 0.0, 1.0)
+
+
+def quat_to_matrix(q) -> np.ndarray:
+    """Rotation matrix of a unit quaternion (w, x, y, z)."""
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
 
 
 class Transform:
@@ -109,12 +129,23 @@ class Transform:
         return Transform(np.eye(4), np.eye(4))
 
     @staticmethod
-    def translate(t) -> "Transform":
+    def _rigid(r, t) -> "Transform":
+        """[r | t] with its exact inverse [r^T | -r^T t], for an orthonormal
+        r. Without r the inverse translation is -t itself, and without t
+        both translations stay zero."""
         m = np.eye(4)
-        m[:3, 3] = vec3(t)
         m_inv = np.eye(4)
-        m_inv[:3, 3] = -m[:3, 3]
+        if r is not None:
+            m[:3, :3] = r
+            m_inv[:3, :3] = r.T
+        if t is not None:
+            m[:3, 3] = t
+            m_inv[:3, 3] = -t if r is None else -r.T @ t
         return Transform(m, m_inv)
+
+    @staticmethod
+    def translate(t) -> "Transform":
+        return Transform._rigid(None, vec3(t))
 
     @staticmethod
     def rotate(axis, angle_rad: float) -> "Transform":
@@ -129,31 +160,14 @@ class Transform:
                 [z * x * (1 - c) - y * s, z * y * (1 - c) + x * s, c + z * z * (1 - c)],
             ]
         )
-        m = np.eye(4)
-        m[:3, :3] = r
-        m_inv = np.eye(4)
-        m_inv[:3, :3] = r.T
-        return Transform(m, m_inv)
+        return Transform._rigid(r, None)
 
     @staticmethod
-    def from_quaternion(q, origin=None) -> "Transform":
-        """Rotation from a unit quaternion (w, x, y, z), optional translation."""
-        w, x, y, z = np.asarray(q, dtype=np.float64) / np.linalg.norm(q)
-        r = np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-        m = np.eye(4)
-        m[:3, :3] = r
-        if origin is not None:
-            m[:3, 3] = vec3(origin)
-        m_inv = np.eye(4)
-        m_inv[:3, :3] = r.T
-        m_inv[:3, 3] = -r.T @ m[:3, 3]
-        return Transform(m, m_inv)
+    def from_quaternion(q, origin) -> "Transform":
+        """Rotation from a quaternion (w, x, y, z), normalized here, then a
+        translation to origin."""
+        q = np.asarray(q, dtype=np.float64)
+        return Transform._rigid(quat_to_matrix(q / np.linalg.norm(q)), vec3(origin))
 
     @staticmethod
     def look_at(position, target, up=(0.0, 1.0, 0.0)) -> "Transform":
@@ -162,16 +176,7 @@ class Transform:
         fwd = unit(np.asarray(target, dtype=np.float64) - position)
         right = unit(np.cross(fwd, unit(up)))
         true_up = np.cross(right, fwd)
-        m = np.eye(4)
-        m[:3, 0] = right
-        m[:3, 1] = true_up
-        m[:3, 2] = -fwd
-        m[:3, 3] = position
-        r_inv = m[:3, :3].T
-        m_inv = np.eye(4)
-        m_inv[:3, :3] = r_inv
-        m_inv[:3, 3] = -r_inv @ position
-        return Transform(m, m_inv)
+        return Transform._rigid(np.stack([right, true_up, -fwd], axis=1), position)
 
     def compose(self, other: "Transform") -> "Transform":
         """self applied after other: (self.compose(other))(p) = self(other(p))."""

@@ -7,13 +7,14 @@ place of stored emission: each front-facing hit adds its path throughput
 to its pixel's bin for the hit face. That yields a dense transport
 operator A with image = A @ E exactly. The estimate then minimizes mean
 squared image error plus an L1 sparsity term by projected gradient
-descent, with the periodic clip-low/boost-high schedule, and finally
-prunes the mesh down to the surviving emissive faces.
+descent, with a fixed periodic clip-low/boost-high schedule, and finally
+prunes the mesh down to the surviving emissive faces. Only the sparsity
+weight, the brightness threshold and the epoch count are settable.
 
 The descent runs in face space. Per pose and channel, the Gram matrix
 G = A^T A (faces x faces) and A^T b are formed once, so a step costs a
 faces x faces product instead of two passes over the image rows; the
-step size 1/L comes from the largest eigenvalue of the same blocks. The
+step size is always 1/L, from the largest eigenvalue of the same blocks. The
 loss recorded after every epoch is exact: it is computed from the image
 residual A E - b, not expanded through G, which would cancel.
 """
@@ -26,11 +27,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import luminance
-from .images import HdrImage
 from .render import EmitterSet, _primary_batches, _trace_paths
 from .surface import Lambertian
 
 TRANSPORT_BYTE_CAP = 1_500_000_000
+
+# The descent's fixed schedule: every CLIP_PERIOD_EPOCHS epochs faces below
+# the brightness threshold are zeroed and those at or above it are scaled
+# by BOOST_FACTOR; every face starts at INIT_EMISSION in every channel.
+CLIP_PERIOD_EPOCHS = 2
+BOOST_FACTOR = 1.5
+INIT_EMISSION = 0.01
 
 
 class EstimationError(ValueError):
@@ -41,9 +48,6 @@ class EstimationError(ValueError):
 class EstimatorConfig:
     alpha: float = 1e-4
     brightness_threshold: float = 0.2
-    clip_period_epochs: int = 2
-    boost_factor: float = 1.5
-    step_size: float = None  # None = 1/Lipschitz from the operator
     epochs: int = 400
 
     def __post_init__(self):
@@ -53,15 +57,8 @@ class EstimatorConfig:
         if not (math.isfinite(self.brightness_threshold) and self.brightness_threshold >= 0):
             raise EstimationError("brightness_threshold must be finite and >= 0, "
                                   f"got {self.brightness_threshold}")
-        if not (math.isfinite(self.boost_factor) and self.boost_factor >= 1.0):
-            raise EstimationError(f"boost_factor must be finite and >= 1, got {self.boost_factor}")
-        if self.clip_period_epochs < 1:
-            raise EstimationError("clip_period_epochs must be >= 1")
         if self.epochs < 0:
             raise EstimationError(f"epochs must be >= 0, got {self.epochs}")
-        if self.step_size is not None and not (math.isfinite(self.step_size)
-                                               and self.step_size > 0):
-            raise EstimationError(f"step_size must be finite and > 0, got {self.step_size}")
 
 
 @dataclass
@@ -72,18 +69,6 @@ class TransportOperator:
     n_poses: int
     resolution: tuple        # (w, h)
     n_faces: int
-    spp: int
-    seed: int
-
-    def apply(self, emission: np.ndarray) -> np.ndarray:
-        """Images (poses*h*w, 3) for a per-face emission (faces, 3)."""
-        return np.einsum("rfc,fc->rc", self.a, emission)
-
-    def images(self, emission: np.ndarray) -> list:
-        w, h = self.resolution
-        flat = self.apply(emission)
-        return [HdrImage(flat[i * h * w:(i + 1) * h * w].reshape(h, w, 3))
-                for i in range(self.n_poses)]
 
 
 def build_transport(scene, poses, max_depth: int = 3) -> TransportOperator:
@@ -127,8 +112,7 @@ def build_transport(scene, poses, max_depth: int = 3) -> TransportOperator:
                 np.add.at(acc, (pix[ids], faces), T_spec * inv_spp)
 
             _trace_paths(scene, o, d, pix, smp, seed, int(max_depth), scatter)
-    return TransportOperator(a=a, n_poses=len(poses), resolution=(w, h),
-                             n_faces=n_faces, spp=spp, seed=seed)
+    return TransportOperator(a=a, n_poses=len(poses), resolution=(w, h), n_faces=n_faces)
 
 
 def _lipschitz_step(gram: np.ndarray, n_img: int) -> float:
@@ -152,8 +136,7 @@ def boost_high(emission: np.ndarray, threshold: float, factor: float) -> np.ndar
     return out
 
 
-def optimize_emission(config: EstimatorConfig, op: TransportOperator,
-                      gt_flat: np.ndarray, init: float = 0.01):
+def optimize_emission(config: EstimatorConfig, op: TransportOperator, gt_flat: np.ndarray):
     """Projected gradient descent with the periodic clip/boost schedule.
 
     One epoch takes one step per pose against that pose's image term (so
@@ -176,13 +159,13 @@ def optimize_emission(config: EstimatorConfig, op: TransportOperator,
     pose_at = pose_a.swapaxes(2, 3)
     gram = pose_at @ pose_a                      # (poses, 3, faces, faces)
     atb = (pose_at @ pose_b[..., None])[..., 0]  # (poses, 3, faces)
-    step = config.step_size if config.step_size is not None else _lipschitz_step(gram, n_img)
+    step = _lipschitz_step(gram, n_img)
 
     def loss(et):
         res = (a_cm @ et[:, :, None])[:, :, 0] - b_cm
         return float(np.mean(res * res)) + config.alpha * float(np.mean(np.abs(et)))
 
-    et = np.full((3, op.n_faces), float(init))  # emission, channel-major
+    et = np.full((3, op.n_faces), INIT_EMISSION)  # emission, channel-major
     m_tex = et.size
     history = [loss(et)]
     initial = history[0]
@@ -191,9 +174,9 @@ def optimize_emission(config: EstimatorConfig, op: TransportOperator,
             grad = 2.0 * ((g @ et[:, :, None])[:, :, 0] - g_b) / n_img
             grad += config.alpha * np.sign(et) / m_tex
             et = np.maximum(et - step * grad, 0.0)
-        if epoch % config.clip_period_epochs == 0 and epoch < config.epochs:
+        if epoch % CLIP_PERIOD_EPOCHS == 0 and epoch < config.epochs:
             et = boost_high(clip_low(et, config.brightness_threshold),
-                            config.brightness_threshold, config.boost_factor)
+                            config.brightness_threshold, BOOST_FACTOR)
         current = loss(et)
         history.append(current)
         if not math.isfinite(current) or (initial > 0 and current > 10.0 * initial):

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .core import Transform, slab_interval, vec3
+from .core import Transform, slab_interval, vec3, widen_f32
 
 
 def _as_res(res) -> tuple:
@@ -35,6 +35,10 @@ def _check_bbox(lo, hi):
 def _grid_scale(lo, hi, res):
     return np.array([(r - 1) / (h - l) if r > 1 else 0.0
                      for r, l, h in zip(res, lo, hi)])
+
+
+def _cell_size(lo, hi, res):
+    return (hi - lo) / np.maximum(np.array(res) - 1, 1)
 
 
 # Corner k of a cell is (k >> 2, (k >> 1) & 1, k & 1) in (x, y, z), so the
@@ -235,8 +239,7 @@ class SdfGrid:
         self._table = phi.reshape(1, -1)
 
     def cell_size(self) -> np.ndarray:
-        r = np.maximum(np.array(self.res) - 1, 1)
-        return (self.bbox_hi - self.bbox_lo) / r
+        return _cell_size(self.bbox_lo, self.bbox_hi, self.res)
 
     def _phi_local(self, p: np.ndarray) -> np.ndarray:
         """phi at local-frame points; exterior composes box distance with
@@ -544,7 +547,7 @@ def sdf_from_density(grid: RadianceGrid, threshold_frac: float = 0.5) -> SdfGrid
     if peak <= 0.0:
         raise ValueError("cannot derive an SDF from an all-zero density field")
     mask = grid.sigma >= threshold_frac * peak
-    h = (grid.bbox_hi - grid.bbox_lo) / np.maximum(np.array(grid.res) - 1, 1)
+    h = _cell_size(grid.bbox_lo, grid.bbox_hi, grid.res)
     outside = ndimage.distance_transform_edt(~mask, sampling=h)
     inside = ndimage.distance_transform_edt(mask, sampling=h)
     return SdfGrid(grid.bbox_lo, grid.bbox_hi, outside - inside)
@@ -593,8 +596,8 @@ def _read_grid(path, floats_per_sample):
 def load_rfgrid(path) -> RadianceGrid:
     data, (nx, ny, nz), box, off = _read_grid(path, 4)
     n = nx * ny * nz
-    sig = np.frombuffer(data, dtype="<f4", count=n, offset=off).astype(np.float64)
-    rad = np.frombuffer(data, dtype="<f4", count=3 * n, offset=off + 4 * n).astype(np.float64)
+    sig = widen_f32(np.frombuffer(data, dtype="<f4", count=n, offset=off))
+    rad = widen_f32(np.frombuffer(data, dtype="<f4", count=3 * n, offset=off + 4 * n))
     res = (nx, ny, nz)
     return RadianceGrid(box[:3], box[3:],
                         _xfastest_to_grid(sig, res),
@@ -611,5 +614,5 @@ def save_sdfgrid(path, sdf: SdfGrid) -> None:
 def load_sdfgrid(path) -> SdfGrid:
     data, (nx, ny, nz), box, off = _read_grid(path, 1)
     n = nx * ny * nz
-    phi = np.frombuffer(data, dtype="<f4", count=n, offset=off).astype(np.float64)
+    phi = widen_f32(np.frombuffer(data, dtype="<f4", count=n, offset=off))
     return SdfGrid(box[:3], box[3:], _xfastest_to_grid(phi, (nx, ny, nz)))

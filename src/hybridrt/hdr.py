@@ -53,7 +53,6 @@ class CrfTable:
     """Per-channel inverse response: g[z] is log radiance for code z."""
 
     g: np.ndarray  # (256, 3)
-    lam: float = 50.0
 
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=np.float64).reshape(256, 3)
@@ -167,7 +166,7 @@ def recover_crf(bracket: ExposureBracket, lam: float = 50.0,
             )
         gc = _monotone_projection(sol)
         g[:, c] = gc - gc[128]
-    return CrfTable(g=g, lam=lam)
+    return CrfTable(g=g)
 
 
 def merge_hdr(bracket: ExposureBracket, crf: CrfTable) -> HdrImage:

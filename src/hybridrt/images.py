@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import tone_map
+from .core import tone_map, widen_f32
 
 
 @dataclass
@@ -52,16 +52,14 @@ def decode_pfm(data: bytes) -> HdrImage:
     scale = float(parts[2])
     dtype = "<f4" if scale < 0 else ">f4"
     raw = np.frombuffer(parts[3], dtype=dtype, count=w * h * 3)
-    pixels = np.flipud(raw.reshape(h, w, 3).astype(np.float64))
+    pixels = np.flipud(widen_f32(raw).reshape(h, w, 3))
     return HdrImage(pixels)
 
 
 def encode_ppm(img: HdrImage) -> bytes:
     """Tone map to sRGB and quantize round-half-up to 8 bits."""
     srgb = tone_map(img.pixels)
-    codes = np.floor(srgb * 255.0 + 0.5).astype(np.uint8)
-    header = f"P6\n{img.w} {img.h}\n255\n".encode("ascii")
-    return header + codes.tobytes()
+    return encode_ppm_raw(np.floor(srgb * 255.0 + 0.5).astype(np.uint8))
 
 
 def encode_ppm_raw(codes: np.ndarray) -> bytes:

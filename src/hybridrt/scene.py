@@ -48,7 +48,8 @@ def _check(*rules):
 
 
 def _direction(v) -> Optional[np.ndarray]:
-    """unit(v), or None where unit rejects v (non-finite or near-zero)."""
+    """unit(v), or None where unit rejects v (non-finite, overflowing or
+    near-zero)."""
     try:
         return unit(v)
     except ValueError:
@@ -170,7 +171,8 @@ class PoseConfig:
 
     def __post_init__(self):
         # The tests Transform.look_at makes, without building the view.
-        fwd = _direction(np.subtract(self.look_at, self.position))
+        with np.errstate(over="ignore"):  # an infinite offset is rejected
+            fwd = _direction(np.subtract(self.look_at, self.position))
         _check(("look_at", fwd is not None, "must differ from position"))
         up = _direction(self.up)
         _check(("up", up is not None and _direction(np.cross(fwd, up)) is not None,

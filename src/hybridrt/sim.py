@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Transform
+from .core import Transform, quat_to_matrix
 from .field import SdfGrid, _grid_to_xfastest, grid_points, load_sdfgrid, sdf_from_density
 from .scene import SimConfig
 
@@ -52,15 +52,6 @@ def quat_rotate(q, v):
 
 def quat_normalize(q):
     return q / np.linalg.norm(q)
-
-
-def quat_to_matrix(q):
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
 
 
 # -- state --------------------------------------------------------------------
@@ -107,28 +98,26 @@ class DistanceConstraint(NamedTuple):
 class RigidBody:
     """Rigid state about the center of mass; body frame origin is the com.
 
+    A body starts unrotated and without spin, moving at lin_vel; its inertia
+    is that of its collision_vertices as equal point masses. The
     collision_vertices are body-frame points queried against other SDFs;
     `sdf` (body-frame, optional) lets other objects collide with this body.
     An infinite mass (inv_mass 0) makes the body kinematic.
     """
 
-    def __init__(self, com, mass, collision_vertices, inertia=None,
-                 orientation=(1.0, 0.0, 0.0, 0.0), lin_vel=(0.0, 0.0, 0.0),
-                 ang_vel=(0.0, 0.0, 0.0), sdf: Optional[SdfGrid] = None,
-                 name: str = "body"):
+    def __init__(self, com, mass, collision_vertices, lin_vel=(0.0, 0.0, 0.0),
+                 sdf: Optional[SdfGrid] = None, name: str = "body"):
         self.name = name
         self.com = np.asarray(com, dtype=np.float64).reshape(3).copy()
-        self.q = quat_normalize(np.asarray(orientation, dtype=np.float64).reshape(4))
+        self.q = np.array([1.0, 0.0, 0.0, 0.0])
         self.lin_vel = np.asarray(lin_vel, dtype=np.float64).reshape(3).copy()
-        self.ang_vel = np.asarray(ang_vel, dtype=np.float64).reshape(3).copy()
+        self.ang_vel = np.zeros(3)
         if not mass > 0:
             raise ValueError("mass must be > 0 (use np.inf for kinematic)")
         self.mass = float(mass)
         self.inv_mass = 0.0 if np.isinf(mass) else 1.0 / float(mass)
         self.verts = np.asarray(collision_vertices, dtype=np.float64).reshape(-1, 3).copy()
-        if inertia is None:
-            inertia = point_mass_inertia(self.verts, self.mass)
-        self.inertia = np.asarray(inertia, dtype=np.float64).reshape(3, 3)
+        self.inertia = point_mass_inertia(self.verts, self.mass)
         self.inv_inertia = _safe_inv(self.inertia) if self.inv_mass > 0 else np.zeros((3, 3))
         self.sdf = sdf
         self.prev_com = self.com.copy()
@@ -278,13 +267,11 @@ class World:
         self.bodies: list[RigidBody] = []
         self.static_sdfs: list[SdfGrid] = []
 
-    def add_cloth(self, positions, inv_mass, edges, rest, compliance=0.0,
+    def add_cloth(self, positions, inv_mass, edges, rest, compliance,
                   velocities=None) -> ParticleSystem:
-        """compliance is one value for every edge or a sequence, one per edge."""
+        """rest and compliance hold one value per edge."""
         if len(self.particles):
             raise ValueError("one particle system per world")
-        if np.ndim(compliance) == 0:
-            compliance = [compliance] * len(edges)
         if len(compliance) != len(edges):
             raise ValueError(f"{len(compliance)} compliances for {len(edges)} edges")
         self.particles = ParticleSystem(positions, inv_mass, velocities)

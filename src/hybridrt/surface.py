@@ -25,6 +25,8 @@ _BOX_PAD = 1e-6
 # (ray, box) tests per tree level of a traversal chunk (and per chunk of
 # the shadow cull in render.py); bounds the chunk's temporaries.
 ANYHIT_CHUNK = 1 << 15
+# (ray, face) tests per chunk of the brute-force sweep.
+BRUTE_FORCE_CHUNK_PAIRS = 4_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +423,7 @@ class Bvh:
             blocked[ray] = True
         return blocked
 
-    def brute_force_batch(self, o, d, t_min=0.0, t_max=np.inf, chunk=4_000_000):
+    def brute_force_batch(self, o, d, t_min=0.0, t_max=np.inf):
         """Oracle: test every face for every ray, same tie-break rule."""
         o, d, t_min, t_max = _ray_arrays(o, d, t_min, t_max)
         n = len(o)
@@ -429,7 +431,7 @@ class Bvh:
         best_f = np.full(n, -1, dtype=np.int64)
         if self.n_faces == 0:
             return best_t, best_f
-        rows = max(1, chunk // self.n_faces)
+        rows = max(1, BRUTE_FORCE_CHUNK_PAIRS // self.n_faces)
         for i in range(0, n, rows):
             sl = slice(i, min(i + rows, n))
             t = _moller_trumbore(

@@ -3,6 +3,7 @@ exit 2, never a traceback."""
 
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -229,3 +230,53 @@ def test_render_bad_sdfgrid_dims_exits_2(tmp_path, capsys):
                         "--out", str(tmp_path / "out.ppm"))
     assert code == 2
     assert "plane.sdfgrid" in err and "must be positive" in err
+
+
+SNAN_F32 = struct.pack("<I", 0x7FA00000)  # a float32 NaN with the quiet bit clear
+
+
+def write_snan(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset:offset + 4] = SNAN_F32
+    path.write_bytes(bytes(data))
+
+
+def snan_rfgrid(tmp_path, estimation_dir):
+    assets.gen_smoke_slab(str(tmp_path))
+    write_snan(tmp_path / "slab.rfgrid", struct.calcsize("<3i6f"))
+    return ["render", "--scene", str(tmp_path / "slab.json")]
+
+
+def snan_sdfgrid(tmp_path, estimation_dir):
+    assets.gen_drop(str(tmp_path))
+    write_snan(tmp_path / "plane.sdfgrid", struct.calcsize("<3i6f"))
+    return ["render", "--scene", str(tmp_path / "drop.json")]
+
+
+def snan_ground_truth(tmp_path, estimation_dir):
+    gt_dir = tmp_path / "gt"
+    shutil.copytree(estimation_dir, gt_dir)
+    pfm = gt_dir / "gt_0002.pfm"
+    data = pfm.read_bytes()
+    write_snan(pfm, len(data) - len(data.split(b"\n", 3)[3]))
+    return ["estimate-emitters", "--scene", str(estimation_dir / "room.json"),
+            "--poses", str(estimation_dir / "poses.json"), "--gt-dir", str(gt_dir)]
+
+
+@pytest.mark.parametrize("setup, match", [
+    pytest.param(snan_rfgrid, "sigma must be finite", id="rfgrid"),
+    pytest.param(snan_sdfgrid, "phi must be finite", id="sdfgrid"),
+    pytest.param(snan_ground_truth, "gt_0002.pfm: non-finite pixel values", id="gt-pfm"),
+])
+def test_signalling_nan_payload_exits_2(estimation_dir, tmp_path, capfd, recwarn, setup, match):
+    # Widening a float32 signalling NaN raises the invalid flag; the reader
+    # keeps it quiet so that the finiteness check reports it.
+    argv = setup(tmp_path, estimation_dir)
+    out = tmp_path / "out"
+    code = cli.main(argv + ["--out", str(out)])
+    lines = capfd.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith(f"error: {argv[0]}: ")
+    assert match in lines[0]
+    assert not recwarn.list
+    assert not out.exists()

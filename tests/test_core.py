@@ -43,6 +43,10 @@ def test_transform_identity_point():
 def test_transform_translation_inverse():
     t = Transform.translate([1, 0, 0])
     assert np.allclose(t.point([0, 0, 0], inverse=True), [-1, 0, 0])
+    # The inverse offset is exactly -t, signed zeros included.
+    t = Transform.translate([0.0, -0.0, 2.0])
+    assert np.array_equal(t.m_inv[:3, 3], [-0.0, 0.0, -2.0])
+    assert np.array_equal(np.signbit(t.m_inv[:3, 3]), [True, False, True])
 
 
 def test_transform_rotation_90deg():

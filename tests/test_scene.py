@@ -113,6 +113,19 @@ def test_malformed_value_names_key(tmp_path, edit, match):
         parse_scene(json.dumps(doc), base_dir=str(tmp_path))
 
 
+@pytest.mark.parametrize("position, look_at", [
+    ([1.5e154, 0, 0], [0, 0, 0]),  # the offset's length overflows
+    ([-1e308, 0, 0], [1e308, 0, 0]),  # the offset itself overflows
+])
+def test_overflowing_view_offset_is_rejected(tmp_path, recwarn, position, look_at):
+    write_assets(tmp_path)
+    doc = minimal_doc()
+    doc["camera"].update(position=position, look_at=look_at)
+    with pytest.raises(SceneError, match=r"^camera\.look_at: must differ"):
+        parse_scene(json.dumps(doc), base_dir=str(tmp_path))
+    assert not recwarn.list
+
+
 def test_missing_mesh_path_named(tmp_path):
     write_assets(tmp_path)
     doc = minimal_doc()
