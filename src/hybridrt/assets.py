@@ -159,9 +159,8 @@ def gaussian_blob_field(lo, hi, center, width, peak_sigma, radiance, res=(32, 32
     prof[prof < 1e-3] = 0.0  # hard zero in the far tail: cheap empty space
     sigma_flat = peak_sigma * prof
     rad_flat = prof[:, None] * np.asarray(radiance, dtype=np.float64)
-    from .field import _xfastest_to_grid
-    return RadianceGrid(lo, hi, _xfastest_to_grid(sigma_flat, res),
-                        _xfastest_to_grid(rad_flat, res))
+    return RadianceGrid(lo, hi, sigma_flat.reshape(res, order="F"),
+                        rad_flat.reshape((*res, 3), order="F"))
 
 
 def sphere_sdf(radius: float = 1.0, center=(0.0, 0.0, 0.0), pad: float = 0.5,

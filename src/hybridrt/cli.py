@@ -93,6 +93,8 @@ def _apply_overrides(scene, args):
                               resolution=(w, h))
     if getattr(args, "spp", None) is not None and args.spp < 1:
         raise ValueError("--spp must be >= 1")
+    if args.threads < 1:
+        raise ValueError("--threads must be >= 1")
 
 
 def _write_image(img, out_path, hdr: bool):
@@ -131,7 +133,7 @@ def _cmd_simulate(args) -> int:
     cfg = scene.config.sim
 
     def snapshot(k):
-        dyn = [m for m, _ in binding.cloth_meshes] + [m for m, _, _ in binding.rigid_meshes]
+        dyn = [m for m, _ in binding.cloth_meshes] + [m for m, _ in binding.rigid_meshes]
         for mesh in dyn:
             save_obj(os.path.join(out_dir, f"frame_{k:04d}_{mesh.name}.obj"),
                      mesh.vertices, mesh.indices)

@@ -6,6 +6,19 @@ coordinates; a rigid world_from_field transform places it in the world.
 Outside the box the medium is vacuum. Marching uses midpoint substeps with
 per-step opacity a = 1 - exp(-sigma * dt), which is exact in homogeneous
 media and first-order accurate otherwise.
+
+Grids are arrays of shape (nx, ny, nz), with a trailing axis of 3 for RGB.
+Wherever nodes are listed flat (grid_points, the bake's distances, the
+grid files) they run x-fastest, index ix + nx*(iy + ny*iz): numpy's
+Fortran order: a flat list becomes a grid with reshape(res, order="F"),
+and a grid becomes a flat list with ravel(order="F") (reshape(-1, 3,
+order="F") for RGB).
+
+Grid files (.rfgrid, .sdfgrid) hold a header of nx, ny, nz as
+little-endian int32 and bbox min xyz and max xyz as little-endian float32,
+then one block of little-endian float32 samples per grid, nodes in that
+x-fastest order with a sample's channels adjacent: .rfgrid has a sigma
+block (1 float per sample) and an RGB block (3), .sdfgrid a phi block (1).
 """
 
 from __future__ import annotations
@@ -74,17 +87,14 @@ def _trilinear(table: np.ndarray, res, lo, scale, p: np.ndarray) -> np.ndarray:
     return c[:, 0]
 
 
-def _inside_mask(lo, hi, p):
-    return np.all((p >= lo) & (p <= hi), axis=-1)
-
-
 class RadianceGrid:
     """Emissive/absorptive volume: sigma (nx,ny,nz) and radiance (nx,ny,nz,3)."""
 
     def __init__(self, bbox_lo, bbox_hi, sigma, radiance, world_from_field=None):
         self.bbox_lo, self.bbox_hi = _check_bbox(bbox_lo, bbox_hi)
-        sigma = np.asarray(sigma, dtype=np.float64)
-        radiance = np.asarray(radiance, dtype=np.float64)
+        # C-contiguous, so the reshapes below are views, not copies.
+        sigma = np.ascontiguousarray(sigma, dtype=np.float64)
+        radiance = np.ascontiguousarray(radiance, dtype=np.float64)
         self.res = _as_res(sigma.shape)
         if radiance.shape != sigma.shape + (3,):
             raise ValueError(
@@ -124,15 +134,12 @@ class RadianceGrid:
         """(sigma, radiance) at world points (N,3); vacuum outside the bbox."""
         p = np.asarray(p_world, dtype=np.float64).reshape(-1, 3)
         pf = p if self._is_identity() else self.world_from_field.point(p, inverse=True)
-        inside = _inside_mask(self.bbox_lo, self.bbox_hi, pf)
-        sigma = np.zeros(len(p))
-        rad = np.zeros((len(p), 3))
-        if np.any(inside):
-            if self._sigma_const is None or self._rad_const is None:
-                val = _trilinear(self._table, self.res, self.bbox_lo, self._scale, pf[inside])
-            sigma[inside] = val[0] if self._sigma_const is None else self._sigma_const
-            rad[inside] = val[1:].T if self._rad_const is None else self._rad_const
-        return sigma, rad
+        inside = np.all((pf >= self.bbox_lo) & (pf <= self.bbox_hi), axis=1)
+        if self._sigma_const is None or self._rad_const is None:
+            val = _trilinear(self._table, self.res, self.bbox_lo, self._scale, pf)
+        sigma = val[0] if self._sigma_const is None else self._sigma_const
+        rad = val[1:].T if self._rad_const is None else self._rad_const
+        return np.where(inside, sigma, 0.0), np.where(inside[:, None], rad, 0.0)
 
     def ray_bounds(self, o: np.ndarray, d: np.ndarray):
         """Parametric [t0, t1] of rays against the transformed bbox.
@@ -229,7 +236,7 @@ class SdfGrid:
 
     def __init__(self, bbox_lo, bbox_hi, phi, world_from_grid=None):
         self.bbox_lo, self.bbox_hi = _check_bbox(bbox_lo, bbox_hi)
-        phi = np.asarray(phi, dtype=np.float64)
+        phi = np.ascontiguousarray(phi, dtype=np.float64)
         self.res = _as_res(phi.shape)
         if not np.all(np.isfinite(phi)):
             raise ValueError("phi must be finite")
@@ -279,8 +286,7 @@ def _grid_axes(lo, hi, res) -> list:
 
 
 def _axes_nodes(axes) -> np.ndarray:
-    zz, yy, xx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
-    return np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3, order="F")
 
 
 def grid_points(bbox_lo, bbox_hi, res):
@@ -289,24 +295,9 @@ def grid_points(bbox_lo, bbox_hi, res):
     return _axes_nodes(_grid_axes(lo, hi, _as_res(res)))
 
 
-def _xfastest_to_grid(flat: np.ndarray, res) -> np.ndarray:
-    nx, ny, nz = res
-    extra = flat.shape[1:] if flat.ndim > 1 else ()
-    return np.ascontiguousarray(
-        flat.reshape((nz, ny, nx) + extra).transpose((2, 1, 0) + tuple(range(3, 3 + len(extra))))
-    )
-
-
-def _grid_to_xfastest(values: np.ndarray) -> np.ndarray:
-    extra = tuple(range(3, values.ndim))
-    return np.ascontiguousarray(values.transpose((2, 1, 0) + extra)).reshape(
-        -1, *values.shape[3:]
-    )
-
-
 def sdf_from_function(fn, bbox_lo, bbox_hi, res) -> SdfGrid:
     pts = grid_points(bbox_lo, bbox_hi, res)
-    phi = _xfastest_to_grid(np.asarray(fn(pts), dtype=np.float64), _as_res(res))
+    phi = np.asarray(fn(pts), dtype=np.float64).reshape(_as_res(res), order="F")
     return SdfGrid(bbox_lo, bbox_hi, phi)
 
 
@@ -314,14 +305,12 @@ def sdf_from_function(fn, bbox_lo, bbox_hi, res) -> SdfGrid:
 # Baking
 
 
-def mesh_is_watertight(vertices: np.ndarray, indices: np.ndarray) -> bool:
-    """Every undirected edge must be shared by exactly two faces."""
-    edges = {}
-    for tri in indices:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            edges[key] = edges.get(key, 0) + 1
-    return all(count == 2 for count in edges.values())
+def mesh_edges(indices: np.ndarray) -> tuple:
+    """(edges, counts) of a triangle list: its undirected edges as rows
+    (i, j) with i <= j, sorted, and the number of faces that hold each."""
+    tri = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
+    edges = np.stack([tri, np.roll(tri, -1, axis=1)], axis=-1).reshape(-1, 2)
+    return np.unique(np.sort(edges, axis=1), axis=0, return_counts=True)
 
 
 def _point_triangle_dist_sq(p: np.ndarray, a, b, c) -> np.ndarray:
@@ -482,11 +471,8 @@ def _parity_scanline(tri_verts: np.ndarray, axes_pts, axis: int, jitter_seed: in
         counts = np.searchsorted(x_cross[r], xs)
         inside[r] = (counts % 2) == 1
 
-    votes = np.zeros((len(xs), len(us), len(vs)), dtype=bool)
-    votes[:, :, :] = inside.reshape(nu, nv, len(xs)).transpose(2, 0, 1)
-    # Reorder (axis, u, v) back to (x, y, z).
-    order = np.argsort([axis, u, v])
-    return votes.transpose(order)
+    # Rows run (u, v) with u < v, so moving the scan axis into place gives (x, y, z).
+    return np.moveaxis(inside.reshape(nu, nv, -1), 2, axis)
 
 
 def bake_sdf_from_mesh(vertices: np.ndarray, indices: np.ndarray, bbox_lo, bbox_hi,
@@ -522,7 +508,8 @@ def bake_sdf_from_mesh(vertices: np.ndarray, indices: np.ndarray, bbox_lo, bbox_
     axes_pts = _grid_axes(lo, hi, res)
     dist = _unsigned_distance(axes_pts, tri_verts)
 
-    if mesh_is_watertight(vertices, indices):
+    # Watertight: every edge is shared by exactly two faces.
+    if np.all(mesh_edges(indices)[1] == 2):
         votes = sum(
             _parity_scanline(tri_verts, axes_pts, ax, jitter_seed + ax).astype(np.int8)
             for ax in range(3)
@@ -532,21 +519,24 @@ def bake_sdf_from_mesh(vertices: np.ndarray, indices: np.ndarray, bbox_lo, bbox_
         warnings.warn("mesh is not watertight; baked SDF has no interior")
         inside = np.zeros(res, dtype=bool)
 
-    phi = _xfastest_to_grid(dist, res)
-    # votes come back in (x, y, z) layout already
-    phi = np.where(inside, -phi, phi)
-    return SdfGrid(lo, hi, phi)
+    phi = dist.reshape(res, order="F")
+    return SdfGrid(lo, hi, np.where(inside, -phi, phi))
+
+
+def occupancy(grid: RadianceGrid, frac: float) -> np.ndarray:
+    """Occupied nodes of a density grid, shape res: sigma >= frac * max."""
+    peak = float(grid.sigma.max())
+    if peak <= 0.0:
+        raise ValueError("density field is all zero, so nothing is occupied")
+    return grid.sigma >= frac * peak
 
 
 def sdf_from_density(grid: RadianceGrid, threshold_frac: float = 0.5) -> SdfGrid:
-    """Collision proxy for a field: occupancy at sigma >= frac*max, then a
-    Euclidean redistancing of the voxel set."""
+    """Collision proxy for a field: its occupancy, then a Euclidean
+    redistancing of the voxel set."""
     from scipy import ndimage
 
-    peak = float(grid.sigma.max())
-    if peak <= 0.0:
-        raise ValueError("cannot derive an SDF from an all-zero density field")
-    mask = grid.sigma >= threshold_frac * peak
+    mask = occupancy(grid, threshold_frac)
     h = _cell_size(grid.bbox_lo, grid.bbox_hi, grid.res)
     outside = ndimage.distance_transform_edt(~mask, sampling=h)
     inside = ndimage.distance_transform_edt(mask, sampling=h)
@@ -554,28 +544,23 @@ def sdf_from_density(grid: RadianceGrid, threshold_frac: float = 0.5) -> SdfGrid
 
 
 # ---------------------------------------------------------------------------
-# File formats (.rfgrid / .sdfgrid)
-#
-# Header: nx, ny, nz as little-endian int32, then bbox min xyz and max xyz
-# as little-endian float32. Payload: float32 samples in x-fastest order
-# (index = ix + nx*(iy + ny*iz)); .rfgrid stores the sigma block then the
-# RGB block (3 floats per sample), .sdfgrid stores the phi block.
+# Grid files (layout in the module docstring)
 
 _GRID_HEADER = "<3i6f"
 
 
-def save_rfgrid(path, grid: RadianceGrid) -> None:
-    nx, ny, nz = grid.res
-    header = struct.pack(_GRID_HEADER, nx, ny, nz, *grid.bbox_lo, *grid.bbox_hi)
-    sig = _grid_to_xfastest(grid.sigma).astype("<f4").tobytes()
-    rad = _grid_to_xfastest(grid.radiance).astype("<f4").tobytes()
+def _write_grid(path, bbox_lo, bbox_hi, *grids) -> None:
+    """One block per grid, in the order given; all share the first's res."""
+    header = struct.pack(_GRID_HEADER, *grids[0].shape[:3], *bbox_lo, *bbox_hi)
+    blocks = [g.reshape((-1,) + g.shape[3:], order="F").astype("<f4").tobytes() for g in grids]
     with open(path, "wb") as f:
-        f.write(header + sig + rad)
+        f.write(header + b"".join(blocks))
 
 
-def _read_grid(path, floats_per_sample):
-    """Header fields and payload offset of a grid file, after checking that
-    its size is exactly header + samples * floats_per_sample float32s."""
+def _read_grid(path, *channels) -> list:
+    """[bbox_lo, bbox_hi, grid per block] of a grid file whose blocks hold
+    the given trailing shapes per sample, () for a scalar and (3,) for RGB,
+    after checking that its size is exactly the header plus those blocks."""
     with open(path, "rb") as f:
         data = f.read()
     off = struct.calcsize(_GRID_HEADER)
@@ -586,33 +571,30 @@ def _read_grid(path, floats_per_sample):
     if min(nx, ny, nz) < 1:
         raise ValueError(f"{path}: grid dimensions must be positive, got {(nx, ny, nz)}")
     n = nx * ny * nz
-    want = off + 4 * floats_per_sample * n
+    sizes = [n * int(np.prod(c)) for c in channels]
+    want = off + 4 * sum(sizes)
     if len(data) != want:
         raise ValueError(f"{path}: {nx}x{ny}x{nz} grid needs {want} bytes, "
                          f"file has {len(data)}")
-    return data, (nx, ny, nz), box, off
+    out = [box[:3], box[3:]]
+    for c, size in zip(channels, sizes):
+        flat = widen_f32(np.frombuffer(data, dtype="<f4", count=size, offset=off))
+        out.append(flat.reshape((n,) + c).reshape((nx, ny, nz) + c, order="F"))
+        off += 4 * size
+    return out
+
+
+def save_rfgrid(path, grid: RadianceGrid) -> None:
+    _write_grid(path, grid.bbox_lo, grid.bbox_hi, grid.sigma, grid.radiance)
 
 
 def load_rfgrid(path) -> RadianceGrid:
-    data, (nx, ny, nz), box, off = _read_grid(path, 4)
-    n = nx * ny * nz
-    sig = widen_f32(np.frombuffer(data, dtype="<f4", count=n, offset=off))
-    rad = widen_f32(np.frombuffer(data, dtype="<f4", count=3 * n, offset=off + 4 * n))
-    res = (nx, ny, nz)
-    return RadianceGrid(box[:3], box[3:],
-                        _xfastest_to_grid(sig, res),
-                        _xfastest_to_grid(rad.reshape(n, 3), res))
+    return RadianceGrid(*_read_grid(path, (), (3,)))
 
 
 def save_sdfgrid(path, sdf: SdfGrid) -> None:
-    nx, ny, nz = sdf.res
-    header = struct.pack(_GRID_HEADER, nx, ny, nz, *sdf.bbox_lo, *sdf.bbox_hi)
-    with open(path, "wb") as f:
-        f.write(header + _grid_to_xfastest(sdf.phi).astype("<f4").tobytes())
+    _write_grid(path, sdf.bbox_lo, sdf.bbox_hi, sdf.phi)
 
 
 def load_sdfgrid(path) -> SdfGrid:
-    data, (nx, ny, nz), box, off = _read_grid(path, 1)
-    n = nx * ny * nz
-    phi = widen_f32(np.frombuffer(data, dtype="<f4", count=n, offset=off))
-    return SdfGrid(box[:3], box[3:], _xfastest_to_grid(phi, (nx, ny, nz)))
+    return SdfGrid(*_read_grid(path, ()))

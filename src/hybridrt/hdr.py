@@ -271,7 +271,8 @@ def load_bracket(manifest_path: str) -> ExposureBracket:
     images, times = [], []
     for i, e in enumerate(entries):
         if not (isinstance(e, dict) and isinstance(e.get("path"), str)
-                and isinstance(e.get("time"), (int, float))):
+                and isinstance(e.get("time"), (int, float))
+                and not isinstance(e["time"], bool)):
             raise HdrError(f"{manifest_path}: images[{i}] needs a 'path' string "
                            "and a numeric 'time'")
         images.append(read_ppm(os.path.join(base, e["path"])))

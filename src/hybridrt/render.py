@@ -355,6 +355,8 @@ def render(scene, camera: Camera = None, spp: int = None, seed: int = None,
     seed = scene.render.seed if seed is None else int(seed)
     if spp < 1:
         raise ValueError("spp must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     w, h = camera.resolution
     out = np.zeros((h, w, 3))
     tiles = [(r, min(r + TILE_ROWS, h)) for r in range(0, h, TILE_ROWS)]
@@ -362,7 +364,7 @@ def render(scene, camera: Camera = None, spp: int = None, seed: int = None,
     def work(rows):
         out[rows[0]:rows[1]] = _render_tile(scene, camera, spp, seed, rows)
 
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             list(ex.map(work, tiles))
     else:

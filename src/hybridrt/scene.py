@@ -88,7 +88,8 @@ class DynamicConfig:
 
     def __post_init__(self):
         _check(("mass", self.mass > 0, "must be > 0"),
-               ("compliance", self.compliance >= 0, "must be >= 0"))
+               ("compliance", self.compliance >= 0, "must be >= 0"),
+               ("sigma_threshold", 0 < self.sigma_threshold <= 1, "must be in (0, 1]"))
 
 
 # `false`, like null or an omitted key, declares a static object.

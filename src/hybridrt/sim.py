@@ -22,7 +22,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import Transform, quat_to_matrix
-from .field import SdfGrid, _grid_to_xfastest, grid_points, load_sdfgrid, sdf_from_density
+from .field import (SdfGrid, grid_points, load_sdfgrid, mesh_edges, occupancy,
+                    sdf_from_density)
 from .scene import SimConfig
 
 log = logging.getLogger(__name__)
@@ -284,15 +285,6 @@ class World:
         return self.particles
 
 
-def cloth_edges(indices: np.ndarray):
-    """Unique triangle edges as constraint pairs."""
-    es = set()
-    for tri in np.asarray(indices).reshape(-1, 3):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            es.add((min(int(a), int(b)), max(int(a), int(b))))
-    return sorted(es)
-
-
 # -- contacts ------------------------------------------------------------------
 
 
@@ -488,7 +480,7 @@ class SimBinding:
     """Mapping from world objects back to renderer assets."""
 
     cloth_meshes: list = dc_field(default_factory=list)   # (mesh, particle slice)
-    rigid_meshes: list = dc_field(default_factory=list)   # (mesh, body idx, base verts body frame)
+    rigid_meshes: list = dc_field(default_factory=list)   # (mesh, body idx)
     field_body: int = -1
     field_origin: np.ndarray = None  # field-frame com at registration
 
@@ -524,13 +516,13 @@ def build_world(scene) -> tuple:
             body = RigidBody(com=com, mass=dyn.mass,
                              collision_vertices=mesh.vertices - com,
                              lin_vel=dyn.velocity, name=mesh.name)
-            binding.rigid_meshes.append((mesh, len(world.bodies), mesh.vertices - com))
+            binding.rigid_meshes.append((mesh, len(world.bodies)))
             world.bodies.append(body)
     if binding.cloth_meshes:
         pos = np.concatenate([m.vertices for m, _ in binding.cloth_meshes])
         # Sorted over all meshes, edges keep the meshes' order.
-        edges = cloth_edges(np.concatenate([m.indices + sl.start
-                                            for m, sl in binding.cloth_meshes]))
+        edges = mesh_edges(np.concatenate([m.indices + sl.start
+                                           for m, sl in binding.cloth_meshes]))[0]
         world.add_cloth(pos, np.concatenate(inv_mass), edges,
                         [float(np.linalg.norm(pos[a] - pos[b])) for a, b in edges],
                         compliance=[compliance[a] for a, _ in edges],
@@ -564,16 +556,16 @@ def make_field_body(grid, sdf: SdfGrid, mass: float, velocity=(0.0, 0.0, 0.0),
     centroid of the density field; collision vertices are near-surface SDF
     grid nodes, deterministically subsampled.
     """
-    occ_flat = _grid_to_xfastest(grid.sigma) >= sigma_threshold * float(grid.sigma.max())
+    occ_flat = occupancy(grid, sigma_threshold).ravel(order="F")
     pts = grid_points(grid.bbox_lo, grid.bbox_hi, grid.res)
     if not np.any(occ_flat):
         raise ValueError("field has no occupied density; cannot build a body")
     origin = pts[occ_flat].mean(axis=0)
 
-    phi_flat = _grid_to_xfastest(sdf.phi)
+    # A precomputed SDF need not share the density grid's nodes.
+    nodes = grid_points(sdf.bbox_lo, sdf.bbox_hi, sdf.res)
     cell = float(np.max(sdf.cell_size()))
-    near = np.abs(phi_flat) <= 0.75 * cell
-    surf = pts[near]
+    surf = nodes[np.abs(sdf.phi.ravel(order="F")) <= 0.75 * cell]
     if len(surf) == 0:
         surf = pts[occ_flat]
     stride = max(1, len(surf) // FIELD_BODY_SURFACE_VERTS)
@@ -597,9 +589,8 @@ def sync_to_renderer(world: World, scene, binding: SimBinding):
         if not np.array_equal(new, mesh.vertices):
             mesh.vertices = new.copy()
             dirty = True
-    for mesh, bi, base in binding.rigid_meshes:
-        b = world.bodies[bi]
-        new = quat_rotate(b.q, base) + b.com
+    for mesh, bi in binding.rigid_meshes:
+        new = world.bodies[bi].world_verts()
         if not np.array_equal(new, mesh.vertices):
             mesh.vertices = new
             dirty = True

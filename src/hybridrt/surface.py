@@ -294,20 +294,17 @@ class Bvh:
 
     def __init__(self, meshes):
         self.meshes = list(meshes)
-        tris, mesh_ids, local_ids = [], [], []
+        tris, mesh_ids = [], []
         for mi, mesh in enumerate(self.meshes):
             tv = mesh.triangle_vertices()
             tris.append(tv)
             mesh_ids.append(np.full(len(tv), mi, dtype=np.int64))
-            local_ids.append(np.arange(len(tv), dtype=np.int64))
         if tris:
             self.tri = np.concatenate(tris)
             self.face_mesh = np.concatenate(mesh_ids)
-            self.face_local = np.concatenate(local_ids)
         else:
             self.tri = np.zeros((0, 3, 3))
             self.face_mesh = np.zeros(0, dtype=np.int64)
-            self.face_local = np.zeros(0, dtype=np.int64)
         self.edge1 = self.tri[:, 1] - self.tri[:, 0]
         self.edge2 = self.tri[:, 2] - self.tri[:, 0]
         # Flat per-face shading attributes so the batched renderer never

@@ -30,11 +30,17 @@ def nan_image_time(doc):
     return doc
 
 
+def bool_image_time(doc):
+    doc["images"][2]["time"] = True
+    return doc
+
+
 @pytest.mark.parametrize("edit, match", [
     (drop_image_key("path"), "images[2]"),
     (drop_image_key("time"), "images[2]"),
     (lambda doc: doc["images"], "'images' list"),
     (nan_image_time, "exposure times must be finite"),
+    (bool_image_time, "images[2]"),
 ])
 def test_malformed_bracket_manifest_exits_2(hdr_dir, tmp_path, capsys, edit, match):
     d = tmp_path / "hdr"
@@ -122,6 +128,37 @@ def test_malformed_scene_exits_2(tmp_path, capsys, command, edit, match):
     code, err = run_cli(capsys, command, "--scene", str(scene), "--out", str(tmp_path / "out"))
     assert code == 2
     assert err.startswith(f"error: {command}: {match}")
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, 1.5])
+def test_field_sigma_threshold_out_of_range_exits_2(tmp_path, capsys, threshold):
+    # At 0 or below the whole grid box became solid; above 1 the body
+    # failed late with a message that named no key.
+    assets.gen_field_hit(str(tmp_path))
+    scene = tmp_path / "field_hit.json"
+    doc = json.loads(scene.read_text())
+    doc["field"]["dynamic"]["sigma_threshold"] = threshold
+    scene.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, err = run_cli(capsys, "simulate", "--scene", str(scene), "--out", str(out),
+                        "--frames", "1")
+    assert code == 2
+    assert err.startswith("error: simulate: field.dynamic.sigma_threshold: must be in (0, 1]")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["render", "simulate"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_bad_thread_count_exits_2(tmp_path, capfd, recwarn, command, threads):
+    assets.gen_drop(str(tmp_path))
+    out = tmp_path / "out"
+    code = cli.main([command, "--scene", str(tmp_path / "drop.json"), "--out", str(out),
+                     "--threads", threads])
+    lines = capfd.readouterr().err.splitlines()
+    assert code == 2
+    assert lines == [f"error: {command}: --threads must be >= 1"]
+    assert not recwarn.list
+    assert not out.exists()
 
 
 def estimate_args(d):

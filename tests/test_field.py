@@ -15,6 +15,7 @@ from hybridrt.field import (
     load_rfgrid,
     load_sdfgrid,
     march_arrays,
+    mesh_edges,
     save_rfgrid,
     save_sdfgrid,
     sdf_from_density,
@@ -456,6 +457,42 @@ def test_bake_open_mesh_warns_and_has_no_interior():
     with pytest.warns(UserWarning):
         sdf = bake_sdf_from_mesh(v, f, (-2, -2, -1), (2, 2, 1), (17, 17, 9))
     assert np.all(sdf.phi >= 0.0)
+
+
+def _edge_counts_dict(faces):
+    """Reference: the edge -> face count dict of the old watertight check."""
+    edges = {}
+    for tri in faces:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            edges[key] = edges.get(key, 0) + 1
+    return edges
+
+
+def _sorted_edge_set(faces):
+    """Reference: the old cloth constraint pairs, sorted(set)."""
+    es = set()
+    for tri in faces:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            es.add((min(a, b), max(a, b)))
+    return sorted(es)
+
+
+_TETRA = [[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(extra=st.lists(st.lists(st.integers(0, 9), min_size=3, max_size=3), max_size=12),
+       closed=st.booleans(), repeats=st.integers(0, 3))
+def test_mesh_edges_match_dict_and_set_references(extra, closed, repeats):
+    # Open meshes, a closed tetrahedron, and faces given more than once.
+    faces = (_TETRA if closed else []) + extra
+    faces = faces + faces[:repeats]
+    edges, counts = mesh_edges(np.array(faces, dtype=np.int64).reshape(-1, 3))
+    ref = _edge_counts_dict(faces)
+    assert [tuple(e) for e in edges.tolist()] == sorted(ref) == _sorted_edge_set(faces)
+    assert counts.tolist() == [ref[k] for k in sorted(ref)]
+    assert bool(np.all(counts == 2)) == all(c == 2 for c in ref.values())
 
 
 def _brute_unsigned_distance(points, tri_verts, chunk=2_000_000):

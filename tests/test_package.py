@@ -1,0 +1,43 @@
+"""Module boundaries: no module of the package uses another's private names."""
+
+import ast
+import pathlib
+
+import hybridrt
+
+PACKAGE = pathlib.Path(hybridrt.__file__).parent
+# emitters builds its transport from the renderer's own bounce loop.
+ALLOWED = {("emitters", "render", "_primary_batches"), ("emitters", "render", "_trace_paths")}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_uses(path):
+    """(module, name) of every private name the file imports from, or reads
+    off, another module of the package."""
+    tree = ast.parse(path.read_text())
+    aliases = {}  # local name -> sibling module it is bound to
+    uses = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("hybridrt")):
+            module = (node.module or "").removeprefix("hybridrt").lstrip(".")
+            for a in node.names:
+                if not module:
+                    aliases[a.asname or a.name] = a.name
+                elif _private(a.name):
+                    uses.add((module, a.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and _private(node.attr)):
+            uses.add((aliases[node.value.id], node.attr))
+    return uses
+
+
+def test_no_module_uses_another_modules_private_names():
+    found = {(path.stem, module, name)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for module, name in private_uses(path)
+             if module != path.stem}
+    assert found - ALLOWED == set()

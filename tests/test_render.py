@@ -431,6 +431,14 @@ def test_render_thread_count_invariant(two_room_dir):
     assert np.array_equal(a.pixels, b.pixels)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_render_rejects_thread_count_below_one(two_room_dir, threads):
+    from hybridrt.scene import load_scene
+    scene = load_scene(str(two_room_dir / "two_room.json"))
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        render(scene, spp=1, threads=threads)
+
+
 def test_render_seed_changes_image(two_room_dir):
     from hybridrt.scene import load_scene
     scene = load_scene(str(two_room_dir / "two_room.json"))

@@ -76,7 +76,8 @@ def test_render_config_validates_direct_construction(key, value):
     (SimConfig, "dt", float("nan")), (SimConfig, "damping", float("nan")),
     (SimConfig, "damping", -0.1), (SimConfig, "velocity_cap", 0.0),
     (SimConfig, "velocity_cap", -1.0), (DynamicConfig, "mass", float("nan")),
-    (DynamicConfig, "compliance", -1e-3)])
+    (DynamicConfig, "compliance", -1e-3), (DynamicConfig, "sigma_threshold", 0.0),
+    (DynamicConfig, "sigma_threshold", 1.5)])
 def test_sim_configs_validate_direct_construction(cls, key, value):
     with pytest.raises(ValueError, match=f"^{key}: must be"):
         cls(**{key: value})
@@ -104,6 +105,8 @@ def cloth_mesh(**dynamic):
     (lambda d: d["camera"].update(up=[0, 0, 0]), r"^camera\.up: must be nonzero"),
     (lambda d: d["field"].update(transform={"rotate_axis": [0, 0, 0], "rotate_deg": 30}),
      r"^field\.transform\.rotate_axis: must be nonzero"),
+    (lambda d: d["field"].update(dynamic={"sigma_threshold": -1}),
+     r"^field\.dynamic\.sigma_threshold: must be in \(0, 1\]"),
 ])
 def test_malformed_value_names_key(tmp_path, edit, match):
     write_assets(tmp_path)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hybridrt import assets, cli, sim
-from hybridrt.field import RadianceGrid, save_rfgrid, save_sdfgrid
+from hybridrt.field import (RadianceGrid, save_rfgrid, save_sdfgrid, sdf_from_density,
+                            sdf_from_function)
 from hybridrt.scene import load_scene
 from hybridrt.surface import save_obj
 
@@ -205,3 +206,25 @@ def test_simulate_out_of_range_pin_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: simulate: ") and "42" in err
+
+
+def test_field_body_needs_density():
+    # With a precomputed SDF, an all-zero field used to count every node
+    # as occupied and put the body at the centre of its box.
+    grid = RadianceGrid.constant((0, 0, 0), (1, 1, 1), 0.0, (1, 1, 1), res=(4, 4, 4))
+    sdf = sdf_from_function(lambda p: p[:, 0] - 0.5, (0, 0, 0), (1, 1, 1), (4, 4, 4))
+    with pytest.raises(ValueError, match="all zero"):
+        sim.make_field_body(grid, sdf, 1.0)
+    with pytest.raises(ValueError, match="all zero"):
+        sdf_from_density(grid)
+
+
+def test_field_body_takes_collision_vertices_from_its_own_sdf_grid():
+    # A precomputed SDF on other nodes than the density grid's used to
+    # raise IndexError while picking the near-surface nodes.
+    grid = assets.gaussian_blob_field((-0.8,) * 3, (0.8,) * 3, (0, 0, 0), 0.28, 8.0,
+                                      (1, 1, 1), res=(12, 12, 12))
+    sdf = assets.sphere_sdf(0.3, pad=0.2, res=(9, 9, 9))
+    body, origin = sim.make_field_body(grid, sdf, 1.0)
+    phi = sdf.query_batch(body.verts + origin)[0]
+    assert len(phi) and np.all(np.abs(phi) <= 0.75 * np.max(sdf.cell_size()) + 1e-6)
