@@ -77,31 +77,55 @@ class TransformConfig:
 
 
 @dataclass
-class DynamicConfig:
-    type: Literal["rigid", "cloth"] = "rigid"
+class RigidConfig:
+    """A mesh that moves as one rigid body."""
+
+    type: Literal["rigid"] = "rigid"
+    mass: float = 1.0
+    velocity: Vec3 = (0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        _check(("mass", self.mass > 0, "must be > 0"))
+
+
+@dataclass
+class ClothConfig:
+    """A mesh whose vertices are particles held together by its edges."""
+
+    type: Literal["cloth"] = "cloth"
     mass: float = 1.0
     velocity: Vec3 = (0.0, 0.0, 0.0)
     pinned: list[int] = dc_field(default_factory=list)
     compliance: float = 0.0
-    sigma_threshold: float = 0.5  # rigid field objects: density cut for the SDF
-    sdf: Optional[File] = None    # optional precomputed collision SDF
 
     def __post_init__(self):
         _check(("mass", self.mass > 0, "must be > 0"),
-               ("compliance", self.compliance >= 0, "must be >= 0"),
-               ("sigma_threshold", 0 < self.sigma_threshold <= 1, "must be in (0, 1]"))
+               ("compliance", self.compliance >= 0, "must be >= 0"))
+
+
+@dataclass
+class FieldDynamicConfig(RigidConfig):
+    """The field as one rigid body. It collides through the SDF of its
+    density cut at sigma_threshold of the peak, or through a precomputed
+    SDF file."""
+
+    sigma_threshold: float = 0.5
+    sdf: Optional[File] = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check(("sigma_threshold", 0 < self.sigma_threshold <= 1, "must be in (0, 1]"))
 
 
 # `false`, like null or an omitted key, declares a static object.
 Static = Literal[False]
-Dynamic = Union[DynamicConfig, Static, None]
 
 
 @dataclass
 class FieldConfig:
     path: File
     transform: Optional[TransformConfig] = None
-    dynamic: Dynamic = None
+    dynamic: Union[FieldDynamicConfig, Static, None] = None
 
 
 class _BsdfConfig:
@@ -147,7 +171,7 @@ class MeshConfig:
     bsdf: BsdfConfig = dc_field(default_factory=LambertianConfig)
     transform: Optional[TransformConfig] = None
     emission: Optional[Vec3] = None
-    dynamic: Dynamic = None
+    dynamic: Union[RigidConfig, ClothConfig, Static, None] = None  # by `type`
 
     def __post_init__(self):
         _check(("emission", self.emission is None or min(self.emission) >= 0, "must be >= 0"))
@@ -316,7 +340,8 @@ def _read(tp, v, path: str, base_dir: str = "."):
             return None
         kinds = [a for a in args if a is not type(None) and a != Static]
         if len(kinds) > 1 and isinstance(v, dict):  # configs told apart by `type`
-            kinds = [a for a in kinds if a.type == v.get("type")]
+            # An omitted `type` means the first config's.
+            kinds = [a for a in kinds if a.type == v.get("type", kinds[0].type)]
             if not kinds:
                 _fail(_key(path, "type"), f"unknown type {v.get('type')!r}")
         return _read(kinds[0], v, path, base_dir)

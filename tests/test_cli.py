@@ -116,7 +116,7 @@ def test_malformed_ground_truth_exits_2(estimation_dir, tmp_path, capsys, edit, 
 
 @pytest.mark.parametrize("command, edit, match", [
     ("simulate", lambda doc: doc["sim"].update(damping=float("nan")), "sim.damping: "),
-    ("render", lambda doc: doc["meshes"][0]["dynamic"].update(pinned=[None]),
+    ("render", lambda doc: doc["meshes"][0]["dynamic"].update(type="cloth", pinned=[None]),
      "meshes[0].dynamic.pinned[0]: "),
 ])
 def test_malformed_scene_exits_2(tmp_path, capsys, command, edit, match):
@@ -128,6 +128,26 @@ def test_malformed_scene_exits_2(tmp_path, capsys, command, edit, match):
     code, err = run_cli(capsys, command, "--scene", str(scene), "--out", str(tmp_path / "out"))
     assert code == 2
     assert err.startswith(f"error: {command}: {match}")
+
+
+@pytest.mark.parametrize("command", ["render", "simulate"])
+@pytest.mark.parametrize("key, value", [("sigma_threshold", 0.9), ("pinned", [0]),
+                                        ("compliance", 5.0), ("sdf", "plane.sdfgrid")])
+def test_rigid_mesh_rejects_keys_of_other_kinds_exits_2(tmp_path, capfd, command, key, value):
+    # The drop preset's rigid ball used to take field and cloth keys, which
+    # the simulation then ignored.
+    assets.gen_drop(str(tmp_path))
+    scene = tmp_path / "drop.json"
+    doc = json.loads(scene.read_text())
+    doc["meshes"][0]["dynamic"][key] = value
+    scene.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    size = ["--spp", "1"] if command == "render" else ["--frames", "1"]
+    code = cli.main([command, "--scene", str(scene), "--out", str(out), *size])
+    assert code == 2
+    assert capfd.readouterr().err.splitlines() == [
+        f"error: {command}: meshes[0].dynamic.{key}: unknown key"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threshold", [0.0, -1.0, 1.5])

@@ -140,9 +140,8 @@ def test_trilinear_matches_8_gather_reference_bitwise(seed, res, channels):
     p[40:60, ax] = hi[ax]
     scale = field_mod._grid_scale(lo, hi, res)
     want = _trilinear_8_gathers(values, lo, res, p, scale)
-    table = values.reshape(-1, channels).T
-    got = field_mod._trilinear(np.ascontiguousarray(table), res, lo, scale, p)
-    got = got[0] if channels == 1 else got.T
+    got = field_mod._trilinear(values.reshape(-1, channels), res, lo, scale, p)
+    got = got[:, 0] if channels == 1 else got
     assert want.shape == got.shape
     assert np.array_equal(want.view(np.uint64), np.ascontiguousarray(got).view(np.uint64))
 
@@ -168,6 +167,43 @@ def test_sample_keeps_homogeneous_part_exact(rng, const):
     else:
         want_r = np.where(inside[:, None], [0.1, 0.2, 0.3], 0.0)
     assert np.array_equal(sigma, want_s) and np.array_equal(radiance, want_r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       res=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)))
+def test_sample_under_rigid_motion_matches_reference_bitwise(seed, res):
+    # A rotated and translated field, as in field-hit after the impact.
+    # The box is read off the field-frame images of the first four points,
+    # so point 0 is exactly its upper corner and point 1 + ax lies exactly
+    # on its lower face ax; points near the other faces, on the corners and
+    # outside come from targets in a nominal unit box.
+    rng = np.random.default_rng(seed)
+    wff = Transform.from_quaternion(rng.normal(size=4), rng.uniform(-3.0, 3.0, 3))
+    q = rng.uniform(-0.5, 1.5, (300, 3))
+    q[0] = 1.0
+    for ax in range(3):
+        q[1 + ax] = rng.uniform(0.1, 0.9, 3)
+        q[1 + ax, ax] = 0.0
+    q[4:40] = np.where(rng.random((36, 3)) < 0.5, 0.0, 1.0)
+    face = np.arange(40, 100) % 3
+    q[40:100] = rng.uniform(0.0, 1.0, (60, 3))
+    q[40:100][np.arange(60), face] = np.where(rng.random(60) < 0.5, 0.0, 1.0)
+    p = wff.point(q)
+    pf = wff.point(p, inverse=True)
+    lo, hi = np.diag(pf[1:4]).copy(), pf[0].copy()
+    sig = rng.uniform(0.0, 2.0, res)
+    rad = rng.uniform(0.0, 1.0, res + (3,))
+    g = RadianceGrid(lo, hi, sig, rad, world_from_field=wff)
+    sigma, radiance = g.sample_batch(p)
+
+    inside = np.all((pf >= lo) & (pf <= hi), axis=1)
+    assert inside[:4].all() and not inside.all()
+    scale = field_mod._grid_scale(lo, hi, res)
+    want_s = np.where(inside, _trilinear_8_gathers(sig, lo, res, pf, scale), 0.0)
+    want_r = np.where(inside[:, None], _trilinear_8_gathers(rad, lo, res, pf, scale), 0.0)
+    assert np.array_equal(want_s.view(np.uint64), np.ascontiguousarray(sigma).view(np.uint64))
+    assert np.array_equal(want_r.view(np.uint64), np.ascontiguousarray(radiance).view(np.uint64))
 
 
 # ------------------------------------------------------------ transmittance

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridrt import assets
-from hybridrt.field import RadianceGrid, save_rfgrid, save_sdfgrid
+from hybridrt.field import RadianceGrid, SdfGrid, save_rfgrid, save_sdfgrid
 from hybridrt.render import Camera
 from hybridrt.scene import (
-    DynamicConfig,
+    ClothConfig,
+    FieldDynamicConfig,
     RenderConfig,
+    RigidConfig,
     SceneConfig,
     SceneError,
     SimConfig,
@@ -75,9 +77,10 @@ def test_render_config_validates_direct_construction(key, value):
 @pytest.mark.parametrize("cls, key, value", [
     (SimConfig, "dt", float("nan")), (SimConfig, "damping", float("nan")),
     (SimConfig, "damping", -0.1), (SimConfig, "velocity_cap", 0.0),
-    (SimConfig, "velocity_cap", -1.0), (DynamicConfig, "mass", float("nan")),
-    (DynamicConfig, "compliance", -1e-3), (DynamicConfig, "sigma_threshold", 0.0),
-    (DynamicConfig, "sigma_threshold", 1.5)])
+    (SimConfig, "velocity_cap", -1.0), (RigidConfig, "mass", float("nan")),
+    (ClothConfig, "compliance", -1e-3), (FieldDynamicConfig, "sigma_threshold", 0.0),
+    (FieldDynamicConfig, "sigma_threshold", 1.5), (ClothConfig, "mass", 0.0),
+    (FieldDynamicConfig, "mass", -1.0)])
 def test_sim_configs_validate_direct_construction(cls, key, value):
     with pytest.raises(ValueError, match=f"^{key}: must be"):
         cls(**{key: value})
@@ -193,6 +196,61 @@ def test_round_trip_equality(tmp_path):
     text = serialize_scene(cfg)
     cfg2 = parse_scene(text, base_dir=str(tmp_path))
     assert cfg == cfg2
+
+
+@pytest.mark.parametrize("where, dynamic, key", [
+    ("mesh", {"type": "rigid"}, "sigma_threshold"),
+    ("mesh", {"type": "rigid"}, "sdf"),
+    ("mesh", {"type": "rigid"}, "pinned"),
+    ("mesh", {"type": "rigid"}, "compliance"),
+    ("mesh", {}, "pinned"),  # an omitted type means rigid
+    ("mesh", {"type": "cloth"}, "sigma_threshold"),
+    ("mesh", {"type": "cloth"}, "sdf"),
+    ("field", {"type": "rigid"}, "pinned"),
+    ("field", {}, "compliance"),
+])
+def test_dynamic_key_of_another_kind_is_rejected(tmp_path, where, dynamic, key):
+    # Each kind of dynamic object reads only the keys that apply to it.
+    write_assets(tmp_path)
+    save_sdfgrid(tmp_path / "p.sdfgrid", SdfGrid((0, 0, 0), (1, 1, 1), np.ones((2, 2, 2))))
+    value = {"sigma_threshold": 0.9, "sdf": "p.sdfgrid", "pinned": [0], "compliance": 5.0}[key]
+    doc = minimal_doc()
+    if where == "mesh":
+        doc["meshes"] = [{"path": "q.obj", "dynamic": {**dynamic, key: value}}]
+        path = r"meshes\[0\]\.dynamic"
+    else:
+        doc["field"]["dynamic"] = {**dynamic, key: value}
+        path = r"field\.dynamic"
+    with pytest.raises(SceneError, match=rf"^{path}\.{key}: unknown key$"):
+        parse_scene(json.dumps(doc), base_dir=str(tmp_path))
+
+
+def test_dynamic_kinds_are_told_apart_by_type(tmp_path):
+    write_assets(tmp_path)
+    doc = minimal_doc()
+    doc["field"]["dynamic"] = {"mass": 2.0, "sigma_threshold": 0.3}
+    doc["meshes"] = [{"path": "q.obj", "dynamic": {"mass": 3.0}},
+                     {"path": "q.obj", "dynamic": {"type": "cloth", "pinned": [1]}}]
+    cfg = parse_scene(json.dumps(doc), base_dir=str(tmp_path))
+    assert cfg.field.dynamic == FieldDynamicConfig(mass=2.0, sigma_threshold=0.3)
+    assert cfg.meshes[0].dynamic == RigidConfig(mass=3.0)
+    assert cfg.meshes[1].dynamic == ClothConfig(pinned=[1])
+    doc["field"]["dynamic"]["type"] = "cloth"
+    with pytest.raises(SceneError, match=r"^field\.dynamic\.type: expected one of 'rigid'$"):
+        parse_scene(json.dumps(doc), base_dir=str(tmp_path))
+
+
+def test_every_preset_scene_parses_and_round_trips(tmp_path):
+    checked = []
+    for preset in sorted(assets.PRESETS):
+        d = tmp_path / preset
+        assets.generate(preset, str(d))
+        for path in sorted(d.glob("*.json")):
+            if "camera" in json.loads(path.read_text()):  # a scene, not poses or a bracket
+                cfg = parse_scene(path.read_text(), base_dir=str(d))
+                assert parse_scene(serialize_scene(cfg), base_dir=str(d)) == cfg
+                checked.append(path.name)
+    assert {"drop.json", "field_hit.json", "two_room.json", "furnace.json"} <= set(checked)
 
 
 def test_round_trip_minimal(tmp_path):
