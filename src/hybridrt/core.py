@@ -89,6 +89,18 @@ def tone_map(c: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over a last axis of length 3, broadcast over the leading axes.
+
+    Bitwise equal to np.cross, which forms each component from the same
+    two products and one difference, without its axis handling, which
+    costs more than the arithmetic on small batches.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def quat_to_matrix(q) -> np.ndarray:
     """Rotation matrix of a unit quaternion (w, x, y, z)."""
     w, x, y, z = q
@@ -132,7 +144,12 @@ class Transform:
     def _rigid(r, t) -> "Transform":
         """[r | t] with its exact inverse [r^T | -r^T t], for an orthonormal
         r. Without r the inverse translation is -t itself, and without t
-        both translations stay zero."""
+        both translations stay zero.
+
+        Built by construction, without the constructor's bottom-row and
+        inverse checks, which such a pair passes; only a non-finite entry
+        (a zero or NaN quaternion, say) is rejected.
+        """
         m = np.eye(4)
         m_inv = np.eye(4)
         if r is not None:
@@ -141,7 +158,12 @@ class Transform:
         if t is not None:
             m[:3, 3] = t
             m_inv[:3, 3] = -t if r is None else -r.T @ t
-        return Transform(m, m_inv)
+        if not (np.isfinite(m).all() and np.isfinite(m_inv).all()):
+            raise ValueError("rigid transform has non-finite entries")
+        out = object.__new__(Transform)
+        out.m = m
+        out.m_inv = m_inv
+        return out
 
     @staticmethod
     def translate(t) -> "Transform":
@@ -174,8 +196,8 @@ class Transform:
         """Camera-to-world pose: camera looks down its local -z axis."""
         position = vec3(position)
         fwd = unit(np.asarray(target, dtype=np.float64) - position)
-        right = unit(np.cross(fwd, unit(up)))
-        true_up = np.cross(right, fwd)
+        right = unit(cross3(fwd, unit(up)))
+        true_up = cross3(right, fwd)
         return Transform._rigid(np.stack([right, true_up, -fwd], axis=1), position)
 
     def compose(self, other: "Transform") -> "Transform":

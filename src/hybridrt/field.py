@@ -278,14 +278,22 @@ class SdfGrid:
         outside = np.linalg.norm(p - q, axis=1)
         return np.where(outside > 0.0, np.maximum(outside + base, 0.0), base)
 
+    def _local(self, p_world: np.ndarray) -> np.ndarray:
+        return self.world_from_grid.point(
+            np.asarray(p_world, dtype=np.float64).reshape(-1, 3), inverse=True)
+
+    def phi_batch(self, p_world: np.ndarray) -> np.ndarray:
+        """phi at world points (N,3), bitwise query_batch's phi, without
+        the six lookups its normals take."""
+        return self._phi_local(self._local(p_world))
+
     def query_batch(self, p_world: np.ndarray):
         """(phi, normal, valid) at world points (N,3).
 
         Normals are central differences at one-cell spacing, rotated back
         to world; valid is False where the gradient degenerates.
         """
-        p = np.asarray(p_world, dtype=np.float64).reshape(-1, 3)
-        pl = self.world_from_grid.point(p, inverse=True)
+        pl = self._local(p_world)
         h = self.cell_size()
         # phi at p and at p +- h[ax] along each axis, from one lookup.
         e = np.diag(h)[:, None, :]

@@ -40,7 +40,7 @@ from .core import Transform
 from .field import RadianceGrid, march_arrays
 from .images import HdrImage
 from .surface import (
-    ANYHIT_CHUNK,
+    CHUNK_PAIRS,
     Bvh,
     Dielectric,
     Lambertian,
@@ -169,7 +169,7 @@ def shadow_candidates(points, emitters: EmitterSet, blocker_bvh: Bvh, pad: float
     reach_lo = np.where(emitters.hi < lo, lo, -np.inf)
     reach_hi = np.where(emitters.lo > hi, hi, np.inf)
     cand = np.zeros(n, dtype=bool)
-    rows = max(1, ANYHIT_CHUNK // len(lo))
+    rows = max(1, CHUNK_PAIRS // len(lo))
     for i in range(0, n, rows):
         p = points[i:i + rows, None, :]
         inside = np.all((p >= reach_lo) & (p <= reach_hi), axis=2)

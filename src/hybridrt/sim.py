@@ -9,6 +9,12 @@ samples), reconstructs velocities from positions, and finishes with a
 restitution/friction velocity pass that also removes the artificial
 bounce a pure position projection would inject. Everything runs
 single-threaded in deterministic order, so trajectories are bit-stable.
+
+Contact detection tests each source's collision points against each SDF
+it can meet with a phi-only lookup first; only when some point lies
+inside (phi < 0) does the full query run, normals included, and it runs
+over the whole point batch, so its values are those an ungated query
+gives.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Transform, quat_to_matrix
+from .core import Transform, cross3, quat_to_matrix
 from .field import (SdfGrid, grid_points, load_sdfgrid, mesh_edges, occupancy,
                     sdf_from_density)
 from .scene import SimConfig
@@ -46,8 +52,9 @@ def quat_mul(a, b):
 def quat_rotate(q, v):
     u = q[1:4]
     w = q[0]
-    t = 2.0 * np.cross(u, np.atleast_2d(v))
-    out = np.atleast_2d(v) + w * t + np.cross(u, t)
+    v2 = np.atleast_2d(v)
+    t = 2.0 * cross3(u, v2)
+    out = v2 + w * t + cross3(u, t)
     return out[0] if np.ndim(v) == 1 else out
 
 
@@ -134,6 +141,10 @@ class RigidBody:
         r = quat_to_matrix(self.q)
         return r @ self.inv_inertia @ r.T
 
+    def phi(self, p_world: np.ndarray) -> np.ndarray:
+        """The body SDF's phi at world points, bitwise query's phi."""
+        return self.sdf.phi_batch(self.world_from_body().point(p_world, inverse=True))
+
     def query(self, p_world: np.ndarray):
         """The body SDF's (phi, normal, valid) at world points, at the
         body's current pose."""
@@ -145,22 +156,22 @@ class RigidBody:
         return quat_rotate(self.q, self.verts[vert]) + self.com
 
     def velocity(self, p: np.ndarray) -> np.ndarray:
-        return self.lin_vel + np.cross(self.ang_vel, p - self.com)
+        return self.lin_vel + cross3(self.ang_vel, p - self.com)
 
     def w(self, p: np.ndarray, n: np.ndarray) -> float:
-        rn = np.cross(p - self.com, n)
+        rn = cross3(p - self.com, n)
         return self.inv_mass + float(rn @ self.inv_inertia_world() @ rn)
 
     def shift(self, s: float, n: np.ndarray, p: np.ndarray):
         dp = s * n
         r = p - self.com
         self.com += self.inv_mass * dp
-        dw = self.inv_inertia_world() @ np.cross(r, dp)
+        dw = self.inv_inertia_world() @ cross3(r, dp)
         self.q = quat_normalize(self.q + 0.5 * quat_mul(np.array([0.0, *dw]), self.q))
 
     def push(self, j: np.ndarray, p: np.ndarray):
         self.lin_vel += self.inv_mass * j
-        self.ang_vel += self.inv_inertia_world() @ np.cross(p - self.com, j)
+        self.ang_vel += self.inv_inertia_world() @ cross3(p - self.com, j)
 
 
 def point_mass_inertia(verts_body: np.ndarray, mass: float) -> np.ndarray:
@@ -209,6 +220,9 @@ class StaticCollider:
 
     def __init__(self, sdf: SdfGrid):
         self.sdf = sdf
+
+    def phi(self, p_world: np.ndarray) -> np.ndarray:
+        return self.sdf.phi_batch(p_world)
 
     def query(self, p_world: np.ndarray):
         return self.sdf.query_batch(p_world)
@@ -291,17 +305,26 @@ class World:
 def detect_contacts(world: World) -> list:
     """Every particle and rigid collision vertex against every SDF but its own."""
     ps = world.particles
-    # (body the points belong to, world points, contact participant of point k)
-    sources = [(None, ps.pos, lambda k: (Particle(ps, k), 0))] if len(ps) else []
-    sources += [(b, b.world_verts(), lambda k, b=b: (b, k)) for b in world.bodies if len(b.verts)]
+    # (body the points belong to, its world points, contact participant of
+    # point k); the points are computed only for a source with an owner.
+    sources = [(None, lambda: ps.pos, lambda k: (Particle(ps, k), 0))] if len(ps) else []
+    sources += [(b, b.world_verts, lambda k, b=b: (b, k)) for b in world.bodies if len(b.verts)]
     owners = [StaticCollider(s) for s in world.static_sdfs]
     owners += [b for b in world.bodies if b.sdf is not None]
 
     contacts = []
-    for body, pts, participant in sources:
-        for owner in owners:
-            if owner is body:
+    for body, points, participant in sources:
+        targets = [o for o in owners if o is not body]
+        if not targets:
+            continue
+        pts = points()
+        for owner in targets:
+            if not np.any(owner.phi(pts) < 0.0):
                 continue
+            # The normals come from a query over the whole batch, never
+            # over the inside points alone: a matmul over fewer rows can
+            # round differently (p[:1] @ m.T need not equal (p @ m.T)[:1]),
+            # so a subset would move the contacts' bits.
             phi, n, valid = owner.query(pts)
             for k in np.nonzero(phi < 0.0)[0]:
                 if not valid[k]:

@@ -22,11 +22,10 @@ _BARY_EPS = 1e-7
 _DET_EPS = 1e-12
 # Leaf box margin per unit of the leaf's longest edge; the bound is in Bvh.
 _BOX_PAD = 1e-6
-# (ray, box) tests per tree level of a traversal chunk (and per chunk of
-# the shadow cull in render.py); bounds the chunk's temporaries.
-ANYHIT_CHUNK = 1 << 15
-# (ray, face) tests per chunk of the brute-force sweep.
-BRUTE_FORCE_CHUNK_PAIRS = 4_000_000
+# Pair tests per chunk: (ray, box) per tree level of a traversal chunk,
+# (ray, face) per chunk of the brute-force sweep, and (point, box) per
+# chunk of the shadow cull in render.py; bounds the chunk's temporaries.
+CHUNK_PAIRS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +372,9 @@ class Bvh:
         t0, t1 = slab_interval(self.node_lo[0], self.node_hi[0], o, inv_d, t_min, t_max)
         entering = np.flatnonzero(t0 <= t1)
         # No level has more nodes than leaves, so no level of a chunk
-        # tests more than ANYHIT_CHUNK (ray, node) pairs.
+        # tests more than CHUNK_PAIRS (ray, node) pairs.
         leaves = len(self.leaf_faces)
-        rows = max(1, ANYHIT_CHUNK // leaves)
+        rows = max(1, CHUNK_PAIRS // leaves)
         for i in range(0, len(entering), rows):
             ray = entering[i:i + rows]
             node = np.zeros(len(ray), dtype=np.int64)
@@ -428,7 +427,7 @@ class Bvh:
         best_f = np.full(n, -1, dtype=np.int64)
         if self.n_faces == 0:
             return best_t, best_f
-        rows = max(1, BRUTE_FORCE_CHUNK_PAIRS // self.n_faces)
+        rows = max(1, CHUNK_PAIRS // self.n_faces)
         for i in range(0, n, rows):
             sl = slice(i, min(i + rows, n))
             t = _moller_trumbore(

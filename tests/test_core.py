@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hybridrt.core import Transform, luminance, slab_interval, tone_map, unit, vec3
+from hybridrt.core import Transform, cross3, luminance, slab_interval, tone_map, unit, vec3
 
 
 def test_tone_map_fixed_points():
@@ -75,6 +76,65 @@ def test_transform_rejects_bad_bottom_row():
     m[3, 0] = 1.0
     with pytest.raises(ValueError):
         Transform(m)
+
+
+def rigid_factories(rng):
+    """One transform from each rigid factory, with random inputs."""
+    return [
+        Transform.translate(rng.uniform(-10, 10, 3)),
+        Transform.rotate(rng.normal(size=3), rng.uniform(-7, 7)),
+        Transform.from_quaternion(rng.normal(size=4), rng.uniform(-10, 10, 3)),
+        Transform.look_at(rng.uniform(-10, 10, 3), rng.uniform(-10, 10, 3), rng.normal(size=3)),
+    ]
+
+
+def test_rigid_factories_carry_their_inverse(rng):
+    # Built without the constructor's checks, each still passes them.
+    for _ in range(200):
+        for t in rigid_factories(rng):
+            assert np.array_equal(t.m[3], [0.0, 0.0, 0.0, 1.0])
+            assert np.max(np.abs(t.m @ t.m_inv - np.eye(4))) <= 1e-12
+            assert Transform(t.m, t.m_inv) == t
+
+
+@pytest.mark.parametrize("q, origin", [
+    ([0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    ([np.nan, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0]),
+    ([1.0, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0]),
+])
+def test_from_quaternion_rejects_nonfinite(q, origin):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):  # 0 / 0
+        Transform.from_quaternion(q, origin)
+
+
+def test_transform_rejects_wrong_inverse():
+    m = Transform.translate([1.0, 2.0, 3.0]).m
+    with pytest.raises(ValueError, match="inverse"):
+        Transform(m, np.eye(4))
+    bad = m.copy()
+    bad[3, 2] = 0.5
+    with pytest.raises(ValueError, match="bottom row"):
+        Transform(bad, np.linalg.inv(bad))
+
+
+_floats = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.lists(_floats, min_size=3, max_size=3),
+       b=st.lists(st.lists(_floats, min_size=3, max_size=3), min_size=1, max_size=5),
+       scale=st.sampled_from([1.0, 1e-200, 1e150]))
+def test_cross3_equals_np_cross_bitwise(a, b, scale):
+    # Signed zeros and mixed magnitudes: the same bits as np.cross, for a
+    # single vector against rows, rows against rows and vector by vector.
+    a = np.array(a)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        b = np.array(b) * scale
+        for x, y in ((a, b), (b, a), (b, b[::-1]), (a, b[0]), (b[0], a)):
+            got, ref = cross3(x, y), np.cross(x, y)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_look_at_convention():

@@ -460,6 +460,27 @@ def test_sdf_eikonal_interior(rng):
     assert np.all(np.abs(norms[keep] - 1.0) < 0.2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       res=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+       n=st.integers(1, 300))
+def test_phi_batch_equals_query_phi_bitwise(seed, res, n):
+    # A moved grid, queried inside, outside, on the box's faces and at
+    # points a few ulps off them: the gate lookup gives query's phi bits.
+    rng = np.random.default_rng(seed)
+    wfg = Transform.from_quaternion(rng.normal(size=4), rng.uniform(-3.0, 3.0, 3))
+    lo, hi = np.array([-0.5, 0.0, 0.25]), np.array([0.5, 0.75, 1.0])
+    sdf = SdfGrid(lo, hi, rng.uniform(-1.0, 1.0, res), world_from_grid=wfg)
+    q = rng.uniform(lo - 0.3, hi + 0.3, (n, 3))
+    face = rng.random(n) < 0.4
+    ax = rng.integers(3, size=n)
+    q[face, ax[face]] = np.where(rng.random(n) < 0.5, lo[ax], hi[ax])[face]
+    ulps = rng.integers(-3, 4, (n, 3))
+    q = q + ulps * np.spacing(q)
+    p = wfg.point(q)
+    assert sdf.phi_batch(p).tobytes() == sdf.query_batch(p)[0].tobytes()
+
+
 def test_sdf_degenerate_gradient_flagged():
     sdf = SdfGrid((0, 0, 0), (1, 1, 1), np.full((3, 3, 3), 0.5))
     _, _, ok = sdf.query_batch(np.array([[0.5, 0.5, 0.5]]))

@@ -262,7 +262,7 @@ def test_shadow_cull_never_drops_a_blocked_ray(seed, n_tris, layout, chunk):
     rng = np.random.default_rng(seed)
     bvh, em, pts, pad = cull_case(rng, n_tris, layout)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(render_mod, "ANYHIT_CHUNK", chunk)
+        mp.setattr(render_mod, "CHUNK_PAIRS", chunk)
         cand = shadow_candidates(pts, em, bvh, pad)
     assert np.array_equal(cand, shadow_candidates(pts, em, bvh, pad))
     ref = boxes_meet_reference(pts, em, bvh, pad)

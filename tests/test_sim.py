@@ -1,14 +1,18 @@
+import functools
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridrt import assets, cli, sim
-from hybridrt.field import (RadianceGrid, save_rfgrid, save_sdfgrid, sdf_from_density,
-                            sdf_from_function)
+from hybridrt.core import Transform
+from hybridrt.field import (RadianceGrid, SdfGrid, save_rfgrid, save_sdfgrid,
+                            sdf_from_density, sdf_from_function)
+from hybridrt.images import read_pfm
 from hybridrt.scene import load_scene
-from hybridrt.surface import save_obj
+from hybridrt.surface import load_obj, save_obj
 
 
 # Per-frame simulation state digests (state_digest below); a change to the
@@ -149,6 +153,50 @@ def test_cloth_on_field_blob_conserves_momentum(tmp_path, friction):
     np.testing.assert_allclose(momentum(), before, rtol=0, atol=1e-9)
 
 
+def test_simulate_hands_off_what_the_world_computed(field_hit_dir, tmp_path, capsys):
+    # What `simulate --render-frames --hdr` writes, read back: body states
+    # bitwise equal to an in-process run (JSON round-trips floats), the
+    # ball's OBJ to its %.9g precision, finite non-negative frames, and
+    # the impact's momentum held from the first file to the last.
+    frames = 40
+    scene_path = field_hit_dir / "field_hit.json"
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--scene", str(scene_path), "--frames", str(frames),
+                     "--out", str(out), "--render-frames", "--hdr",
+                     "--width", "6", "--height", "5", "--spp", "1"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == str(out)
+
+    scene = load_scene(scene_path)
+    world, binding = sim.build_world(scene)
+    cfg = scene.config.sim
+    (ball_mesh, ball_index), = binding.rigid_meshes
+    docs = []
+    for k in range(frames + 1):
+        if k:
+            sim.step(world, cfg.dt, cfg.substeps, cfg.iterations)
+            sim.sync_to_renderer(world, scene, binding)
+        doc = json.loads((out / f"frame_{k:04d}_transforms.json").read_text())
+        assert doc["frame"] == k
+        assert [b["name"] for b in doc["bodies"]] == [b.name for b in world.bodies]
+        for got, b in zip(doc["bodies"], world.bodies):
+            for key, want in (("com", b.com), ("orientation", b.q), ("lin_vel", b.lin_vel)):
+                assert np.array(got[key]).tobytes() == want.tobytes(), (k, b.name, key)
+        obj = load_obj(str(out / f"frame_{k:04d}_{ball_mesh.name}.obj"), bsdf=ball_mesh.bsdf)
+        np.testing.assert_allclose(obj.vertices, world.bodies[ball_index].world_verts(),
+                                   rtol=0, atol=1e-8)
+        img = read_pfm(out / f"frame_{k:04d}.pfm")
+        assert img.pixels.shape == (5, 6, 3)
+        assert np.all(np.isfinite(img.pixels)) and np.all(img.pixels >= 0.0)
+        docs.append(doc)
+
+    def momentum(doc):
+        return sum(b.mass * np.array(d["lin_vel"]) for b, d in zip(world.bodies, doc["bodies"]))
+
+    np.testing.assert_allclose(momentum(docs[-1]), momentum(docs[0]), rtol=0, atol=1e-6)
+    assert docs[-1]["bodies"][ball_index]["lin_vel"][0] < 0.0  # the ball bounced back
+
+
 def test_drop_comes_to_rest_on_the_plane(tmp_path):
     assets.gen_drop(str(tmp_path))
     world, _ = run_frames(tmp_path / "drop.json", 60)
@@ -228,3 +276,115 @@ def test_field_body_takes_collision_vertices_from_its_own_sdf_grid():
     body, origin = sim.make_field_body(grid, sdf, 1.0)
     phi = sdf.query_batch(body.verts + origin)[0]
     assert len(phi) and np.all(np.abs(phi) <= 0.75 * np.max(sdf.cell_size()) + 1e-6)
+
+
+def reference_detect_contacts(world):
+    """detect_contacts without the phi gate: every owner's full query over
+    every source's points."""
+    ps = world.particles
+    sources = [(None, ps.pos, lambda k: (sim.Particle(ps, k), 0))] if len(ps) else []
+    sources += [(b, b.world_verts(), lambda k, b=b: (b, k)) for b in world.bodies if len(b.verts)]
+    owners = [sim.StaticCollider(s) for s in world.static_sdfs]
+    owners += [b for b in world.bodies if b.sdf is not None]
+    contacts = []
+    for body, pts, participant in sources:
+        for owner in owners:
+            if owner is body:
+                continue
+            phi, n, valid = owner.query(pts)
+            for k in np.nonzero(phi < 0.0)[0]:
+                if valid[k]:
+                    contacts.append(sim.Contact(*participant(int(k)), owner, n[k].copy()))
+    return contacts
+
+
+def contact_key(c):
+    """What identifies a contact: its source and point, its owner (a
+    static collider by its SDF) and its normal's bits."""
+    src = (c.src.ps, c.src.k) if isinstance(c.src, sim.Particle) else c.src
+    owner = c.owner.sdf if isinstance(c.owner, sim.StaticCollider) else c.owner
+    return src, c.vert, owner, c.normal.tobytes()
+
+
+@functools.lru_cache(maxsize=1)
+def small_blob():
+    grid = assets.gaussian_blob_field((-0.8,) * 3, (0.8,) * 3, (0, 0, 0), 0.28, 8.0,
+                                      (1, 1, 1), res=(12, 12, 12))
+    return grid, sdf_from_density(grid)
+
+
+def boundary_points(owner, origin, rng, count):
+    """Pairs of points on either side of owner's phi = 0, adjacent floats
+    apart along a ray from origin (inside) outwards, each moved by up to
+    3 ulps per coordinate."""
+    out = []
+    for _ in range(count):
+        d = rng.normal(size=3)
+        d /= np.linalg.norm(d)
+        inside, outside = 0.0, 2.0
+        while (mid := 0.5 * (inside + outside)) not in (inside, outside):
+            if owner.query((origin + mid * d)[None])[0][0] < 0.0:
+                inside = mid
+            else:
+                outside = mid
+        for s in (inside, outside):
+            p = origin + s * d
+            out += [p, p + rng.integers(-3, 4, 3) * np.spacing(p)]
+    return out
+
+
+def face_points(box_lo, box_hi, to_world, rng, count):
+    """Points on the faces of the box [box_lo, box_hi], mapped to world."""
+    q = rng.uniform(box_lo, box_hi, (count, 3))
+    ax = rng.integers(3, size=count)
+    q[np.arange(count), ax] = np.where(rng.random(count) < 0.5, box_lo[ax], box_hi[ax])
+    return list(to_world(q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), spin=st.booleans())
+def test_gated_detect_contacts_equals_ungated(seed, spin):
+    # Cloth particles, a rigid ball with an SDF, the field body and a
+    # translated static plane, with points on and within a few ulps of
+    # every owner's phi = 0 and on every SDF's box faces: the same
+    # contacts, in the same order, with the same normal bits.
+    rng = np.random.default_rng(seed)
+    grid, blob_sdf = small_blob()
+    world = sim.World()
+    blob, _ = sim.make_field_body(grid, blob_sdf, 2.0)
+    ball_sdf = assets.sphere_sdf(0.3, pad=0.1, res=(9, 9, 9))
+    ball_v, _ = assets.uv_sphere(0.3, rings=4, segments=6)
+    ball = sim.RigidBody(com=rng.uniform(-0.6, 0.6, 3), mass=1.0,
+                         collision_vertices=ball_v, sdf=ball_sdf, name="ball")
+    blob.com = rng.uniform(-0.2, 0.2, 3)
+    if spin:
+        for b in (ball, blob):
+            q = rng.normal(size=4)
+            b.q = q / np.linalg.norm(q)
+    plane = assets.plane_sdf(z=0.0, half_extent=1.5, depth=0.5, res=(5, 5, 5))
+    shift = rng.uniform(-0.5, 0.5, 3)
+    plane = SdfGrid(plane.bbox_lo, plane.bbox_hi, plane.phi,
+                    world_from_grid=Transform.translate(shift))
+    world.static_sdfs = [plane]
+    world.bodies = [ball, blob]
+
+    on_plane = np.column_stack([rng.uniform(-1.5, 1.5, (6, 2)) + shift[:2],
+                                np.full(6, shift[2])])
+    pts = list(on_plane) + list(on_plane + rng.integers(-3, 4, (6, 3)) * np.spacing(on_plane))
+    pts.append(shift - (0.0, 0.0, 0.1))  # inside the plane, so never contact-free
+    for body in (ball, blob):
+        pts += boundary_points(body, body.com, rng, 3)
+        pts += face_points(body.sdf.bbox_lo, body.sdf.bbox_hi, body.world_from_body().point,
+                           rng, 6)
+    pts += face_points(plane.bbox_lo, plane.bbox_hi, plane.world_from_grid.point, rng, 6)
+    pts = np.array(pts)
+    pts = np.concatenate([pts, rng.uniform(-1.0, 1.0, (20, 3))])
+    world.add_cloth(pts, np.where(rng.random(len(pts)) < 0.2, 0.0, 1.0), [], [], [])
+    # Half of the ball's collision points are special points too.
+    extra = ball.world_from_body().point(pts[rng.random(len(pts)) < 0.5], inverse=True)
+    ball.verts = np.concatenate([ball.verts, extra])
+
+    ref = reference_detect_contacts(world)
+    got = sim.detect_contacts(world)
+    assert ref
+    assert [contact_key(c) for c in got] == [contact_key(c) for c in ref]

@@ -183,11 +183,11 @@ def any_hit_rays(rng, bvh, n):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["soup", "grid", "bumpy"]),
-       size=st.integers(1, 45), chunk=st.sampled_from([1, 5, 64, surface.ANYHIT_CHUNK]))
+       size=st.integers(1, 45), chunk=st.sampled_from([1, 5, 64, surface.CHUNK_PAIRS]))
 def test_any_hit_equals_brute_force(seed, layout, size, chunk):
     bvh, (o, d, t_min, t_max) = oracle_case(np.random.default_rng(seed), layout, size)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(surface, "ANYHIT_CHUNK", chunk)
+        mp.setattr(surface, "CHUNK_PAIRS", chunk)
         blocked = bvh.any_hit_batch(o, d, t_min, t_max)
     assert np.array_equal(blocked, bvh.brute_force_batch(o, d, t_min, t_max)[1] >= 0)
 
@@ -244,15 +244,31 @@ def oracle_case(rng, layout, size):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["soup", "grid", "bumpy"]),
-       size=st.integers(1, 45), chunk=st.sampled_from([1, 7, surface.ANYHIT_CHUNK]))
+       size=st.integers(1, 45), chunk=st.sampled_from([1, 7, surface.CHUNK_PAIRS]))
 def test_nearest_hit_equals_brute_force(seed, layout, size, chunk):
     bvh, (o, d, t_min, t_max) = oracle_case(np.random.default_rng(seed), layout, size)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Bvh, "BRUTE_FORCE_FACES", 0)
-        mp.setattr(surface, "ANYHIT_CHUNK", chunk)
+        mp.setattr(surface, "CHUNK_PAIRS", chunk)
         t, face = bvh.intersect_batch(o, d, t_min, t_max)
     t_ref, face_ref = bvh.brute_force_batch(o, d, t_min, t_max)
     assert np.array_equal(t, t_ref)
+    assert np.array_equal(face, face_ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["soup", "grid", "bumpy"]),
+       size=st.integers(1, 45), chunk=st.sampled_from([1, 7, 1 << 15]))
+def test_brute_force_sweep_is_independent_of_its_chunks(seed, layout, size, chunk):
+    # Each ray's row of the dense sweep is its own, so any pair cap gives
+    # the bits of one chunk holding every (ray, face) pair.
+    bvh, (o, d, t_min, t_max) = oracle_case(np.random.default_rng(seed), layout, size)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "CHUNK_PAIRS", len(o) * bvh.n_faces)
+        t_ref, face_ref = bvh.brute_force_batch(o, d, t_min, t_max)
+        mp.setattr(surface, "CHUNK_PAIRS", chunk)
+        t, face = bvh.brute_force_batch(o, d, t_min, t_max)
+    assert t.tobytes() == t_ref.tobytes()
     assert np.array_equal(face, face_ref)
 
 
