@@ -83,15 +83,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(scene, args):
     from .render import Camera
-    if getattr(args, "width", None) or getattr(args, "height", None):
+    if args.width is not None or args.height is not None:
         w, h = scene.camera.resolution
-        w = args.width or w
-        h = args.height or h
+        w = w if args.width is None else args.width
+        h = h if args.height is None else args.height
         if w < 1 or h < 1:
             raise ValueError("width/height overrides must be positive")
         scene.camera = Camera(pose=scene.camera.pose, fov=scene.camera.fov,
                               resolution=(w, h))
-    if getattr(args, "spp", None) is not None and args.spp < 1:
+    if args.spp is not None and args.spp < 1:
         raise ValueError("--spp must be >= 1")
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")

@@ -112,62 +112,46 @@ def quat_to_matrix(q) -> np.ndarray:
 
 
 class Transform:
-    """Invertible homogeneous 4x4 transform with a cached inverse.
+    """Rigid homogeneous 4x4 transform [r | t] with its exact inverse
+    [r^T | -r^T t].
 
-    The bottom row must be (0, 0, 0, 1). Construction fails on
-    non-invertible matrices; rigid factory methods keep the rotation block
-    orthonormal, which dynamic field objects rely on.
+    Rigid by construction: the one constructor takes an orthonormal
+    rotation block r (None for none) and a translation t (None for none),
+    so the bottom row is (0, 0, 0, 1) and m_inv inverts m up to rounding.
+    Distances and ray parameters are the same in both frames, which
+    ray marching and SDF normals rely on. Only a non-finite entry (a zero
+    or NaN quaternion, say) is rejected.
     """
 
     __slots__ = ("m", "m_inv")
 
-    def __init__(self, m, m_inv=None):
-        m = np.asarray(m, dtype=np.float64).reshape(4, 4)
-        if not np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=1e-9):
-            raise ValueError(f"transform bottom row must be (0,0,0,1), got {m[3]}")
-        if m_inv is None:
-            try:
-                m_inv = np.linalg.inv(m)
-            except np.linalg.LinAlgError as e:
-                raise ValueError("transform matrix is not invertible") from e
-        m_inv = np.asarray(m_inv, dtype=np.float64).reshape(4, 4)
-        if not np.allclose(m @ m_inv, np.eye(4), atol=1e-6):
-            raise ValueError("transform inverse check failed (m @ m_inv != I)")
-        self.m = m
-        self.m_inv = m_inv
-
-    @staticmethod
-    def identity() -> "Transform":
-        return Transform(np.eye(4), np.eye(4))
-
-    @staticmethod
-    def _rigid(r, t) -> "Transform":
-        """[r | t] with its exact inverse [r^T | -r^T t], for an orthonormal
-        r. Without r the inverse translation is -t itself, and without t
-        both translations stay zero.
-
-        Built by construction, without the constructor's bottom-row and
-        inverse checks, which such a pair passes; only a non-finite entry
-        (a zero or NaN quaternion, say) is rejected.
-        """
+    def __init__(self, r=None, t=None):
         m = np.eye(4)
         m_inv = np.eye(4)
         if r is not None:
             m[:3, :3] = r
             m_inv[:3, :3] = r.T
         if t is not None:
+            # Without r the inverse translation is -t itself, signed zeros
+            # included.
             m[:3, 3] = t
             m_inv[:3, 3] = -t if r is None else -r.T @ t
+        self._set(m, m_inv)
+
+    def _set(self, m, m_inv) -> "Transform":
         if not (np.isfinite(m).all() and np.isfinite(m_inv).all()):
             raise ValueError("rigid transform has non-finite entries")
-        out = object.__new__(Transform)
-        out.m = m
-        out.m_inv = m_inv
-        return out
+        self.m = m
+        self.m_inv = m_inv
+        return self
+
+    @staticmethod
+    def identity() -> "Transform":
+        return Transform()
 
     @staticmethod
     def translate(t) -> "Transform":
-        return Transform._rigid(None, vec3(t))
+        return Transform(t=vec3(t))
 
     @staticmethod
     def rotate(axis, angle_rad: float) -> "Transform":
@@ -182,14 +166,14 @@ class Transform:
                 [z * x * (1 - c) - y * s, z * y * (1 - c) + x * s, c + z * z * (1 - c)],
             ]
         )
-        return Transform._rigid(r, None)
+        return Transform(r)
 
     @staticmethod
     def from_quaternion(q, origin) -> "Transform":
         """Rotation from a quaternion (w, x, y, z), normalized here, then a
         translation to origin."""
         q = np.asarray(q, dtype=np.float64)
-        return Transform._rigid(quat_to_matrix(q / np.linalg.norm(q)), vec3(origin))
+        return Transform(quat_to_matrix(q / np.linalg.norm(q)), vec3(origin))
 
     @staticmethod
     def look_at(position, target, up=(0.0, 1.0, 0.0)) -> "Transform":
@@ -198,11 +182,15 @@ class Transform:
         fwd = unit(np.asarray(target, dtype=np.float64) - position)
         right = unit(cross3(fwd, unit(up)))
         true_up = cross3(right, fwd)
-        return Transform._rigid(np.stack([right, true_up, -fwd], axis=1), position)
+        return Transform(np.stack([right, true_up, -fwd], axis=1), position)
 
     def compose(self, other: "Transform") -> "Transform":
-        """self applied after other: (self.compose(other))(p) = self(other(p))."""
-        return Transform(self.m @ other.m, other.m_inv @ self.m_inv)
+        """self applied after other: (self.compose(other))(p) = self(other(p)).
+
+        The product of two rigid frames is rigid, and other.m_inv @
+        self.m_inv is its inverse, so both are taken as they are.
+        """
+        return object.__new__(Transform)._set(self.m @ other.m, other.m_inv @ self.m_inv)
 
     def point(self, p, inverse: bool = False) -> np.ndarray:
         """Transform a point (or an (N,3) batch of points)."""
@@ -215,9 +203,6 @@ class Transform:
         m = self.m_inv if inverse else self.m
         d = np.asarray(d, dtype=np.float64)
         return d @ m[:3, :3].T
-
-    def __eq__(self, other):
-        return isinstance(other, Transform) and np.array_equal(self.m, other.m)
 
     def __repr__(self):
         return f"Transform({self.m.tolist()})"

@@ -133,16 +133,9 @@ class RadianceGrid:
         rad = np.broadcast_to(vec3(radiance), res + (3,)).copy()
         return RadianceGrid(bbox_lo, bbox_hi, sig, rad)
 
-    def _is_identity(self) -> bool:
-        m = self.world_from_field.m
-        return (m[0, 0] == 1.0 and m[1, 1] == 1.0 and m[2, 2] == 1.0
-                and not m[:3, 3].any() and not m[0, 1:3].any()
-                and not m[1, 0::2].any() and not m[2, 0:2].any())
-
     def sample_batch(self, p_world: np.ndarray):
         """(sigma, radiance) at world points (N,3); vacuum outside the bbox."""
-        p = np.asarray(p_world, dtype=np.float64).reshape(-1, 3)
-        pf = p if self._is_identity() else self.world_from_field.point(p, inverse=True)
+        pf = self.world_from_field.point(np.reshape(p_world, (-1, 3)), inverse=True)
         (x, y, z), lo, hi = pf.T, self.bbox_lo, self.bbox_hi
         inside = ((x >= lo[0]) & (x <= hi[0]) & (y >= lo[1]) & (y <= hi[1])
                   & (z >= lo[2]) & (z <= hi[2]))
@@ -160,14 +153,12 @@ class RadianceGrid:
     def ray_bounds(self, o: np.ndarray, d: np.ndarray):
         """Parametric [t0, t1] of rays against the transformed bbox.
 
-        The transform must be rigid so the field-frame parameter equals the
-        world-frame one. Empty overlaps come back with t0 > t1.
+        world_from_field is a Transform, so rigid: the field-frame
+        parameter equals the world-frame one. Empty overlaps come back with
+        t0 > t1.
         """
-        o = np.asarray(o, dtype=np.float64).reshape(-1, 3)
-        d = np.asarray(d, dtype=np.float64).reshape(-1, 3)
-        if not self._is_identity():
-            o = self.world_from_field.point(o, inverse=True)
-            d = self.world_from_field.direction(d, inverse=True)
+        o = self.world_from_field.point(np.reshape(o, (-1, 3)), inverse=True)
+        d = self.world_from_field.direction(np.reshape(d, (-1, 3)), inverse=True)
         with np.errstate(divide="ignore"):
             return slab_interval(self.bbox_lo, self.bbox_hi, o, 1.0 / d)
 
@@ -279,8 +270,7 @@ class SdfGrid:
         return np.where(outside > 0.0, np.maximum(outside + base, 0.0), base)
 
     def _local(self, p_world: np.ndarray) -> np.ndarray:
-        return self.world_from_grid.point(
-            np.asarray(p_world, dtype=np.float64).reshape(-1, 3), inverse=True)
+        return self.world_from_grid.point(np.reshape(p_world, (-1, 3)), inverse=True)
 
     def phi_batch(self, p_world: np.ndarray) -> np.ndarray:
         """phi at world points (N,3), bitwise query_batch's phi, without

@@ -4,8 +4,10 @@ transform.
 
 Each substep integrates predictions, then runs Gauss-Seidel iterations of
 XPBD constraint projection (distance constraints sequentially in fixed
-order, then contacts in fixed order against start-of-iteration SDF
-samples), reconstructs velocities from positions, and finishes with a
+order, then contacts in fixed order: each contact's point is taken at the
+start of the iteration, but its owner's SDF is queried at the owner's
+current pose, after the corrections of the contacts before it),
+reconstructs velocities from positions, and finishes with a
 restitution/friction velocity pass that also removes the artificial
 bounce a pure position projection would inject. Everything runs
 single-threaded in deterministic order, so trajectories are bit-stable.
@@ -337,8 +339,10 @@ def detect_contacts(world: World) -> list:
 def _solve_contacts_position(contacts: list):
     """Project penetrating points to phi = 0 along the sampled normal.
 
-    Depths and normals are sampled per iteration, then corrections apply
-    in fixed contact order.
+    Every contact's point is taken once, at the start of the iteration.
+    Its depth and normal come from its owner's SDF at the owner's current
+    pose, so they see the corrections of the contacts before it, which
+    apply in fixed contact order.
     """
     pts = [c.point() for c in contacts]
     for c, p in zip(contacts, pts):

@@ -133,8 +133,7 @@ class TriangleMesh:
         indices = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
         if indices.size and (indices.min() < 0 or indices.max() >= len(vertices)):
             raise ValueError(f"mesh '{name}': face index out of range")
-        self.world_from_object = world_from_object or Transform.identity()
-        self.vertices = self.world_from_object.point(vertices)
+        self.vertices = (world_from_object or Transform.identity()).point(vertices)
         self.indices = indices
         self.bsdf = bsdf
         self.face_normals = np.zeros((len(indices), 3))
@@ -164,13 +163,10 @@ class TriangleMesh:
         return self.emission is not None and bool(np.any(self.emission > 0))
 
 
-def load_obj(text_or_path, **mesh_kwargs) -> TriangleMesh:
+def load_obj(path, **mesh_kwargs) -> TriangleMesh:
     """ASCII OBJ subset: v and triangulated f lines, 1-based indices."""
-    if isinstance(text_or_path, (str, bytes)) and "\n" not in str(text_or_path):
-        with open(text_or_path, "r") as f:
-            text = f.read()
-    else:
-        text = str(text_or_path)
+    with open(path, "r") as f:
+        text = f.read()
     verts, faces = [], []
     for ln, line in enumerate(text.splitlines(), start=1):
         parts = line.split()

@@ -1,5 +1,6 @@
 """Malformed inputs reach the CLI as one `error: <cmd>: <msg>` line and
-exit 2, never a traceback."""
+exit 2, never a traceback; the files one command writes are the input of
+the next."""
 
 import json
 import shutil
@@ -8,9 +9,12 @@ import struct
 import numpy as np
 import pytest
 
-from hybridrt import assets, cli
+from hybridrt import assets, cli, emitters
+from hybridrt.field import RadianceGrid, save_rfgrid
 from hybridrt.hdr import CrfTable, HdrError, load_crf_csv, save_crf_csv
 from hybridrt.images import HdrImage, read_pfm, write_pfm
+from hybridrt.scene import load_scene
+from hybridrt.surface import save_obj
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +185,21 @@ def test_bad_thread_count_exits_2(tmp_path, capfd, recwarn, command, threads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["render", "simulate"])
+@pytest.mark.parametrize("option", ["--width", "--height"])
+def test_zero_image_size_exits_2(tmp_path, capfd, command, option):
+    # 0 used to read as no override and render at the scene's size.
+    assets.gen_drop(str(tmp_path))
+    out = tmp_path / "out"
+    size = ["--spp", "1"] if command == "render" else ["--frames", "1"]
+    code = cli.main([command, "--scene", str(tmp_path / "drop.json"), "--out", str(out),
+                     option, "0", *size])
+    assert code == 2
+    assert capfd.readouterr().err.splitlines() == [
+        f"error: {command}: width/height overrides must be positive"]
+    assert not out.exists()
+
+
 def estimate_args(d):
     return ["estimate-emitters", "--scene", str(d / "room.json"),
             "--poses", str(d / "poses.json"), "--gt-dir", str(d)]
@@ -337,3 +356,54 @@ def test_signalling_nan_payload_exits_2(estimation_dir, tmp_path, capfd, recwarn
     assert match in lines[0]
     assert not recwarn.list
     assert not out.exists()
+
+
+def test_recovered_crf_merges_the_bracket_to_scale(hdr_dir, tmp_path, capsys):
+    # hdr-recover's CSV is hdr-merge's input; the merged image matches the
+    # ground truth up to the one scale the gauge g(128) = 0 leaves free.
+    crf, merged = tmp_path / "crf.csv", tmp_path / "merged.pfm"
+    bracket = str(hdr_dir / "bracket.json")
+    assert cli.main(["hdr-recover", "--bracket", bracket, "--out", str(crf)]) == 0
+    assert cli.main(["hdr-merge", "--bracket", bracket, "--crf", str(crf),
+                     "--out", str(merged)]) == 0
+    gt = read_pfm(str(hdr_dir / "hdr_gt.pfm")).pixels
+    ratio = read_pfm(str(merged)).pixels[gt > 0] / gt[gt > 0]
+    p5, p95 = np.percentile(ratio, [5, 95])
+    assert 4.475 <= p5 and p95 < 4.585
+    assert capsys.readouterr().err == ""
+
+
+def test_estimated_emitters_light_a_scene(estimation_dir, tmp_path, capsys, monkeypatch):
+    # estimate-emitters' JSON is read back as a scene's emitters and lights
+    # a fog in the room, with a panel between the fog and the ceiling lights.
+    pruned, real_prune = [], emitters.prune_emitters
+
+    def prune(*args):
+        pruned.append(real_prune(*args))
+        return pruned[-1]
+
+    monkeypatch.setattr(emitters, "prune_emitters", prune)
+    d = tmp_path / "room"
+    shutil.copytree(estimation_dir, d)
+    assert cli.main(estimate_args(d) + ["--out", str(d / "emitters.json")]) == 0
+    assert len(pruned) == 1 and len(pruned[0]) > 0
+
+    save_rfgrid(str(d / "fog.rfgrid"),
+                RadianceGrid.constant((-0.9, -0.9, -0.9), (0.9, 0.9, 0.7), 0.5, (0.2, 0.2, 0.2)))
+    v, f = assets.quad((-0.4, -0.4, 0.8), (0.8, 0.0, 0.0), (0.0, 0.8, 0.0))
+    save_obj(str(d / "panel.obj"), v, f)
+    doc = json.loads((d / "room.json").read_text())
+    doc["field"] = {"path": "fog.rfgrid"}
+    doc["meshes"].append({"path": "panel.obj",
+                          "bsdf": {"type": "lambertian", "albedo": [0.5, 0.5, 0.5]}})
+    doc["emitters"] = "emitters.json"
+    (d / "lit.json").write_text(json.dumps(doc))
+
+    got = load_scene(str(d / "lit.json")).emitters
+    assert np.array_equal(got.triangles, pruned[0].triangles)
+    assert np.array_equal(got.r_src, pruned[0].r_src)
+    out = tmp_path / "lit.pfm"
+    assert cli.main(["render", "--scene", str(d / "lit.json"), "--out", str(out), "--hdr",
+                     "--spp", "1"]) == 0
+    assert np.all(np.isfinite(read_pfm(str(out)).pixels))
+    assert capsys.readouterr().err == ""

@@ -63,38 +63,45 @@ def test_transform_round_trip_random_points(rng):
     assert np.max(np.abs(q - p)) < 1e-5
 
 
-def test_transform_rejects_singular():
-    m = np.eye(4)
-    m[0, 0] = 0.0
-    m[1, 1] = 0.0
-    with pytest.raises(ValueError):
-        Transform(m)
-
-
-def test_transform_rejects_bad_bottom_row():
-    m = np.eye(4)
-    m[3, 0] = 1.0
-    with pytest.raises(ValueError):
-        Transform(m)
-
-
 def rigid_factories(rng):
-    """One transform from each rigid factory, with random inputs."""
-    return [
+    """One transform from each rigid factory, with random inputs, and the
+    composition of two of them."""
+    ts = [
         Transform.translate(rng.uniform(-10, 10, 3)),
         Transform.rotate(rng.normal(size=3), rng.uniform(-7, 7)),
         Transform.from_quaternion(rng.normal(size=4), rng.uniform(-10, 10, 3)),
         Transform.look_at(rng.uniform(-10, 10, 3), rng.uniform(-10, 10, 3), rng.normal(size=3)),
     ]
+    a, b = rng.choice(len(ts), 2)
+    return ts + [ts[a].compose(ts[b])]
 
 
 def test_rigid_factories_carry_their_inverse(rng):
-    # Built without the constructor's checks, each still passes them.
+    # Every way to build a Transform gives a rigid frame and its inverse.
     for _ in range(200):
         for t in rigid_factories(rng):
             assert np.array_equal(t.m[3], [0.0, 0.0, 0.0, 1.0])
+            assert np.array_equal(t.m_inv[3], [0.0, 0.0, 0.0, 1.0])
             assert np.max(np.abs(t.m @ t.m_inv - np.eye(4))) <= 1e-12
-            assert Transform(t.m, t.m_inv) == t
+            r = t.m[:3, :3]
+            assert np.max(np.abs(r @ r.T - np.eye(3))) <= 1e-12
+
+
+def test_compose_is_the_two_products(rng):
+    # compose takes both products as they are, without re-deriving either.
+    for _ in range(50):
+        ts = rigid_factories(rng)
+        for a in ts:
+            for b in ts:
+                c = a.compose(b)
+                assert np.array_equal(c.m, a.m @ b.m)
+                assert np.array_equal(c.m_inv, b.m_inv @ a.m_inv)
+
+
+def test_compose_rejects_nonfinite():
+    big = Transform.translate([1e308, 0.0, 0.0])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        big.compose(big)
 
 
 @pytest.mark.parametrize("q, origin", [
@@ -105,16 +112,6 @@ def test_rigid_factories_carry_their_inverse(rng):
 def test_from_quaternion_rejects_nonfinite(q, origin):
     with np.errstate(invalid="ignore"), pytest.raises(ValueError):  # 0 / 0
         Transform.from_quaternion(q, origin)
-
-
-def test_transform_rejects_wrong_inverse():
-    m = Transform.translate([1.0, 2.0, 3.0]).m
-    with pytest.raises(ValueError, match="inverse"):
-        Transform(m, np.eye(4))
-    bad = m.copy()
-    bad[3, 2] = 0.5
-    with pytest.raises(ValueError, match="bottom row"):
-        Transform(bad, np.linalg.inv(bad))
 
 
 _floats = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),

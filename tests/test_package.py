@@ -1,4 +1,5 @@
-"""Module boundaries: no module of the package uses another's private names."""
+"""Module boundaries: no module of the package uses another's private
+names; runtime guards are real exceptions, not asserts."""
 
 import ast
 import pathlib
@@ -41,3 +42,12 @@ def test_no_module_uses_another_modules_private_names():
              for module, name in private_uses(path)
              if module != path.stem}
     assert found - ALLOWED == set()
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so a guard written as one vanishes.
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

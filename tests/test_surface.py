@@ -35,25 +35,31 @@ def soup_mesh(rng, n_tris=1000, spread=4.0):
 # ----------------------------------------------------------------- obj I/O
 
 
-def test_load_obj_text():
-    mesh = load_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+def obj_file(tmp_path, text):
+    path = tmp_path / "mesh.obj"
+    path.write_text(text)
+    return path
+
+
+def test_load_obj_text(tmp_path):
+    mesh = load_obj(obj_file(tmp_path, "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"),
                     bsdf=Lambertian(np.array([0.5, 0.5, 0.5])))
     assert len(mesh.vertices) == 3 and len(mesh.indices) == 1
     assert np.allclose(mesh.face_normals[0], [0, 0, 1])
 
 
-def test_load_obj_slash_indices_and_comments():
+def test_load_obj_slash_indices_and_comments(tmp_path):
     text = "# comment\nv 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nf 1//1 2//1 3//1\n"
-    mesh = load_obj(text, bsdf=Lambertian(np.array([0.5, 0.5, 0.5])))
+    mesh = load_obj(obj_file(tmp_path, text), bsdf=Lambertian(np.array([0.5, 0.5, 0.5])))
     assert len(mesh.indices) == 1
 
 
-def test_load_obj_rejects_quads_and_empty():
+def test_load_obj_rejects_quads_and_empty(tmp_path):
     with pytest.raises(ValueError):
-        load_obj("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n",
+        load_obj(obj_file(tmp_path, "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n"),
                  bsdf=Lambertian(np.array([0.5, 0.5, 0.5])))
     with pytest.raises(ValueError):
-        load_obj("v 0 0 0\n", bsdf=Lambertian(np.array([0.5, 0.5, 0.5])))
+        load_obj(obj_file(tmp_path, "v 0 0 0\n"), bsdf=Lambertian(np.array([0.5, 0.5, 0.5])))
 
 
 def test_obj_round_trip(tmp_path, rng):
