@@ -181,21 +181,6 @@ def plane_sdf(z: float = 0.0, half_extent: float = 4.0, depth: float = 2.0,
     return sdf_from_function(lambda p: p[:, 2] - z, lo, hi, res)
 
 
-def box_sdf(blo, bhi, pad: float = 0.5, res=(48, 48, 48)) -> SdfGrid:
-    blo = np.asarray(blo, dtype=np.float64)
-    bhi = np.asarray(bhi, dtype=np.float64)
-
-    def fn(p):
-        center = 0.5 * (blo + bhi)
-        half = 0.5 * (bhi - blo)
-        q = np.abs(p - center) - half
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-        inside = np.minimum(q.max(axis=1), 0.0)
-        return outside + inside
-
-    return sdf_from_function(fn, blo - pad, bhi + pad, res)
-
-
 # -- preset scene builders ----------------------------------------------------
 
 
@@ -237,16 +222,6 @@ def gen_sphere(out_dir: str, res: int = 64) -> list:
     save_obj(os.path.join(out_dir, "sphere.obj"), v, f)
     save_sdfgrid(os.path.join(out_dir, "sphere.sdfgrid"), sphere_sdf(res=(res, res, res)))
     return [os.path.join(out_dir, "sphere.obj"), os.path.join(out_dir, "sphere.sdfgrid")]
-
-
-def gen_box(out_dir: str, res: int = 48) -> list:
-    os.makedirs(out_dir, exist_ok=True)
-    v, f = box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
-    save_obj(os.path.join(out_dir, "box.obj"), v, f)
-    save_sdfgrid(os.path.join(out_dir, "box.sdfgrid"),
-                 box_sdf((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5), res=(res, res, res)))
-    save_sdfgrid(os.path.join(out_dir, "plane.sdfgrid"), plane_sdf())
-    return [os.path.join(out_dir, n) for n in ("box.obj", "box.sdfgrid", "plane.sdfgrid")]
 
 
 FURNACE_R_ENV = 0.8
@@ -470,7 +445,6 @@ def gen_field_hit(out_dir: str) -> list:
 PRESETS = {
     "smoke-slab": gen_smoke_slab,
     "sphere": gen_sphere,
-    "box": gen_box,
     "furnace": gen_furnace,
     "two-room": gen_two_room,
     "estimation-room": gen_estimation_room,

@@ -75,9 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-depth", type=int, default=3, help="light transport depth")
 
     sp = sub.add_parser("gen-assets", help="write analytic preset assets and scenes")
-    sp.add_argument("preset", help="preset name (see --list)")
+    sp.add_argument("preset", help="preset name; an unknown name lists the presets")
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--res", type=int, default=None, help="grid resolution for SDF presets")
     return p
 
 
@@ -130,7 +129,6 @@ def _cmd_simulate(args) -> int:
     out_dir = args.out or "sim_out"
     os.makedirs(out_dir, exist_ok=True)
     world, binding = sim.build_world(scene)
-    cfg = scene.config.sim
 
     def snapshot(k):
         dyn = [m for m, _ in binding.cloth_meshes] + [m for m, _ in binding.rigid_meshes]
@@ -152,9 +150,7 @@ def _cmd_simulate(args) -> int:
             _write_image(img, os.path.join(out_dir, f"frame_{k:04d}.{ext}"), args.hdr)
 
     snapshot(0)
-    for k in range(1, args.frames + 1):
-        sim.step(world, cfg.dt, cfg.substeps, cfg.iterations)
-        sim.sync_to_renderer(world, scene, binding)
+    for k in sim.run(world, scene, binding, args.frames):
         snapshot(k)
     print(out_dir)
     return EXIT_OK
@@ -202,12 +198,9 @@ def _cmd_estimate(args) -> int:
                                       f"renders {cam.resolution[0]}x{cam.resolution[1]}")
         if not np.all(np.isfinite(img.pixels)):
             raise est.EstimationError(f"{path}: non-finite pixel values")
-        gt.append(img.pixels)
-    gt_flat = np.concatenate([g.reshape(-1, 3) for g in gt])
-
-    op = est.build_transport(scene, poses, max_depth=args.max_depth)
-    emission, history = est.optimize_emission(config, op, gt_flat)
-    emitter_set = est.prune_emitters(scene.bvh.tri, emission, args.threshold)
+        gt.append(img.pixels.reshape(-1, 3))
+    emitter_set, _, history = est.estimate(scene, poses, np.concatenate(gt), config,
+                                           args.max_depth)
     est.save_emitters_json(args.out, emitter_set)
     if args.loss_csv:
         est.save_loss_csv(args.loss_csv, history)
@@ -217,13 +210,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_gen_assets(args) -> int:
     from . import assets
-    kwargs = {}
-    if args.res is not None:
-        if args.preset not in ("sphere", "box"):
-            raise ValueError(f"--res is not supported by preset {args.preset!r}")
-        kwargs["res"] = args.res
-    written = assets.generate(args.preset, args.out, **kwargs)
-    for w in written:
+    for w in assets.generate(args.preset, args.out):
         print(w)
     return EXIT_OK
 

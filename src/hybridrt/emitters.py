@@ -2,14 +2,15 @@
 
 Light transport is linear in the emission vector when path trajectories
 are fixed. The transport build runs the renderer's own bounce loop
-(`render._trace_paths`) from the same seeds, with a scatter accumulator in
+(`render.trace_paths`) from the same seeds, with a scatter accumulator in
 place of stored emission: each front-facing hit adds its path throughput
 to its pixel's bin for the hit face. That yields a dense transport
 operator A with image = A @ E exactly. The estimate then minimizes mean
 squared image error plus an L1 sparsity term by projected gradient
 descent, with a fixed periodic clip-low/boost-high schedule, and finally
-prunes the mesh down to the surviving emissive faces. Only the sparsity
-weight, the brightness threshold and the epoch count are settable.
+prunes the mesh down to the surviving emissive faces. `estimate` runs
+those three steps. Only the sparsity weight, the brightness threshold and
+the epoch count are settable.
 
 The descent runs in face space. Per pose and channel, the Gram matrix
 G = A^T A (faces x faces) and A^T b are formed once, so a step costs a
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import luminance
-from .render import EmitterSet, _primary_batches, _trace_paths
+from .render import EmitterSet, primary_batches, trace_paths
 from .surface import Lambertian
 
 TRANSPORT_BYTE_CAP = 1_500_000_000
@@ -94,8 +95,8 @@ def build_transport(scene, poses, max_depth: int = 3) -> TransportOperator:
     if need > TRANSPORT_BYTE_CAP:
         raise EstimationError(
             f"dense transport operator would need {need / 1e9:.1f} GB "
-            f"({rows} rows x {n_faces} faces); reduce faces/resolution or "
-            "use finite-difference gradients"
+            f"({rows} rows x {n_faces} faces); use fewer faces, a lower "
+            "resolution or fewer poses"
         )
 
     a = np.zeros((rows, n_faces, 3))
@@ -107,11 +108,11 @@ def build_transport(scene, poses, max_depth: int = 3) -> TransportOperator:
         if cam.resolution != (w, h):
             raise EstimationError("all poses must share one resolution")
         acc = a[pi * npix:(pi + 1) * npix]
-        for pix, smp, o, d in _primary_batches(cam, spp, seed, np.arange(npix)):
+        for pix, smp, o, d in primary_batches(cam, spp, seed, np.arange(npix)):
             def scatter(ids, faces, T_spec):
                 np.add.at(acc, (pix[ids], faces), T_spec * inv_spp)
 
-            _trace_paths(scene, o, d, pix, smp, seed, int(max_depth), scatter)
+            trace_paths(scene, o, d, pix, smp, seed, int(max_depth), scatter)
     return TransportOperator(a=a, n_poses=len(poses), resolution=(w, h), n_faces=n_faces)
 
 
@@ -204,6 +205,18 @@ def prune_emitters(tri_verts: np.ndarray, emission: np.ndarray,
     peak = lums.max()
     r_src = np.clip(lums / peak, 0.0, 1.0) if peak > 0 else np.zeros_like(lums)
     return EmitterSet(tri_verts[keep], r_src)
+
+
+def estimate(scene, poses, gt_flat: np.ndarray, config: EstimatorConfig,
+             max_depth: int = 3):
+    """Emitters from ground-truth images: the transport of `poses`, the
+    descent against gt_flat (every pose's pixels, (poses*h*w, 3), in pose
+    order), then pruning at the config's brightness threshold. Returns
+    (EmitterSet, emission, loss_history)."""
+    op = build_transport(scene, poses, max_depth=max_depth)
+    emission, history = optimize_emission(config, op, gt_flat)
+    return (prune_emitters(scene.bvh.tri, emission, config.brightness_threshold),
+            emission, history)
 
 
 def save_emitters_json(path, emitters: EmitterSet) -> None:

@@ -1,7 +1,7 @@
 """Hybrid path tracing: march the radiance field between surface
 intersections, bounce at surfaces, repeat.
 
-One bounce loop, `_trace_paths`, carries every path: camera paths of
+One bounce loop, `trace_paths`, carries every path: camera paths of
 `render` and the transport paths of `emitters.build_transport`. A batch
 of paths alternates two updates. Between surface hits the field segment
 is integrated by midpoint substeps (throughput times exp(-sigma dt),
@@ -16,8 +16,9 @@ this module's namespace at call time, so a wrapper installed here sees
 every path.
 
 Everything random is a counter-based function of (seed, pixel, sample,
-bounce, purpose, lane), so renders are bit-identical for any tile schedule
-or worker count.
+bounce, purpose, lane), and each pixel adds its samples in sample order,
+so renders are bit-identical for any tile schedule, batch size or worker
+count.
 
 Shadow rays are culled exactly. A shadow segment from a march point p to
 any emitter point lies inside box(p and every emitter vertex); when that
@@ -253,7 +254,7 @@ def _check_radiance(L):
         raise FloatingPointError("NaN radiance in path batch")
 
 
-def _trace_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None):
+def trace_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None):
     """Trace a batch of paths from rays (o, d) for up to n_bounces surface
     interactions; returns their linear radiance (N,3).
 
@@ -321,7 +322,7 @@ def _sample_jitter(seed, pix, sample_ids, spp):
     return u1, u2
 
 
-def _primary_batches(camera, spp, seed, pix):
+def primary_batches(camera, spp, seed, pix):
     """Jittered camera rays for spp samples of every pixel in pix, in
     batches of MAX_BATCH_RAYS // len(pix) samples per pixel; yields
     (pix, smp, o, d) per batch, each pixel's samples adjacent."""
@@ -341,9 +342,11 @@ def _render_tile(scene, camera, spp, seed, rows):
     r0, r1 = rows
     pix = np.arange(r0 * w, r1 * w)
     acc = np.zeros((len(pix), 3))
-    for pix_rep, smp_rep, o, d in _primary_batches(camera, spp, seed, pix):
-        L = _trace_paths(scene, o, d, pix_rep, smp_rep, seed, scene.render.n_bounces)
-        acc += L.reshape(len(pix), -1, 3).sum(axis=1)
+    for pix_rep, smp_rep, o, d in primary_batches(camera, spp, seed, pix):
+        L = trace_paths(scene, o, d, pix_rep, smp_rep, seed, scene.render.n_bounces)
+        # In sample order, so the sum does not depend on the batch split.
+        for s in L.reshape(len(pix), -1, 3).swapaxes(0, 1):
+            acc += s
     return (acc / spp).reshape(r1 - r0, w, 3)
 
 

@@ -629,3 +629,14 @@ def sync_to_renderer(world: World, scene, binding: SimBinding):
     if dirty:
         scene.rebuild_bvh()
     return scene
+
+
+def run(world: World, scene, binding: SimBinding, frames: int):
+    """Advance `frames` frames, each one `step` with world.config's dt,
+    substeps and iterations and then one `sync_to_renderer`; yields the
+    frame number, 1..frames, once the scene holds that frame."""
+    cfg = world.config
+    for k in range(1, frames + 1):
+        step(world, cfg.dt, cfg.substeps, cfg.iterations)
+        sync_to_renderer(world, scene, binding)
+        yield k

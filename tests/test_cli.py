@@ -3,6 +3,7 @@ exit 2, never a traceback; the files one command writes are the input of
 the next."""
 
 import json
+import pathlib
 import shutil
 import struct
 
@@ -407,3 +408,44 @@ def test_estimated_emitters_light_a_scene(estimation_dir, tmp_path, capsys, monk
                      "--spp", "1"]) == 0
     assert np.all(np.isfinite(read_pfm(str(out)).pixels))
     assert capsys.readouterr().err == ""
+
+
+def test_transport_over_the_byte_cap_exits_2(estimation_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(emitters, "TRANSPORT_BYTE_CAP", 1)
+    out = tmp_path / "emitters.json"
+    code, err = run_cli(capsys, *estimate_args(estimation_dir), "--out", str(out))
+    lines = err.splitlines()
+    assert code == 2 and len(lines) == 1
+    assert lines[0].startswith("error: estimate-emitters: dense transport operator would need ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", ["smoke-slab", "sphere", "drop"])
+def test_gen_assets_writes_the_files_it_prints(tmp_path, capsys, preset):
+    out = tmp_path / "out"
+    assert cli.main(["gen-assets", preset, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    printed = [pathlib.Path(p) for p in captured.out.splitlines()]
+    assert printed and captured.err == ""
+    for path in printed:
+        assert path.parent == out and path.stat().st_size > 0
+        if path.suffix == ".json":
+            load_scene(str(path))  # a printed scene loads with the files written beside it
+
+
+def test_gen_assets_unknown_preset_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, err = run_cli(capsys, "gen-assets", "no-such-preset", "--out", str(out))
+    lines = err.splitlines()
+    assert code == 2 and len(lines) == 1
+    assert lines[0].startswith("error: gen-assets: unknown preset 'no-such-preset'")
+    assert all(name in lines[0] for name in assets.PRESETS)
+    assert not out.exists()
+
+
+def test_gen_assets_out_below_a_regular_file_exits_4(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, err = run_cli(capsys, "gen-assets", "smoke-slab", "--out", str(blocker / "out"))
+    lines = err.splitlines()
+    assert code == 4 and len(lines) == 1 and lines[0].startswith("error: gen-assets: ")

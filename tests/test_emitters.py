@@ -64,10 +64,9 @@ def gt_flat(estimation, estimation_dir):
 
 
 def test_estimate_recovers_true_faces(estimation, gt_flat):
-    scene, poses, op = estimation
+    scene, poses, _ = estimation
     config = emitters.EstimatorConfig()
-    emission, _ = emitters.optimize_emission(config, op, gt_flat)
-    kept = emitters.prune_emitters(scene.bvh.tri, emission, config.brightness_threshold)
+    kept, emission, _ = emitters.estimate(scene, poses, gt_flat, config)
     faces = np.flatnonzero(emission.max(axis=1) >= config.brightness_threshold)
     assert faces.tolist() == sorted(assets.ESTIMATION_GT_FACES)
     assert np.array_equal(kept.triangles, scene.bvh.tri[faces])

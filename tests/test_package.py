@@ -7,8 +7,6 @@ import pathlib
 import hybridrt
 
 PACKAGE = pathlib.Path(hybridrt.__file__).parent
-# emitters builds its transport from the renderer's own bounce loop.
-ALLOWED = {("emitters", "render", "_primary_batches"), ("emitters", "render", "_trace_paths")}
 
 
 def _private(name):
@@ -41,7 +39,7 @@ def test_no_module_uses_another_modules_private_names():
              for path in sorted(PACKAGE.glob("*.py"))
              for module, name in private_uses(path)
              if module != path.stem}
-    assert found - ALLOWED == set()
+    assert found == set()
 
 
 def test_no_assert_statements_in_the_package():

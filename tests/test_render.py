@@ -18,7 +18,7 @@ from hybridrt.images import decode_ppm, encode_pfm, encode_ppm
 from hybridrt.render import (
     Camera,
     EmitterSet,
-    _trace_paths,
+    trace_paths,
     render,
     shadow_candidates,
     shadow_mask_batch,
@@ -46,12 +46,12 @@ def emissive_quad_mesh(emission=(2.0, 2.0, 2.0), z=0.0, half=4.0):
     return TriangleMesh(v, f, Lambertian(np.zeros(3)), emission=np.array(emission))
 
 
-# ----------------------------------------------------------- _trace_paths
+# ----------------------------------------------------------- trace_paths
 
 
 def trace_one(scene, o, d, seed=1):
     """Radiance of the path of pixel 0, sample 0 from ray (o, d)."""
-    L = _trace_paths(scene, np.array([o], dtype=float), np.array([d], dtype=float),
+    L = trace_paths(scene, np.array([o], dtype=float), np.array([d], dtype=float),
                      np.array([0]), np.array([0]), seed, scene.render.n_bounces)
     return L[0]
 
@@ -396,7 +396,7 @@ def test_degeneracy_b_mesh_free_matches_pure_quadrature(slab_dir, monkeypatch):
     from hybridrt.scene import load_scene
     scene = load_scene(str(slab_dir / "slab.json"))
     hybrid = render(scene, spp=16, seed=3)
-    monkeypatch.setattr(importlib.import_module("hybridrt.render"), "_trace_paths",
+    monkeypatch.setattr(importlib.import_module("hybridrt.render"), "trace_paths",
                         quadrature_paths)
     reference = render(scene, spp=16, seed=3)
     assert np.array_equal(hybrid.pixels, reference.pixels)
@@ -429,6 +429,25 @@ def test_render_thread_count_invariant(two_room_dir):
     a = render(scene, spp=2, seed=11, threads=1)
     b = render(scene, spp=2, seed=11, threads=4)
     assert np.array_equal(a.pixels, b.pixels)
+
+
+@pytest.mark.parametrize("preset", ["two_room", "field_hit"])
+def test_render_bits_do_not_depend_on_batching(preset, request, monkeypatch):
+    # Each pixel adds its samples in sample order. So the bits hold when
+    # MAX_BATCH_RAYS = 1000 splits a 16-row tile's 4 samples over two
+    # batches, when tiles are 5 or 8 rows high, and on 2 threads.
+    from hybridrt.scene import load_scene
+    render_mod = importlib.import_module("hybridrt.render")
+    scene = load_scene(str(request.getfixturevalue(f"{preset}_dir") / f"{preset}.json"))
+    cam = scene.camera
+    scene.camera = Camera(pose=cam.pose, fov=cam.fov, resolution=(24, 24))
+    want = render(scene, spp=4, seed=3).pixels
+    for name, value in (("MAX_BATCH_RAYS", 1000), ("TILE_ROWS", 5), ("TILE_ROWS", 8)):
+        with monkeypatch.context() as m:
+            m.setattr(render_mod, name, value)
+            for threads in (1, 2):
+                got = render(scene, spp=4, seed=3, threads=threads).pixels
+                assert np.array_equal(got, want), (name, value, threads)
 
 
 @pytest.mark.parametrize("threads", [0, -3])
@@ -553,11 +572,8 @@ def test_field_hit_frame_checksums_pinned(field_hit_dir):
     from hybridrt.scene import load_scene
     scene = at_16px(load_scene(str(field_hit_dir / "field_hit.json")))
     world, binding = sim.build_world(scene)
-    cfg = scene.config.sim
     got = {}
-    for k in range(1, max(FIELD_HIT_FRAME_SHA) + 1):
-        sim.step(world, cfg.dt, cfg.substeps, cfg.iterations)
-        sim.sync_to_renderer(world, scene, binding)
+    for k in sim.run(world, scene, binding, max(FIELD_HIT_FRAME_SHA)):
         if k in FIELD_HIT_FRAME_SHA:
             got[k] = pixel_sha(render(scene, spp=2, seed=1))
     assert got == FIELD_HIT_FRAME_SHA
@@ -573,7 +589,7 @@ def test_nan_radiance_raises_floating_point_error(monkeypatch):
     def nan_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None):
         return np.full((len(o), 3), np.nan)
 
-    monkeypatch.setattr(render_mod, "_trace_paths", nan_paths)
+    monkeypatch.setattr(render_mod, "trace_paths", nan_paths)
     with pytest.raises(FloatingPointError, match="non-finite"):
         render(scene, spp=1, seed=0)
     with pytest.raises(FloatingPointError, match="NaN radiance"):

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -96,11 +97,8 @@ def state_digest(scene_path, frames, setup=lambda world: None):
     scene = load_scene(scene_path)
     world, binding = sim.build_world(scene)
     setup(world)
-    cfg = scene.config.sim
     h = hashlib.sha256()
-    for _ in range(frames):
-        sim.step(world, cfg.dt, cfg.substeps, cfg.iterations)
-        sim.sync_to_renderer(world, scene, binding)
+    for _ in sim.run(world, scene, binding, frames):
         if world.particles is not None:
             h.update(world.particles.pos.tobytes())
             h.update(world.particles.vel.tobytes())
@@ -169,13 +167,9 @@ def test_simulate_hands_off_what_the_world_computed(field_hit_dir, tmp_path, cap
 
     scene = load_scene(scene_path)
     world, binding = sim.build_world(scene)
-    cfg = scene.config.sim
     (ball_mesh, ball_index), = binding.rigid_meshes
     docs = []
-    for k in range(frames + 1):
-        if k:
-            sim.step(world, cfg.dt, cfg.substeps, cfg.iterations)
-            sim.sync_to_renderer(world, scene, binding)
+    for k in itertools.chain([0], sim.run(world, scene, binding, frames)):
         doc = json.loads((out / f"frame_{k:04d}_transforms.json").read_text())
         assert doc["frame"] == k
         assert [b["name"] for b in doc["bodies"]] == [b.name for b in world.bodies]
@@ -189,6 +183,7 @@ def test_simulate_hands_off_what_the_world_computed(field_hit_dir, tmp_path, cap
         assert img.pixels.shape == (5, 6, 3)
         assert np.all(np.isfinite(img.pixels)) and np.all(img.pixels >= 0.0)
         docs.append(doc)
+    assert len(docs) == frames + 1
 
     def momentum(doc):
         return sum(b.mass * np.array(d["lin_vel"]) for b, d in zip(world.bodies, doc["bodies"]))

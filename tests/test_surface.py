@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hybridrt import assets, surface
 from hybridrt.core import Transform
-from hybridrt.render import _sample_bsdf_groups, _trace_paths
+from hybridrt.render import _sample_bsdf_groups, trace_paths
 from hybridrt.scene import RenderConfig
 from hybridrt.surface import (
     Bvh,
@@ -455,7 +455,7 @@ def emission_radiance(emission, from_front):
     scene = SimpleNamespace(bvh=Bvh([mesh]), field=None, render=RenderConfig(),
                             spawn_eps=1e-6)
     z = 1.0 if from_front else -1.0
-    L = _trace_paths(scene, np.array([[0.1, 0.2, z]]), np.array([[0.0, 0.0, -z]]),
+    L = trace_paths(scene, np.array([[0.1, 0.2, z]]), np.array([[0.0, 0.0, -z]]),
                      np.array([0]), np.array([0]), 1, 1)
     return L[0]
 
