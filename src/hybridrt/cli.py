@@ -22,6 +22,8 @@ EXIT_IO = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .emitters import EstimatorConfig
+
     p = argparse.ArgumentParser(
         prog="hybridrt",
         description="Hybrid surface/volume path tracer with HDR calibration, "
@@ -69,9 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gt-dir", required=True, help="directory of gt_%%04d.pfm images")
     sp.add_argument("--out", required=True, help="emitter set JSON output")
     sp.add_argument("--loss-csv", default=None, help="loss history CSV output")
-    sp.add_argument("--alpha", type=float, default=1e-4, help="L1 sparsity weight")
-    sp.add_argument("--epochs", type=int, default=400, help="gradient descent epochs")
-    sp.add_argument("--threshold", type=float, default=0.2, help="clip/prune brightness threshold")
+    sp.add_argument("--alpha", type=float, default=EstimatorConfig.alpha,
+                    help="L1 sparsity weight")
+    sp.add_argument("--epochs", type=int, default=EstimatorConfig.epochs,
+                    help="gradient descent epochs")
+    sp.add_argument("--threshold", type=float, default=EstimatorConfig.brightness_threshold,
+                    help="clip/prune brightness threshold")
     sp.add_argument("--max-depth", type=int, default=3, help="light transport depth")
 
     sp = sub.add_parser("gen-assets", help="write analytic preset assets and scenes")

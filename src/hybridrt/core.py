@@ -12,12 +12,13 @@ import numpy as np
 _SRGB_CUT = 0.0031308
 
 
-def vec3(x, y=None, z=None) -> np.ndarray:
-    """Build a (3,) float64 vector from components or any 3-sequence."""
-    if y is None:
-        v = np.asarray(x, dtype=np.float64).reshape(3)
-    else:
-        v = np.array([x, y, z], dtype=np.float64)
+# A point, direction or RGB triple as a config file holds it.
+Vec3 = tuple[float, float, float]
+
+
+def vec3(x) -> np.ndarray:
+    """Build a (3,) float64 vector from any 3-sequence."""
+    v = np.asarray(x, dtype=np.float64).reshape(3)
     if not np.all(np.isfinite(v)):
         raise ValueError(f"non-finite vector components: {v}")
     return v
@@ -66,10 +67,10 @@ def widen_f32(a: np.ndarray) -> np.ndarray:
         return a.astype(np.float64)
 
 
-def luminance(c) -> float:
-    """Rec. 709 luminance of a linear RGB triple."""
+def luminance(c) -> np.ndarray:
+    """Rec. 709 luminance of linear RGB triples, over a last axis of 3."""
     c = np.asarray(c, dtype=np.float64)
-    return float(c[..., 0] * 0.2126 + c[..., 1] * 0.7152 + c[..., 2] * 0.0722)
+    return c[..., 0] * 0.2126 + c[..., 1] * 0.7152 + c[..., 2] * 0.0722
 
 
 def tone_map(c: np.ndarray) -> np.ndarray:

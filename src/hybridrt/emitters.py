@@ -200,8 +200,7 @@ def prune_emitters(tri_verts: np.ndarray, emission: np.ndarray,
     keep = emission.max(axis=1) >= threshold
     if not np.any(keep):
         return EmitterSet(np.zeros((0, 3, 3)), np.zeros(0))
-    kept_e = emission[keep]
-    lums = np.array([luminance(e) for e in kept_e])
+    lums = luminance(emission[keep])
     peak = lums.max()
     r_src = np.clip(lums / peak, 0.0, 1.0) if peak > 0 else np.zeros_like(lums)
     return EmitterSet(tri_verts[keep], r_src)

@@ -27,7 +27,6 @@ BSDF_V = 4
 LIGHT_PICK = 5
 LIGHT_U = 6
 LIGHT_V = 7
-GENERIC = 8
 
 
 def _mix(h: np.ndarray) -> np.ndarray:

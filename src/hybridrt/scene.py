@@ -1,8 +1,11 @@
 """Scene and pose files: JSON documents read into config dataclasses.
 
-The dataclasses below are the schema. A field's annotation is its JSON
-type, its default is what an omitted key means, and each class's
-`__post_init__` checks its own ranges, raising ValueError("key: msg").
+The dataclasses below are the schema, with the material classes
+Lambertian, Mirror and Dielectric, which live in surface.py: a mesh's
+`bsdf` object is read directly into one of them. A field's annotation is
+its JSON type, its default is what an omitted key means, and each
+class's `__post_init__` checks its own ranges, raising
+ValueError("key: msg").
 One reader, `_read`, walks a document against the annotations. It
 rejects unknown keys, missing required keys, values of the wrong type and
 non-finite numbers, checks that referenced files exist next to the scene
@@ -25,17 +28,16 @@ from typing import Literal, NewType, Optional, Union
 
 import numpy as np
 
-from .core import Transform, unit
+from .core import Transform, Vec3, unit
 from .field import RadianceGrid, load_rfgrid, load_sdfgrid
 from .render import Camera, EmitterSet
-from .surface import Bvh, Dielectric, Lambertian, Mirror, load_obj
+from .surface import Bsdf, Bvh, Lambertian, load_obj
 
 
 class SceneError(ValueError):
     """Validation failure; the message starts with the offending key path."""
 
 
-Vec3 = tuple[float, float, float]
 # A path relative to the scene file's directory, naming a file that exists.
 File = NewType("File", str)
 
@@ -128,47 +130,10 @@ class FieldConfig:
     dynamic: Union[FieldDynamicConfig, Static, None] = None
 
 
-class _BsdfConfig:
-    def __post_init__(self):
-        self.build()  # the material checks its own ranges
-
-
-@dataclass
-class LambertianConfig(_BsdfConfig):
-    type: Literal["lambertian"] = "lambertian"
-    albedo: Vec3 = (0.8, 0.8, 0.8)
-
-    def build(self) -> Lambertian:
-        return Lambertian(np.array(self.albedo))
-
-
-@dataclass
-class MirrorConfig(_BsdfConfig):
-    type: Literal["mirror"] = "mirror"
-    reflectance: Vec3 = (1.0, 1.0, 1.0)
-
-    def build(self) -> Mirror:
-        return Mirror(np.array(self.reflectance))
-
-
-@dataclass
-class DielectricConfig(_BsdfConfig):
-    type: Literal["dielectric"] = "dielectric"
-    ior: float = 1.5
-    tint: Vec3 = (1.0, 1.0, 1.0)
-
-    def build(self) -> Dielectric:
-        return Dielectric(self.ior, np.array(self.tint))
-
-
-# Told apart by their `type` key.
-BsdfConfig = Union[LambertianConfig, MirrorConfig, DielectricConfig]
-
-
 @dataclass
 class MeshConfig:
     path: File
-    bsdf: BsdfConfig = dc_field(default_factory=LambertianConfig)
+    bsdf: Bsdf = dc_field(default_factory=Lambertian)
     transform: Optional[TransformConfig] = None
     emission: Optional[Vec3] = None
     dynamic: Union[RigidConfig, ClothConfig, Static, None] = None  # by `type`
@@ -490,7 +455,7 @@ def build_scene(cfg: SceneConfig, base_dir: str = ".") -> Scene:
     for mc in cfg.meshes:
         mesh = load_obj(
             full(mc.path),
-            bsdf=mc.bsdf.build(),
+            bsdf=mc.bsdf,
             emission=np.array(mc.emission) if mc.emission is not None else None,
             world_from_object=mc.transform.build() if mc.transform else None,
             name=os.path.splitext(os.path.basename(mc.path))[0],

@@ -509,7 +509,7 @@ class SimBinding:
     cloth_meshes: list = dc_field(default_factory=list)   # (mesh, particle slice)
     rigid_meshes: list = dc_field(default_factory=list)   # (mesh, body idx)
     field_body: int = -1
-    field_origin: np.ndarray = None  # field-frame com at registration
+    body_from_field: Optional[Transform] = None  # fixed at registration
 
 
 def build_world(scene) -> tuple:
@@ -562,11 +562,10 @@ def build_world(scene) -> tuple:
             sdf = load_sdfgrid(os.path.join(scene.base_dir, dyn.sdf))
         else:
             sdf = sdf_from_density(scene.field, dyn.sigma_threshold)
-        body, origin = make_field_body(scene.field, sdf, dyn.mass,
-                                       velocity=dyn.velocity,
-                                       sigma_threshold=dyn.sigma_threshold)
+        body, binding.body_from_field = make_field_body(scene.field, sdf, dyn.mass,
+                                                        velocity=dyn.velocity,
+                                                        sigma_threshold=dyn.sigma_threshold)
         binding.field_body = len(world.bodies)
-        binding.field_origin = origin
         world.bodies.append(body)
     return world, binding
 
@@ -577,11 +576,15 @@ FIELD_BODY_SURFACE_VERTS = 200
 
 def make_field_body(grid, sdf: SdfGrid, mass: float, velocity=(0.0, 0.0, 0.0),
                     sigma_threshold: float = 0.5) -> tuple:
-    """Rigid body for a radiance-field object.
+    """Rigid body for a radiance-field object, placed where the grid's
+    world_from_field puts it.
 
-    Returns (body, field_origin): the body frame sits at the occupancy
-    centroid of the density field; collision vertices are near-surface SDF
-    grid nodes, deterministically subsampled.
+    Returns (body, body_from_field). The body frame sits at the occupancy
+    centroid of the density field, axis-aligned with the world, so
+    body_from_field is the field's rotation R after a shift of the
+    centroid to the origin. Collision vertices are near-surface SDF grid
+    nodes, deterministically subsampled, and the body SDF is the field's
+    SDF in that same frame.
     """
     occ_flat = occupancy(grid, sigma_threshold).ravel(order="F")
     pts = grid_points(grid.bbox_lo, grid.bbox_hi, grid.res)
@@ -598,10 +601,13 @@ def make_field_body(grid, sdf: SdfGrid, mass: float, velocity=(0.0, 0.0, 0.0),
     stride = max(1, len(surf) // FIELD_BODY_SURFACE_VERTS)
     surf = surf[::stride]
 
-    body_sdf = SdfGrid(sdf.bbox_lo - origin, sdf.bbox_hi - origin, sdf.phi)
-    body = RigidBody(com=origin, mass=mass, collision_vertices=surf - origin,
+    rotation = Transform(grid.world_from_field.m[:3, :3])
+    body_sdf = SdfGrid(sdf.bbox_lo - origin, sdf.bbox_hi - origin, sdf.phi,
+                       world_from_grid=rotation)
+    body = RigidBody(com=grid.world_from_field.point(origin), mass=mass,
+                     collision_vertices=rotation.point(surf - origin),
                      lin_vel=velocity, sdf=body_sdf, name="field")
-    return body, origin
+    return body, rotation.compose(Transform.translate(-origin))
 
 
 def sync_to_renderer(world: World, scene, binding: SimBinding):
@@ -623,7 +629,7 @@ def sync_to_renderer(world: World, scene, binding: SimBinding):
             dirty = True
     if binding.field_body >= 0 and scene.field is not None:
         b = world.bodies[binding.field_body]
-        new_t = b.world_from_body().compose(Transform.translate(-binding.field_origin))
+        new_t = b.world_from_body().compose(binding.body_from_field)
         if not np.array_equal(new_t.m, scene.field.world_from_field.m):
             scene.field.world_from_field = new_t
     if dirty:

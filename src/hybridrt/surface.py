@@ -11,12 +11,12 @@ smaller global face id).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Literal, Optional, Union
 
 import numpy as np
 
-from .core import Transform, slab_interval, vec3
+from .core import Transform, Vec3, slab_interval, vec3
 
 _BARY_EPS = 1e-7
 _DET_EPS = 1e-12
@@ -32,16 +32,17 @@ CHUNK_PAIRS = 1 << 15
 # BSDFs
 
 
-def _unit_interval_spectrum(c, name):
+def _unit_interval_spectrum(c, name) -> Vec3:
     c = vec3(c)
     if np.any(c < 0) or np.any(c > 1):
         raise ValueError(f"{name}: channels must lie in [0, 1], got {c}")
-    return c
+    return tuple(c.tolist())
 
 
 @dataclass
 class Lambertian:
-    albedo: np.ndarray
+    albedo: Vec3 = (0.8, 0.8, 0.8)
+    type: Literal["lambertian"] = "lambertian"
 
     def __post_init__(self):
         self.albedo = _unit_interval_spectrum(self.albedo, "albedo")
@@ -49,7 +50,8 @@ class Lambertian:
 
 @dataclass
 class Mirror:
-    reflectance: np.ndarray
+    reflectance: Vec3 = (1.0, 1.0, 1.0)
+    type: Literal["mirror"] = "mirror"
 
     def __post_init__(self):
         self.reflectance = _unit_interval_spectrum(self.reflectance, "reflectance")
@@ -57,8 +59,9 @@ class Mirror:
 
 @dataclass
 class Dielectric:
-    ior: float
-    tint: np.ndarray = dc_field(default_factory=lambda: np.ones(3))
+    ior: float = 1.5
+    tint: Vec3 = (1.0, 1.0, 1.0)
+    type: Literal["dielectric"] = "dielectric"
 
     def __post_init__(self):
         if not self.ior > 0:
@@ -66,7 +69,10 @@ class Dielectric:
         self.tint = _unit_interval_spectrum(self.tint, "tint")
 
 
-Bsdf = Lambertian | Mirror | Dielectric
+# The materials are also the scene file's schema: scene.py reads a mesh's
+# `bsdf` object straight into one of them, told apart by `type`; an
+# omitted `type` means the first one's.
+Bsdf = Union[Lambertian, Mirror, Dielectric]
 
 
 def _onb(n: np.ndarray):

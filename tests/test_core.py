@@ -156,6 +156,14 @@ def test_luminance_weights():
     assert abs(luminance([1.0, 0.0, 0.0]) - 0.2126) < 1e-12
 
 
+def test_batched_luminance_is_the_per_row_luminance(rng):
+    c = rng.uniform(0.0, 50.0, (257, 3))
+    batched = luminance(c)
+    assert batched.shape == (257,)
+    assert batched.tobytes() == np.array([luminance(row) for row in c]).tobytes()
+    assert luminance(c.reshape(257, 1, 3)).shape == (257, 1)
+
+
 def slab_reference(lo, hi, o, d):
     """Ray/box [t0, t1] with every zero direction component handled
     explicitly: its axis is unbounded inside the slab, empty outside."""

@@ -24,7 +24,7 @@ def test_key_order_matters():
 
 
 def test_uniform_range_and_moments():
-    u = rng.uniform(0, np.arange(200_000), 0, 0, rng.GENERIC, 0)
+    u = rng.uniform(0, np.arange(200_000), 0, 0, rng.BSDF_U, 0)
     assert u.min() >= 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 2e-3
     assert abs(u.var() - 1.0 / 12.0) < 2e-3

@@ -22,7 +22,7 @@ from hybridrt.scene import (
     parse_scene,
     serialize_scene,
 )
-from hybridrt.surface import save_obj
+from hybridrt.surface import Dielectric, Lambertian, Mirror, save_obj
 
 
 def minimal_doc():
@@ -99,6 +99,15 @@ def cloth_mesh(**dynamic):
     (lambda d: d.update(meshes=[{"path": "q.obj", "bsdf": {"type": "dielectric",
                                                            "ior": float("nan")}}]),
      r"^meshes\[0\]\.bsdf\.ior: must be finite"),
+    (lambda d: d.update(meshes=[{"path": "q.obj", "bsdf": {"type": "dielectric", "ior": 0.0}}]),
+     r"^meshes\[0\]\.bsdf\.ior: must be > 0"),
+    (lambda d: d.update(meshes=[{"path": "q.obj", "bsdf": {"type": "dielectric",
+                                                           "tint": [1.0, 1.5, 1.0]}}]),
+     r"^meshes\[0\]\.bsdf\.tint: channels must lie in \[0, 1\]"),
+    (lambda d: d.update(meshes=[{"path": "q.obj", "bsdf": {"albedo": [-0.1, 0.5, 0.5]}}]),
+     r"^meshes\[0\]\.bsdf\.albedo: channels must lie in \[0, 1\]"),
+    (lambda d: d.update(meshes=[{"path": "q.obj", "bsdf": {"type": "mirror", "ior": 1.5}}]),
+     r"^meshes\[0\]\.bsdf\.ior: unknown key$"),
     (lambda d: d.update(sim={"dt": float("nan")}), r"^sim\.dt: must be finite"),
     (lambda d: d.update(sim={"velocity_cap": -1}), r"^sim\.velocity_cap: must be > 0"),
     (lambda d: d.update(sim={"gravity": [0, 0, float("inf")]}), r"^sim\.gravity\[2\]: must be finite"),
@@ -173,6 +182,24 @@ def test_bsdf_validation(tmp_path):
     doc["meshes"] = [{"path": "q.obj", "bsdf": {"type": "chrome"}}]
     with pytest.raises(SceneError, match=r"meshes\[0\].bsdf.type"):
         parse_scene(json.dumps(doc), base_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("bsdf, expect", [
+    ({"type": "lambertian", "albedo": [0.2, 0.4, 0.6]}, Lambertian((0.2, 0.4, 0.6))),
+    ({"type": "mirror"}, Mirror((1.0, 1.0, 1.0))),
+    ({"type": "dielectric", "ior": 1.33}, Dielectric(1.33, (1.0, 1.0, 1.0))),
+    (None, Lambertian((0.8, 0.8, 0.8))),  # omitted
+])
+def test_bsdf_reads_into_the_material_class(tmp_path, bsdf, expect):
+    write_assets(tmp_path)
+    doc = minimal_doc()
+    doc["meshes"] = [{"path": "q.obj"} if bsdf is None else {"path": "q.obj", "bsdf": bsdf}]
+    cfg = parse_scene(json.dumps(doc), base_dir=str(tmp_path))
+    assert type(cfg.meshes[0].bsdf) is type(expect)
+    assert cfg.meshes[0].bsdf == expect
+    assert build_scene(cfg, base_dir=str(tmp_path)).meshes[0].bsdf is cfg.meshes[0].bsdf
+    if bsdf is None:
+        assert cfg.meshes[0].bsdf == Lambertian()
 
 
 def test_round_trip_equality(tmp_path):

@@ -12,7 +12,7 @@ from hybridrt.core import Transform
 from hybridrt.field import (RadianceGrid, SdfGrid, save_rfgrid, save_sdfgrid,
                             sdf_from_density, sdf_from_function)
 from hybridrt.images import read_pfm
-from hybridrt.scene import load_scene
+from hybridrt.scene import TransformConfig, load_scene
 from hybridrt.surface import load_obj, save_obj
 
 
@@ -106,6 +106,50 @@ def state_digest(scene_path, frames, setup=lambda world: None):
             h.update(np.concatenate([b.com, b.q, b.lin_vel, b.ang_vel]).tobytes())
         h.update(scene.field.world_from_field.m.tobytes())
     return h.hexdigest()
+
+
+def placed_field_hit(out_dir, placement):
+    """The field-hit scene under one rigid placement, given as a transform
+    config: the field, the ball and the ball's velocity all move with it."""
+    assets.gen_field_hit(str(out_dir))
+    path = out_dir / "field_hit.json"
+    doc = json.loads(path.read_text())
+    t = TransformConfig(**placement).build()
+    ball = doc["meshes"][0]
+    doc["field"]["transform"] = placement
+    ball["transform"] = {**placement, "translate": t.point(ball["transform"]["translate"]).tolist()}
+    ball["dynamic"]["velocity"] = t.direction(ball["dynamic"]["velocity"]).tolist()
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def trajectory(scene_path, frames):
+    """Per frame, 0 included: every body's com and velocity, and the
+    field's world_from_field matrix."""
+    scene = load_scene(scene_path)
+    world, binding = sim.build_world(scene)
+    states = []
+    for _ in itertools.chain([0], sim.run(world, scene, binding, frames)):
+        states.append(([(b.com.copy(), b.lin_vel.copy()) for b in world.bodies],
+                       scene.field.world_from_field.m))
+    return states
+
+
+@pytest.mark.parametrize("placement", [
+    {"translate": [0.0, 0.0, 5.0]},
+    {"translate": [0.4, -1.2, 2.5], "rotate_axis": [0.3, -0.5, 0.8], "rotate_deg": 37.0}])
+def test_placed_field_hit_is_the_placed_trajectory(field_hit_dir, tmp_path, placement):
+    # A dynamic field used to drop its scene transform: its body started
+    # at the field-frame centroid, and the first sync put the field back
+    # at the origin. Placed under T, every frame is T of the unplaced one.
+    t = TransformConfig(**placement).build()
+    frames = zip(trajectory(field_hit_dir / "field_hit.json", 40),
+                 trajectory(placed_field_hit(tmp_path, placement), 40))
+    for (bodies, field_m), (placed_bodies, placed_field_m) in frames:
+        for (com, vel), (p_com, p_vel) in zip(bodies, placed_bodies):
+            np.testing.assert_allclose(p_com, t.point(com), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(p_vel, t.direction(vel), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(placed_field_m, t.m @ field_m, rtol=0, atol=1e-12)
 
 
 def test_field_hit_states_pinned(field_hit_dir):
@@ -268,8 +312,8 @@ def test_field_body_takes_collision_vertices_from_its_own_sdf_grid():
     grid = assets.gaussian_blob_field((-0.8,) * 3, (0.8,) * 3, (0, 0, 0), 0.28, 8.0,
                                       (1, 1, 1), res=(12, 12, 12))
     sdf = assets.sphere_sdf(0.3, pad=0.2, res=(9, 9, 9))
-    body, origin = sim.make_field_body(grid, sdf, 1.0)
-    phi = sdf.query_batch(body.verts + origin)[0]
+    body, body_from_field = sim.make_field_body(grid, sdf, 1.0)
+    phi = sdf.query_batch(body_from_field.point(body.verts, inverse=True))[0]
     assert len(phi) and np.all(np.abs(phi) <= 0.75 * np.max(sdf.cell_size()) + 1e-6)
 
 
