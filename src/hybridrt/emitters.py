@@ -16,8 +16,12 @@ The descent runs in face space. Per pose and channel, the Gram matrix
 G = A^T A (faces x faces) and A^T b are formed once, so a step costs a
 faces x faces product instead of two passes over the image rows; the
 step size is always 1/L, from the largest eigenvalue of the same blocks. The
-loss recorded after every epoch is exact: it is computed from the image
-residual A E - b, not expanded through G, which would cancel.
+loss recorded after every epoch is exact without a pass over the image
+rows: per channel, the triangular factor R of [A | b] over all poses is
+formed once, and the squared residual is ||R [E; -1]||^2, since
+[A | b] = Q R with Q orthonormal. R holds the residual itself, rotated,
+so this does not cancel as the expansion E^T G E - 2 E^T A^T b + b^T b
+through G would.
 """
 
 from __future__ import annotations
@@ -161,10 +165,13 @@ def optimize_emission(config: EstimatorConfig, op: TransportOperator, gt_flat: n
     gram = pose_at @ pose_a                      # (poses, 3, faces, faces)
     atb = (pose_at @ pose_b[..., None])[..., 0]  # (poses, 3, faces)
     step = _lipschitz_step(gram, n_img)
+    # Per channel R of [A | b]: the data term is ||R [e; -1]||^2 / n.
+    r = np.linalg.qr(np.concatenate([a_cm, b_cm[:, :, None]], axis=2), mode="r")
+    n_res = b_cm.size
 
     def loss(et):
-        res = (a_cm @ et[:, :, None])[:, :, 0] - b_cm
-        return float(np.mean(res * res)) + config.alpha * float(np.mean(np.abs(et)))
+        res = (r @ np.concatenate([et, np.full((3, 1), -1.0)], axis=1)[:, :, None])[:, :, 0]
+        return float(np.sum(res * res)) / n_res + config.alpha * float(np.mean(np.abs(et)))
 
     et = np.full((3, op.n_faces), INIT_EMISSION)  # emission, channel-major
     m_tex = et.size

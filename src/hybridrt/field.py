@@ -32,7 +32,7 @@ import warnings
 
 import numpy as np
 
-from .core import Transform, slab_interval, vec3, widen_f32
+from .core import Transform, cross3, slab_interval, vec3, widen_f32
 
 
 def _as_res(res) -> tuple:
@@ -417,7 +417,7 @@ def _unsigned_distance(axes_pts, tri_verts: np.ndarray) -> np.ndarray:
 
     edges = np.stack([b - a, c - b, a - c], axis=1)
     longest = np.linalg.norm(edges, axis=2).max(axis=1)
-    twice_area = np.linalg.norm(np.cross(edges[:, 0], edges[:, 2]), axis=1)
+    twice_area = np.linalg.norm(cross3(edges[:, 0], edges[:, 2]), axis=1)
     flat = twice_area ** 2 <= _FLAT_FACE * span * longest ** 3
     # A flat face gets an unbounded box, so it is kept for every node.
     face_lo[flat], face_hi[flat] = -np.inf, np.inf

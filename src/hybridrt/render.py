@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .core import Transform
+from .core import Transform, cross3
 from .field import RadianceGrid, march_arrays
 from .images import HdrImage
 from .surface import (
@@ -98,8 +98,8 @@ class EmitterSet:
         self.r_src = np.clip(np.asarray(r_src, dtype=np.float64).reshape(-1), 0.0, 1.0)
         if len(self.triangles) != len(self.r_src):
             raise ValueError("emitter triangle/intensity count mismatch")
-        cross = np.cross(self.triangles[:, 1] - self.triangles[:, 0],
-                         self.triangles[:, 2] - self.triangles[:, 0])
+        cross = cross3(self.triangles[:, 1] - self.triangles[:, 0],
+                       self.triangles[:, 2] - self.triangles[:, 0])
         self.areas = 0.5 * np.linalg.norm(cross, axis=1)
         total = self.areas.sum()
         if len(self.areas) and total <= 0:

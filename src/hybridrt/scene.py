@@ -28,7 +28,7 @@ from typing import Literal, NewType, Optional, Union
 
 import numpy as np
 
-from .core import Transform, Vec3, unit
+from .core import Transform, Vec3, cross3, unit
 from .field import RadianceGrid, load_rfgrid, load_sdfgrid
 from .render import Camera, EmitterSet
 from .surface import Bsdf, Bvh, Lambertian, load_obj
@@ -165,7 +165,7 @@ class PoseConfig:
             fwd = _direction(np.subtract(self.look_at, self.position))
         _check(("look_at", fwd is not None, "must differ from position"))
         up = _direction(self.up)
-        _check(("up", up is not None and _direction(np.cross(fwd, up)) is not None,
+        _check(("up", up is not None and _direction(cross3(fwd, up)) is not None,
                 "must be nonzero and not along the view"))
 
 

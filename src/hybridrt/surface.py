@@ -16,7 +16,7 @@ from typing import Literal, Optional, Union
 
 import numpy as np
 
-from .core import Transform, Vec3, slab_interval, vec3
+from .core import Transform, Vec3, cross3, slab_interval, vec3
 
 _BARY_EPS = 1e-7
 _DET_EPS = 1e-12
@@ -78,9 +78,9 @@ Bsdf = Union[Lambertian, Mirror, Dielectric]
 def _onb(n: np.ndarray):
     """Orthonormal basis with n as the third column (batch of normals)."""
     a = np.where(np.abs(n[:, 0:1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
-    t = np.cross(a, n)
+    t = cross3(a, n)
     t /= np.linalg.norm(t, axis=1, keepdims=True)
-    b = np.cross(n, t)
+    b = cross3(n, t)
     return t, b
 
 
@@ -154,7 +154,7 @@ class TriangleMesh:
 
     def recompute_normals(self):
         tri = self.vertices[self.indices]
-        n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+        n = cross3(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
         lens = np.linalg.norm(n, axis=1)
         scale = max(float(np.abs(self.vertices).max()), 1.0) if len(self.vertices) else 1.0
         if np.any(lens < 1e-12 * scale * scale):
@@ -215,40 +215,69 @@ def _ray_arrays(o, d, t_min, t_max):
             np.broadcast_to(np.asarray(t_max, dtype=np.float64), (n,)))
 
 
-def _moller_trumbore(o, d, a, e1, e2, t_min, t_max):
-    """Batched ray/triangle test over broadcastable pairs: (R, F) ray by
-    face grids, or flat (P,) lists of (ray, face) pairs.
+def _moller_trumbore(o, d, f, t_min, t_max):
+    """Ray/triangle hit distances, inf on a miss, over component-major
+    inputs: o and d are (3, ...) ray rows, f the (9, ...) face planes
+    (a, e1, e2) of `Bvh.planes`, broadcast against each other. The dense
+    sweep passes (F, 1) planes against (R,) rays, the traversal flat (P,)
+    lists of (ray, face) pairs.
 
-    Runs on per-component 2D arrays so no (R, F, 3) temporary is ever
-    materialized; this loop carries the whole renderer.
+    Each value is formed by the same operations in the same order at
+    either call shape, so both give the same bits. Products and sums
+    accumulate in place in eight broadcast-shape buffers, since
+    fresh temporaries, not arithmetic, dominated this kernel, which
+    carries the whole renderer.
     """
-    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
-    e1x, e1y, e1z = e1[..., 0], e1[..., 1], e1[..., 2]
-    e2x, e2y, e2z = e2[..., 0], e2[..., 1], e2[..., 2]
-    px = dy * e2z - dz * e2y
-    py = dz * e2x - dx * e2z
-    pz = dx * e2y - dy * e2x
-    det = e1x * px + e1y * py + e1z * pz
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / np.where(np.abs(det) > _DET_EPS, det, 1.0)
-    tx = o[..., 0] - a[..., 0]
-    ty = o[..., 1] - a[..., 1]
-    tz = o[..., 2] - a[..., 2]
-    u = (tx * px + ty * py + tz * pz) * inv
-    qx = ty * e1z - tz * e1y
-    qy = tz * e1x - tx * e1z
-    qz = tx * e1y - ty * e1x
-    v = (dx * qx + dy * qy + dz * qz) * inv
-    t = (e2x * qx + e2y * qy + e2z * qz) * inv
-    ok = (
-        (np.abs(det) > _DET_EPS)
-        & (u >= -_BARY_EPS)
-        & (v >= -_BARY_EPS)
-        & (u + v <= 1.0 + _BARY_EPS)
-        & (t > t_min)
-        & (t <= t_max)
-    )
-    return np.where(ok, t, np.inf)
+    ox, oy, oz = o
+    dx, dy, dz = d
+    ax, ay, az, e1x, e1y, e1z, e2x, e2y, e2z = f
+    tmp = np.empty(np.broadcast_shapes(dx.shape, e1x.shape))
+    px = np.multiply(dy, e2z)
+    px -= np.multiply(dz, e2y, out=tmp)
+    py = np.multiply(dz, e2x)
+    py -= np.multiply(dx, e2z, out=tmp)
+    pz = np.multiply(dx, e2y)
+    pz -= np.multiply(dy, e2x, out=tmp)
+    det = np.multiply(e1x, px)
+    det += np.multiply(e1y, py, out=tmp)
+    det += np.multiply(e1z, pz, out=tmp)
+    ok = np.abs(det, out=tmp) > _DET_EPS
+    inv = det
+    np.copyto(inv, 1.0, where=~ok)
+    np.divide(1.0, inv, out=inv)
+    tx = np.subtract(ox, ax)
+    ty = np.subtract(oy, ay)
+    tz = np.subtract(oz, az)
+    # u accumulates in px's buffer (px * tx is tx * px, bit for bit), q =
+    # t x e1 in py's, pz's and tmp's; v and t then take tx's and ty's, with
+    # tz, no longer needed, as scratch.
+    u = px
+    u *= tx
+    u += np.multiply(ty, py, out=tmp)
+    u += np.multiply(tz, pz, out=tmp)
+    u *= inv
+    ok &= u >= -_BARY_EPS
+    qx = np.multiply(ty, e1z, out=py)
+    qx -= np.multiply(tz, e1y, out=tmp)
+    qy = np.multiply(tz, e1x, out=pz)
+    qy -= np.multiply(tx, e1z, out=tmp)
+    qz = np.multiply(tx, e1y, out=tmp)
+    qz -= np.multiply(ty, e1x, out=tz)
+    v = np.multiply(dx, qx, out=tx)
+    v += np.multiply(dy, qy, out=tz)
+    v += np.multiply(dz, qz, out=tz)
+    v *= inv
+    t = np.multiply(e2x, qx, out=ty)
+    t += np.multiply(e2y, qy, out=tz)
+    t += np.multiply(e2z, qz, out=tz)
+    t *= inv
+    ok &= v >= -_BARY_EPS
+    u += v
+    ok &= u <= 1.0 + _BARY_EPS
+    ok &= t > t_min
+    ok &= t <= t_max
+    np.copyto(t, np.inf, where=~ok)
+    return t
 
 
 class Bvh:
@@ -285,9 +314,10 @@ class Bvh:
 
     At or below BRUTE_FORCE_FACES faces nearest-hit runs one dense sweep
     over all faces instead, a choice of speed only. Replaying the
-    nearest-hit calls of one benchmark pass single-threaded, the sweep is
-    6-8x faster at 12 faces (calibrate) and 1.1-1.2x at 94 (two-room), the
-    traversal 17x faster at 168 (field-hit). Any-hit always traverses.
+    nearest-hit calls of one benchmark pass on one core, sweep and
+    traversal interleaved, the sweep is 9-10x faster at 12 faces
+    (calibrate) and 1.1-1.25x at 94 (two-room), the traversal 8-9x faster
+    at 168 (field-hit). Any-hit always traverses.
     """
 
     LEAF_SIZE = 4
@@ -306,8 +336,10 @@ class Bvh:
         else:
             self.tri = np.zeros((0, 3, 3))
             self.face_mesh = np.zeros(0, dtype=np.int64)
-        self.edge1 = self.tri[:, 1] - self.tri[:, 0]
-        self.edge2 = self.tri[:, 2] - self.tri[:, 0]
+        e1 = self.tri[:, 1] - self.tri[:, 0]
+        e2 = self.tri[:, 2] - self.tri[:, 0]
+        # Moller-Trumbore's face planes, (9, faces): rows a, e1, e2 by xyz.
+        self.planes = np.concatenate([self.tri[:, 0], e1, e2], axis=1).T.copy()
         # Flat per-face shading attributes so the batched renderer never
         # has to touch Python-level mesh objects inside the bounce loop.
         if self.meshes:
@@ -346,8 +378,8 @@ class Bvh:
         seg = np.repeat(np.arange(len(start)), size)
         self.leaf_faces = np.full((len(start), self.LEAF_SIZE), -1, dtype=np.int64)
         self.leaf_faces[seg, np.arange(nf) - start[seg]] = order
-        edge = np.linalg.norm(np.stack([self.edge1, self.edge2, self.edge2 - self.edge1]),
-                              axis=2).max(axis=0)
+        e1, e2 = self.planes[3:6].T, self.planes[6:9].T
+        edge = np.linalg.norm(np.stack([e1, e2, e2 - e1]), axis=2).max(axis=0)
         pad = _BOX_PAD * np.maximum.reduceat(edge[order], start)[:, None]
         lo = [np.minimum.reduceat(lo_f[order], start) - pad]
         hi = [np.maximum.reduceat(hi_f[order], start) + pad]
@@ -373,6 +405,7 @@ class Bvh:
             inv_d = 1.0 / d
         t0, t1 = slab_interval(self.node_lo[0], self.node_hi[0], o, inv_d, t_min, t_max)
         entering = np.flatnonzero(t0 <= t1)
+        oc, dc = o.T.copy(), d.T.copy()
         # No level has more nodes than leaves, so no level of a chunk
         # tests more than CHUNK_PAIRS (ray, node) pairs.
         leaves = len(self.leaf_faces)
@@ -391,8 +424,8 @@ class Bvh:
             faces = self.leaf_faces[node - (leaves - 1)]
             ray = np.broadcast_to(ray[:, None], faces.shape)[faces >= 0]
             face = faces[faces >= 0]
-            t = _moller_trumbore(o[ray], d[ray], self.tri[face, 0], self.edge1[face],
-                                 self.edge2[face], t_min[ray], t_max[ray])
+            t = _moller_trumbore(oc[:, ray], dc[:, ray], self.planes[:, face],
+                                 t_min[ray], t_max[ray])
             hit = np.isfinite(t)
             if hit.any():
                 yield ray[hit], face[hit], t[hit]
@@ -429,16 +462,15 @@ class Bvh:
         best_f = np.full(n, -1, dtype=np.int64)
         if self.n_faces == 0:
             return best_t, best_f
+        oc, dc = o.T.copy(), d.T.copy()
+        planes = self.planes[:, :, None]
         rows = max(1, CHUNK_PAIRS // self.n_faces)
         for i in range(0, n, rows):
             sl = slice(i, min(i + rows, n))
-            t = _moller_trumbore(
-                o[sl][:, None, :], d[sl][:, None, :],
-                self.tri[None, :, 0, :], self.edge1[None], self.edge2[None],
-                t_min[sl][:, None], t_max[sl][:, None],
-            )
-            k = np.argmin(t, axis=1)  # first minimum = smallest face id
-            tk = t[np.arange(t.shape[0]), k]
+            # Face-major (faces, rays) hit distances.
+            t = _moller_trumbore(oc[:, sl], dc[:, sl], planes, t_min[sl], t_max[sl])
+            k = np.argmin(t, axis=0)  # first minimum = smallest face id
+            tk = t[k, np.arange(t.shape[1])]
             best_t[sl] = tk
             best_f[sl] = np.where(np.isfinite(tk), k, -1)
         return best_t, best_f

@@ -150,6 +150,24 @@ def test_face_space_descent_matches_reference(estimation, gt_flat, kwargs, monke
     np.testing.assert_allclose(history, ref_history, rtol=1e-10, atol=0.0)
 
 
+def test_r_factor_loss_is_the_dense_mean_square(estimation, gt_flat):
+    # The descent's data term, ||R [e; -1]||^2 / n from the R factor of
+    # [A | b], is the dense mean((A e - b)^2) at e = 0 (no epochs, then the
+    # clip), at INIT_EMISSION and at the returned emission.
+    _, _, op = estimation
+    config = emitters.EstimatorConfig()
+    zero, (_, at_zero) = emitters.optimize_emission(
+        emitters.EstimatorConfig(epochs=0), op, gt_flat)
+    assert not zero.any()
+    emission, history = emitters.optimize_emission(config, op, gt_flat)
+    init = np.full_like(emission, emitters.INIT_EMISSION)
+    for e, loss in ((zero, at_zero), (init, history[0]), (emission, history[-1])):
+        res = apply(op, e) - gt_flat
+        dense = float(np.mean(res * res))
+        data = loss - config.alpha * float(np.mean(np.abs(e)))
+        assert abs(data - dense) <= 1e-12 * dense
+
+
 def test_eigvalsh_step_matches_power_iteration(estimation, gt_flat):
     _, _, op = estimation
     a = op.a.reshape(op.n_poses, -1, op.n_faces, 3).transpose(0, 3, 1, 2)

@@ -49,3 +49,14 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_module_calls_np_cross():
+    # core.cross3 is bitwise equal to np.cross without its axis handling,
+    # which costs more than the arithmetic on the renderer's small batches.
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "cross"
+             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    assert found == []

@@ -269,13 +269,76 @@ def test_brute_force_sweep_is_independent_of_its_chunks(seed, layout, size, chun
     # Each ray's row of the dense sweep is its own, so any pair cap gives
     # the bits of one chunk holding every (ray, face) pair.
     bvh, (o, d, t_min, t_max) = oracle_case(np.random.default_rng(seed), layout, size)
+    kernel, calls = surface._moller_trumbore, []
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "_moller_trumbore", lambda *args: calls.append(0) or kernel(*args))
         mp.setattr(surface, "CHUNK_PAIRS", len(o) * bvh.n_faces)
         t_ref, face_ref = bvh.brute_force_batch(o, d, t_min, t_max)
         mp.setattr(surface, "CHUNK_PAIRS", chunk)
         t, face = bvh.brute_force_batch(o, d, t_min, t_max)
+    # The patched cap is the one the sweep reads: it sets the chunk count.
+    assert len(calls) == 1 + -(-len(o) // max(1, chunk // bvh.n_faces))
     assert t.tobytes() == t_ref.tobytes()
     assert np.array_equal(face, face_ref)
+
+
+def reference_moller_trumbore(o, d, a, e1, e2, t_min, t_max):
+    """The kernel as it was over (..., 3) arrays, one fresh temporary per
+    operation: the bitwise reference for `surface._moller_trumbore`."""
+    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+    e1x, e1y, e1z = e1[..., 0], e1[..., 1], e1[..., 2]
+    e2x, e2y, e2z = e2[..., 0], e2[..., 1], e2[..., 2]
+    px = dy * e2z - dz * e2y
+    py = dz * e2x - dx * e2z
+    pz = dx * e2y - dy * e2x
+    det = e1x * px + e1y * py + e1z * pz
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / np.where(np.abs(det) > 1e-12, det, 1.0)
+    tx = o[..., 0] - a[..., 0]
+    ty = o[..., 1] - a[..., 1]
+    tz = o[..., 2] - a[..., 2]
+    u = (tx * px + ty * py + tz * pz) * inv
+    qx = ty * e1z - tz * e1y
+    qy = tz * e1x - tx * e1z
+    qz = tx * e1y - ty * e1x
+    v = (dx * qx + dy * qy + dz * qz) * inv
+    t = (e2x * qx + e2y * qy + e2z * qz) * inv
+    ok = ((np.abs(det) > 1e-12) & (u >= -1e-7) & (v >= -1e-7) & (u + v <= 1.0 + 1e-7)
+          & (t > t_min) & (t <= t_max))
+    return np.where(ok, t, np.inf)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["soup", "grid", "bumpy"]),
+       size=st.integers(1, 45), chunk=st.sampled_from([1, 7, 1 << 15]))
+def test_moller_trumbore_is_the_reference_bitwise(seed, layout, size, chunk):
+    # Both call shapes, face-major (F, 1) planes against (R,) rays and flat
+    # (ray, face) pairs, give the reference's distances bit for bit, and so
+    # do the nearest hits of the sweep and of the traversal at any cap.
+    rng = np.random.default_rng(seed)
+    bvh, (o, d, t_min, t_max) = oracle_case(rng, layout, size)
+    tri = bvh.tri
+    ref = reference_moller_trumbore(o[:, None], d[:, None], tri[:, 0], tri[:, 1] - tri[:, 0],
+                                    tri[:, 2] - tri[:, 0], t_min[:, None], t_max[:, None])
+    oc, dc = o.T.copy(), d.T.copy()
+    dense = surface._moller_trumbore(oc, dc, bvh.planes[:, :, None], t_min, t_max)
+    assert np.array_equal(dense.T.view(np.uint64), ref.view(np.uint64))
+    ray, face = rng.integers(len(o), size=500), rng.integers(bvh.n_faces, size=500)
+    flat = surface._moller_trumbore(oc[:, ray], dc[:, ray], bvh.planes[:, face],
+                                    t_min[ray], t_max[ray])
+    assert np.array_equal(flat.view(np.uint64), ref[ray, face].view(np.uint64))
+
+    k = np.argmin(ref, axis=1)  # first minimum = smallest face id
+    t_ref = ref[np.arange(len(o)), k]
+    face_ref = np.where(np.isfinite(t_ref), k, -1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "CHUNK_PAIRS", chunk)
+        swept = bvh.brute_force_batch(o, d, t_min, t_max)
+        mp.setattr(Bvh, "BRUTE_FORCE_FACES", 0)
+        walked = bvh.intersect_batch(o, d, t_min, t_max)
+    for t, f in (swept, walked):
+        assert np.array_equal(t.view(np.uint64), t_ref.view(np.uint64))
+        assert np.array_equal(f, face_ref)
 
 
 def test_nearest_hit_ties_break_toward_smaller_face(monkeypatch):
