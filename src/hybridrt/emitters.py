@@ -12,16 +12,16 @@ prunes the mesh down to the surviving emissive faces. `estimate` runs
 those three steps. Only the sparsity weight, the brightness threshold and
 the epoch count are settable.
 
-The descent runs in face space. Per pose and channel, the Gram matrix
-G = A^T A (faces x faces) and A^T b are formed once, so a step costs a
-faces x faces product instead of two passes over the image rows; the
-step size is always 1/L, from the largest eigenvalue of the same blocks. The
+The descent runs in face space on one summary of the operator. Per pose
+and channel, the triangular factor R = [R11 r; 0 rho] of [A | b] is formed
+once; since [A | b] = Q R with Q orthonormal, G = A^T A = R11^T R11 and
+A^T b = R11^T r. The step size is 1/L, from the largest eigenvalue of the
+G blocks, and is folded with the constants of a step into K = (2 step / n) G
+and c = (2 step / n) A^T b, so a step costs one faces x faces product. The
 loss recorded after every epoch is exact without a pass over the image
-rows: per channel, the triangular factor R of [A | b] over all poses is
-formed once, and the squared residual is ||R [E; -1]||^2, since
-[A | b] = Q R with Q orthonormal. R holds the residual itself, rotated,
-so this does not cancel as the expansion E^T G E - 2 E^T A^T b + b^T b
-through G would.
+rows: the squared residual is the sum over poses of ||R11 E - r||^2 + rho^2.
+R holds the residual itself, rotated, so this does not cancel as the
+expansion E^T G E - 2 E^T A^T b + b^T b through G would.
 """
 
 from __future__ import annotations
@@ -90,6 +90,8 @@ def build_transport(scene, poses, max_depth: int = 3) -> TransportOperator:
             )
     if scene.field is not None:
         raise EstimationError("estimation scenes must not contain a radiance field")
+    if max_depth < 1:
+        raise EstimationError(f"max_depth must be >= 1, got {max_depth}")
     n_faces = scene.bvh.n_faces
     if not poses:
         raise EstimationError("at least one pose required")
@@ -155,33 +157,31 @@ def optimize_emission(config: EstimatorConfig, op: TransportOperator, gt_flat: n
     w, h = op.resolution
     rpp = w * h
     n_img = rpp * 3
-    # Channel-major copies: (3, rows, faces) transport and (3, rows) images,
-    # viewed per pose as (poses, 3, rpp, faces) and (poses, 3, rpp).
-    a_cm = np.ascontiguousarray(op.a.transpose(2, 0, 1))
-    b_cm = np.ascontiguousarray(np.asarray(gt_flat, dtype=np.float64).T)
-    pose_a = a_cm.reshape(3, op.n_poses, rpp, op.n_faces).swapaxes(0, 1)
-    pose_b = b_cm.reshape(3, op.n_poses, rpp).swapaxes(0, 1)
-    pose_at = pose_a.swapaxes(2, 3)
-    gram = pose_at @ pose_a                      # (poses, 3, faces, faces)
-    atb = (pose_at @ pose_b[..., None])[..., 0]  # (poses, 3, faces)
+    # Per pose and channel R of [A | b]: (poses, 3, k, faces + 1).
+    pose_ab = np.concatenate([
+        op.a.reshape(op.n_poses, rpp, op.n_faces, 3).transpose(0, 3, 1, 2),
+        np.asarray(gt_flat, dtype=np.float64).reshape(op.n_poses, rpp, 3, 1).transpose(0, 2, 1, 3),
+    ], axis=3)
+    r = np.linalg.qr(pose_ab, mode="r")
+    r11, r_b = r[..., :-1], r[..., -1:]
+    gram = r11.swapaxes(2, 3) @ r11              # (poses, 3, faces, faces)
     step = _lipschitz_step(gram, n_img)
-    # Per channel R of [A | b]: the data term is ||R [e; -1]||^2 / n.
-    r = np.linalg.qr(np.concatenate([a_cm, b_cm[:, :, None]], axis=2), mode="r")
-    n_res = b_cm.size
+    # One step, e - step * (2 (G e - A^T b) / n + alpha sign(e) / m), folded.
+    k_mat = (2.0 * step / n_img) * gram
+    c_vec = (2.0 * step / n_img) * (r11.swapaxes(2, 3) @ r_b)
+    s_l1 = step * config.alpha / (3 * op.n_faces)
+    n_res = op.n_poses * n_img
 
     def loss(et):
-        res = (r @ np.concatenate([et, np.full((3, 1), -1.0)], axis=1)[:, :, None])[:, :, 0]
+        res = r11 @ et - r_b  # R [e; -1], rho's row included
         return float(np.sum(res * res)) / n_res + config.alpha * float(np.mean(np.abs(et)))
 
-    et = np.full((3, op.n_faces), INIT_EMISSION)  # emission, channel-major
-    m_tex = et.size
+    et = np.full((3, op.n_faces, 1), INIT_EMISSION)  # emission, channel-major columns
     history = [loss(et)]
     initial = history[0]
     for epoch in range(1, config.epochs + 1):
-        for g, g_b in zip(gram, atb):
-            grad = 2.0 * ((g @ et[:, :, None])[:, :, 0] - g_b) / n_img
-            grad += config.alpha * np.sign(et) / m_tex
-            et = np.maximum(et - step * grad, 0.0)
+        for k_p, c_p in zip(k_mat, c_vec):
+            et = np.maximum(et - k_p @ et + c_p - s_l1 * np.sign(et), 0.0)
         if epoch % CLIP_PERIOD_EPOCHS == 0 and epoch < config.epochs:
             et = boost_high(clip_low(et, config.brightness_threshold),
                             config.brightness_threshold, BOOST_FACTOR)
@@ -195,7 +195,7 @@ def optimize_emission(config: EstimatorConfig, op: TransportOperator, gt_flat: n
             )
     et = clip_low(et, config.brightness_threshold)
     history.append(loss(et))
-    return np.ascontiguousarray(et.T), history
+    return np.ascontiguousarray(et[:, :, 0].T), history
 
 
 def prune_emitters(tri_verts: np.ndarray, emission: np.ndarray,

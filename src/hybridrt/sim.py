@@ -394,12 +394,10 @@ def _solve_contact_velocities(world: World, contacts: list):
 
 def _integrate(world: World, h: float):
     g = np.asarray(world.config.gravity, dtype=np.float64)
-    damping = world.config.damping
-    damp = float(np.exp(-damping * h)) if damping > 0 else 1.0
+    damp = float(np.exp(-world.config.damping * h))
     ps = world.particles
     ps.vel[ps.inv_mass > 0] += g * h
-    if damp != 1.0:
-        ps.vel *= damp
+    ps.vel *= damp
     ps.prev[:] = ps.pos
     ps.pos += ps.vel * h
     for b in world.bodies:
@@ -408,9 +406,8 @@ def _integrate(world: World, h: float):
         if b.inv_mass == 0.0:
             continue
         b.lin_vel += g * h
-        if damp != 1.0:
-            b.lin_vel *= damp
-            b.ang_vel *= damp
+        b.lin_vel *= damp
+        b.ang_vel *= damp
         b.com += b.lin_vel * h
         if np.any(b.ang_vel != 0.0):
             b.q = quat_normalize(b.q + 0.5 * h * quat_mul(np.array([0.0, *b.ang_vel]), b.q))

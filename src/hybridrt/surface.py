@@ -11,6 +11,7 @@ smaller global face id).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
@@ -181,7 +182,10 @@ def load_obj(path, **mesh_kwargs) -> TriangleMesh:
         if parts[0] == "v":
             if len(parts) < 4:
                 raise ValueError(f"obj line {ln}: vertex needs 3 coordinates")
-            verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
+            v = [float(parts[1]), float(parts[2]), float(parts[3])]
+            if not all(map(math.isfinite, v)):
+                raise ValueError(f"obj line {ln}: vertex coordinates must be finite")
+            verts.append(v)
         elif parts[0] == "f":
             ids = [int(tok.split("/")[0]) for tok in parts[1:]]
             if len(ids) != 3:

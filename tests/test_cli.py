@@ -420,6 +420,36 @@ def test_transport_over_the_byte_cap_exits_2(estimation_dir, tmp_path, capsys, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_max_depth_below_one_exits_2(estimation_dir, tmp_path, capsys, depth):
+    # Depth 0 traced no path at all and failed later as an all-zero operator.
+    out = tmp_path / "emitters.json"
+    code, err = run_cli(capsys, *estimate_args(estimation_dir), "--out", str(out),
+                        "--max-depth", depth)
+    assert code == 2
+    assert err.splitlines() == [f"error: estimate-emitters: max_depth must be >= 1, got {depth}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("coord", ["nan", "inf"])
+def test_non_finite_obj_vertex_exits_2(tmp_path, capfd, recwarn, coord):
+    # A NaN vertex used to reach the field lookup as an index and end in a
+    # traceback.
+    assets.gen_two_room(str(tmp_path))
+    ball = tmp_path / "two_room_ball.obj"
+    lines = ball.read_text().splitlines()
+    assert lines[0].startswith("v ")
+    ball.write_text("\n".join([f"v {coord} 0 0"] + lines[1:]) + "\n")
+    out = tmp_path / "out.pfm"
+    code = cli.main(["render", "--scene", str(tmp_path / "two_room.json"), "--out", str(out),
+                     "--hdr", "--width", "8", "--height", "8", "--spp", "1"])
+    assert code == 2
+    assert capfd.readouterr().err.splitlines() == [
+        "error: render: obj line 1: vertex coordinates must be finite"]
+    assert not recwarn.list
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("preset", ["smoke-slab", "sphere", "drop"])
 def test_gen_assets_writes_the_files_it_prints(tmp_path, capsys, preset):
     out = tmp_path / "out"
