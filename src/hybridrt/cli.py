@@ -21,10 +21,22 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
+class _UsageError(Exception):
+    """A command line that does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse prints usage and exits on a bad command line; raising
+    # instead lets main report it as one error line like any other. prog
+    # is "hybridrt" or "hybridrt <subcommand>".
+    def error(self, message):
+        raise _UsageError(f"{self.prog.split()[-1]}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .emitters import EstimatorConfig
 
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hybridrt",
         description="Hybrid surface/volume path tracer with HDR calibration, "
                     "emitter estimation, and XPBD dynamics.",
@@ -231,8 +243,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     from .hdr import HdrError
     from .scene import SceneError
     from .emitters import EstimationError

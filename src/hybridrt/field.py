@@ -333,47 +333,73 @@ def mesh_edges(indices: np.ndarray) -> tuple:
 
 
 def _point_triangle_dist_sq(p: np.ndarray, a, b, c) -> np.ndarray:
-    """Squared distances for points (n,1,3) against triangles (1,m,3)."""
+    """Squared distances of (node, face) pairs, (P,) from (3, P) rows.
+
+    p holds the pairs' points and a, b, c their faces' vertices, one row
+    per component. The closest point is found by Voronoi region (Ericson,
+    Real-Time Collision Detection, section 5.1.5): the interior, then the
+    edges bc, ac and ab, then the vertices c, b and a, a later region
+    taking a pair from an earlier one. Each region's point is computed only
+    for the pairs that pass its test, by one expression for all of them.
+    A 3-term dot product is summed as (x0*y0 + x1*y1) + x2*y2, the order in
+    which np.sum adds a last axis of 3, so every result is the float of a
+    (P, 3) evaluation. Only a sum of three zero terms can differ, -0.0
+    against np.sum's 0.0; that sign reaches zero intermediates only, never
+    the result, which is a sum of squares.
+    """
+    def dot(x, y):
+        t = x * y
+        t[0] += t[1]
+        t[0] += t[2]
+        return t[0]
+
     ab = b - a
     ac = c - a
     ap = p - a
-    d1 = np.sum(ab * ap, axis=-1)
-    d2 = np.sum(ac * ap, axis=-1)
+    d1 = dot(ab, ap)
+    d2 = dot(ac, ap)
     bp = p - b
-    d3 = np.sum(ab * bp, axis=-1)
-    d4 = np.sum(ac * bp, axis=-1)
+    d3 = dot(ab, bp)
+    d4 = dot(ac, bp)
     cp = p - c
-    d5 = np.sum(ab * cp, axis=-1)
-    d6 = np.sum(ac * cp, axis=-1)
+    d5 = dot(ab, cp)
+    d6 = dot(ac, cp)
     vc = d1 * d4 - d3 * d2
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v_ab = d1 / np.where(d1 - d3 != 0, d1 - d3, 1.0)
-        w_ac = d2 / np.where(d2 - d6 != 0, d2 - d6, 1.0)
-        t_bc = (d4 - d3) / np.where((d4 - d3) + (d5 - d6) != 0, (d4 - d3) + (d5 - d6), 1.0)
-        denom = va + vb + vc
-        denom = np.where(denom != 0, denom, 1.0)
-        v_in = vb / denom
-        w_in = vc / denom
-
-    # Candidate closest points per Voronoi region, selected innermost-first.
-    closest = a + v_in[..., None] * ab + w_in[..., None] * ac
     on_bc = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
-    closest = np.where(on_bc[..., None], b + np.clip(t_bc, 0, 1)[..., None] * (c - b), closest)
     on_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    closest = np.where(on_ac[..., None], a + np.clip(w_ac, 0, 1)[..., None] * ac, closest)
     on_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    closest = np.where(on_ab[..., None], a + np.clip(v_ab, 0, 1)[..., None] * ab, closest)
     at_c = (d6 >= 0) & (d5 <= d6)
-    closest = np.where(at_c[..., None], c, closest)
     at_b = (d3 >= 0) & (d4 <= d3)
-    closest = np.where(at_b[..., None], b, closest)
     at_a = (d1 <= 0) & (d2 <= 0)
-    closest = np.where(at_a[..., None], a, closest)
+    closest = np.empty_like(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        i = np.flatnonzero(~(on_bc | on_ac | on_ab | at_c | at_b | at_a))
+        va_i, vb_i, vc_i = va[i], vb[i], vc[i]
+        denom = va_i + vb_i + vc_i
+        denom = np.where(denom != 0, denom, 1.0)
+        closest[:, i] = (a.take(i, axis=1) + (vb_i / denom) * ab.take(i, axis=1)
+                         + (vc_i / denom) * ac.take(i, axis=1))
+        i = np.flatnonzero(on_bc)
+        d43, d56 = d4[i] - d3[i], d5[i] - d6[i]
+        t_bc = d43 / np.where(d43 + d56 != 0, d43 + d56, 1.0)
+        b_i = b.take(i, axis=1)
+        closest[:, i] = b_i + np.clip(t_bc, 0, 1) * (c.take(i, axis=1) - b_i)
+        i = np.flatnonzero(on_ac)
+        d2_i, d26 = d2[i], d2[i] - d6[i]
+        w_ac = d2_i / np.where(d26 != 0, d26, 1.0)
+        closest[:, i] = a.take(i, axis=1) + np.clip(w_ac, 0, 1) * ac.take(i, axis=1)
+        i = np.flatnonzero(on_ab)
+        d1_i, d13 = d1[i], d1[i] - d3[i]
+        v_ab = d1_i / np.where(d13 != 0, d13, 1.0)
+        closest[:, i] = a.take(i, axis=1) + np.clip(v_ab, 0, 1) * ab.take(i, axis=1)
+    for at, vertex in ((at_c, c), (at_b, b), (at_a, a)):
+        i = np.flatnonzero(at)
+        closest[:, i] = vertex.take(i, axis=1)
     diff = p - closest
-    return np.sum(diff * diff, axis=-1)
+    return dot(diff, diff)
 
 
 # (node, face) pairs tested per chunk; bounds the bake's temporaries.
@@ -390,6 +416,14 @@ _REACH_PAD = 1e-6
 _FLAT_FACE = 1e-6
 
 
+def _axis_gaps(axes_pts, lo: np.ndarray, hi: np.ndarray) -> list:
+    """Squared gaps from each axis's nodes to boxes [lo, hi], (n_axis, boxes)
+    per axis; a node's squared distance to a box is the sum over its axes."""
+    return [np.maximum(np.maximum(lo[:, ax] - col[:, None], col[:, None] - hi[:, ax]),
+                       0.0) ** 2
+            for ax, col in enumerate(axes_pts)]
+
+
 def _unsigned_distance(axes_pts, tri_verts: np.ndarray) -> np.ndarray:
     """Distance from every grid node to the nearest face, x-fastest (N,).
 
@@ -398,49 +432,53 @@ def _unsigned_distance(axes_pts, tri_verts: np.ndarray) -> np.ndarray:
     bounds the minimum from above, as that face's computed distance is at
     most u(p) up to rounding. A non-flat face whose bounding box lies
     farther than u(p) + pad therefore never holds the minimum and is
-    skipped; flat faces (see _FLAT_FACE) are kept for every node. The box
-    distance is a sum of per-axis squared gaps, looked up from one
-    (n_axis, faces) table per axis. _point_triangle_dist_sq runs on the
+    skipped; flat faces (see _FLAT_FACE) are kept for every node. Both
+    u(p)^2 and the box distance are sums of per-axis squared gaps, looked
+    up from one (n_axis, vertices) and one (n_axis, faces) table per axis
+    (a vertex is a box with lo = hi). _point_triangle_dist_sq runs on the
     kept pairs only; its arithmetic is elementwise, and the minimum over
     any superset of the minimising face is the same float, so the result
     equals the brute-force minimum over all faces bit for bit.
     """
-    from scipy.spatial import cKDTree
-
     nx, ny, _ = (len(ax) for ax in axes_pts)
-    pts = _axes_nodes(axes_pts)
-    a, b, c = tri_verts[:, 0], tri_verts[:, 1], tri_verts[:, 2]
+    pts = np.ascontiguousarray(_axes_nodes(axes_pts).T)
+    a, b, c = np.ascontiguousarray(tri_verts.transpose(1, 2, 0))
     face_lo, face_hi = tri_verts.min(axis=1), tri_verts.max(axis=1)
-    # The grid's corners are pts[0] and pts[-1].
-    span = float(np.linalg.norm(np.maximum(pts[-1], face_hi.max(axis=0))
-                                - np.minimum(pts[0], face_lo.min(axis=0))))
+    # The grid's corners are the first and last nodes.
+    span = float(np.linalg.norm(np.maximum(pts[:, -1], face_hi.max(axis=0))
+                                - np.minimum(pts[:, 0], face_lo.min(axis=0))))
 
-    edges = np.stack([b - a, c - b, a - c], axis=1)
+    edges = np.roll(tri_verts, -1, axis=1) - tri_verts  # b - a, c - b, a - c
     longest = np.linalg.norm(edges, axis=2).max(axis=1)
     twice_area = np.linalg.norm(cross3(edges[:, 0], edges[:, 2]), axis=1)
     flat = twice_area ** 2 <= _FLAT_FACE * span * longest ** 3
     # A flat face gets an unbounded box, so it is kept for every node.
     face_lo[flat], face_hi[flat] = -np.inf, np.inf
-    if np.all(flat):
-        reach2 = np.full(len(pts), np.inf)
-    else:
-        tree = cKDTree(tri_verts[~flat].reshape(-1, 3))
-        reach2 = (tree.query(pts)[0] + _REACH_PAD * span) ** 2
+    verts = np.unique(tri_verts[~flat].reshape(-1, 3), axis=0)
 
-    gx, gy, gz = (
-        np.maximum(np.maximum(face_lo[:, ax] - col[:, None], col[:, None] - face_hi[:, ax]),
-                   0.0) ** 2
-        for ax, col in enumerate(axes_pts)
-    )
-    out = np.empty(len(pts))
-    step = max(1, BAKE_CHUNK_PAIRS // len(tri_verts))
-    for v0 in range(0, len(pts), step):
-        v = np.arange(v0, min(v0 + step, len(pts)))
+    gx, gy, gz = _axis_gaps(axes_pts, face_lo, face_hi)
+    ux, uy, uz = _axis_gaps(axes_pts, verts, verts)
+    out = np.empty(pts.shape[1])
+    step = max(1, BAKE_CHUNK_PAIRS // max(len(tri_verts), len(verts)))
+    for v0 in range(0, len(out), step):
+        v = np.arange(v0, min(v0 + step, len(out)))
         ix, iy, iz = v % nx, (v // nx) % ny, v // (nx * ny)
-        rows, face = np.nonzero(gx[ix] + gy[iy] + gz[iz] <= reach2[v, None])
-        d2 = _point_triangle_dist_sq(pts[v[rows]], a[face], b[face], c[face])
+        # Sums in place: a fresh (chunk, faces) temporary per add costs
+        # more than the add.
+        near2 = ux[ix]
+        near2 += uy[iy]
+        near2 += uz[iz]
+        # With every face flat there is no vertex, and the reach is inf.
+        reach2 = (np.sqrt(near2.min(axis=1, initial=np.inf)) + _REACH_PAD * span) ** 2
+        box2 = gx[ix]
+        box2 += gy[iy]
+        box2 += gz[iz]
+        rows, face = np.divmod(np.flatnonzero(box2 <= reach2[:, None]), len(tri_verts))
+        node = v[rows]
+        d2 = _point_triangle_dist_sq(pts.take(node, axis=1), a.take(face, axis=1),
+                                     b.take(face, axis=1), c.take(face, axis=1))
         starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        out[v[rows[starts]]] = np.sqrt(np.minimum.reduceat(d2, starts))
+        out[node[starts]] = np.sqrt(np.minimum.reduceat(d2, starts))
     return out
 
 
@@ -449,7 +487,11 @@ def _parity_scanline(tri_verts: np.ndarray, axes_pts, axis: int, jitter_seed: in
 
     Rows of voxels parallel to `axis` share one ray; the two cross-axis
     coordinates get a deterministic sub-cell jitter so edge-grazing rays do
-    not produce systematic parity errors.
+    not produce systematic parity errors. A node is inside when an odd
+    number of its row's crossings lie strictly below it. A crossing at c
+    lies below the nodes from searchsorted(xs, c, "right") on, so one
+    (rows, nodes + 1) count of those first nodes, summed along the row,
+    gives every node's crossings below in exact integers.
     """
     from . import rng
 
@@ -478,17 +520,14 @@ def _parity_scanline(tri_verts: np.ndarray, axes_pts, axis: int, jitter_seed: in
         inv = 1.0 / np.where(den != 0.0, den, 1.0)
         wa = (v2[..., 0] * v1[..., 1] - v2[..., 1] * v1[..., 0]) * inv
         wb = (v0[..., 0] * v2[..., 1] - v0[..., 1] * v2[..., 0]) * inv
-    hit = (den != 0.0) & (wa >= 0) & (wb >= 0) & (wa + wb <= 1)
-    x_cross = x3[None, :, 0] + wa * (x3[None, :, 1] - x3[None, :, 0]) + wb * (
-        x3[None, :, 2] - x3[None, :, 0]
-    )
-    x_cross = np.where(hit, x_cross, np.inf)
-    x_cross.sort(axis=1)
+    rows, face = np.nonzero((den != 0.0) & (wa >= 0) & (wb >= 0) & (wa + wb <= 1))
+    x0 = x3[face, 0]
+    x_cross = x0 + wa[rows, face] * (x3[face, 1] - x0) + wb[rows, face] * (x3[face, 2] - x0)
 
-    inside = np.zeros((nu * nv, len(xs)), dtype=bool)
-    for r in range(nu * nv):
-        counts = np.searchsorted(x_cross[r], xs)
-        inside[r] = (counts % 2) == 1
+    first = np.searchsorted(xs, x_cross, side="right")
+    counts = np.bincount(rows * (len(xs) + 1) + first, minlength=nu * nv * (len(xs) + 1))
+    below = np.cumsum(counts.reshape(nu * nv, -1)[:, :-1], axis=1)
+    inside = (below % 2) == 1
 
     # Rows run (u, v) with u < v, so moving the scan axis into place gives (x, y, z).
     return np.moveaxis(inside.reshape(nu, nv, -1), 2, axis)

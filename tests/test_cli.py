@@ -479,3 +479,23 @@ def test_gen_assets_out_below_a_regular_file_exits_4(tmp_path, capsys):
     code, err = run_cli(capsys, "gen-assets", "smoke-slab", "--out", str(blocker / "out"))
     lines = err.splitlines()
     assert code == 4 and len(lines) == 1 and lines[0].startswith("error: gen-assets: ")
+
+
+@pytest.mark.parametrize("argv, match", [
+    (["render", "--scene", "x.json", "--spp", "abc"],
+     "error: render: argument --spp: invalid int value: 'abc'"),
+    (["render"], "error: render: the following arguments are required: --scene"),
+    (["bogus"], "error: hybridrt: argument command: invalid choice: 'bogus'"),
+], ids=["bad-int", "missing-scene", "unknown-subcommand"])
+def test_usage_error_is_one_line_and_exits_2(capsys, argv, match):
+    code, err = run_cli(capsys, *argv)
+    lines = err.splitlines()
+    assert code == 2 and len(lines) == 1 and lines[0].startswith(match)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["render", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hybridrt")

@@ -552,6 +552,51 @@ def test_mesh_edges_match_dict_and_set_references(extra, closed, repeats):
     assert bool(np.all(counts == 2)) == all(c == 2 for c in ref.values())
 
 
+def _point_triangle_dist_sq_reference(p, a, b, c):
+    """Reference: the broadcasting closest-point kernel the bake used before
+    its (3, P) form. Squared distances for points (n,1,3) against triangles
+    (1,m,3); every 3-term sum is np.sum over the last axis."""
+    ab = b - a
+    ac = c - a
+    ap = p - a
+    d1 = np.sum(ab * ap, axis=-1)
+    d2 = np.sum(ac * ap, axis=-1)
+    bp = p - b
+    d3 = np.sum(ab * bp, axis=-1)
+    d4 = np.sum(ac * bp, axis=-1)
+    cp = p - c
+    d5 = np.sum(ab * cp, axis=-1)
+    d6 = np.sum(ac * cp, axis=-1)
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_ab = d1 / np.where(d1 - d3 != 0, d1 - d3, 1.0)
+        w_ac = d2 / np.where(d2 - d6 != 0, d2 - d6, 1.0)
+        t_bc = (d4 - d3) / np.where((d4 - d3) + (d5 - d6) != 0, (d4 - d3) + (d5 - d6), 1.0)
+        denom = va + vb + vc
+        denom = np.where(denom != 0, denom, 1.0)
+        v_in = vb / denom
+        w_in = vc / denom
+
+    closest = a + v_in[..., None] * ab + w_in[..., None] * ac
+    on_bc = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
+    closest = np.where(on_bc[..., None], b + np.clip(t_bc, 0, 1)[..., None] * (c - b), closest)
+    on_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
+    closest = np.where(on_ac[..., None], a + np.clip(w_ac, 0, 1)[..., None] * ac, closest)
+    on_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
+    closest = np.where(on_ab[..., None], a + np.clip(v_ab, 0, 1)[..., None] * ab, closest)
+    at_c = (d6 >= 0) & (d5 <= d6)
+    closest = np.where(at_c[..., None], c, closest)
+    at_b = (d3 >= 0) & (d4 <= d3)
+    closest = np.where(at_b[..., None], b, closest)
+    at_a = (d1 <= 0) & (d2 <= 0)
+    closest = np.where(at_a[..., None], a, closest)
+    diff = p - closest
+    return np.sum(diff * diff, axis=-1)
+
+
 def _brute_unsigned_distance(points, tri_verts, chunk=2_000_000):
     """Reference: min point-triangle distance at each point over all faces."""
     m = len(tri_verts)
@@ -562,7 +607,7 @@ def _brute_unsigned_distance(points, tri_verts, chunk=2_000_000):
     rows = max(1, chunk // max(m, 1))
     for i in range(0, len(points), rows):
         p = points[i:i + rows, None, :]
-        d2 = field_mod._point_triangle_dist_sq(p, a, b, c)
+        d2 = _point_triangle_dist_sq_reference(p, a, b, c)
         out[i:i + rows] = np.sqrt(d2.min(axis=1))
     return out
 
@@ -622,18 +667,125 @@ def test_culled_distance_bitwise_with_nodes_on_box_features():
     assert np.array_equal(culled, brute)
 
 
+def _signed_zeros(rng, x, share=0.2):
+    """A copy of x with a share of its components set to 0.0 or -0.0."""
+    x = np.array(x, dtype=np.float64)
+    pick = rng.random(x.shape) < share
+    x[pick] = rng.choice([0.0, -0.0], int(pick.sum()))
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tris=st.integers(1, 12),
+       layout=st.sampled_from(["soup", "degenerate", "lattice", "outside"]),
+       res=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)))
+def test_closest_point_kernel_matches_reference_bitwise(seed, n_tris, layout, res):
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array([-1.0, -1.0, -1.0]), np.array([1.0, 0.5, 1.5])
+    v, f = _soup(rng, layout, n_tris, lo, hi, res)
+    tri = _signed_zeros(rng, v)[f]
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    s, t = rng.uniform(-0.5, 1.5, (2, n_tris, 1))
+    # Grid nodes, the vertices, points on the edges' lines and in the face
+    # planes, and all of them again with signed zero components.
+    pts = np.concatenate([grid_points(lo, hi, res), tri.reshape(-1, 3), a + s * (b - a),
+                          b + s * (c - b), c + s * (a - c), a + s * (b - a) + t * (c - a)])
+    pts = np.concatenate([pts, _signed_zeros(rng, pts, 0.4)])
+    ref = _point_triangle_dist_sq_reference(pts[:, None], a[None], b[None], c[None])
+    node, face = (i.ravel() for i in np.indices(ref.shape))
+    new = field_mod._point_triangle_dist_sq(pts[node].T, a[face].T, b[face].T, c[face].T)
+    assert np.array_equal(new.view(np.uint64), ref.ravel().view(np.uint64))
+
+
+def _parity_scanline_reference(tri_verts, axes_pts, axis, jitter_seed):
+    """Reference: the parity scan the bake used before its one count. Each
+    row's crossings are sorted and one searchsorted per row counts those
+    below each node."""
+    from hybridrt import rng
+
+    u, v = [ax for ax in range(3) if ax != axis]
+    xs, us, vs = axes_pts[axis], axes_pts[u], axes_pts[v]
+    nu, nv = len(us), len(vs)
+    cell_u = (us[-1] - us[0]) / max(nu - 1, 1) if nu > 1 else 1.0
+    cell_v = (vs[-1] - vs[0]) / max(nv - 1, 1) if nv > 1 else 1.0
+
+    row_ids = np.arange(nu * nv)
+    ju = (rng.uniform(jitter_seed, row_ids, 0) - 0.5) * 0.25 * cell_u
+    jv = (rng.uniform(jitter_seed, row_ids, 1) - 0.5) * 0.25 * cell_v
+    uu = np.repeat(us, nv) + ju
+    vv = np.tile(vs, nu) + jv
+
+    a2 = tri_verts[:, :, [u, v]]
+    x3 = tri_verts[:, :, axis]
+
+    pa = np.stack([uu, vv], axis=1)[:, None, :]
+    v0 = a2[None, :, 1, :] - a2[None, :, 0, :]
+    v1 = a2[None, :, 2, :] - a2[None, :, 0, :]
+    v2 = pa - a2[None, :, 0, :]
+    den = v0[..., 0] * v1[..., 1] - v0[..., 1] * v1[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / np.where(den != 0.0, den, 1.0)
+        wa = (v2[..., 0] * v1[..., 1] - v2[..., 1] * v1[..., 0]) * inv
+        wb = (v0[..., 0] * v2[..., 1] - v0[..., 1] * v2[..., 0]) * inv
+    hit = (den != 0.0) & (wa >= 0) & (wb >= 0) & (wa + wb <= 1)
+    x_cross = x3[None, :, 0] + wa * (x3[None, :, 1] - x3[None, :, 0]) + wb * (
+        x3[None, :, 2] - x3[None, :, 0]
+    )
+    x_cross = np.where(hit, x_cross, np.inf)
+    x_cross.sort(axis=1)
+
+    inside = np.zeros((nu * nv, len(xs)), dtype=bool)
+    for r in range(nu * nv):
+        counts = np.searchsorted(x_cross[r], xs)
+        inside[r] = (counts % 2) == 1
+    return np.moveaxis(inside.reshape(nu, nv, -1), 2, axis)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tris=st.integers(1, 12),
+       layout=st.sampled_from(["soup", "degenerate", "lattice", "outside"]),
+       res=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+       axis=st.integers(0, 2))
+def test_parity_count_matches_sorted_scan_reference(seed, n_tris, layout, res, axis):
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array([-1.0, -1.0, -1.0]), np.array([1.0, 0.5, 1.5])
+    v, f = _soup(rng, layout, n_tris, lo, hi, res)
+    axes = field_mod._grid_axes(lo, hi, res)
+    tri = v[f]
+    # Every other face lies in a node plane across the scan axis, so its
+    # crossings land exactly on node coordinates.
+    tri[::2, :, axis] = rng.choice(axes[axis], (len(tri[::2]), 1))
+    jitter_seed = int(rng.integers(2**31))
+    assert np.array_equal(field_mod._parity_scanline(tri, axes, axis, jitter_seed),
+                          _parity_scanline_reference(tri, axes, axis, jitter_seed))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_parity_count_matches_reference_with_faces_on_node_planes(axis):
+    # At 33 nodes over [-1, 1] the half-unit box's faces lie on the node
+    # planes at -0.5 and 0.5, so every crossing is a node coordinate.
+    v, f = assets.box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+    axes = field_mod._grid_axes(np.full(3, -1.0), np.full(3, 1.0), (33, 33, 33))
+    assert {-0.5, 0.5} <= set(axes[axis].tolist())
+    tri = np.asarray(v, dtype=np.float64)[f]
+    inside = field_mod._parity_scanline(tri, axes, axis, 7)
+    assert np.array_equal(inside, _parity_scanline_reference(tri, axes, axis, 7))
+    assert 0 < np.count_nonzero(inside) < inside.size
+
+
 def test_bake_evaluates_few_pairs(monkeypatch):
     v, f = assets.icosphere(1.0, 2)
     sizes = []
     real = field_mod._point_triangle_dist_sq
 
     def counting(p, a, b, c):
-        sizes.append(len(p))
+        sizes.append(p.shape[-1])
         return real(p, a, b, c)
 
     monkeypatch.setattr(field_mod, "_point_triangle_dist_sq", counting)
     bake_sdf_from_mesh(v, f, (-1.5,) * 3, (1.5,) * 3, (16, 16, 16), jitter_seed=1)
-    assert sum(sizes) <= 0.10 * 16**3 * len(f)
+    # Every node evaluates at least its nearest face.
+    assert 16**3 <= sum(sizes) <= 0.10 * 16**3 * len(f)
 
 
 # SHA-256 of phi from the brute-force bake over all (node, face) pairs; the

@@ -60,3 +60,20 @@ def test_no_module_calls_np_cross():
              if isinstance(node, ast.Attribute) and node.attr == "cross"
              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
     assert found == []
+
+
+def test_no_module_imports_scipy_spatial():
+    # The bake's nearest-vertex reach is numpy; importing scipy.spatial
+    # would cost a one-shot bake about half a second and 35 MB.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[:2] == ["scipy", "spatial"] for n in names):
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert found == []
