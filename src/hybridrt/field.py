@@ -402,7 +402,8 @@ def _point_triangle_dist_sq(p: np.ndarray, a, b, c) -> np.ndarray:
     return dot(diff, diff)
 
 
-# (node, face) pairs tested per chunk; bounds the bake's temporaries.
+# Pairs per chunk, (node, face) in the bake and (line entry, node) in the
+# density SDF's distance transform; bounds their temporaries.
 BAKE_CHUNK_PAIRS = 1 << 17
 # The cull's slack scales with the span, the diagonal of the box around the
 # grid and the mesh. The reach pad covers rounding in the nearest-vertex
@@ -589,15 +590,71 @@ def occupancy(grid: RadianceGrid, frac: float) -> np.ndarray:
     return grid.sigma >= frac * peak
 
 
-def sdf_from_density(grid: RadianceGrid, threshold_frac: float = 0.5) -> SdfGrid:
-    """Collision proxy for a field: its occupancy, then a Euclidean
-    redistancing of the voxel set."""
-    from scipy import ndimage
+def _min_plus(g: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """min over j of g[..., j, ...] + ((i - j) * h)^2 along one axis, for
+    every i; only the finite entries of g are visited."""
+    lines = np.moveaxis(g, axis, -1)
+    shape, n = lines.shape, lines.shape[-1]
+    lines = lines.reshape(-1, n)
+    k = np.arange(n)
+    step_sq = (k * h) ** 2
+    step_sq = step_sq[np.abs(k[:, None] - k)]  # (j, i) -> ((i - j) * h)^2
+    out = np.full(lines.shape, np.inf)
+    row, col = np.nonzero(np.isfinite(lines))
+    chunk = max(1, BAKE_CHUNK_PAIRS // n)
+    for s in range(0, len(row), chunk):
+        r, j = row[s:s + chunk], col[s:s + chunk]
+        cand = lines[r, j][:, None] + step_sq[j]
+        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+        r = r[starts]
+        out[r] = np.minimum(out[r], np.minimum.reduceat(cand, starts, axis=0))
+    return np.moveaxis(out.reshape(shape), -1, axis)
 
+
+def _edt_sq(feature: np.ndarray, h) -> np.ndarray:
+    """Squared Euclidean distance from every node of a grid to its nearest
+    feature node (0 on a feature), with cell size h; see sdf_from_density."""
+    d2 = np.zeros(feature.shape)
+    need = np.nonzero(~feature)
+    if len(need[0]) == 0:
+        return d2
+    box = tuple(slice(max(int(i.min()) - 1, 0), int(i.max()) + 2) for i in need)
+    sub = feature[box]
+    i = np.arange(sub.shape[0], dtype=np.float64)[:, None, None]
+    before = np.maximum.accumulate(np.where(sub, i, -np.inf), axis=0)
+    after = np.minimum.accumulate(np.where(sub, i, np.inf)[::-1], axis=0)[::-1]
+    dx = np.minimum(i - before, after - i) * h[0]
+    g = dx * dx
+    for axis in (1, 2):
+        g = _min_plus(g, axis, h[axis])
+    d2[box] = g
+    return d2
+
+
+def sdf_from_density(grid: RadianceGrid, threshold_frac: float = 0.5) -> SdfGrid:
+    """Collision proxy for a field: its occupancy, then an exact Euclidean
+    distance transform of the node set, outside distance minus inside.
+
+    Each side is a distance to the nearest node of the other (its
+    features). Only the box of the nodes that need a distance, grown by one
+    node and clipped to the grid, is transformed: every feature outside it
+    has one inside that is no farther along any axis. Three passes, one per
+    axis (Felzenszwalb & Huttenlocher, Theory of Computing 2012), carry
+    squared distances: x gives (dx * h0)^2 to the nearest feature in the
+    row, from running maxima and minima of feature indices; y, then z,
+    take min over j of d2[j] + ((i - j) * h)^2 over the line's finite
+    entries. Float addition is monotone, so each node gets the float
+    minimum over all features of ((dx*h0)^2 + (dy*h1)^2) + (dz*h2)^2,
+    the expression scipy.ndimage.distance_transform_edt evaluates at the
+    one feature it picks. Where features tie in exact arithmetic but not in
+    floats, the result can be an ulp below scipy's.
+    """
     mask = occupancy(grid, threshold_frac)
+    if mask.all():
+        raise ValueError("density field is occupied at every node, so it has no surface")
     h = _cell_size(grid.bbox_lo, grid.bbox_hi, grid.res)
-    outside = ndimage.distance_transform_edt(~mask, sampling=h)
-    inside = ndimage.distance_transform_edt(mask, sampling=h)
+    outside = np.sqrt(_edt_sq(mask, h))
+    inside = np.sqrt(_edt_sq(~mask, h))
     return SdfGrid(grid.bbox_lo, grid.bbox_hi, outside - inside)
 
 

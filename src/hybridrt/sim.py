@@ -180,10 +180,11 @@ def point_mass_inertia(verts_body: np.ndarray, mass: float) -> np.ndarray:
     if np.isinf(mass) or len(verts_body) == 0:
         return np.eye(3)
     m = mass / len(verts_body)
-    i = np.zeros((3, 3))
-    for r in verts_body:
-        i += m * (float(r @ r) * np.eye(3) - np.outer(r, r))
-    return i
+    # r @ r per vertex: a batched dot rounds some of them differently.
+    rr = np.array([float(r @ r) for r in verts_body])
+    terms = m * (rr[:, None, None] * np.eye(3) - verts_body[:, :, None] * verts_body[:, None, :])
+    # Summed over vertices in their order, one 3x3 term after another.
+    return np.add.reduce(terms, axis=0)
 
 
 def _safe_inv(m: np.ndarray) -> np.ndarray:

@@ -172,6 +172,18 @@ def test_field_sigma_threshold_out_of_range_exits_2(tmp_path, capsys, threshold)
     assert not out.exists()
 
 
+def test_field_occupied_at_every_node_exits_2(tmp_path, capfd):
+    # A dynamic field with no free node has no surface to derive an SDF from.
+    assets.gen_field_hit(str(tmp_path))
+    save_rfgrid(tmp_path / "blob.rfgrid",
+                RadianceGrid.constant((-0.8,) * 3, (0.8,) * 3, 8.0, (1, 1, 1), res=(4, 4, 4)))
+    code = cli.main(["simulate", "--scene", str(tmp_path / "field_hit.json"),
+                     "--out", str(tmp_path / "out"), "--frames", "1"])
+    assert code == 2
+    assert capfd.readouterr().err.splitlines() == [
+        "error: simulate: density field is occupied at every node, so it has no surface"]
+
+
 @pytest.mark.parametrize("command", ["render", "simulate"])
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_bad_thread_count_exits_2(tmp_path, capfd, recwarn, command, threads):

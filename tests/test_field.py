@@ -838,6 +838,71 @@ def test_sdf_from_density_blob_radius():
     assert phi[1] > 0.0
 
 
+def brute_edt_sq(feature, h):
+    """Squared distance from each node to every feature node, in the order
+    scipy.ndimage.distance_transform_edt sums it, minimised over all."""
+    nodes = np.argwhere(np.ones(feature.shape, dtype=bool))
+    d = (nodes[:, None, :] - np.argwhere(feature)[None]).astype(np.float64) * h
+    d *= d
+    return ((d[..., 0] + d[..., 1]) + d[..., 2]).min(axis=1).reshape(feature.shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.tuples(*[st.integers(1, 8)] * 3),
+       density=st.sampled_from([0.02, 0.1, 0.3, 0.7, 0.95]),
+       single=st.booleans(),
+       spacing=st.sampled_from(["iso", "aniso"]))
+def test_edt_equals_brute_force_bitwise(seed, shape, density, single, spacing):
+    rng = np.random.default_rng(seed)
+    if single:
+        feature = np.zeros(shape, dtype=bool)
+        feature[tuple(rng.integers(0, shape))] = True
+    else:
+        feature = rng.random(shape) < density
+        feature.flat[rng.integers(feature.size)] = True
+    h = np.full(3, 2.0 / 23.0) if spacing == "iso" else rng.uniform(0.01, 3.0, 3)
+    got = field_mod._edt_sq(feature, h)
+    assert got.tobytes() == brute_edt_sq(feature, h).tobytes()
+
+
+def edt_cases():
+    """(feature, h) pairs: both sides of two blob occupancies, one of them
+    with features that tie, and sparse random masks, some anisotropic."""
+    for res, width in (((24, 24, 24), 0.28), ((48, 48, 48), 0.35)):
+        g = assets.gaussian_blob_field((-0.8,) * 3, (0.8,) * 3, (0, 0, 0), width, 8.0,
+                                       (1, 1, 1), res=res)
+        mask = field_mod.occupancy(g, 0.5)
+        h = field_mod._cell_size(g.bbox_lo, g.bbox_hi, g.res)
+        yield mask, h
+        yield ~mask, h
+    rng = np.random.default_rng(5)
+    for k in range(6):
+        feature = rng.random(tuple(rng.integers(5, 33, 3))) < (0.002, 0.05)[k % 2]
+        feature.flat[0] = True
+        yield feature, (np.full(3, 0.1) if k < 3 else rng.uniform(0.05, 1.0, 3))
+
+
+def test_edt_within_an_ulp_below_scipy():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    for feature, h in edt_cases():
+        ref = ndimage.distance_transform_edt(~feature, sampling=h)
+        got = np.sqrt(field_mod._edt_sq(feature, h))
+        # A float minimum is at most scipy's value at the feature it picked.
+        assert np.all(got <= ref)
+        assert np.all(got >= np.nextafter(ref, 0.0))
+
+
+# SHA-256 of the field-hit preset's density SDF as scipy's
+# distance_transform_edt computed it.
+FIELD_HIT_DENSITY_PHI = "cb3d614866c455a7a6d1fe857d812409f79c4cb395b6125f493176234e3aa40b"
+
+
+def test_field_hit_density_sdf_pinned(field_hit_dir):
+    sdf = sdf_from_density(load_rfgrid(field_hit_dir / "blob.rfgrid"), 0.5)
+    assert hashlib.sha256(sdf.phi.tobytes()).hexdigest() == FIELD_HIT_DENSITY_PHI
+
+
 # ---------------------------------------------------------------- file I/O
 
 

@@ -1,8 +1,12 @@
 """Module boundaries: no module of the package uses another's private
-names; runtime guards are real exceptions, not asserts."""
+names; runtime guards are real exceptions, not asserts; the package
+needs numpy only."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import hybridrt
 
@@ -62,18 +66,31 @@ def test_no_module_calls_np_cross():
     assert found == []
 
 
-def test_no_module_imports_scipy_spatial():
-    # The bake's nearest-vertex reach is numpy; importing scipy.spatial
-    # would cost a one-shot bake about half a second and 35 MB.
+def test_no_module_imports_scipy():
+    # The package needs numpy only: the bake's reach and the density SDF's
+    # distance transform are numpy, and importing scipy would cost a
+    # one-shot bake or simulate about half a second and 20-35 MB.
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
-                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+                names = [node.module]
             else:
                 continue
-            if any(n.split(".")[:2] == ["scipy", "spatial"] for n in names):
+            if any(n.split(".")[0] == "scipy" for n in names):
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert found == []
+
+
+def test_field_hit_world_loads_no_scipy(field_hit_dir):
+    # A fresh interpreter, so that no module a test imported first can
+    # hide an import that building a dynamic field's world makes.
+    code = ("import sys\n"
+            "from hybridrt import scene, sim\n"
+            f"sim.build_world(scene.load_scene({str(field_hit_dir / 'field_hit.json')!r}))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
+    assert out.stdout.strip() == "[]"

@@ -278,6 +278,29 @@ def test_add_cloth_per_edge_compliance():
                               compliance=[0.1])
 
 
+def loop_point_mass_inertia(verts_body, mass):
+    """sim.point_mass_inertia as a loop over vertices, the reference."""
+    if np.isinf(mass) or len(verts_body) == 0:
+        return np.eye(3)
+    m = mass / len(verts_body)
+    i = np.zeros((3, 3))
+    for r in verts_body:
+        i += m * (float(r @ r) * np.eye(3) - np.outer(r, r))
+    return i
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300),
+       scale=st.floats(1e-3, 1e3), mass=st.sampled_from([0.5, 2.0, 7.3, np.inf]),
+       flat_axis=st.sampled_from([None, 0, 1, 2]))
+def test_point_mass_inertia_equals_loop_bitwise(seed, n, scale, mass, flat_axis):
+    verts = np.random.default_rng(seed).normal(size=(n, 3)) * scale
+    if flat_axis is not None:
+        verts[:, flat_axis] = 0.0
+    assert (sim.point_mass_inertia(verts, mass).tobytes()
+            == loop_point_mass_inertia(verts, mass).tobytes())
+
+
 @pytest.mark.parametrize("pin", [9, -1])
 def test_out_of_range_pin_names_mesh_and_index(tmp_path, pin):
     path = write_cloth_scene(tmp_path, [("sheet", {"pinned": [0, pin]})])
@@ -303,6 +326,14 @@ def test_field_body_needs_density():
     with pytest.raises(ValueError, match="all zero"):
         sim.make_field_body(grid, sdf, 1.0)
     with pytest.raises(ValueError, match="all zero"):
+        sdf_from_density(grid)
+
+
+def test_density_sdf_needs_a_free_node():
+    # With no free node, the distance transform used to read as if one lay
+    # a node before x = 0: phi -1/3, -2/3, -1, -4/3 along the first row.
+    grid = RadianceGrid.constant((0, 0, 0), (1, 1, 1), 2.0, (1, 1, 1), res=(4, 4, 4))
+    with pytest.raises(ValueError, match="occupied at every node, so it has no surface"):
         sdf_from_density(grid)
 
 
