@@ -143,9 +143,9 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--frames must be >= 0")
     scene = load_scene(args.scene)
     _apply_overrides(scene, args)
+    world, binding = sim.build_world(scene)
     out_dir = args.out or "sim_out"
     os.makedirs(out_dir, exist_ok=True)
-    world, binding = sim.build_world(scene)
 
     def snapshot(k):
         dyn = [m for m, _ in binding.cloth_meshes] + [m for m, _ in binding.rigid_meshes]

@@ -325,22 +325,26 @@ def sdf_from_function(fn, bbox_lo, bbox_hi, res) -> SdfGrid:
 
 
 def mesh_edges(indices: np.ndarray) -> tuple:
-    """(edges, counts) of a triangle list: its undirected edges as rows
-    (i, j) with i <= j, sorted, and the number of faces that hold each."""
+    """(edges, counts, inverse) of a triangle list: its undirected edges as
+    rows (i, j) with i <= j, sorted, the number of faces that hold each, and
+    the edge id of each face's sides ab, bc, ca as (faces, 3)."""
     tri = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
     edges = np.stack([tri, np.roll(tri, -1, axis=1)], axis=-1).reshape(-1, 2)
-    return np.unique(np.sort(edges, axis=1), axis=0, return_counts=True)
+    edges, inverse, counts = np.unique(np.sort(edges, axis=1), axis=0,
+                                       return_inverse=True, return_counts=True)
+    return edges, counts, inverse.reshape(-1, 3)
 
 
-def _point_triangle_dist_sq(p: np.ndarray, a, b, c) -> np.ndarray:
-    """Squared distances of (node, face) pairs, (P,) from (3, P) rows.
+def _point_triangle_dist_sq(p: np.ndarray, a, b, c) -> tuple:
+    """(d2, feature, p - q) of (node, face) pairs from (3, P) rows: the
+    squared distance (P,) to the closest point q, its region and p - q.
 
     p holds the pairs' points and a, b, c their faces' vertices, one row
-    per component. The closest point is found by Voronoi region (Ericson,
-    Real-Time Collision Detection, section 5.1.5): the interior, then the
-    edges bc, ac and ab, then the vertices c, b and a, a later region
-    taking a pair from an earlier one. Each region's point is computed only
-    for the pairs that pass its test, by one expression for all of them.
+    per component. q is found by Voronoi region (Ericson, Real-Time
+    Collision Detection, section 5.1.5), whose int8 code is the feature: 0
+    the interior, 1-3 the edges bc, ac, ab, 4-6 the vertices c, b, a, a
+    later region taking a pair from an earlier one. Each region's point is
+    computed only for the pairs that pass its test, by one expression.
     A 3-term dot product is summed as (x0*y0 + x1*y1) + x2*y2, the order in
     which np.sum adds a last axis of 3, so every result is the float of a
     (P, 3) evaluation. Only a sum of three zero terms can differ, -0.0
@@ -375,6 +379,7 @@ def _point_triangle_dist_sq(p: np.ndarray, a, b, c) -> np.ndarray:
     at_b = (d3 >= 0) & (d4 <= d3)
     at_a = (d1 <= 0) & (d2 <= 0)
     closest = np.empty_like(p)
+    feature = np.empty(p.shape[1], dtype=np.int8)
     with np.errstate(divide="ignore", invalid="ignore"):
         i = np.flatnonzero(~(on_bc | on_ac | on_ab | at_c | at_b | at_a))
         va_i, vb_i, vc_i = va[i], vb[i], vc[i]
@@ -382,24 +387,29 @@ def _point_triangle_dist_sq(p: np.ndarray, a, b, c) -> np.ndarray:
         denom = np.where(denom != 0, denom, 1.0)
         closest[:, i] = (a.take(i, axis=1) + (vb_i / denom) * ab.take(i, axis=1)
                          + (vc_i / denom) * ac.take(i, axis=1))
+        feature[i] = 0
         i = np.flatnonzero(on_bc)
         d43, d56 = d4[i] - d3[i], d5[i] - d6[i]
         t_bc = d43 / np.where(d43 + d56 != 0, d43 + d56, 1.0)
         b_i = b.take(i, axis=1)
         closest[:, i] = b_i + np.clip(t_bc, 0, 1) * (c.take(i, axis=1) - b_i)
+        feature[i] = 1
         i = np.flatnonzero(on_ac)
         d2_i, d26 = d2[i], d2[i] - d6[i]
         w_ac = d2_i / np.where(d26 != 0, d26, 1.0)
         closest[:, i] = a.take(i, axis=1) + np.clip(w_ac, 0, 1) * ac.take(i, axis=1)
+        feature[i] = 2
         i = np.flatnonzero(on_ab)
         d1_i, d13 = d1[i], d1[i] - d3[i]
         v_ab = d1_i / np.where(d13 != 0, d13, 1.0)
         closest[:, i] = a.take(i, axis=1) + np.clip(v_ab, 0, 1) * ab.take(i, axis=1)
-    for at, vertex in ((at_c, c), (at_b, b), (at_a, a)):
+        feature[i] = 3
+    for code, at, vertex in ((4, at_c, c), (5, at_b, b), (6, at_a, a)):
         i = np.flatnonzero(at)
         closest[:, i] = vertex.take(i, axis=1)
+        feature[i] = code
     diff = p - closest
-    return dot(diff, diff)
+    return dot(diff, diff), feature, diff
 
 
 # Pairs per chunk, (node, face) in the bake and (line entry, node) in the
@@ -425,8 +435,9 @@ def _axis_gaps(axes_pts, lo: np.ndarray, hi: np.ndarray) -> list:
             for ax, col in enumerate(axes_pts)]
 
 
-def _unsigned_distance(axes_pts, tri_verts: np.ndarray) -> np.ndarray:
-    """Distance from every grid node to the nearest face, x-fastest (N,).
+def _unsigned_distance(axes_pts, tri_verts: np.ndarray, normals: np.ndarray) -> tuple:
+    """Distance from every grid node to the nearest face and whether the
+    node is behind it, both x-fastest (N,).
 
     Only (node, face) pairs that can hold the node's minimum are evaluated.
     The distance u(p) from node p to the nearest vertex of a non-flat face
@@ -438,8 +449,10 @@ def _unsigned_distance(axes_pts, tri_verts: np.ndarray) -> np.ndarray:
     up from one (n_axis, vertices) and one (n_axis, faces) table per axis
     (a vertex is a box with lo = hi). _point_triangle_dist_sq runs on the
     kept pairs only; its arithmetic is elementwise, and the minimum over
-    any superset of the minimising face is the same float, so the result
-    equals the brute-force minimum over all faces bit for bit.
+    any superset of the minimising face is the same float, so the distance
+    equals the brute-force minimum over all faces bit for bit. A node is
+    behind when (p - q) . normals[face, feature] < 0 at its first pair that
+    holds the minimum (see _pseudonormals); with zero normals none is.
     """
     nx, ny, _ = (len(ax) for ax in axes_pts)
     pts = np.ascontiguousarray(_axes_nodes(axes_pts).T)
@@ -460,6 +473,7 @@ def _unsigned_distance(axes_pts, tri_verts: np.ndarray) -> np.ndarray:
     gx, gy, gz = _axis_gaps(axes_pts, face_lo, face_hi)
     ux, uy, uz = _axis_gaps(axes_pts, verts, verts)
     out = np.empty(pts.shape[1])
+    behind = np.empty(pts.shape[1], dtype=bool)
     step = max(1, BAKE_CHUNK_PAIRS // max(len(tri_verts), len(verts)))
     for v0 in range(0, len(out), step):
         v = np.arange(v0, min(v0 + step, len(out)))
@@ -476,76 +490,61 @@ def _unsigned_distance(axes_pts, tri_verts: np.ndarray) -> np.ndarray:
         box2 += gz[iz]
         rows, face = np.divmod(np.flatnonzero(box2 <= reach2[:, None]), len(tri_verts))
         node = v[rows]
-        d2 = _point_triangle_dist_sq(pts.take(node, axis=1), a.take(face, axis=1),
-                                     b.take(face, axis=1), c.take(face, axis=1))
+        d2, feature, diff = _point_triangle_dist_sq(
+            pts.take(node, axis=1), a.take(face, axis=1), b.take(face, axis=1),
+            c.take(face, axis=1))
         starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        out[node[starts]] = np.sqrt(np.minimum.reduceat(d2, starts))
-    return out
+        low = np.minimum.reduceat(d2, starts)
+        # Pairs above their node's minimum are masked, so each group's
+        # minimum index is its first pair that holds the minimum.
+        pair = np.where(d2 > np.repeat(low, np.diff(np.r_[starts, len(d2)])),
+                        len(d2), np.arange(len(d2)))
+        first = np.minimum.reduceat(pair, starts)
+        side = np.sum(diff[:, first].T * normals[face[first], feature[first]], axis=1)
+        out[node[starts]] = np.sqrt(low)
+        behind[node[starts]] = side < 0
+    return out, behind
 
 
-def _parity_scanline(tri_verts: np.ndarray, axes_pts, axis: int, jitter_seed: int):
-    """Inside/outside votes by counting crossings along one grid axis.
-
-    Rows of voxels parallel to `axis` share one ray; the two cross-axis
-    coordinates get a deterministic sub-cell jitter so edge-grazing rays do
-    not produce systematic parity errors. A node is inside when an odd
-    number of its row's crossings lie strictly below it. A crossing at c
-    lies below the nodes from searchsorted(xs, c, "right") on, so one
-    (rows, nodes + 1) count of those first nodes, summed along the row,
-    gives every node's crossings below in exact integers.
-    """
-    from . import rng
-
-    u, v = [ax for ax in range(3) if ax != axis]
-    xs, us, vs = axes_pts[axis], axes_pts[u], axes_pts[v]
-    nu, nv = len(us), len(vs)
-    cell_u = (us[-1] - us[0]) / max(nu - 1, 1) if nu > 1 else 1.0
-    cell_v = (vs[-1] - vs[0]) / max(nv - 1, 1) if nv > 1 else 1.0
-
-    row_ids = np.arange(nu * nv)
-    ju = (rng.uniform(jitter_seed, row_ids, 0) - 0.5) * 0.25 * cell_u
-    jv = (rng.uniform(jitter_seed, row_ids, 1) - 0.5) * 0.25 * cell_v
-    uu = np.repeat(us, nv) + ju
-    vv = np.tile(vs, nu) + jv
-
-    a2 = tri_verts[:, :, [u, v]]
-    x3 = tri_verts[:, :, axis]
-
-    # 2D barycentric point-in-triangle for every (row, face) pair.
-    pa = np.stack([uu, vv], axis=1)[:, None, :]
-    v0 = a2[None, :, 1, :] - a2[None, :, 0, :]
-    v1 = a2[None, :, 2, :] - a2[None, :, 0, :]
-    v2 = pa - a2[None, :, 0, :]
-    den = v0[..., 0] * v1[..., 1] - v0[..., 1] * v1[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / np.where(den != 0.0, den, 1.0)
-        wa = (v2[..., 0] * v1[..., 1] - v2[..., 1] * v1[..., 0]) * inv
-        wb = (v0[..., 0] * v2[..., 1] - v0[..., 1] * v2[..., 0]) * inv
-    rows, face = np.nonzero((den != 0.0) & (wa >= 0) & (wb >= 0) & (wa + wb <= 1))
-    x0 = x3[face, 0]
-    x_cross = x0 + wa[rows, face] * (x3[face, 1] - x0) + wb[rows, face] * (x3[face, 2] - x0)
-
-    first = np.searchsorted(xs, x_cross, side="right")
-    counts = np.bincount(rows * (len(xs) + 1) + first, minlength=nu * nv * (len(xs) + 1))
-    below = np.cumsum(counts.reshape(nu * nv, -1)[:, :-1], axis=1)
-    inside = (below % 2) == 1
-
-    # Rows run (u, v) with u < v, so moving the scan axis into place gives (x, y, z).
-    return np.moveaxis(inside.reshape(nu, nv, -1), 2, axis)
+def _pseudonormals(vertices: np.ndarray, indices: np.ndarray, inverse: np.ndarray):
+    """Angle-weighted pseudonormals (Baerentzen & Aanaes, TVCG 2005) of each
+    face's regions, (faces, 7, 3) in _point_triangle_dist_sq's codes: the
+    unit face normal; at an edge (ids in inverse, see mesh_edges) the sum of
+    its faces' unit normals; at a vertex the sum of its faces' unit normals,
+    each times the face's angle there. A zero-area face has a zero normal.
+    The table is negated when the mesh's signed volume is negative, so that
+    on a closed, consistently oriented mesh p is inside exactly when
+    (p - q) . n < 0 at the region of its closest point q."""
+    tri_verts = vertices[indices]
+    sides = np.roll(tri_verts, -1, axis=1) - tri_verts   # b - a, c - b, a - c
+    back = np.roll(sides, 1, axis=1)                      # a - c, b - a, c - b
+    normal = cross3(back[:, 0], sides[:, 0])              # (b - a) x (c - a)
+    length = np.linalg.norm(normal, axis=1, keepdims=True)
+    unit = np.divide(normal, length, out=np.zeros_like(normal), where=length > 0)
+    # arctan2 gives a corner with a side of zero length angle 0, not NaN.
+    angle = np.arctan2(np.linalg.norm(cross3(sides, back), axis=2),
+                       -np.sum(sides * back, axis=2))
+    edge_n = np.zeros((inverse.max() + 1, 3))
+    np.add.at(edge_n, inverse, unit[:, None])
+    vertex_n = np.zeros((len(vertices), 3))
+    np.add.at(vertex_n, indices, angle[..., None] * unit[:, None])
+    table = np.concatenate([unit[:, None], edge_n[inverse[:, [1, 2, 0]]],
+                            vertex_n[indices[:, ::-1]]], axis=1)
+    volume = np.sum(tri_verts[:, 0] * cross3(tri_verts[:, 1], tri_verts[:, 2]))
+    return -table if volume < 0 else table
 
 
 def bake_sdf_from_mesh(vertices: np.ndarray, indices: np.ndarray, bbox_lo, bbox_hi,
                        res, jitter_seed: int = 11) -> SdfGrid:
-    """Signed distance grid of a triangle mesh.
+    """Signed distance grid of a closed, consistently oriented triangle mesh.
 
-    The unsigned distance at each node is the minimum point-triangle
-    distance over the faces that survive an exact cull: a face is skipped
-    only when its bounding box lies farther from the node than the nearest
-    vertex of a non-flat face (plus a rounding pad), so it cannot hold the
-    minimum, and the result equals the minimum over all faces bit for bit
-    (see _unsigned_distance). The sign is the majority vote of three
-    jittered axis-parity scans. Non-watertight input warns and bakes
-    all-positive.
+    |phi| at each node is the minimum point-triangle distance over the faces
+    that survive an exact cull, equal to the minimum over all faces bit for
+    bit (see _unsigned_distance). The sign comes from the face, edge or
+    vertex that holds the minimum, by its angle-weighted pseudonormal (see
+    _pseudonormals), for either winding. Input that is open, or whose faces
+    disagree on orientation, warns and bakes all-positive. jitter_seed is
+    accepted and ignored, for callers that still pass it.
     """
     vertices = np.asarray(vertices, dtype=np.float64)
     indices = np.asarray(indices, dtype=np.int64)
@@ -563,23 +562,20 @@ def bake_sdf_from_mesh(vertices: np.ndarray, indices: np.ndarray, bbox_lo, bbox_
                          f"for {len(vertices)} vertices")
     lo, hi = _check_bbox(bbox_lo, bbox_hi)
     res = _as_res(res)
-    tri_verts = vertices[indices]
-    axes_pts = _grid_axes(lo, hi, res)
-    dist = _unsigned_distance(axes_pts, tri_verts)
 
-    # Watertight: every edge is shared by exactly two faces.
-    if np.all(mesh_edges(indices)[1] == 2):
-        votes = sum(
-            _parity_scanline(tri_verts, axes_pts, ax, jitter_seed + ax).astype(np.int8)
-            for ax in range(3)
-        )
-        inside = votes >= 2
+    # Closed and consistently oriented: every edge has two faces, which
+    # traverse it in opposite directions.
+    _, counts, inverse = mesh_edges(indices)
+    turns = np.sign(np.roll(indices, -1, axis=1) - indices)
+    if np.all(counts == 2) and not np.any(np.bincount(inverse.ravel(), turns.ravel())):
+        normals = _pseudonormals(vertices, indices, inverse)
     else:
-        warnings.warn("mesh is not watertight; baked SDF has no interior")
-        inside = np.zeros(res, dtype=bool)
-
+        warnings.warn("mesh is not closed and consistently oriented; "
+                      "baked SDF has no interior")
+        normals = np.zeros((len(indices), 7, 3))
+    dist, inside = _unsigned_distance(_grid_axes(lo, hi, res), vertices[indices], normals)
     phi = dist.reshape(res, order="F")
-    return SdfGrid(lo, hi, np.where(inside, -phi, phi))
+    return SdfGrid(lo, hi, np.where(inside.reshape(res, order="F"), -phi, phi))
 
 
 def occupancy(grid: RadianceGrid, frac: float) -> np.ndarray:

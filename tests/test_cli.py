@@ -182,6 +182,7 @@ def test_field_occupied_at_every_node_exits_2(tmp_path, capfd):
     assert code == 2
     assert capfd.readouterr().err.splitlines() == [
         "error: simulate: density field is occupied at every node, so it has no surface"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["render", "simulate"])

@@ -516,6 +516,47 @@ def test_bake_open_mesh_warns_and_has_no_interior():
     assert np.all(sdf.phi >= 0.0)
 
 
+def test_bake_inconsistent_orientation_warns_and_has_no_interior():
+    # One face turned over: the box stays closed, but each of that face's
+    # edges is traversed the same way by both of its faces.
+    v, f = assets.box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+    f[0] = f[0][::-1]
+    with pytest.warns(UserWarning, match="consistently oriented"):
+        sdf = bake_sdf_from_mesh(v, f, (-1, -1, -1), (1, 1, 1), (17, 17, 17))
+    assert np.all(sdf.phi >= 0.0)
+
+
+def test_bake_inward_winding_bakes_the_same_phi():
+    # The box's coordinates and the nodes are dyadic, so every distance is
+    # exact and both windings give the same bits.
+    lo, hi, res = (-1, -1, -1), (1, 1, 1), (33, 33, 33)
+    out = bake_sdf_from_mesh(*assets.box((-0.5,) * 3, (0.5,) * 3), lo, hi, res)
+    inward = bake_sdf_from_mesh(*assets.box((-0.5,) * 3, (0.5,) * 3, inward=True), lo, hi, res)
+    assert inward.phi.tobytes() == out.phi.tobytes()
+    assert 0 < np.count_nonzero(out.phi < 0) < out.phi.size
+    # On the icosphere, turning each face over reorders the closest-point
+    # arithmetic, so only the signs are the same bits.
+    v, f = assets.icosphere(1.0, 2)
+    out = bake_sdf_from_mesh(v, f, (-1.5,) * 3, (1.5,) * 3, (16, 16, 16))
+    inward = bake_sdf_from_mesh(v, f[:, ::-1], (-1.5,) * 3, (1.5,) * 3, (16, 16, 16))
+    assert np.array_equal(inward.phi < 0, out.phi < 0)
+
+
+@pytest.mark.parametrize("first", [False, True], ids=["appended", "first"])
+def test_bake_zero_area_face_keeps_phi_finite_and_signs_right(first):
+    # Split the box edge from a = 1 to b = 0 at its midpoint m on the side
+    # of face (0, 1, 5) only, and close the T-junction with the zero-area
+    # face (a, m, b): the mesh stays closed and consistently oriented.
+    v, f = assets.box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+    v = np.vstack([v, (v[0] + v[1]) / 2])
+    f = np.delete(f, np.flatnonzero((f == [0, 1, 5]).all(axis=1)), axis=0)
+    split, zero = [[0, 8, 5], [8, 1, 5]], [[1, 8, 0]]
+    f = np.vstack([zero, f, split] if first else [f, split, zero])
+    sdf = bake_sdf_from_mesh(v, f, (-1, -1, -1), (1, 1, 1), (33, 33, 33))
+    assert np.all(np.isfinite(sdf.phi))
+    assert _assert_signs_match_winding(sdf, v[f]) > 0
+
+
 def _edge_counts_dict(faces):
     """Reference: the edge -> face count dict of the old watertight check."""
     edges = {}
@@ -545,10 +586,13 @@ def test_mesh_edges_match_dict_and_set_references(extra, closed, repeats):
     # Open meshes, a closed tetrahedron, and faces given more than once.
     faces = (_TETRA if closed else []) + extra
     faces = faces + faces[:repeats]
-    edges, counts = mesh_edges(np.array(faces, dtype=np.int64).reshape(-1, 3))
+    edges, counts, inverse = mesh_edges(np.array(faces, dtype=np.int64).reshape(-1, 3))
     ref = _edge_counts_dict(faces)
     assert [tuple(e) for e in edges.tolist()] == sorted(ref) == _sorted_edge_set(faces)
     assert counts.tolist() == [ref[k] for k in sorted(ref)]
+    sides = [(min(a, b), max(a, b)) for t in faces for a, b in ((t[0], t[1]), (t[1], t[2]),
+                                                               (t[2], t[0]))]
+    assert [tuple(e) for e in edges[inverse].reshape(-1, 2).tolist()] == sides
     assert bool(np.all(counts == 2)) == all(c == 2 for c in ref.values())
 
 
@@ -581,6 +625,7 @@ def _point_triangle_dist_sq_reference(p, a, b, c):
         w_in = vc / denom
 
     closest = a + v_in[..., None] * ab + w_in[..., None] * ac
+    region = np.zeros(closest.shape[:-1], dtype=np.int8)
     on_bc = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
     closest = np.where(on_bc[..., None], b + np.clip(t_bc, 0, 1)[..., None] * (c - b), closest)
     on_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
@@ -593,8 +638,10 @@ def _point_triangle_dist_sq_reference(p, a, b, c):
     closest = np.where(at_b[..., None], b, closest)
     at_a = (d1 <= 0) & (d2 <= 0)
     closest = np.where(at_a[..., None], a, closest)
+    for code, mask in enumerate((on_bc, on_ac, on_ab, at_c, at_b, at_a), 1):
+        region[mask] = code
     diff = p - closest
-    return np.sum(diff * diff, axis=-1)
+    return np.sum(diff * diff, axis=-1), region
 
 
 def _brute_unsigned_distance(points, tri_verts, chunk=2_000_000):
@@ -607,7 +654,7 @@ def _brute_unsigned_distance(points, tri_verts, chunk=2_000_000):
     rows = max(1, chunk // max(m, 1))
     for i in range(0, len(points), rows):
         p = points[i:i + rows, None, :]
-        d2 = _point_triangle_dist_sq_reference(p, a, b, c)
+        d2, _ = _point_triangle_dist_sq_reference(p, a, b, c)
         out[i:i + rows] = np.sqrt(d2.min(axis=1))
     return out
 
@@ -616,8 +663,8 @@ def _culled_and_brute(vertices, indices, lo, hi, res):
     tri = np.asarray(vertices, dtype=np.float64)[np.asarray(indices)]
     axes = field_mod._grid_axes(np.asarray(lo, dtype=np.float64),
                                 np.asarray(hi, dtype=np.float64), res)
-    return (field_mod._unsigned_distance(axes, tri),
-            _brute_unsigned_distance(grid_points(lo, hi, res), tri))
+    dist, _ = field_mod._unsigned_distance(axes, tri, np.zeros((len(tri), 7, 3)))
+    return dist, _brute_unsigned_distance(grid_points(lo, hi, res), tri)
 
 
 def _soup(rng, layout, n_tris, lo, hi, res):
@@ -691,86 +738,13 @@ def test_closest_point_kernel_matches_reference_bitwise(seed, n_tris, layout, re
     pts = np.concatenate([grid_points(lo, hi, res), tri.reshape(-1, 3), a + s * (b - a),
                           b + s * (c - b), c + s * (a - c), a + s * (b - a) + t * (c - a)])
     pts = np.concatenate([pts, _signed_zeros(rng, pts, 0.4)])
-    ref = _point_triangle_dist_sq_reference(pts[:, None], a[None], b[None], c[None])
+    ref, region = _point_triangle_dist_sq_reference(pts[:, None], a[None], b[None], c[None])
     node, face = (i.ravel() for i in np.indices(ref.shape))
-    new = field_mod._point_triangle_dist_sq(pts[node].T, a[face].T, b[face].T, c[face].T)
+    new, feature, diff = field_mod._point_triangle_dist_sq(pts[node].T, a[face].T,
+                                                           b[face].T, c[face].T)
     assert np.array_equal(new.view(np.uint64), ref.ravel().view(np.uint64))
-
-
-def _parity_scanline_reference(tri_verts, axes_pts, axis, jitter_seed):
-    """Reference: the parity scan the bake used before its one count. Each
-    row's crossings are sorted and one searchsorted per row counts those
-    below each node."""
-    from hybridrt import rng
-
-    u, v = [ax for ax in range(3) if ax != axis]
-    xs, us, vs = axes_pts[axis], axes_pts[u], axes_pts[v]
-    nu, nv = len(us), len(vs)
-    cell_u = (us[-1] - us[0]) / max(nu - 1, 1) if nu > 1 else 1.0
-    cell_v = (vs[-1] - vs[0]) / max(nv - 1, 1) if nv > 1 else 1.0
-
-    row_ids = np.arange(nu * nv)
-    ju = (rng.uniform(jitter_seed, row_ids, 0) - 0.5) * 0.25 * cell_u
-    jv = (rng.uniform(jitter_seed, row_ids, 1) - 0.5) * 0.25 * cell_v
-    uu = np.repeat(us, nv) + ju
-    vv = np.tile(vs, nu) + jv
-
-    a2 = tri_verts[:, :, [u, v]]
-    x3 = tri_verts[:, :, axis]
-
-    pa = np.stack([uu, vv], axis=1)[:, None, :]
-    v0 = a2[None, :, 1, :] - a2[None, :, 0, :]
-    v1 = a2[None, :, 2, :] - a2[None, :, 0, :]
-    v2 = pa - a2[None, :, 0, :]
-    den = v0[..., 0] * v1[..., 1] - v0[..., 1] * v1[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / np.where(den != 0.0, den, 1.0)
-        wa = (v2[..., 0] * v1[..., 1] - v2[..., 1] * v1[..., 0]) * inv
-        wb = (v0[..., 0] * v2[..., 1] - v0[..., 1] * v2[..., 0]) * inv
-    hit = (den != 0.0) & (wa >= 0) & (wb >= 0) & (wa + wb <= 1)
-    x_cross = x3[None, :, 0] + wa * (x3[None, :, 1] - x3[None, :, 0]) + wb * (
-        x3[None, :, 2] - x3[None, :, 0]
-    )
-    x_cross = np.where(hit, x_cross, np.inf)
-    x_cross.sort(axis=1)
-
-    inside = np.zeros((nu * nv, len(xs)), dtype=bool)
-    for r in range(nu * nv):
-        counts = np.searchsorted(x_cross[r], xs)
-        inside[r] = (counts % 2) == 1
-    return np.moveaxis(inside.reshape(nu, nv, -1), 2, axis)
-
-
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_tris=st.integers(1, 12),
-       layout=st.sampled_from(["soup", "degenerate", "lattice", "outside"]),
-       res=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
-       axis=st.integers(0, 2))
-def test_parity_count_matches_sorted_scan_reference(seed, n_tris, layout, res, axis):
-    rng = np.random.default_rng(seed)
-    lo, hi = np.array([-1.0, -1.0, -1.0]), np.array([1.0, 0.5, 1.5])
-    v, f = _soup(rng, layout, n_tris, lo, hi, res)
-    axes = field_mod._grid_axes(lo, hi, res)
-    tri = v[f]
-    # Every other face lies in a node plane across the scan axis, so its
-    # crossings land exactly on node coordinates.
-    tri[::2, :, axis] = rng.choice(axes[axis], (len(tri[::2]), 1))
-    jitter_seed = int(rng.integers(2**31))
-    assert np.array_equal(field_mod._parity_scanline(tri, axes, axis, jitter_seed),
-                          _parity_scanline_reference(tri, axes, axis, jitter_seed))
-
-
-@pytest.mark.parametrize("axis", [0, 1, 2])
-def test_parity_count_matches_reference_with_faces_on_node_planes(axis):
-    # At 33 nodes over [-1, 1] the half-unit box's faces lie on the node
-    # planes at -0.5 and 0.5, so every crossing is a node coordinate.
-    v, f = assets.box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
-    axes = field_mod._grid_axes(np.full(3, -1.0), np.full(3, 1.0), (33, 33, 33))
-    assert {-0.5, 0.5} <= set(axes[axis].tolist())
-    tri = np.asarray(v, dtype=np.float64)[f]
-    inside = field_mod._parity_scanline(tri, axes, axis, 7)
-    assert np.array_equal(inside, _parity_scanline_reference(tri, axes, axis, 7))
-    assert 0 < np.count_nonzero(inside) < inside.size
+    assert np.array_equal(feature, region.ravel())
+    assert np.array_equal(np.sum(diff * diff, axis=0), ref.ravel())
 
 
 def test_bake_evaluates_few_pairs(monkeypatch):
@@ -783,31 +757,105 @@ def test_bake_evaluates_few_pairs(monkeypatch):
         return real(p, a, b, c)
 
     monkeypatch.setattr(field_mod, "_point_triangle_dist_sq", counting)
-    bake_sdf_from_mesh(v, f, (-1.5,) * 3, (1.5,) * 3, (16, 16, 16), jitter_seed=1)
+    bake_sdf_from_mesh(v, f, (-1.5,) * 3, (1.5,) * 3, (16, 16, 16))
     # Every node evaluates at least its nearest face.
     assert 16**3 <= sum(sizes) <= 0.10 * 16**3 * len(f)
 
 
-# SHA-256 of phi from the brute-force bake over all (node, face) pairs; the
-# culled bake must reproduce both bit for bit.
-SPHERE16_SEED1_PHI = "779e01317ac8512bc314bfe3f187fc82f78827be91167dbc31a894f9b12c5e9a"
-ICOSPHERE64_PHI = "90a2c1e344b4b1de3be37df5144080f6e7eac735101c9880241fc2dca0982cfa"
+# SHA-256 of baked phi. |phi| is the brute-force minimum over all (node,
+# face) pairs bit for bit, and the signs agree with the winding number (see
+# the winding tests below).
+SPHERE16_PHI = "ef15bc5d20b1b088b7c5acf512dd6fc93cc94fd60f941915e6be3dab437a1955"
+ICOSPHERE64_PHI = "f956f813839849524d23d0fad8075006f6e19aa08edf106227f498cf521648f9"
 
 
-def test_bake_sphere_preset_16_digest(tmp_path):
+def _sphere_preset_mesh(tmp_path):
     # The sphere preset goes through its OBJ file, whose text round trip
     # moves vertex bits, exactly as the sdf-bake benchmark workload loads it.
     assets.generate("sphere", str(tmp_path), res=16)
     mesh = surface.load_obj(str(tmp_path / "sphere.obj"),
                             bsdf=surface.Lambertian((0.5, 0.5, 0.5)))
-    sdf = bake_sdf_from_mesh(mesh.vertices, mesh.indices, (-1.5,) * 3, (1.5,) * 3,
-                             (16, 16, 16), jitter_seed=1)
-    assert hashlib.sha256(sdf.phi.tobytes()).hexdigest() == SPHERE16_SEED1_PHI
+    return mesh.vertices, mesh.indices
+
+
+def test_bake_sphere_preset_16_digest(tmp_path):
+    sdf = bake_sdf_from_mesh(*_sphere_preset_mesh(tmp_path), (-1.5,) * 3, (1.5,) * 3,
+                             (16, 16, 16))
+    assert hashlib.sha256(sdf.phi.tobytes()).hexdigest() == SPHERE16_PHI
 
 
 def test_bake_icosphere64_digest(icosphere_sdf64):
     sdf, _, _ = icosphere_sdf64
     assert hashlib.sha256(sdf.phi.tobytes()).hexdigest() == ICOSPHERE64_PHI
+
+
+def test_bake_ignores_jitter_seed():
+    v, f = assets.icosphere(1.0, 2)
+    one, two = (bake_sdf_from_mesh(v, f, (-1.5,) * 3, (1.5,) * 3, (16, 16, 16),
+                                   jitter_seed=seed) for seed in (1, 2))
+    assert one.phi.tobytes() == two.phi.tobytes()
+
+
+def _winding_number(points, tri_verts, chunk=1 << 16):
+    """Reference: the generalised winding number of a triangle mesh at each
+    point (Jacobson, Kavan & Sorkine-Hornung, SIGGRAPH 2013), the faces'
+    solid angles (Van Oosterom & Strackee) summed over 4 pi. It is near 1
+    inside a closed, outward-wound mesh and near 0 outside."""
+    out = np.empty(len(points))
+    rows = max(1, chunk // len(tri_verts))
+    for i in range(0, len(points), rows):
+        p = points[i:i + rows, :, None]
+        # (3, points, faces) per corner, one row per component.
+        a, b, c = (np.moveaxis(tri_verts[None, :, k, :].transpose(0, 2, 1) - p, 1, 0)
+                   for k in range(3))
+        la, lb, lc = (np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2]) for x in (a, b, c))
+        det = (a[0] * (b[1] * c[2] - b[2] * c[1]) + a[1] * (b[2] * c[0] - b[0] * c[2])
+               + a[2] * (b[0] * c[1] - b[1] * c[0]))
+        den = (la * lb * lc + (a[0] * b[0] + a[1] * b[1] + a[2] * b[2]) * lc
+               + (b[0] * c[0] + b[1] * c[1] + b[2] * c[2]) * la
+               + (c[0] * a[0] + c[1] * a[1] + c[2] * a[2]) * lb)
+        out[i:i + rows] = np.arctan2(det, den).sum(axis=1) / (2.0 * np.pi)
+    return out
+
+
+def _assert_signs_match_winding(sdf, tri_verts, within=np.inf):
+    """Checks the nodes within `within` cells of the surface: where the
+    winding number w lies farther than 1/4 from 1/2, phi < 0 exactly when
+    w > 1/2, and |phi| is the brute-force distance bit for bit. A node on
+    the surface (phi 0) has no side, and rounding sends its w anywhere, so
+    its sign is not checked. Returns the number of nodes whose sign was."""
+    phi = sdf.phi.ravel(order="F")
+    pts = grid_points(sdf.bbox_lo, sdf.bbox_hi, sdf.res)
+    near = np.abs(phi) <= within * np.max(sdf.cell_size())
+    w = _winding_number(pts[near], tri_verts)
+    sure = (np.abs(w - 0.5) > 0.25) & (phi[near] != 0)
+    assert np.array_equal(phi[near][sure] < 0, w[sure] > 0.5)
+    assert np.array_equal(np.abs(phi[near]), _brute_unsigned_distance(pts[near], tri_verts))
+    return int(np.count_nonzero(sure))
+
+
+def test_bake_signs_match_winding_number_sphere_preset_16(tmp_path):
+    v, f = _sphere_preset_mesh(tmp_path)
+    sdf = bake_sdf_from_mesh(v, f, (-1.5,) * 3, (1.5,) * 3, (16, 16, 16))
+    assert _assert_signs_match_winding(sdf, v[f]) == 16**3
+
+
+def test_bake_signs_match_winding_number_icosphere64(icosphere_sdf64):
+    # Within two cells of the surface, where a sign is hardest to get right;
+    # the winding number at all 64^3 nodes would take seconds.
+    sdf, v, f = icosphere_sdf64
+    assert _assert_signs_match_winding(sdf, v[f], within=2) == 21_712
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       res=st.tuples(st.integers(4, 14), st.integers(4, 14), st.integers(4, 14)))
+def test_bake_signs_match_winding_number_under_rigid_motion(seed, res):
+    rng = np.random.default_rng(seed)
+    v, f = assets.icosphere(1.0, 2)
+    v = Transform.from_quaternion(rng.normal(size=4), rng.uniform(-0.4, 0.4, 3)).point(v)
+    sdf = bake_sdf_from_mesh(v, f, (-1.5,) * 3, (1.5,) * 3, res)
+    assert _assert_signs_match_winding(sdf, v[f]) > 0
 
 
 _TET_V = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
