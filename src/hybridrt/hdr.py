@@ -172,35 +172,26 @@ def recover_crf(bracket: ExposureBracket, lam: float = 50.0,
 def merge_hdr(bracket: ExposureBracket, crf: CrfTable) -> HdrImage:
     """Weighted log-average of per-exposure radiance estimates.
 
-    Pixels saturated in every exposure fall back to the least-saturated
-    code; an all-zero bracket merges to zero radiance.
+    A pixel channel with zero weight in every exposure has a rail code,
+    0 or 255, in each; it falls back to the shortest exposure's estimate,
+    or to zero radiance where that exposure reads 0.
     """
     h, w = bracket.images[0].shape[:2]
     ln_t = np.log(np.array(bracket.exposure_times))
     num = np.zeros((h, w, 3))
     den = np.zeros((h, w, 3))
-    best_dev = np.full((h, w, 3), np.inf)
-    fallback_ln = np.zeros((h, w, 3))
-    fallback_zero = np.zeros((h, w, 3), dtype=bool)
     chan = np.arange(3)
     for j, im in enumerate(bracket.images):
         z = im.astype(np.int64)
         wgt = hat_weights(z)
-        gz = crf.g[z, chan]  # per-channel table lookup
-        est = gz - ln_t[j]
-        num += wgt * est
+        num += wgt * (crf.g[z, chan] - ln_t[j])  # per-channel table lookup
         den += wgt
-        dev = np.abs(z - 127.5)
-        take = dev < best_dev
-        best_dev = np.where(take, dev, best_dev)
-        fallback_ln = np.where(take, est, fallback_ln)
-        fallback_zero = np.where(take, z == 0, fallback_zero)
     with np.errstate(divide="ignore", invalid="ignore"):
         ln_e = num / den
     fall = den == 0.0
-    ln_e = np.where(fall, fallback_ln, ln_e)
-    e = np.exp(ln_e)
-    e = np.where(fall & fallback_zero, 0.0, e)
+    z0 = bracket.images[0].astype(np.int64)
+    ln_e = np.where(fall, crf.g[z0, chan] - ln_t[0], ln_e)
+    e = np.where(fall & (z0 == 0), 0.0, np.exp(ln_e))
     return HdrImage(e)
 
 

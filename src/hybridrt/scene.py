@@ -10,9 +10,10 @@ One reader, `_read`, walks a document against the annotations. It
 rejects unknown keys, missing required keys, values of the wrong type and
 non-finite numbers, checks that referenced files exist next to the scene
 file, and reports each failure as a SceneError whose message starts with
-the offending key path. A scene's `emitters` may also be the path of a
-JSON file holding the list. serialize_scene writes text that parses back
-to an equal SceneConfig.
+the offending key path. A field's or mesh's `dynamic` is an object or
+null; null, like an omitted key, makes it static. A scene's `emitters`
+may also be the path of a JSON file holding the list. serialize_scene
+writes text that parses back to an equal SceneConfig.
 """
 
 from __future__ import annotations
@@ -108,26 +109,20 @@ class ClothConfig:
 @dataclass
 class FieldDynamicConfig(RigidConfig):
     """The field as one rigid body. It collides through the SDF of its
-    density cut at sigma_threshold of the peak, or through a precomputed
-    SDF file."""
+    density cut at sigma_threshold of the peak."""
 
     sigma_threshold: float = 0.5
-    sdf: Optional[File] = None
 
     def __post_init__(self):
         super().__post_init__()
         _check(("sigma_threshold", 0 < self.sigma_threshold <= 1, "must be in (0, 1]"))
 
 
-# `false`, like null or an omitted key, declares a static object.
-Static = Literal[False]
-
-
 @dataclass
 class FieldConfig:
     path: File
     transform: Optional[TransformConfig] = None
-    dynamic: Union[FieldDynamicConfig, Static, None] = None
+    dynamic: Optional[FieldDynamicConfig] = None
 
 
 @dataclass
@@ -136,7 +131,7 @@ class MeshConfig:
     bsdf: Bsdf = dc_field(default_factory=Lambertian)
     transform: Optional[TransformConfig] = None
     emission: Optional[Vec3] = None
-    dynamic: Union[RigidConfig, ClothConfig, Static, None] = None  # by `type`
+    dynamic: Union[RigidConfig, ClothConfig, None] = None  # by `type`
 
     def __post_init__(self):
         _check(("emission", self.emission is None or min(self.emission) >= 0, "must be >= 0"))
@@ -289,8 +284,8 @@ def _read(tp, v, path: str, base_dir: str = "."):
         if not isinstance(v, dict):
             _fail(path, "expected an object")
         for k in v:
-            if k not in hints:
-                _fail(_key(path, k), "unknown key")
+            if k not in hints:  # quoted if it would break the message's line
+                _fail(_key(path, k if k.isprintable() else json.dumps(k)), "unknown key")
         for k in required:
             if k not in v:
                 _fail(_key(path, k), "missing required key")
@@ -301,9 +296,9 @@ def _read(tp, v, path: str, base_dir: str = "."):
             raise SceneError(_key(path, str(e))) from None
     origin, args = _form(tp)
     if origin is Union:
-        if v is None and type(None) in args or v is False and Static in args:
+        if v is None and type(None) in args:
             return None
-        kinds = [a for a in args if a is not type(None) and a != Static]
+        kinds = [a for a in args if a is not type(None)]
         if len(kinds) > 1 and isinstance(v, dict):  # configs told apart by `type`
             # An omitted `type` means the first config's.
             kinds = [a for a in kinds if a.type == v.get("type", kinds[0].type)]
@@ -403,7 +398,6 @@ class Scene:
     emitters: Optional[EmitterSet]
     collider_sdfs: list
     spawn_eps: float
-    base_dir: str = "."
 
     def rebuild_bvh(self):
         for m in self.meshes:
@@ -489,7 +483,6 @@ def build_scene(cfg: SceneConfig, base_dir: str = ".") -> Scene:
         emitters=emitters,
         collider_sdfs=colliders,
         spawn_eps=1e-4 * diag,
-        base_dir=base_dir,
     )
 
 

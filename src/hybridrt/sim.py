@@ -23,15 +23,13 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .core import Transform, cross3, quat_to_matrix
-from .field import (SdfGrid, grid_points, load_sdfgrid, mesh_edges, occupancy,
-                    sdf_from_density)
+from .field import SdfGrid, grid_points, mesh_edges, sdf_from_density
 from .scene import SimConfig
 
 log = logging.getLogger(__name__)
@@ -554,56 +552,44 @@ def build_world(scene) -> tuple:
                         velocities=np.concatenate(vel))
 
     fc = scene.config.field
-    if fc is not None and fc.dynamic is not None and scene.field is not None:
+    if fc is not None and fc.dynamic is not None:
         dyn = fc.dynamic
-        if dyn.sdf is not None:
-            sdf = load_sdfgrid(os.path.join(scene.base_dir, dyn.sdf))
-        else:
-            sdf = sdf_from_density(scene.field, dyn.sigma_threshold)
-        body, binding.body_from_field = make_field_body(scene.field, sdf, dyn.mass,
-                                                        velocity=dyn.velocity,
-                                                        sigma_threshold=dyn.sigma_threshold)
+        body, binding.body_from_field = make_field_body(scene.field, dyn.mass, dyn.velocity,
+                                                        dyn.sigma_threshold)
         binding.field_body = len(world.bodies)
         world.bodies.append(body)
     return world, binding
 
 
-# Collision vertices a field body keeps, at most.
-FIELD_BODY_SURFACE_VERTS = 200
+# A field body keeps every (n // FIELD_BODY_MIN_VERTS)-th of its n occupied
+# nodes, all of them when n < 400: at least min(n, 200) collision vertices
+# and at most 399.
+FIELD_BODY_MIN_VERTS = 200
 
 
-def make_field_body(grid, sdf: SdfGrid, mass: float, velocity=(0.0, 0.0, 0.0),
+def make_field_body(grid, mass: float, velocity=(0.0, 0.0, 0.0),
                     sigma_threshold: float = 0.5) -> tuple:
     """Rigid body for a radiance-field object, placed where the grid's
     world_from_field puts it.
 
-    Returns (body, body_from_field). The body frame sits at the occupancy
-    centroid of the density field, axis-aligned with the world, so
-    body_from_field is the field's rotation R after a shift of the
-    centroid to the origin. Collision vertices are near-surface SDF grid
-    nodes, deterministically subsampled, and the body SDF is the field's
-    SDF in that same frame.
+    Returns (body, body_from_field). The body SDF is sdf_from_density of
+    the grid at sigma_threshold, whose occupied nodes are exactly those
+    with phi < 0. The body frame sits at their centroid, axis-aligned
+    with the world, so body_from_field is the field's rotation R after a
+    shift of the centroid to the origin. The collision vertices are every
+    (n // FIELD_BODY_MIN_VERTS)-th of the n occupied nodes, in x-fastest
+    order.
     """
-    occ_flat = occupancy(grid, sigma_threshold).ravel(order="F")
-    pts = grid_points(grid.bbox_lo, grid.bbox_hi, grid.res)
-    if not np.any(occ_flat):
-        raise ValueError("field has no occupied density; cannot build a body")
-    origin = pts[occ_flat].mean(axis=0)
-
-    # A precomputed SDF need not share the density grid's nodes.
-    nodes = grid_points(sdf.bbox_lo, sdf.bbox_hi, sdf.res)
-    cell = float(np.max(sdf.cell_size()))
-    surf = nodes[np.abs(sdf.phi.ravel(order="F")) <= 0.75 * cell]
-    if len(surf) == 0:
-        surf = pts[occ_flat]
-    stride = max(1, len(surf) // FIELD_BODY_SURFACE_VERTS)
-    surf = surf[::stride]
+    sdf = sdf_from_density(grid, sigma_threshold)
+    occupied = grid_points(grid.bbox_lo, grid.bbox_hi, grid.res)[sdf.phi.ravel(order="F") < 0.0]
+    origin = occupied.mean(axis=0)
+    verts = occupied[::max(1, len(occupied) // FIELD_BODY_MIN_VERTS)]
 
     rotation = Transform(grid.world_from_field.m[:3, :3])
     body_sdf = SdfGrid(sdf.bbox_lo - origin, sdf.bbox_hi - origin, sdf.phi,
                        world_from_grid=rotation)
     body = RigidBody(com=grid.world_from_field.point(origin), mass=mass,
-                     collision_vertices=rotation.point(surf - origin),
+                     collision_vertices=rotation.point(verts - origin),
                      lin_vel=velocity, sdf=body_sdf, name="field")
     return body, rotation.compose(Transform.translate(-origin))
 
@@ -625,7 +611,7 @@ def sync_to_renderer(world: World, scene, binding: SimBinding):
         if not np.array_equal(new, mesh.vertices):
             mesh.vertices = new
             dirty = True
-    if binding.field_body >= 0 and scene.field is not None:
+    if binding.field_body >= 0:
         b = world.bodies[binding.field_body]
         new_t = b.world_from_body().compose(binding.body_from_field)
         if not np.array_equal(new_t.m, scene.field.world_from_field.m):

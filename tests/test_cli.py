@@ -2,6 +2,8 @@
 exit 2, never a traceback; the files one command writes are the input of
 the next."""
 
+import contextlib
+import io
 import json
 import pathlib
 import shutil
@@ -9,6 +11,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridrt import assets, cli, emitters
 from hybridrt.field import RadianceGrid, save_rfgrid
@@ -170,6 +173,74 @@ def test_field_sigma_threshold_out_of_range_exits_2(tmp_path, capsys, threshold)
     assert code == 2
     assert err.startswith("error: simulate: field.dynamic.sigma_threshold: must be in (0, 1]")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, msg", [
+    (lambda doc: doc["field"]["dynamic"].update(sdf="blob.rfgrid"),
+     "field.dynamic.sdf: unknown key"),
+    (lambda doc: doc["field"].update(dynamic=False), "field.dynamic: expected an object"),
+    (lambda doc: doc["meshes"][0].update(dynamic=False),
+     "meshes[0].dynamic: expected an object"),
+    (lambda doc: doc["field"]["dynamic"].update({"a\nb\x85": 1}),
+     'field.dynamic."a\\nb\\u0085": unknown key'),
+])
+def test_field_hit_rejects_sdf_file_and_false_dynamic_exits_2(tmp_path, capfd, edit, msg):
+    # A field body's SDF comes from its density alone, and a static object
+    # is spelled null or left out.
+    assets.gen_field_hit(str(tmp_path))
+    scene = tmp_path / "field_hit.json"
+    doc = json.loads(scene.read_text())
+    edit(doc)
+    scene.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--scene", str(scene), "--out", str(out), "--frames", "1"])
+    assert code == 2
+    assert capfd.readouterr().err.splitlines() == [f"error: simulate: {msg}"]
+    assert not out.exists()
+
+
+json_leaves = (st.none() | st.booleans() | st.just(float("nan")) | st.integers(-10, 10)
+               | st.floats(-10, 10) | st.text(max_size=6)
+               | st.sampled_from(["blob.rfgrid", "ball.obj", "rigid", "cloth"]))
+json_values = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids,
+                                                              max_size=4),
+    max_leaves=8)
+dynamic_keys = st.sampled_from(["type", "mass", "velocity", "sigma_threshold", "sdf",
+                                "pinned", "compliance"]) | st.text(max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_field_hit_dynamics_simulate_or_exit_2(field_hit_dir, tmp_path_factory, data):
+    # Random JSON in place of, or merged into, the field's and the ball's
+    # `dynamic`: one frame runs, or one error line names it and no output
+    # directory is left. Numbers stay small, so one frame meets no
+    # contact and cannot go unstable.
+    d = tmp_path_factory.getbasetemp() / "fuzzed_dynamics"
+    if not d.exists():
+        shutil.copytree(field_hit_dir, d)
+    doc = json.loads((field_hit_dir / "field_hit.json").read_text())
+    for owner in (doc["field"], doc["meshes"][0]):
+        if data.draw(st.booleans()):
+            owner["dynamic"] = data.draw(json_values)
+        else:
+            owner["dynamic"].update(data.draw(st.dictionaries(dynamic_keys, json_values,
+                                                              max_size=3)))
+    (d / "field_hit.json").write_text(json.dumps(doc))
+    out = d / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["simulate", "--scene", str(d / "field_hit.json"),
+                         "--out", str(out), "--frames", "1"])
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        shutil.rmtree(out)
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: simulate: ")
+        assert not out.exists()
 
 
 def test_field_occupied_at_every_node_exits_2(tmp_path, capfd):

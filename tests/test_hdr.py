@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridrt import hdr
 from hybridrt.images import read_pfm
@@ -92,3 +93,49 @@ def test_merge_matches_ground_truth_up_to_one_scale(bracket, hdr_dir):
     ratio = merged[gt > 0] / gt[gt > 0]
     p5, p95 = np.percentile(ratio, [5, 95])
     assert 4.475 <= p5 and p95 < 4.585
+
+
+def _reference_merge_hdr(bracket, crf):
+    """merge_hdr with its fallback found per exposure: the code farthest
+    from saturation, the first of a tie, and zero radiance where it is 0."""
+    h, w = bracket.images[0].shape[:2]
+    ln_t = np.log(np.array(bracket.exposure_times))
+    num = np.zeros((h, w, 3))
+    den = np.zeros((h, w, 3))
+    best_dev = np.full((h, w, 3), np.inf)
+    fallback_ln = np.zeros((h, w, 3))
+    fallback_zero = np.zeros((h, w, 3), dtype=bool)
+    chan = np.arange(3)
+    for j, im in enumerate(bracket.images):
+        z = im.astype(np.int64)
+        wgt = hdr.hat_weights(z)
+        est = crf.g[z, chan] - ln_t[j]
+        num += wgt * est
+        den += wgt
+        dev = np.abs(z - 127.5)
+        take = dev < best_dev
+        best_dev = np.where(take, dev, best_dev)
+        fallback_ln = np.where(take, est, fallback_ln)
+        fallback_zero = np.where(take, z == 0, fallback_zero)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_e = num / den
+    fall = den == 0.0
+    e = np.exp(np.where(fall, fallback_ln, ln_e))
+    return np.where(fall & fallback_zero, 0.0, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_images=st.integers(3, 5),
+       rail_frac=st.floats(0.0, 1.0))
+def test_merge_equals_reference_on_rail_heavy_brackets(seed, n_images, rail_frac):
+    # A rail_frac share of the codes is 0 or 255 and the rest are random;
+    # a pixel channel on a rail in every exposure takes the fallback.
+    rng = np.random.default_rng(seed)
+    shape = (n_images, 6, 7, 3)
+    codes = np.where(rng.random(shape) < rail_frac, rng.choice([0, 255], shape),
+                     rng.integers(0, 256, shape))
+    times = np.cumsum(rng.uniform(0.01, 2.0, n_images))
+    bracket = hdr.ExposureBracket(list(codes.astype(np.uint8)), list(times))
+    crf = hdr.CrfTable(np.sort(rng.normal(0.0, 3.0, (256, 3)), axis=0))
+    got = hdr.merge_hdr(bracket, crf).pixels
+    assert got.tobytes() == _reference_merge_hdr(bracket, crf).tobytes()

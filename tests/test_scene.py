@@ -235,6 +235,7 @@ def test_round_trip_equality(tmp_path):
     ("mesh", {"type": "cloth"}, "sdf"),
     ("field", {"type": "rigid"}, "pinned"),
     ("field", {}, "compliance"),
+    ("field", {}, "sdf"),  # the field's own density is its only SDF
 ])
 def test_dynamic_key_of_another_kind_is_rejected(tmp_path, where, dynamic, key):
     # Each kind of dynamic object reads only the keys that apply to it.
@@ -265,6 +266,22 @@ def test_dynamic_kinds_are_told_apart_by_type(tmp_path):
     doc["field"]["dynamic"]["type"] = "cloth"
     with pytest.raises(SceneError, match=r"^field\.dynamic\.type: expected one of 'rigid'$"):
         parse_scene(json.dumps(doc), base_dir=str(tmp_path))
+
+
+def test_static_is_spelled_null_or_omitted(tmp_path):
+    write_assets(tmp_path)
+    doc = minimal_doc()
+    doc["field"]["dynamic"] = None
+    doc["meshes"] = [{"path": "q.obj", "dynamic": None}, {"path": "q.obj"}]
+    cfg = parse_scene(json.dumps(doc), base_dir=str(tmp_path))
+    assert cfg.field.dynamic is None
+    assert [m.dynamic for m in cfg.meshes] == [None, None]
+    for where, path in ((doc["field"], r"field\.dynamic"),
+                        (doc["meshes"][0], r"meshes\[0\]\.dynamic")):
+        where["dynamic"] = False
+        with pytest.raises(SceneError, match=rf"^{path}: expected an object$"):
+            parse_scene(json.dumps(doc), base_dir=str(tmp_path))
+        where["dynamic"] = None
 
 
 def test_every_preset_scene_parses_and_round_trips(tmp_path):
@@ -357,10 +374,10 @@ def full_doc():
     tri = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
     return {
         "field": {"path": "f.rfgrid", "transform": {"translate": [0, 0, 1], "rotate_deg": 30},
-                  "dynamic": {"type": "rigid", "mass": 2, "sdf": "p.sdfgrid"}},
+                  "dynamic": {"type": "rigid", "mass": 2, "sigma_threshold": 0.4}},
         "meshes": [{"path": "q.obj", "bsdf": {"type": "dielectric", "ior": 1.3},
                     "emission": [1, 1, 1], "dynamic": {"type": "cloth", "pinned": [0, 1]}},
-                   {"path": "q.obj", "bsdf": {"type": "mirror"}, "dynamic": False}],
+                   {"path": "q.obj", "bsdf": {"type": "mirror"}, "dynamic": None}],
         "emitters": [{"triangle": tri, "r_src": 0.5}],
         "camera": {"position": [0, 0, 3], "look_at": [0, 0, 0], "resolution": [8, 8]},
         "render": {"spp": 2, "seed": 1},

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from hybridrt import assets, cli, sim
 from hybridrt.core import Transform
-from hybridrt.field import (RadianceGrid, SdfGrid, save_rfgrid, save_sdfgrid,
-                            sdf_from_density, sdf_from_function)
+from hybridrt.field import (RadianceGrid, SdfGrid, grid_points, occupancy, save_rfgrid,
+                            save_sdfgrid, sdf_from_density)
 from hybridrt.images import read_pfm
 from hybridrt.scene import TransformConfig, load_scene
 from hybridrt.surface import load_obj, save_obj
@@ -319,12 +319,10 @@ def test_simulate_out_of_range_pin_exits_2(tmp_path, capsys):
 
 
 def test_field_body_needs_density():
-    # With a precomputed SDF, an all-zero field used to count every node
-    # as occupied and put the body at the centre of its box.
+    # An all-zero field has no occupied node to put a body on.
     grid = RadianceGrid.constant((0, 0, 0), (1, 1, 1), 0.0, (1, 1, 1), res=(4, 4, 4))
-    sdf = sdf_from_function(lambda p: p[:, 0] - 0.5, (0, 0, 0), (1, 1, 1), (4, 4, 4))
     with pytest.raises(ValueError, match="all zero"):
-        sim.make_field_body(grid, sdf, 1.0)
+        sim.make_field_body(grid, 1.0)
     with pytest.raises(ValueError, match="all zero"):
         sdf_from_density(grid)
 
@@ -337,15 +335,33 @@ def test_density_sdf_needs_a_free_node():
         sdf_from_density(grid)
 
 
-def test_field_body_takes_collision_vertices_from_its_own_sdf_grid():
-    # A precomputed SDF on other nodes than the density grid's used to
-    # raise IndexError while picking the near-surface nodes.
+def occupied_nodes(grid):
+    """The grid's nodes at or above half its peak density, x-fastest."""
+    return grid_points(grid.bbox_lo, grid.bbox_hi, grid.res)[
+        occupancy(grid, 0.5).ravel(order="F")]
+
+
+def test_field_hit_body_keeps_every_second_occupied_node(field_hit_dir):
+    # 480 occupied nodes, so a stride of 480 // 200 = 2.
+    scene = load_scene(field_hit_dir / "field_hit.json")
+    world, binding = sim.build_world(scene)
+    nodes = occupied_nodes(scene.field)
+    assert len(nodes) == 480
+    body = world.bodies[binding.field_body]
+    assert len(body.verts) == 240
+    np.testing.assert_array_equal(body.verts, nodes[::2] - nodes.mean(axis=0))
+
+
+def test_field_body_on_anisotropic_cells_collides_from_inside():
+    # On 24 x 24 x 12 nodes a pick of near-surface nodes, |phi| <= 0.75 of
+    # the longest cell edge, once fired and took 288 nodes for the 240
+    # occupied ones, 160 of them outside the body.
     grid = assets.gaussian_blob_field((-0.8,) * 3, (0.8,) * 3, (0, 0, 0), 0.28, 8.0,
-                                      (1, 1, 1), res=(12, 12, 12))
-    sdf = assets.sphere_sdf(0.3, pad=0.2, res=(9, 9, 9))
-    body, body_from_field = sim.make_field_body(grid, sdf, 1.0)
-    phi = sdf.query_batch(body_from_field.point(body.verts, inverse=True))[0]
-    assert len(phi) and np.all(np.abs(phi) <= 0.75 * np.max(sdf.cell_size()) + 1e-6)
+                                      (1, 1, 1), res=(24, 24, 12))
+    body, body_from_field = sim.make_field_body(grid, 1.0)
+    assert len(body.verts) == len(occupied_nodes(grid)) == 240
+    phi = sdf_from_density(grid).phi_batch(body_from_field.point(body.verts, inverse=True))
+    assert np.all(phi <= 0.0)
 
 
 def reference_detect_contacts(world):
@@ -378,9 +394,8 @@ def contact_key(c):
 
 @functools.lru_cache(maxsize=1)
 def small_blob():
-    grid = assets.gaussian_blob_field((-0.8,) * 3, (0.8,) * 3, (0, 0, 0), 0.28, 8.0,
+    return assets.gaussian_blob_field((-0.8,) * 3, (0.8,) * 3, (0, 0, 0), 0.28, 8.0,
                                       (1, 1, 1), res=(12, 12, 12))
-    return grid, sdf_from_density(grid)
 
 
 def boundary_points(owner, origin, rng, count):
@@ -419,9 +434,8 @@ def test_gated_detect_contacts_equals_ungated(seed, spin):
     # every owner's phi = 0 and on every SDF's box faces: the same
     # contacts, in the same order, with the same normal bits.
     rng = np.random.default_rng(seed)
-    grid, blob_sdf = small_blob()
     world = sim.World()
-    blob, _ = sim.make_field_body(grid, blob_sdf, 2.0)
+    blob, _ = sim.make_field_body(small_blob(), 2.0)
     ball_sdf = assets.sphere_sdf(0.3, pad=0.1, res=(9, 9, 9))
     ball_v, _ = assets.uv_sphere(0.3, rings=4, segments=6)
     ball = sim.RigidBody(com=rng.uniform(-0.6, 0.6, 3), mass=1.0,
