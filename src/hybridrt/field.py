@@ -96,7 +96,14 @@ def _trilinear(table: np.ndarray, res, lo, scale, p: np.ndarray) -> np.ndarray:
 
 
 class RadianceGrid:
-    """Emissive/absorptive volume: sigma (nx,ny,nz) and radiance (nx,ny,nz,3)."""
+    """Emissive/absorptive volume: sigma (nx,ny,nz) and radiance (nx,ny,nz,3).
+
+    The node table is read-only: sigma and radiance are read-only views of
+    it, so an in-place edit raises. A grid's values are fixed for its life,
+    which lets a render reuse the last render's marches through it
+    (`march_records`, see hybridrt.render); build a new grid to change
+    them. Its placement, world_from_field, may be replaced at any time.
+    """
 
     def __init__(self, bbox_lo, bbox_hi, sigma, radiance, world_from_field=None):
         self.bbox_lo, self.bbox_hi = _check_bbox(bbox_lo, bbox_hi)
@@ -116,6 +123,7 @@ class RadianceGrid:
         # (sigma, r, g, b) per node, so a sample gathers both at once and
         # the values are stored once.
         self._table = np.hstack([sigma.reshape(-1, 1), radiance.reshape(-1, 3)])
+        self._table.flags.writeable = False
         self.sigma = self._table[:, 0].reshape(self.res)
         self.radiance = self._table[:, 1:].reshape(self.res + (3,))
         self.world_from_field = world_from_field or Transform.identity()
@@ -125,6 +133,9 @@ class RadianceGrid:
         self._sigma_const = float(sigma.flat[0]) if np.all(sigma == sigma.flat[0]) else None
         rad0 = radiance.reshape(-1, 3)[0]
         self._rad_const = rad0.copy() if np.all(radiance.reshape(-1, 3) == rad0) else None
+        # Bounce-1 march results of the last render through this grid, by
+        # primary batch; hybridrt.render reads and replaces them.
+        self.march_records = {}
 
     @staticmethod
     def constant(bbox_lo, bbox_hi, sigma: float, radiance, res=(2, 2, 2)) -> "RadianceGrid":
@@ -134,8 +145,17 @@ class RadianceGrid:
         return RadianceGrid(bbox_lo, bbox_hi, sig, rad)
 
     def sample_batch(self, p_world: np.ndarray):
-        """(sigma, radiance) at world points (N,3); vacuum outside the bbox."""
-        pf = self.world_from_field.point(np.reshape(p_world, (-1, 3)), inverse=True)
+        """(sigma, radiance) at world points (N,3); vacuum outside the bbox.
+
+        A point's values have the same bits in any batch. Transform.point
+        rounds a lone row differently from the same row among others, so
+        a single point is transformed as a pair. The outputs may be
+        read-only views.
+        """
+        p = np.reshape(p_world, (-1, 3))
+        n = len(p)
+        pf = self.world_from_field.point(np.repeat(p, 2, axis=0) if n == 1 else p,
+                                         inverse=True)[:n]
         (x, y, z), lo, hi = pf.T, self.bbox_lo, self.bbox_hi
         inside = ((x >= lo[0]) & (x <= hi[0]) & (y >= lo[1]) & (y <= hi[1])
                   & (z >= lo[2]) & (z <= hi[2]))
@@ -147,7 +167,13 @@ class RadianceGrid:
                 val[:, 1:] = self._rad_const
         else:
             val = np.r_[self._sigma_const, self._rad_const]
-        out = np.where(inside[:, None], val, 0.0)
+        # March midpoints lie inside the box but for rounding. The copy of
+        # interpolated rows frees the corner buffer they are a view of,
+        # eight times their size, which the caller would keep alive.
+        if inside.all():
+            out = np.broadcast_to(val, (n, 4)) if val.ndim == 1 else val.copy()
+        else:
+            out = np.where(inside[:, None], val, 0.0)
         return out[:, 0], out[:, 1:]
 
     def ray_bounds(self, o: np.ndarray, d: np.ndarray):

@@ -20,6 +20,20 @@ bounce, purpose, lane), and each pixel adds its samples in sample order,
 so renders are bit-identical for any tile schedule, batch size or worker
 count.
 
+A still field is marched once. At bounce 1 with no shadow mask (a scene
+without emitters), a primary ray enters the march with L = 0 and T = 1,
+so its marched (L, T) is a function of the field's values, its pose, the
+march step, the ray and its segment [s0, s1] alone, and each ray's bits
+are the same in any march batch. The grid's values are read-only, and s0
+follows from the pose and the ray. So each render keeps, on the field
+(`RadianceGrid.march_records`), one record per primary batch: a digest of
+the batch's (o, d) bytes, the pose's bytes and the step, and per ray its
+segment end min(t_hit, t1) and marched (L, T). The next render takes a
+ray's (L, T) from the record of a batch with the same digest when its
+segment end is bitwise equal, and marches only the other rays. Its own
+records then replace the old ones, so the field holds 56 bytes per
+primary ray of its last render.
+
 Shadow rays are culled exactly. A shadow segment from a march point p to
 any emitter point lies inside box(p and every emitter vertex); when that
 box meets no blocker face's box, padded by the spawn epsilon, no face can
@@ -31,6 +45,7 @@ skipping some leaves every other value unchanged.
 
 from __future__ import annotations
 
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -178,46 +193,76 @@ def shadow_candidates(points, emitters: EmitterSet, blocker_bvh: Bvh, pad: float
     return cand
 
 
-def _march_field(scene, ids, o, d, s_end, bounce, pix, smp, seed, L, T_spec):
-    """March rays `ids` from their bbox entry to min(s_end, bbox exit)."""
+def _shadow_fn(scene, m_pix, m_smp, bounce, seed):
+    """The march's shadow mask for marching rays with pixel and sample
+    indices m_pix and m_smp."""
+
+    def shadow_fn(p, substeps, sub_ids):
+        # One call per march block; every point brings its own substep
+        # index, the lane of its light-sample draws. Culled points keep
+        # the unblocked mask 1.0 and draw nothing.
+        m = np.ones(len(p))
+        cand = shadow_candidates(p, scene.emitters, scene.blocker_bvh,
+                                 scene.spawn_eps)
+        if not np.any(cand):
+            return m
+        sub_ids = sub_ids[cand]
+        substeps = substeps[cand]
+        keys = (seed, m_pix[sub_ids], m_smp[sub_ids], bounce)
+        u_pick = _rng.uniform(*keys, _rng.LIGHT_PICK, substeps)
+        u1 = _rng.uniform(*keys, _rng.LIGHT_U, substeps)
+        u2 = _rng.uniform(*keys, _rng.LIGHT_V, substeps)
+        m[cand] = shadow_mask_batch(p[cand], scene.emitters, scene.blocker_bvh,
+                                    u_pick, u1, u2, scene.spawn_eps)
+        return m
+
+    return shadow_fn
+
+
+def _record_key(field: RadianceGrid, step: float, o, d) -> bytes:
+    """Digest of a primary batch's rays, the field's pose and the step."""
+    h = hashlib.sha256(o.tobytes())
+    for a in (d, field.world_from_field.m, field.world_from_field.m_inv, np.float64(step)):
+        h.update(a.tobytes())
+    return h.digest()
+
+
+def _march_field(scene, ids, o, d, s_end, bounce, pix, smp, seed, L, T_spec, records=None):
+    """March rays `ids` from their bbox entry to min(s_end, bbox exit).
+
+    Given records, a pair (last, now) of dicts, a bounce-1 march without
+    a shadow mask takes the rows of last's record of this batch for the
+    rays whose segment end is bitwise unchanged, marches the others and
+    stores this batch's record in now.
+    """
     field: RadianceGrid = scene.field
-    t0, t1 = field.ray_bounds(o[ids], d[ids])
+    step = scene.render.march_step
+    o_ids, d_ids = o[ids], d[ids]
+    t0, t1 = field.ray_bounds(o_ids, d_ids)
     s0 = np.maximum(t0, 0.0)
     s1 = np.minimum(t1, s_end)
     doit = s1 > s0
-    if not np.any(doit):
-        return
-    mids = ids[doit]
-    shadow_fn = None
-    if scene.emitters is not None and len(scene.emitters) > 0:
-        m_pix = pix[mids]
-        m_smp = smp[mids]
-
-        def shadow_fn(p, substeps, sub_ids):
-            # One call per march block; every point brings its own substep
-            # index, the lane of its light-sample draws. Culled points keep
-            # the unblocked mask 1.0 and draw nothing.
-            m = np.ones(len(p))
-            cand = shadow_candidates(p, scene.emitters, scene.blocker_bvh,
-                                     scene.spawn_eps)
-            if not np.any(cand):
-                return m
-            sub_ids = sub_ids[cand]
-            substeps = substeps[cand]
-            keys = (seed, m_pix[sub_ids], m_smp[sub_ids], bounce)
-            u_pick = _rng.uniform(*keys, _rng.LIGHT_PICK, substeps)
-            u1 = _rng.uniform(*keys, _rng.LIGHT_U, substeps)
-            u2 = _rng.uniform(*keys, _rng.LIGHT_V, substeps)
-            m[cand] = shadow_mask_batch(p[cand], scene.emitters, scene.blocker_bvh,
-                                        u_pick, u1, u2, scene.spawn_eps)
-            return m
-
-    Lm = L[mids]
-    Tm = T_spec[mids]
-    march_arrays(field, o[mids], d[mids], s0[doit], s1[doit],
-                 scene.render.march_step, Lm, Tm, shadow_fn)
-    L[mids] = Lm
-    T_spec[mids] = Tm
+    lit = scene.emitters is not None and len(scene.emitters) > 0
+    key = None
+    if records is not None and bounce == 1 and not lit:
+        key = _record_key(field, step, o_ids, d_ids)
+        last = records[0].pop(key, None)
+        if last is not None:
+            same = s1.view(np.uint64) == last[0].view(np.uint64)
+            L[ids[same]] = last[1][same]
+            T_spec[ids[same]] = last[2][same]
+            doit &= ~same
+    if np.any(doit):
+        mids = ids[doit]
+        shadow_fn = _shadow_fn(scene, pix[mids], smp[mids], bounce, seed) if lit else None
+        Lm = L[mids]
+        Tm = T_spec[mids]
+        march_arrays(field, o_ids[doit], d_ids[doit], s0[doit], s1[doit], step, Lm, Tm,
+                     shadow_fn)
+        L[mids] = Lm
+        T_spec[mids] = Tm
+    if key is not None:
+        records[1][key] = (s1, L[ids], T_spec[ids])
 
 
 def _sample_bsdf_groups(bvh, faces, wo, n, front, pix, smp, bounce, seed):
@@ -254,7 +299,7 @@ def _check_radiance(L):
         raise FloatingPointError("NaN radiance in path batch")
 
 
-def trace_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None):
+def trace_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None, records=None):
     """Trace a batch of paths from rays (o, d) for up to n_bounces surface
     interactions; returns their linear radiance (N,3).
 
@@ -263,6 +308,8 @@ def trace_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None):
     the path throughput is added to L, unless on_hit is given: then
     on_hit(ids, faces, T_spec) receives the hit paths, their faces and
     their throughputs instead, and L holds the field's radiance only.
+    records, if given, are the bounce-1 march records `_march_field`
+    reads and writes.
     """
     n = len(o)
     L = np.zeros((n, 3))
@@ -277,7 +324,7 @@ def trace_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None):
         t_hit, face = bvh.intersect_batch(ray_o[alive], ray_d[alive])
         if scene.field is not None:
             _march_field(scene, alive, ray_o, ray_d, t_hit, bounce,
-                         pix, smp, seed, L, T_spec)
+                         pix, smp, seed, L, T_spec, records)
         hit = face >= 0
         hit_ids = alive[hit]
         if not len(hit_ids):
@@ -337,13 +384,14 @@ def primary_batches(camera, spp, seed, pix):
         yield pix_rep, smp_rep, o, d
 
 
-def _render_tile(scene, camera, spp, seed, rows):
+def _render_tile(scene, camera, spp, seed, rows, records):
     w, _ = camera.resolution
     r0, r1 = rows
     pix = np.arange(r0 * w, r1 * w)
     acc = np.zeros((len(pix), 3))
     for pix_rep, smp_rep, o, d in primary_batches(camera, spp, seed, pix):
-        L = trace_paths(scene, o, d, pix_rep, smp_rep, seed, scene.render.n_bounces)
+        L = trace_paths(scene, o, d, pix_rep, smp_rep, seed, scene.render.n_bounces,
+                        records=records)
         # In sample order, so the sum does not depend on the batch split.
         for s in L.reshape(len(pix), -1, 3).swapaxes(0, 1):
             acc += s
@@ -363,9 +411,12 @@ def render(scene, camera: Camera = None, spp: int = None, seed: int = None,
     w, h = camera.resolution
     out = np.zeros((h, w, 3))
     tiles = [(r, min(r + TILE_ROWS, h)) for r in range(0, h, TILE_ROWS)]
+    # The field's records of its last render are read, and this render's
+    # replace them once it is done.
+    records = None if scene.field is None else (scene.field.march_records, {})
 
     def work(rows):
-        out[rows[0]:rows[1]] = _render_tile(scene, camera, spp, seed, rows)
+        out[rows[0]:rows[1]] = _render_tile(scene, camera, spp, seed, rows, records)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -373,6 +424,8 @@ def render(scene, camera: Camera = None, spp: int = None, seed: int = None,
     else:
         for rows in tiles:
             work(rows)
+    if records is not None:
+        scene.field.march_records = records[1]
     img = HdrImage(out)
     if not (np.all(np.isfinite(img.pixels)) and np.all(img.pixels >= 0.0)):
         raise FloatingPointError("rendered image has non-finite or negative pixels")

@@ -88,7 +88,10 @@ class RigidConfig:
     velocity: Vec3 = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        _check(("mass", self.mass > 0, "must be > 0"))
+        # 1 / mass is the inverse mass the solver applies; a subnormal
+        # mass makes it inf. An infinite mass (inverse 0) is kinematic.
+        _check(("mass", self.mass > 0 and math.isfinite(1 / self.mass),
+                "must be > 0 with a finite inverse"))
 
 
 @dataclass

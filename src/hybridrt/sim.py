@@ -461,9 +461,11 @@ def _stability_check(world: World):
     ps = world.particles
     speeds = [(float(np.max(np.linalg.norm(ps.vel, axis=1))), "particles")] if len(ps) else []
     speeds += [(float(np.linalg.norm(b.lin_vel)), b.name) for b in world.bodies]
-    worst, what = max(speeds, key=lambda s: s[0], default=(0.0, "none"))
+    # A NaN speed is the worst: it compares false both ways.
+    worst, what = max(speeds, key=lambda s: np.nan_to_num(s[0], nan=np.inf),
+                      default=(0.0, "none"))
     cap = world.config.velocity_cap
-    if worst > cap:
+    if not worst <= cap:
         state = {
             "max_velocity": worst,
             "source": what,
@@ -479,6 +481,9 @@ def step(world: World, dt: float, substeps: int, iterations: int) -> World:
     if dt <= 0:
         raise ValueError("dt must be > 0")
     h = dt / substeps
+    # A state handed in with a NaN or too-fast velocity would reach contact
+    # detection first, which cannot look up a NaN point.
+    _stability_check(world)
     for _ in range(substeps):
         _integrate(world, h)
         contacts = detect_contacts(world)
@@ -522,6 +527,9 @@ def build_world(scene) -> tuple:
             continue
         if dyn.type == "cloth":
             n = len(mesh.vertices)
+            if not np.isfinite(n / dyn.mass):
+                raise ValueError(f"mesh '{mesh.name}': mass {dyn.mass} gives an infinite "
+                                 f"inverse mass over {n} particles")
             inv = np.full(n, n / dyn.mass)
             for pin in dyn.pinned:
                 if not 0 <= pin < n:

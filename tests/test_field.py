@@ -169,6 +169,48 @@ def test_sample_keeps_homogeneous_part_exact(rng, const):
     assert np.array_equal(sigma, want_s) and np.array_equal(radiance, want_r)
 
 
+@pytest.mark.parametrize("const", [False, True], ids=["trilinear", "constant"])
+def test_sample_all_inside_equals_masked_sample_bitwise(rng, const):
+    # A batch wholly inside the box skips the vacuum mask, and a constant
+    # grid broadcasts its one row. Each point keeps the bits it has in a
+    # batch that also holds outside points, which takes the mask: points
+    # strictly inside, on each of the six faces, and one ulp outside them.
+    lo, hi = np.array([-1.0, -0.5, 0.0]), np.array([1.0, 0.5, 2.0])
+    if const:
+        g = RadianceGrid.constant(lo, hi, 1.3, (0.2, 0.4, 0.6), res=(3, 4, 5))
+    else:
+        g = RadianceGrid(lo, hi, rng.uniform(0.1, 2.0, (5, 4, 6)),
+                         rng.uniform(0.0, 1.0, (5, 4, 6, 3)))
+    k = np.arange(60)
+    ax, upper = k % 3, (k // 3) % 2 == 1
+    on_face = rng.uniform(lo, hi, (60, 3))
+    on_face[k, ax] = np.where(upper, hi[ax], lo[ax])
+    outside = on_face.copy()
+    outside[k, ax] = np.nextafter(on_face[k, ax], np.where(upper, np.inf, -np.inf))
+    pts = np.vstack([rng.uniform(lo, hi, (40, 3)), on_face])
+
+    sigma, radiance = g.sample_batch(pts)
+    s_mix, r_mix = g.sample_batch(np.vstack([pts, outside]))
+    assert sigma.tobytes() == s_mix[:100].tobytes()
+    assert np.ascontiguousarray(radiance).tobytes() == np.ascontiguousarray(r_mix[:100]).tobytes()
+    assert sigma.min() > 0.0
+    assert not s_mix[100:].any() and not r_mix[100:].any()
+    s_out, r_out = g.sample_batch(outside)
+    assert not s_out.any() and not r_out.any()
+    if const:
+        assert np.all(sigma == 1.3) and np.all(radiance == (0.2, 0.4, 0.6))
+
+
+def test_radiance_grid_values_are_read_only(rng):
+    # A render reuses marches through a grid, so its values may not change.
+    g = RadianceGrid((0, 0, 0), (1, 1, 1), rng.uniform(0.0, 1.0, (3, 3, 3)),
+                     rng.uniform(0.0, 1.0, (3, 3, 3, 3)))
+    with pytest.raises(ValueError, match="read-only"):
+        g.sigma[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        g.radiance[0, 0, 0] = (1.0, 1.0, 1.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        res=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)))
@@ -403,6 +445,40 @@ def test_march_blocks_match_per_substep_march_bitwise(rng, monkeypatch, block):
         assert np.array_equal(want, have)
     assert sorted(got[2]) == sorted(ref[2])
     assert len(ref[2]) > 100
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_march_bits_of_a_ray_do_not_depend_on_its_batch(seed, data):
+    # What a render's march records rest on: a ray's marched (L, T) has the
+    # same bits whichever rays share its march_arrays call, under a rotated
+    # pose, down to a lone ray with one substep, whose one sample makes a
+    # one-row field query.
+    rng = np.random.default_rng(seed)
+    sig = rng.uniform(0.0, 3.0, (6, 5, 7))
+    rad = rng.uniform(0.0, 2.0, (6, 5, 7, 3))
+    pose = Transform.from_quaternion(rng.normal(size=4), rng.uniform(-2.0, 2.0, 3))
+    g = RadianceGrid((0, 0, 0), (1, 1, 1), sig, rad, world_from_field=pose)
+    n, dt = 30, 0.04
+    d = rng.normal(size=(n, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    o = pose.point(rng.uniform(0.1, 0.9, (n, 3))) - 2.0 * d
+    t0, s1 = g.ray_bounds(o, d)
+    s0 = np.maximum(t0, 0.0)
+    short = rng.random(n) < 0.4
+    s1[short] = s0[short] + dt * rng.uniform(0.05, 0.95, short.sum())
+
+    def march(idx):
+        L, T = np.zeros((len(idx), 3)), np.ones((len(idx), 3))
+        march_arrays(g, o[idx], d[idx], s0[idx], s1[idx], dt, L, T)
+        return L, T
+
+    L, T = march(np.arange(n))
+    subset = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                         unique=True)))
+    for idx in [subset] + [np.array([i]) for i in range(n)]:
+        Ls, Ts = march(idx)
+        assert L[idx].tobytes() == Ls.tobytes() and T[idx].tobytes() == Ts.tobytes(), idx
 
 
 def test_march_rejects_bad_interval():

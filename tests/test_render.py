@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import importlib
 import inspect
+import json
 import math
 import os
 import subprocess
@@ -381,7 +383,7 @@ def test_degeneracy_a_zero_sigma_matches_pure_surface():
     assert hybrid.pixels.mean() > 0.01  # scene is actually lit
 
 
-def quadrature_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None):
+def quadrature_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None, records=None):
     """Reference for the bounce loop: one full-field march per camera ray,
     no surfaces at all."""
     render_mod = importlib.import_module("hybridrt.render")
@@ -545,10 +547,14 @@ def pixel_sha(img):
     return hashlib.sha256(np.ascontiguousarray(img.pixels, dtype=np.float64).tobytes()).hexdigest()
 
 
-def at_16px(scene):
+def at_res(scene, res):
     cam = scene.camera
-    scene.camera = Camera(pose=cam.pose, fov=cam.fov, resolution=(16, 16))
+    scene.camera = Camera(pose=cam.pose, fov=cam.fov, resolution=res)
     return scene
+
+
+def at_16px(scene):
+    return at_res(scene, (16, 16))
 
 
 def test_two_room_checksum_pinned(two_room_dir):
@@ -579,6 +585,134 @@ def test_field_hit_frame_checksums_pinned(field_hit_dir):
     assert got == FIELD_HIT_FRAME_SHA
 
 
+# ------------------------------------------------------- march records
+#
+# A render reuses its field's last bounce-1 marches (see render.py). Its
+# reference is a render of the same scene with a copy of the field that
+# holds no records (`record_free`).
+
+
+def record_free(scene):
+    """The scene with a copy of its field that holds no march records."""
+    f = scene.field
+    copy = RadianceGrid(f.bbox_lo, f.bbox_hi, f.sigma, f.radiance, f.world_from_field)
+    return dataclasses.replace(scene, field=copy)
+
+
+def count_marched(monkeypatch):
+    """Rays handed to march_arrays, one entry per call."""
+    render_mod = importlib.import_module("hybridrt.render")
+    counts = []
+    march = render_mod.march_arrays
+
+    def counting(grid, o, *args, **kwargs):
+        counts.append(len(o))
+        return march(grid, o, *args, **kwargs)
+
+    monkeypatch.setattr(render_mod, "march_arrays", counting)
+    return counts
+
+
+def still_rotated_field_hit(d):
+    """field-hit with the blob held still under a fixed rotation; the ball
+    flies through it. At a march step of 1.0 a ray takes one to three
+    substeps, so in some frame the ball moves the segment end of a lone
+    one-substep ray, whose re-march is a one-row field query."""
+    assets.gen_field_hit(str(d))
+    path = d / "field_hit.json"
+    doc = json.loads(path.read_text())
+    doc["field"] = {"path": "blob.rfgrid",
+                    "transform": {"rotate_axis": [0.3, 1.0, -0.2], "rotate_deg": 20.0}}
+    doc["render"]["march_step"] = 1.0
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("preset", ["field_hit", "drop", "still_rotated"])
+def test_march_records_match_record_free_renders(preset, tmp_path, monkeypatch):
+    from hybridrt import sim
+    from hybridrt.scene import load_scene
+    if preset == "still_rotated":
+        path = still_rotated_field_hit(tmp_path)
+    else:
+        assets.PRESETS[preset.replace("_", "-")](str(tmp_path))
+        path = tmp_path / f"{preset}.json"
+    scene = at_res(load_scene(str(path)), (24, 24))
+    world, binding = sim.build_world(scene)
+    counts = count_marched(monkeypatch)
+    queries = []
+    sample = RadianceGrid.sample_batch
+    monkeypatch.setattr(RadianceGrid, "sample_batch",
+                        lambda grid, p: queries.append(len(p)) or sample(grid, p))
+    with_records = without = 0
+    lone = False
+    for k in sim.run(world, scene, binding, 40):
+        n0 = sum(counts)
+        queries.clear()
+        got = render(scene, spp=2, seed=1).pixels
+        lone |= 1 in queries
+        n1 = sum(counts)
+        want = render(record_free(scene), spp=2, seed=1).pixels
+        with_records += n1 - n0
+        without += sum(counts) - n1
+        assert np.array_equal(got, want), k
+    # The records were used, so the frames above compared both paths.
+    assert with_records < without
+    assert lone or preset != "still_rotated"
+
+
+@pytest.mark.parametrize("change", ["pose", "march_step", "seed", "camera"])
+def test_march_records_are_not_read_after_a_change(change, field_hit_dir, monkeypatch):
+    from hybridrt.scene import load_scene
+    scene = at_res(load_scene(str(field_hit_dir / "field_hit.json")), (16, 16))
+    render(scene, spp=2, seed=1)
+    counts = count_marched(monkeypatch)
+    render(scene, spp=2, seed=1)
+    unchanged = sum(counts)
+    seed = 1
+    if change == "pose":
+        f = scene.field
+        f.world_from_field = Transform.translate([0.01, 0.0, 0.0]).compose(f.world_from_field)
+    elif change == "march_step":
+        scene.render.march_step *= 1.5
+    elif change == "seed":
+        seed = 2
+    else:
+        cam = scene.camera
+        scene.camera = Camera(pose=Transform.look_at([0.01, -3.0, 0.6], [0.0, 0.0, 0.0],
+                                                     [0.0, 0.0, 1.0]),
+                              fov=cam.fov, resolution=cam.resolution)
+    counts.clear()
+    got = render(scene, spp=2, seed=seed).pixels
+    changed = sum(counts)
+    counts.clear()
+    want = render(record_free(scene), spp=2, seed=seed).pixels
+    assert changed == sum(counts) > unchanged
+    assert np.array_equal(got, want)
+
+
+def test_scene_with_emitters_keeps_no_march_record(two_room_dir):
+    from hybridrt.scene import load_scene
+    scene = at_16px(load_scene(str(two_room_dir / "two_room.json")))
+    assert len(scene.emitters) > 0
+    render(scene, spp=1, seed=1)
+    assert scene.field.march_records == {}
+
+
+def test_march_records_hold_the_last_render_only(field_hit_dir):
+    from hybridrt.scene import load_scene
+    scene = at_res(load_scene(str(field_hit_dir / "field_hit.json")), (24, 24))
+    render(scene, spp=2, seed=1)
+    assert sum(len(r[0]) for r in scene.field.march_records.values()) == 24 * 24 * 2
+    at_res(scene, (16, 16))
+    render(scene, spp=2, seed=1)
+    records = scene.field.march_records
+    # One 16-row tile, one batch: its segment ends and (L, T) rows.
+    assert len(records) == 1
+    (s1, L, T), = records.values()
+    assert s1.shape == (16 * 16 * 2,) and L.shape == T.shape == (16 * 16 * 2, 3)
+
+
 # ------------------------------------------------------- runtime guards
 
 
@@ -586,7 +720,7 @@ def test_nan_radiance_raises_floating_point_error(monkeypatch):
     render_mod = importlib.import_module("hybridrt.render")
     scene = make_scene()
 
-    def nan_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None):
+    def nan_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None, records=None):
         return np.full((len(o), 3), np.nan)
 
     monkeypatch.setattr(render_mod, "trace_paths", nan_paths)

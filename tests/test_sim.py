@@ -12,7 +12,7 @@ from hybridrt.core import Transform
 from hybridrt.field import (RadianceGrid, SdfGrid, grid_points, occupancy, save_rfgrid,
                             save_sdfgrid, sdf_from_density)
 from hybridrt.images import read_pfm
-from hybridrt.scene import TransformConfig, load_scene
+from hybridrt.scene import FieldDynamicConfig, RigidConfig, TransformConfig, load_scene
 from hybridrt.surface import load_obj, save_obj
 
 
@@ -316,6 +316,48 @@ def test_simulate_out_of_range_pin_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: simulate: ") and "42" in err
+
+
+@pytest.mark.parametrize("where", ["ball", "field", "cloth"])
+def test_mass_with_an_infinite_inverse_exits_2(tmp_path, capfd, where):
+    # 1 / 5e-324 is inf, and so is 9 / 1e-310 over the 3x3 cloth's
+    # particles; either used to reach the solver and crash it.
+    if where == "cloth":
+        path = write_cloth_scene(tmp_path, [("sheet", {"mass": 1e-310})])
+    else:
+        assets.gen_field_hit(str(tmp_path))
+        path = tmp_path / "field_hit.json"
+        doc = json.loads(path.read_text())
+        (doc["meshes"][0] if where == "ball" else doc["field"])["dynamic"]["mass"] = 5e-324
+        path.write_text(json.dumps(doc))
+    code = cli.main(["simulate", "--scene", str(path), "--out", str(tmp_path / "out"),
+                     "--frames", "40"])
+    lines = capfd.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: simulate: ")
+    assert "mass" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cls", [RigidConfig, FieldDynamicConfig])
+def test_rigid_mass_needs_a_finite_inverse_and_may_be_infinite(cls):
+    # A scene file holds finite numbers only; built directly, an infinite
+    # mass is still a kinematic body.
+    with pytest.raises(ValueError, match="^mass: must be > 0 with a finite inverse"):
+        cls(mass=5e-324)
+    assert cls(mass=float("inf")).mass == float("inf")
+
+
+@pytest.mark.parametrize("body", [0, 1], ids=["ball", "field"])
+def test_nan_velocity_raises_the_stability_error(field_hit_dir, body):
+    # The NaN speed is the worst whichever body has it; before the step
+    # integrates, so contact detection never looks up a NaN point.
+    scene = load_scene(field_hit_dir / "field_hit.json")
+    world, _ = sim.build_world(scene)
+    world.bodies[body].lin_vel[:] = np.nan
+    cfg = scene.config.sim
+    with pytest.raises(RuntimeError, match=r"simulation unstable: \|v\|=nan"):
+        sim.step(world, cfg.dt, cfg.substeps, cfg.iterations)
 
 
 def test_field_body_needs_density():
