@@ -122,6 +122,10 @@ class Transform:
     Distances and ray parameters are the same in both frames, which
     ray marching and SDF normals rely on. Only a non-finite entry (a zero
     or NaN quaternion, say) is rejected.
+
+    point and direction give a row the same bits in any batch. A matmul
+    rounds a lone row (BLAS's matrix-vector kernel) differently from rows
+    among others (its matrix kernel), so a lone row goes as a pair.
     """
 
     __slots__ = ("m", "m_inv")
@@ -194,16 +198,21 @@ class Transform:
         return object.__new__(Transform)._set(self.m @ other.m, other.m_inv @ self.m_inv)
 
     def point(self, p, inverse: bool = False) -> np.ndarray:
-        """Transform a point (or an (N,3) batch of points)."""
+        """Transform a point (3,) or points (..., 3)."""
         m = self.m_inv if inverse else self.m
-        p = np.asarray(p, dtype=np.float64)
-        return p @ m[:3, :3].T + m[:3, 3]
+        return self._rotate(p, m) + m[:3, 3]
 
     def direction(self, d, inverse: bool = False) -> np.ndarray:
-        """Transform a direction (no translation)."""
-        m = self.m_inv if inverse else self.m
-        d = np.asarray(d, dtype=np.float64)
-        return d @ m[:3, :3].T
+        """Transform a direction (3,) or directions (..., 3): no translation."""
+        return self._rotate(d, self.m_inv if inverse else self.m)
+
+    @staticmethod
+    def _rotate(v, m: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=np.float64)
+        rows = v.reshape(-1, 3)
+        lone = len(rows) == 1
+        out = (np.repeat(rows, 2, axis=0) if lone else rows) @ m[:3, :3].T
+        return (out[:1] if lone else out).reshape(v.shape)
 
     def __repr__(self):
         return f"Transform({self.m.tolist()})"

@@ -147,15 +147,11 @@ class RadianceGrid:
     def sample_batch(self, p_world: np.ndarray):
         """(sigma, radiance) at world points (N,3); vacuum outside the bbox.
 
-        A point's values have the same bits in any batch. Transform.point
-        rounds a lone row differently from the same row among others, so
-        a single point is transformed as a pair. The outputs may be
-        read-only views.
+        A point's values have the same bits in any batch. The outputs may
+        be read-only views.
         """
-        p = np.reshape(p_world, (-1, 3))
-        n = len(p)
-        pf = self.world_from_field.point(np.repeat(p, 2, axis=0) if n == 1 else p,
-                                         inverse=True)[:n]
+        pf = self.world_from_field.point(np.reshape(p_world, (-1, 3)), inverse=True)
+        n = len(pf)
         (x, y, z), lo, hi = pf.T, self.bbox_lo, self.bbox_hi
         inside = ((x >= lo[0]) & (x <= hi[0]) & (y >= lo[1]) & (y <= hi[1])
                   & (z >= lo[2]) & (z <= hi[2]))

@@ -86,8 +86,9 @@ def _monotone_projection(g: np.ndarray) -> np.ndarray:
 
 
 def _sample_grid(w: int, h: int, n_samples: int):
-    """Pixel positions on a uniform spatial lattice, about n_samples."""
-    k = max(2, int(np.ceil(np.sqrt(n_samples))))
+    """Pixel positions on a uniform spatial lattice, about n_samples; from
+    max(w, h) points per axis on, the lattice holds every pixel."""
+    k = max(2, min(math.isqrt(n_samples - 1) + 1, max(w, h)))
     xs = np.unique(np.linspace(0, w - 1, k).round().astype(np.int64))
     ys = np.unique(np.linspace(0, h - 1, k).round().astype(np.int64))
     gx, gy = np.meshgrid(xs, ys)

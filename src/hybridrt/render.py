@@ -24,8 +24,9 @@ A still field is marched once. At bounce 1 with no shadow mask (a scene
 without emitters), a primary ray enters the march with L = 0 and T = 1,
 so its marched (L, T) is a function of the field's values, its pose, the
 march step, the ray and its segment [s0, s1] alone, and each ray's bits
-are the same in any march batch. The grid's values are read-only, and s0
-follows from the pose and the ray. So each render keeps, on the field
+are the same in any march batch, as `core.Transform` gives a row its
+batch bits. The grid's values are read-only, and s0 follows from the
+pose and the ray. So each render keeps, on the field
 (`RadianceGrid.march_records`), one record per primary batch: a digest of
 the batch's (o, d) bytes, the pose's bytes and the step, and per ray its
 segment end min(t_hit, t1) and marched (L, T). The next render takes a
@@ -406,6 +407,8 @@ def render(scene, camera: Camera = None, spp: int = None, seed: int = None,
     seed = scene.render.seed if seed is None else int(seed)
     if spp < 1:
         raise ValueError("spp must be >= 1")
+    if not -2**63 <= seed < 2**64:
+        raise ValueError(f"seed must be in [-2^63, 2^64), got {seed}")
     if threads < 1:
         raise ValueError("threads must be >= 1")
     w, h = camera.resolution

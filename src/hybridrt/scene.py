@@ -211,7 +211,8 @@ class RenderConfig:
         _check(("spp", self.spp >= 1, "must be >= 1"),
                ("n_bounces", self.n_bounces >= 1, "must be >= 1"),
                ("march_step", self.march_step > 0, "must be > 0"),
-               ("threshold", self.threshold >= 0, "must be >= 0"))
+               ("threshold", self.threshold >= 0, "must be >= 0"),
+               ("seed", -2**63 <= self.seed < 2**64, "must be in [-2^63, 2^64)"))
 
 
 @dataclass

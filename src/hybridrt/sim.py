@@ -13,10 +13,8 @@ bounce a pure position projection would inject. Everything runs
 single-threaded in deterministic order, so trajectories are bit-stable.
 
 Contact detection tests each source's collision points against each SDF
-it can meet with a phi-only lookup first; only when some point lies
-inside (phi < 0) does the full query run, normals included, and it runs
-over the whole point batch, so its values are those an ungated query
-gives.
+it can meet with a phi-only lookup first; the full query, normals
+included, runs only on the points inside (phi < 0).
 """
 
 from __future__ import annotations
@@ -47,15 +45,6 @@ def quat_mul(a, b):
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
     ])
-
-
-def quat_rotate(q, v):
-    u = q[1:4]
-    w = q[0]
-    v2 = np.atleast_2d(v)
-    t = 2.0 * cross3(u, v2)
-    out = v2 + w * t + cross3(u, t)
-    return out[0] if np.ndim(v) == 1 else out
 
 
 def quat_normalize(q):
@@ -135,7 +124,7 @@ class RigidBody:
         return Transform.from_quaternion(self.q, origin=self.com)
 
     def world_verts(self) -> np.ndarray:
-        return quat_rotate(self.q, self.verts) + self.com
+        return self.world_from_body().point(self.verts)
 
     def inv_inertia_world(self) -> np.ndarray:
         r = quat_to_matrix(self.q)
@@ -153,7 +142,7 @@ class RigidBody:
         return phi, world_from_body.direction(n), valid
 
     def point(self, vert: int) -> np.ndarray:
-        return quat_rotate(self.q, self.verts[vert]) + self.com
+        return self.world_from_body().point(self.verts[vert])
 
     def velocity(self, p: np.ndarray) -> np.ndarray:
         return self.lin_vel + cross3(self.ang_vel, p - self.com)
@@ -320,18 +309,15 @@ def detect_contacts(world: World) -> list:
             continue
         pts = points()
         for owner in targets:
-            if not np.any(owner.phi(pts) < 0.0):
+            inside = np.nonzero(owner.phi(pts) < 0.0)[0]
+            if not len(inside):
                 continue
-            # The normals come from a query over the whole batch, never
-            # over the inside points alone: a matmul over fewer rows can
-            # round differently (p[:1] @ m.T need not equal (p @ m.T)[:1]),
-            # so a subset would move the contacts' bits.
-            phi, n, valid = owner.query(pts)
-            for k in np.nonzero(phi < 0.0)[0]:
-                if not valid[k]:
+            _, n, valid = owner.query(pts[inside])
+            for k, nk, ok in zip(inside.tolist(), n, valid):
+                if not ok:
                     log.debug("skipping contact with degenerate SDF normal at %s", pts[k])
                     continue
-                contacts.append(Contact(*participant(int(k)), owner, n[k].copy()))
+                contacts.append(Contact(*participant(k), owner, nk.copy()))
     return contacts
 
 
@@ -458,22 +444,24 @@ def _velocity_update(world: World, h: float):
 
 
 def _stability_check(world: World):
-    ps = world.particles
-    speeds = [(float(np.max(np.linalg.norm(ps.vel, axis=1))), "particles")] if len(ps) else []
-    speeds += [(float(np.linalg.norm(b.lin_vel)), b.name) for b in world.bodies]
-    # A NaN speed is the worst: it compares false both ways.
-    worst, what = max(speeds, key=lambda s: np.nan_to_num(s[0], nan=np.inf),
-                      default=(0.0, "none"))
+    """Raise when a speed exceeds velocity_cap or is NaN, or a spin is not
+    finite: the cap is in m/s and does not bound a spin, in rad/s."""
+    ps, bodies = world.particles, world.bodies
     cap = world.config.velocity_cap
-    if not worst <= cap:
-        state = {
-            "max_velocity": worst,
-            "source": what,
-            "bodies": [{"name": b.name, "com": b.com.tolist(),
-                        "lin_vel": b.lin_vel.tolist()} for b in world.bodies],
-        }
-        raise RuntimeError(f"simulation unstable: |v|={worst:.3g} exceeds cap "
-                           f"{cap:.3g}; state: {state}")
+    speeds = np.linalg.norm(np.vstack([ps.vel, *(b.lin_vel for b in bodies)]), axis=1)
+    # NaN compares false both ways, so it fails the cap.
+    if np.all(speeds <= cap) and np.isfinite([b.ang_vel for b in bodies]).all():
+        return
+    worst = int(np.argmax(np.nan_to_num(speeds, nan=np.inf)))
+    state = {"max_velocity": float(speeds[worst]),
+             "source": (["particles"] * len(ps) + [b.name for b in bodies])[worst],
+             "bodies": [{"name": b.name, "com": b.com.tolist(), "lin_vel": b.lin_vel.tolist(),
+                         "ang_vel": b.ang_vel.tolist()} for b in bodies]}
+    what = f"|v|={speeds[worst]:.3g} exceeds cap {cap:.3g}"
+    if speeds[worst] <= cap:
+        b = next(b for b in bodies if not np.isfinite(b.ang_vel).all())
+        what = f"body '{b.name}' has angular velocity {b.ang_vel.tolist()}"
+    raise RuntimeError(f"simulation unstable: {what}; state: {state}")
 
 
 def step(world: World, dt: float, substeps: int, iterations: int) -> World:

@@ -8,10 +8,11 @@ import json
 import pathlib
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hybridrt import assets, cli, emitters
 from hybridrt.field import RadianceGrid, save_rfgrid
@@ -563,6 +564,119 @@ def test_gen_assets_out_below_a_regular_file_exits_4(tmp_path, capsys):
     code, err = run_cli(capsys, "gen-assets", "smoke-slab", "--out", str(blocker / "out"))
     lines = err.splitlines()
     assert code == 4 and len(lines) == 1 and lines[0].startswith("error: gen-assets: ")
+
+
+# The CLI contract over all six subcommands: option values that are zero,
+# negative, huge or NaN, and an input file missing or cut short. Sizes stay
+# small where the work grows with the value (spp, image size, frames,
+# epochs, depth, samples), so a run is quick; huge values go where it does
+# not (the seed), and threads stay few.
+bad_ints = st.sampled_from(["0", "-1", str(-2**63), str(-10**30)])
+huge_ints = st.sampled_from([str(2**63), str(2**64), str(10**30)])
+any_floats = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.0", "5e-324", "1e300",
+                              "0.5", "3"])
+
+
+def cli_option(name, valid, *more):
+    return st.none() | cli_size(name, valid, *more)
+
+
+def cli_size(name, valid, *more):
+    """An option always given: its default would be a larger run."""
+    return st.tuples(st.just(name), st.one_of(valid, bad_ints, *more))
+
+
+def up_to(n):
+    return st.integers(1, n).map(str)
+
+
+render_options = [cli_size("--spp", up_to(2)), cli_option("--seed", up_to(9), huge_ints),
+                  cli_size("--width", up_to(8)), cli_size("--height", up_to(8)),
+                  cli_option("--threads", up_to(2))]
+# command: (arguments, options, flags, input files). A path is a
+# (directory, file) tuple under the copied presets, and SCENE is drawn from
+# the command's input scene files.
+CLI_COMMANDS = {
+    "render": (["--scene", "SCENE"], render_options, ["--hdr"],
+               [("slab", "slab.json"), ("slab", "slab.rfgrid"), ("drop", "drop.json"),
+                ("drop", "ball.obj"), ("drop", "floor.obj"), ("drop", "glow.rfgrid"),
+                ("drop", "plane.sdfgrid")]),
+    "simulate": (["--scene", "SCENE"], render_options + [cli_size("--frames", up_to(2))],
+                 ["--hdr", "--render-frames"],
+                 [("drop", "drop.json"), ("drop", "ball.obj"), ("drop", "plane.sdfgrid"),
+                  ("field_hit", "field_hit.json"), ("field_hit", "ball.obj"),
+                  ("field_hit", "blob.rfgrid")]),
+    "hdr-recover": (["--bracket", ("hdr", "bracket.json")],
+                    [cli_option("--smoothness", any_floats), cli_option("--samples", up_to(300))],
+                    [], [("hdr", "bracket.json")] + [("hdr", f"bracket_0{i}.ppm") for i in range(5)]),
+    "hdr-merge": (["--bracket", ("hdr", "bracket.json"), "--crf", ("hdr", "crf.csv")], [],
+                  ["--normalize", "--downsample4"],
+                  [("hdr", "bracket.json"), ("hdr", "crf.csv"), ("hdr", "bracket_02.ppm")]),
+    "estimate-emitters": (["--scene", ("room", "room.json"), "--poses", ("room", "poses.json"),
+                           "--gt-dir", ("room",)],
+                          [cli_option("--alpha", any_floats), cli_size("--epochs", up_to(20)),
+                           cli_option("--threshold", any_floats),
+                           cli_size("--max-depth", up_to(2))], [],
+                          [("room", "room.json"), ("room", "room.obj"), ("room", "poses.json")]
+                          + [("room", f"gt_000{i}.pfm") for i in (0, 7)]),
+    "gen-assets": ([st.sampled_from(["sphere", "smoke-slab", "drop", "no-such", ""])], [], [], []),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory, slab_dir, hdr_dir, estimation_dir, field_hit_dir):
+    d = tmp_path_factory.mktemp("cli_contract")
+    for name, src in (("slab", slab_dir), ("hdr", hdr_dir), ("room", estimation_dir),
+                      ("field_hit", field_hit_dir)):
+        shutil.copytree(src, d / name)
+    assets.gen_drop(str(d / "drop"))
+    save_crf_csv(d / "hdr" / "crf.csv", crf_table())
+    return d
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_exits_0_2_3_or_4_with_one_error_line(cli_inputs, tmp_path, capfd, data):
+    d = cli_inputs
+    cmd = data.draw(st.sampled_from(sorted(CLI_COMMANDS)), label="command")
+    args, options, flags, inputs = CLI_COMMANDS[cmd]
+    argv = [cmd]
+    for a in args:
+        a = data.draw(a) if isinstance(a, st.SearchStrategy) else a
+        if a == "SCENE":
+            a = data.draw(st.sampled_from([f for f in inputs if f[1].endswith(".json")]))
+        argv.append(str(d.joinpath(*a)) if isinstance(a, tuple) else a)
+    out = tmp_path / ("out.csv" if cmd == "hdr-recover" else "out")
+    argv += ["--out", str(out)]
+    for option in options:
+        argv += data.draw(option) or []
+    argv += [f for f in flags if data.draw(st.booleans())]
+    cut = (st.tuples(st.sampled_from(inputs), st.floats(0.0, 1.0, exclude_max=True))
+           if inputs else st.nothing())
+    damage = data.draw(st.none() | cut, label="input file, deleted (0) or cut to a fraction")
+    capfd.readouterr()
+    backup = None
+    if damage:
+        path = d.joinpath(*damage[0])
+        backup = path.read_bytes()
+        if damage[1] == 0.0:
+            path.unlink()
+        else:
+            path.write_bytes(backup[:int(len(backup) * damage[1])])
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+    finally:
+        if backup is not None:
+            path.write_bytes(backup)
+        shutil.rmtree(out) if out.is_dir() else out.unlink(missing_ok=True)
+    err = capfd.readouterr().err.splitlines()
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert len(err) == 1 and err[0].startswith(f"error: {cmd}: "), err
+    assert not caught, [str(w.message) for w in caught]
 
 
 @pytest.mark.parametrize("argv, match", [

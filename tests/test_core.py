@@ -98,6 +98,27 @@ def test_compose_is_the_two_products(rng):
                 assert np.array_equal(c.m_inv, b.m_inv @ a.m_inv)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.integers(0, 4), n=st.integers(1, 300),
+       inverse=st.booleans())
+def test_transform_gives_a_row_its_bits_in_any_batch(seed, kind, n, inverse):
+    # A lone row, as (3,) or (1, 3), and every prefix of a batch get the
+    # same bits as in the whole batch, for points and directions of every
+    # rigid factory's frames and their compositions.
+    rng = np.random.default_rng(seed)
+    t = rigid_factories(rng)[kind]
+    p = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+    for f in (t.point, t.direction):
+        full = f(p, inverse=inverse)
+        assert full.shape == (n, 3)
+        for i in range(n):
+            row, lone = f(p[i:i + 1], inverse=inverse), f(p[i], inverse=inverse)
+            assert row.shape == (1, 3) and lone.shape == (3,)
+            assert full[i].tobytes() == row.tobytes() == lone.tobytes(), i
+            assert f(p[:i + 1], inverse=inverse).tobytes() == full[:i + 1].tobytes(), i
+        assert f(np.zeros((0, 3)), inverse=inverse).shape == (0, 3)
+
+
 def test_compose_rejects_nonfinite():
     big = Transform.translate([1e308, 0.0, 0.0])
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):

@@ -62,6 +62,17 @@ def test_projected_solve_matches_full_system(bracket, lam, n_samples):
     assert np.abs(crf.g - _reference_recover_crf(bracket, lam, n_samples)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("w, h", [(128, 96), (7, 300), (1, 1)])
+def test_huge_sample_counts_sample_every_pixel_once(w, h):
+    # From n = max(w, h)**2 on, the lattice holds every pixel. Its
+    # ceil(sqrt(n)) points per axis used to be laid out before rounding to
+    # pixels: 23 GiB for n = 2**63.
+    every = np.meshgrid(np.arange(w), np.arange(h))
+    for n in (max(w, h) ** 2, 2**63, 10**30):
+        xs, ys = hdr._sample_grid(w, h, n)
+        assert np.array_equal(xs, every[0].ravel()) and np.array_equal(ys, every[1].ravel())
+
+
 def test_zero_smoothness_is_rank_deficient(bracket):
     # Codes no sample hits leave their g column empty without the prior.
     with pytest.raises(hdr.HdrError, match="rank-deficient"):

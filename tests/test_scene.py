@@ -66,7 +66,8 @@ def test_spp_zero_names_key(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("spp", 0), ("n_bounces", 0), ("threshold", -1e-3),
-                                        ("march_step", 0.0), ("march_step", float("nan"))])
+                                        ("march_step", 0.0), ("march_step", float("nan")),
+                                        ("seed", 2**64), ("seed", -2**63 - 1)])
 def test_render_config_validates_direct_construction(key, value):
     # Built without a scene file, a bad setting still fails by name; a
     # zero bounce count used to render an all-black image.

@@ -20,7 +20,7 @@ from hybridrt.surface import load_obj, save_obj
 # solver that moves any bit of any frame changes them.
 FIELD_HIT_STATES = "db9f269278b03d29d0e5df1aa480fb1ecb62abcab415cca9b117461bd7875eb7"
 DROP_STATES = "dd53e084dc646ea4e793e6eddcf8b8e84d16f8ea802a89f98d44291595540698"
-CLOTH_STATES = "b203036ae7cf84fb1ec8d54bc0ed14813c8ad50392a891dbcd1418396c6a899b"
+CLOTH_STATES = "e03e0bbf0f9a8747f12f58ae2c4ef0a88ce6d946a5690d6747232574015b619c"
 
 
 def write_cloth_scene(d, cloths):
@@ -350,14 +350,21 @@ def test_rigid_mass_needs_a_finite_inverse_and_may_be_infinite(cls):
 
 @pytest.mark.parametrize("body", [0, 1], ids=["ball", "field"])
 def test_nan_velocity_raises_the_stability_error(field_hit_dir, body):
-    # The NaN speed is the worst whichever body has it; before the step
-    # integrates, so contact detection never looks up a NaN point.
+    # A NaN speed is the worst whichever body has it, and a spin that is
+    # not finite fails too; both before the step integrates, so contact
+    # detection never looks up a NaN point.
     scene = load_scene(field_hit_dir / "field_hit.json")
-    world, _ = sim.build_world(scene)
-    world.bodies[body].lin_vel[:] = np.nan
     cfg = scene.config.sim
-    with pytest.raises(RuntimeError, match=r"simulation unstable: \|v\|=nan"):
-        sim.step(world, cfg.dt, cfg.substeps, cfg.iterations)
+    for attr, value, match in [
+        ("lin_vel", np.nan, r"\|v\|=nan exceeds cap"),
+        ("ang_vel", np.nan, r"body '{}' has angular velocity \[nan, nan, nan\]"),
+        ("ang_vel", np.inf, r"body '{}' has angular velocity \[inf, inf, inf\]"),
+    ]:
+        world, _ = sim.build_world(scene)
+        b = world.bodies[body]
+        getattr(b, attr)[:] = value
+        with pytest.raises(RuntimeError, match="simulation unstable: " + match.format(b.name)):
+            sim.step(world, cfg.dt, cfg.substeps, cfg.iterations)
 
 
 def test_field_body_needs_density():
@@ -468,13 +475,29 @@ def face_points(box_lo, box_hi, to_world, rng, count):
     return list(to_world(q))
 
 
+def one_inside_each(pts, owners):
+    """Indices of pts, in order, that leave each owner at most one point
+    inside: a point is dropped when an owner it lies in has one already."""
+    inside = np.array([o.phi(pts) < 0.0 for o in owners])
+    taken = np.zeros(len(owners), dtype=bool)
+    keep = []
+    for k, col in enumerate(inside.T):
+        if not (col & taken).any():
+            taken |= col
+            keep.append(k)
+    return keep
+
+
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), spin=st.booleans())
-def test_gated_detect_contacts_equals_ungated(seed, spin):
+@given(seed=st.integers(0, 2**32 - 1), spin=st.booleans(), lone=st.booleans())
+def test_gated_detect_contacts_equals_ungated(seed, spin, lone):
     # Cloth particles, a rigid ball with an SDF, the field body and a
-    # translated static plane, with points on and within a few ulps of
-    # every owner's phi = 0 and on every SDF's box faces: the same
-    # contacts, in the same order, with the same normal bits.
+    # static plane, all rotated when spin, with points on and within a few
+    # ulps of every owner's phi = 0 and on every SDF's box faces: the same
+    # contacts, in the same order, with the same normal bits; when lone,
+    # with at most one point of each source inside each owner. The
+    # position solve's one-row query of a contact's point, at the pose
+    # detection saw, reads the phi and normal that detection read.
     rng = np.random.default_rng(seed)
     world = sim.World()
     blob, _ = sim.make_field_body(small_blob(), 2.0)
@@ -488,16 +511,16 @@ def test_gated_detect_contacts_equals_ungated(seed, spin):
             q = rng.normal(size=4)
             b.q = q / np.linalg.norm(q)
     plane = assets.plane_sdf(z=0.0, half_extent=1.5, depth=0.5, res=(5, 5, 5))
-    shift = rng.uniform(-0.5, 0.5, 3)
-    plane = SdfGrid(plane.bbox_lo, plane.bbox_hi, plane.phi,
-                    world_from_grid=Transform.translate(shift))
+    frame = Transform.translate(rng.uniform(-0.5, 0.5, 3))
+    if spin:
+        frame = frame.compose(Transform.rotate(rng.normal(size=3), rng.uniform(-0.3, 0.3)))
+    plane = SdfGrid(plane.bbox_lo, plane.bbox_hi, plane.phi, world_from_grid=frame)
     world.static_sdfs = [plane]
     world.bodies = [ball, blob]
 
-    on_plane = np.column_stack([rng.uniform(-1.5, 1.5, (6, 2)) + shift[:2],
-                                np.full(6, shift[2])])
+    on_plane = frame.point(np.column_stack([rng.uniform(-1.5, 1.5, (6, 2)), np.zeros(6)]))
     pts = list(on_plane) + list(on_plane + rng.integers(-3, 4, (6, 3)) * np.spacing(on_plane))
-    pts.append(shift - (0.0, 0.0, 0.1))  # inside the plane, so never contact-free
+    pts.append(frame.point((0.0, 0.0, -0.1)))  # inside the plane, so never contact-free
     for body in (ball, blob):
         pts += boundary_points(body, body.com, rng, 3)
         pts += face_points(body.sdf.bbox_lo, body.sdf.bbox_hi, body.world_from_body().point,
@@ -505,12 +528,31 @@ def test_gated_detect_contacts_equals_ungated(seed, spin):
     pts += face_points(plane.bbox_lo, plane.bbox_hi, plane.world_from_grid.point, rng, 6)
     pts = np.array(pts)
     pts = np.concatenate([pts, rng.uniform(-1.0, 1.0, (20, 3))])
+    owners = [sim.StaticCollider(plane), ball, blob]
+    if lone:
+        pts = pts[one_inside_each(pts, owners)]
     world.add_cloth(pts, np.where(rng.random(len(pts)) < 0.2, 0.0, 1.0), [], [], [])
     # Half of the ball's collision points are special points too.
     extra = ball.world_from_body().point(pts[rng.random(len(pts)) < 0.5], inverse=True)
     ball.verts = np.concatenate([ball.verts, extra])
+    if lone:
+        for body in (ball, blob):
+            body.verts = body.verts[one_inside_each(body.world_verts(),
+                                                    [o for o in owners if o is not body])]
 
     ref = reference_detect_contacts(world)
     got = sim.detect_contacts(world)
     assert ref
     assert [contact_key(c) for c in got] == [contact_key(c) for c in ref]
+    pairs = [(getattr(c.src, "ps", c.src), contact_key(c)[2]) for c in got]
+    assert not lone or len(set(pairs)) == len(pairs)
+    for c in got:
+        p = c.point()
+        if isinstance(c.src, sim.Particle):
+            src_pts, k = world.particles.pos, c.src.k
+        else:
+            src_pts, k = c.src.world_verts(), c.vert
+            assert p.tobytes() == src_pts[k].tobytes()
+        phi, n, valid = c.owner.query(p[None])
+        assert valid[0] and phi.tobytes() == c.owner.phi(src_pts)[k:k + 1].tobytes()
+        assert n[0].tobytes() == c.normal.tobytes()
