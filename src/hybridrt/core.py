@@ -43,6 +43,13 @@ def slab_interval(lo, hi, o, inv_d, t_min=-np.inf, t_max=np.inf):
     A zero direction component leaves its axis unbounded when o lies in
     the slab, on a plane included, and empty otherwise; an all-zero
     direction outside the box comes out empty too.
+
+    The bounds over the three axes are chained elementwise maxima and
+    minima of the component views, x then y then z. That is the order in
+    which a max or min reduction over a last axis of 3 takes them, so the
+    bits are those of near.max(axis=-1) and far.min(axis=-1), signed
+    zeros included, but a reduction over so short an axis costs several
+    times the arithmetic.
     """
     with np.errstate(invalid="ignore"):  # 0 * inf: o on a plane, d zero
         ta = (lo - o) * inv_d
@@ -51,8 +58,8 @@ def slab_interval(lo, hi, o, inv_d, t_min=-np.inf, t_max=np.inf):
     far = np.maximum(ta, tb)
     near = np.where(np.isnan(near), -np.inf, near)
     far = np.where(np.isnan(far), np.inf, far)
-    t0 = np.maximum(near.max(axis=-1), t_min)
-    t1 = np.minimum(far.min(axis=-1), t_max)
+    t0 = np.maximum(np.maximum(np.maximum(near[..., 0], near[..., 1]), near[..., 2]), t_min)
+    t1 = np.minimum(np.minimum(np.minimum(far[..., 0], far[..., 1]), far[..., 2]), t_max)
     # Only an all-zero direction outside the box ends at [inf, inf] or
     # [-inf, -inf]: any nonzero component makes the other bound finite.
     stuck = np.isinf(t0) & (t0 == t1)

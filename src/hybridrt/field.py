@@ -27,6 +27,7 @@ block (1 float per sample) and an RGB block (3), .sdfgrid a phi block (1).
 
 from __future__ import annotations
 
+import functools
 import struct
 import warnings
 
@@ -198,8 +199,14 @@ MARCH_BLOCK_POINTS = 4096
 
 
 def _substep_counts(seg_len: np.ndarray, dt: float) -> np.ndarray:
-    n = np.ceil(seg_len / dt).astype(np.int64)
-    return np.where(seg_len > 0.0, np.maximum(n, 1), 0)
+    """Substeps of length at most dt per segment; ValueError when a count
+    does not fit int64."""
+    with np.errstate(over="ignore"):  # an infinite count fails the test below
+        n = np.ceil(seg_len / dt)
+    if len(n) and not n.max() < 2.0**63:
+        raise ValueError(f"march step {dt:g} gives {n.max():g} substeps on one segment, "
+                         "more than int64 holds")
+    return np.where(seg_len > 0.0, np.maximum(n.astype(np.int64), 1), 0)
 
 
 def march_arrays(grid, o, d, s0, s1, dt, L, T_spec, shadow_fn=None):
@@ -266,14 +273,20 @@ def march_arrays(grid, o, d, s0, s1, dt, L, T_spec, shadow_fn=None):
 
 
 class SdfGrid:
-    """Trilinear signed-distance grid, negative inside geometry."""
+    """Trilinear signed-distance grid, negative inside geometry.
+
+    phi is a read-only view, fixed for the grid's life, so what is derived
+    from it (`negative_box`) is computed once. Its placement,
+    world_from_grid, may be replaced at any time.
+    """
 
     def __init__(self, bbox_lo, bbox_hi, phi, world_from_grid=None):
         self.bbox_lo, self.bbox_hi = _check_bbox(bbox_lo, bbox_hi)
-        phi = np.ascontiguousarray(phi, dtype=np.float64)
+        phi = np.ascontiguousarray(phi, dtype=np.float64).view()
         self.res = _as_res(phi.shape)
         if not np.all(np.isfinite(phi)):
             raise ValueError("phi must be finite")
+        phi.flags.writeable = False
         self.phi = phi
         self.world_from_grid = world_from_grid or Transform.identity()
         self._scale = _grid_scale(self.bbox_lo, self.bbox_hi, self.res)
@@ -281,6 +294,27 @@ class SdfGrid:
 
     def cell_size(self) -> np.ndarray:
         return _cell_size(self.bbox_lo, self.bbox_hi, self.res)
+
+    @functools.cached_property
+    def negative_box(self):
+        """(lo, hi): the grid-frame box outside of which phi >= 0, or None
+        when no node has phi < 0.
+
+        `_phi_local` is >= 0 outside the grid's box. Inside it, a
+        trilinear value sums products of corner values and weights in
+        [0, 1], so it is negative only in a cell with a negative corner,
+        and such a cell lies within one cell of that corner on every axis.
+        So the box is the phi < 0 nodes' bounding box grown by one cell on
+        every side and clipped to the grid's box, exact but for the
+        rounding of a few ulps in its corners and in a query's grid
+        coordinates, which a caller's slack must cover.
+        """
+        neg = np.argwhere(self.phi < 0.0)
+        if not len(neg):
+            return None
+        h = self.cell_size()
+        return (np.maximum(self.bbox_lo + (neg.min(axis=0) - 1) * h, self.bbox_lo),
+                np.minimum(self.bbox_lo + (neg.max(axis=0) + 1) * h, self.bbox_hi))
 
     def _phi_local(self, p: np.ndarray) -> np.ndarray:
         """phi at local-frame points; exterior composes box distance with

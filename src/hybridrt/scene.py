@@ -404,17 +404,29 @@ class Scene:
     spawn_eps: float
 
     def rebuild_bvh(self):
+        """Bring both BVHs to the meshes' current vertices and emission:
+        each is refit if it holds the same meshes as before, else built."""
         for m in self.meshes:
             m.recompute_normals()
-        self.bvh, self.blocker_bvh = _build_bvhs(self.meshes)
+        self.bvh, self.blocker_bvh = _build_bvhs(self.meshes, (self.bvh, self.blocker_bvh))
 
 
-def _build_bvhs(meshes):
+def _build_bvhs(meshes, old=()):
     """The scene BVH and the shadow blockers' BVH, which is the same object
-    when no mesh emits."""
-    bvh = Bvh(meshes)
+    when no mesh emits. A BVH of `old` over the same mesh objects, in the
+    same order and with as many faces, is refit (`Bvh.refit`) instead of
+    built: any tree over the same faces gives the same hits."""
+    def fit(ms):
+        for bvh in old:
+            if (len(bvh.meshes) == len(ms) and all(a is b for a, b in zip(bvh.meshes, ms))
+                    and bvh.n_faces == sum(len(m.indices) for m in ms)):
+                bvh.refit()
+                return bvh
+        return Bvh(ms)
+
+    bvh = fit(meshes)
     blockers = [m for m in meshes if not m.is_emissive]
-    return bvh, bvh if len(blockers) == len(meshes) else Bvh(blockers)
+    return bvh, bvh if len(blockers) == len(meshes) else fit(blockers)
 
 
 def scene_diagonal(field: Optional[RadianceGrid], meshes) -> float:

@@ -12,9 +12,26 @@ restitution/friction velocity pass that also removes the artificial
 bounce a pure position projection would inject. Everything runs
 single-threaded in deterministic order, so trajectories are bit-stable.
 
-Contact detection tests each source's collision points against each SDF
-it can meet with a phi-only lookup first; the full query, normals
-included, runs only on the points inside (phi < 0).
+Contact detection first culls by bounding volumes: an owner's SDF is
+skipped for a source when the source's bounding sphere misses the SDF's
+`negative_box`, outside of which phi >= 0. A rigid source's sphere is its
+com and the largest distance of a collision vertex from it; a particle
+system's is the one around the box of the current positions. The sphere is taken into
+the SDF's grid frame through the same transforms a query takes, and it
+must miss the box by more than a slack of 1e-9 times the sum of the
+magnitudes met on the way (1, the radius, the center in each frame and
+each transform's translation). Rounding in those transforms, in the
+vertices' world positions and in the grid coordinates is a few ulps of
+those magnitudes, far inside the slack, so a culled pair has no point
+with phi < 0: detection finds the contacts, order and normal bits that it
+finds without the cull. A source's points are computed only when some
+owner is left, and each left owner tests them with a phi-only lookup
+first; the full query, normals included, runs only on the points inside
+(phi < 0).
+
+An iteration whose position solve shifts nothing leaves the state as it
+found it. With no distance constraints, every later iteration of the
+substep would then shift nothing too, so they are skipped.
 """
 
 from __future__ import annotations
@@ -100,6 +117,14 @@ class RigidBody:
     collision_vertices are body-frame points queried against other SDFs;
     `sdf` (body-frame, optional) lets other objects collide with this body.
     An infinite mass (inv_mass 0) makes the body kinematic.
+
+    `verts` is read-only; assigning new vertices also sets `radius`, their
+    largest distance from the com, the body's bounding sphere for contact
+    culling. What the pose determines is cached: world_from_body() is
+    rebuilt only when the bytes of (q, com) change, inv_inertia_world()
+    when those of q do, so either is bitwise a fresh build. Keys of bytes,
+    not of identity, see the in-place `self.com += ...` of `shift` and any
+    other edit of q or com.
     """
 
     def __init__(self, com, mass, collision_vertices, lin_vel=(0.0, 0.0, 0.0),
@@ -113,22 +138,50 @@ class RigidBody:
             raise ValueError("mass must be > 0 (use np.inf for kinematic)")
         self.mass = float(mass)
         self.inv_mass = 0.0 if np.isinf(mass) else 1.0 / float(mass)
-        self.verts = np.asarray(collision_vertices, dtype=np.float64).reshape(-1, 3).copy()
+        self.verts = collision_vertices
         self.inertia = point_mass_inertia(self.verts, self.mass)
         self.inv_inertia = _safe_inv(self.inertia) if self.inv_mass > 0 else np.zeros((3, 3))
         self.sdf = sdf
         self.prev_com = self.com.copy()
         self.prev_q = self.q.copy()
+        self._pose = self._inv_inertia_w = (None, None)
+
+    @property
+    def verts(self) -> np.ndarray:
+        return self._verts
+
+    @verts.setter
+    def verts(self, v):
+        v = np.asarray(v, dtype=np.float64).reshape(-1, 3).copy()
+        v.flags.writeable = False
+        self._verts = v
+        self.radius = float(np.linalg.norm(v, axis=1).max()) if len(v) else 0.0
 
     def world_from_body(self) -> Transform:
-        return Transform.from_quaternion(self.q, origin=self.com)
+        key = self.q.tobytes() + self.com.tobytes()
+        if key != self._pose[0]:
+            t = Transform.from_quaternion(self.q, origin=self.com)
+            t.m.flags.writeable = t.m_inv.flags.writeable = False
+            self._pose = key, t
+        return self._pose[1]
 
     def world_verts(self) -> np.ndarray:
         return self.world_from_body().point(self.verts)
 
     def inv_inertia_world(self) -> np.ndarray:
-        r = quat_to_matrix(self.q)
-        return r @ self.inv_inertia @ r.T
+        key = self.q.tobytes()
+        if key != self._inv_inertia_w[0]:
+            r = quat_to_matrix(self.q)
+            m = r @ self.inv_inertia @ r.T
+            m.flags.writeable = False
+            self._inv_inertia_w = key, m
+        return self._inv_inertia_w[1]
+
+    def reaches(self, center, radius: float) -> bool:
+        """False only if the body SDF's phi is >= 0 in all of the world
+        ball (center, radius)."""
+        return _sdf_reaches(self.sdf, (self.world_from_body(), self.sdf.world_from_grid),
+                            center, radius)
 
     def phi(self, p_world: np.ndarray) -> np.ndarray:
         """The body SDF's phi at world points, bitwise query's phi."""
@@ -214,6 +267,9 @@ class StaticCollider:
     def phi(self, p_world: np.ndarray) -> np.ndarray:
         return self.sdf.phi_batch(p_world)
 
+    def reaches(self, center, radius: float) -> bool:
+        return _sdf_reaches(self.sdf, (self.sdf.world_from_grid,), center, radius)
+
     def query(self, p_world: np.ndarray):
         return self.sdf.query_batch(p_world)
 
@@ -292,19 +348,47 @@ class World:
 # -- contacts ------------------------------------------------------------------
 
 
+def _sdf_reaches(sdf: SdfGrid, frames, center, radius: float) -> bool:
+    """False only if sdf's phi is >= 0 in all of the world ball (center,
+    radius); frames are the transforms a query takes from the world to
+    the grid frame, outermost first. The module docstring gives the slack."""
+    box = sdf.negative_box
+    if box is None:
+        return False
+    c = np.asarray(center, dtype=np.float64)
+    met = [c]
+    for t in frames:
+        # One matrix-vector product: the slack covers its rounding, which
+        # may differ from Transform.point's by an ulp.
+        c = t.m_inv[:3, :3] @ c + t.m_inv[:3, 3]
+        met += [t.m_inv[:3, 3], c]
+    gap = np.maximum(np.maximum(box[0] - c, c - box[1]), 0.0)
+    slack = 1e-9 * (1.0 + radius + float(np.abs(np.concatenate(met)).sum()))
+    # A NaN center does not cull: the lookups then see what they saw
+    # before the cull.
+    return not math.sqrt(float(gap @ gap)) > radius + slack
+
+
 def detect_contacts(world: World) -> list:
-    """Every particle and rigid collision vertex against every SDF but its own."""
+    """Every particle and rigid collision vertex against every SDF but its
+    own, culled by bounding volumes as the module docstring describes."""
     ps = world.particles
-    # (body the points belong to, its world points, contact participant of
-    # point k); the points are computed only for a source with an owner.
-    sources = [(None, lambda: ps.pos, lambda k: (Particle(ps, k), 0))] if len(ps) else []
-    sources += [(b, b.world_verts, lambda k, b=b: (b, k)) for b in world.bodies if len(b.verts)]
+    # (body the points belong to, its bounding sphere's center and radius,
+    # its world points, contact participant of point k); the points are
+    # computed only for a source with an owner left.
+    sources = []
+    if len(ps):
+        lo, hi = ps.pos.min(axis=0), ps.pos.max(axis=0)
+        sources.append((None, 0.5 * (lo + hi), float(np.linalg.norm(0.5 * (hi - lo))),
+                        lambda: ps.pos, lambda k: (Particle(ps, k), 0)))
+    sources += [(b, b.com, b.radius, b.world_verts, lambda k, b=b: (b, k))
+                for b in world.bodies if len(b.verts)]
     owners = [StaticCollider(s) for s in world.static_sdfs]
     owners += [b for b in world.bodies if b.sdf is not None]
 
     contacts = []
-    for body, points, participant in sources:
-        targets = [o for o in owners if o is not body]
+    for body, center, radius, points, participant in sources:
+        targets = [o for o in owners if o is not body and o.reaches(center, radius)]
         if not targets:
             continue
         pts = points()
@@ -321,8 +405,9 @@ def detect_contacts(world: World) -> list:
     return contacts
 
 
-def _solve_contacts_position(contacts: list):
-    """Project penetrating points to phi = 0 along the sampled normal.
+def _solve_contacts_position(contacts: list) -> bool:
+    """Project penetrating points to phi = 0 along the sampled normal;
+    returns whether any contact was shifted.
 
     Every contact's point is taken once, at the start of the iteration.
     Its depth and normal come from its owner's SDF at the owner's current
@@ -330,6 +415,7 @@ def _solve_contacts_position(contacts: list):
     apply in fixed contact order.
     """
     pts = [c.point() for c in contacts]
+    shifted = False
     for c, p in zip(contacts, pts):
         phi, n, valid = c.owner.query(p[None])
         if phi[0] >= 0.0 or not valid[0]:
@@ -338,6 +424,8 @@ def _solve_contacts_position(contacts: list):
         if w == 0.0:
             continue
         c.shift(-phi[0] / w, n[0], p)
+        shifted = True
+    return shifted
 
 
 def _solve_contact_velocities(world: World, contacts: list):
@@ -481,7 +569,10 @@ def step(world: World, dt: float, substeps: int, iterations: int) -> World:
         for _ in range(iterations):
             if world.constraints:
                 _solve_distance_constraints(world, h, lambdas)
-            _solve_contacts_position(contacts)
+            # An iteration that shifts nothing changes nothing, so without
+            # distance constraints the ones after it would shift nothing.
+            if not _solve_contacts_position(contacts) and not world.constraints:
+                break
         _velocity_update(world, h)
         _solve_contact_velocities(world, contacts)
         _stability_check(world)

@@ -1,7 +1,7 @@
 """Triangle meshes, BVH intersection, and the three BSDF models.
 
 All geometry is kept in world space; meshes deformed by the simulator get
-their normals and the scene BVH rebuilt on sync. Intersection is
+their normals recomputed and the scene BVH refit on sync. Intersection is
 Moller-Trumbore with a small barycentric tolerance. The BVH has one layout,
 a complete binary heap with padded leaf boxes, and one level-synchronous
 traversal that serves nearest-hit and any-hit; both return exactly the hits
@@ -293,7 +293,10 @@ class Bvh:
     the faces of leaf node 2^D - 1 + j, padded with -1. The build is the
     longest-axis median split, one level per step over all segments: a
     segment's box picks the axis and a stable sort of its face centres
-    along it gives the halves (the smaller one first).
+    along it gives the halves (the smaller one first). `refit` keeps that
+    split and recomputes the boxes around the faces' current vertices, as
+    the build computes them; a scene refits its BVHs while their meshes
+    stay the same (`Scene.rebuild_bvh`).
 
     Padding: leaf boxes grow by _BOX_PAD = 1e-6 times the leaf's longest
     edge on every side, and inner boxes are the bottom-up min/max of their
@@ -329,6 +332,20 @@ class Bvh:
 
     def __init__(self, meshes):
         self.meshes = list(meshes)
+        self._read()
+        self._split()
+        self._bound()
+
+    def refit(self):
+        """Re-read the meshes' triangles, normals and emission and refit
+        the boxes to them, keeping the tree: `leaf_faces` stays as it is.
+        The meshes must be the ones the tree was built on, with the same
+        number of faces."""
+        self._read()
+        self._bound()
+
+    def _read(self):
+        """Triangles, face planes and shading attributes from the meshes."""
         tris, mesh_ids = [], []
         for mi, mesh in enumerate(self.meshes):
             tv = mesh.triangle_vertices()
@@ -355,13 +372,15 @@ class Bvh:
         else:
             self.face_normal = np.zeros((0, 3))
             self.face_emission = np.zeros((0, 3))
-        self._build()
-
-    def _build(self):
-        nf = len(self.tri)
         # Per-face boxes; the shadow cull in render.py reads them too.
-        self.face_lo = lo_f = self.tri.min(axis=1)
-        self.face_hi = hi_f = self.tri.max(axis=1)
+        self.face_lo = self.tri.min(axis=1)
+        self.face_hi = self.tri.max(axis=1)
+
+    def _split(self):
+        """The tree: the median split of the faces, as `leaf_faces`, and
+        the faces in tree order with each leaf's start in it."""
+        nf = len(self.tri)
+        lo_f, hi_f = self.face_lo, self.face_hi
         center = 0.5 * (lo_f + hi_f)
         depth = 0
         while nf > self.LEAF_SIZE << depth:
@@ -382,6 +401,13 @@ class Bvh:
         seg = np.repeat(np.arange(len(start)), size)
         self.leaf_faces = np.full((len(start), self.LEAF_SIZE), -1, dtype=np.int64)
         self.leaf_faces[seg, np.arange(nf) - start[seg]] = order
+        self._order, self._start = order, start
+
+    def _bound(self):
+        """Padded leaf boxes from the faces of each leaf, inner boxes from
+        their children."""
+        order, start = self._order, self._start
+        lo_f, hi_f = self.face_lo, self.face_hi
         e1, e2 = self.planes[3:6].T, self.planes[6:9].T
         edge = np.linalg.norm(np.stack([e1, e2, e2 - e1]), axis=2).max(axis=0)
         pad = _BOX_PAD * np.maximum.reduceat(edge[order], start)[:, None]

@@ -697,3 +697,107 @@ def test_help_exits_0(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: hybridrt")
+
+
+
+# The CLI contract over the scene JSON: a NaN, a value of another JSON kind
+# or a missing key anywhere in a scene's camera, render, emitters, sim or a
+# mesh's bsdf, or anywhere in a pose file, at 4x4 and one sample per pixel.
+# (directory, file, section path): the sections, in copied presets.
+SCENE_JSON_SECTIONS = [
+    ("two_room", "two_room.json", ("camera",)),
+    ("two_room", "two_room.json", ("render",)),
+    ("two_room", "two_room.json", ("emitters",)),
+    ("two_room", "two_room.json", ("meshes", 0, "bsdf")),
+    ("two_room", "two_room.json", ("meshes", 1, "bsdf")),
+    ("drop", "drop.json", ("sim",)),
+    ("room", "poses.json", ()),
+]
+OTHER_KIND = {bool: "x", int: "x", float: "x", str: 1.5, list: {"x": 1.0}, dict: [1.0]}
+
+
+def json_paths(x, path=()):
+    """Every path into a JSON value, its own first."""
+    yield path
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for k, v in items:
+        yield from json_paths(v, path + (k,))
+
+
+def json_at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def scene_json_inputs(tmp_path_factory, two_room_dir, estimation_dir):
+    d = tmp_path_factory.mktemp("scene_json")
+    shutil.copytree(two_room_dir, d / "two_room")
+    shutil.copytree(estimation_dir, d / "room")
+    assets.gen_drop(str(d / "drop"))
+    return d
+
+
+def run_edited(d, name, doc, out, capfd):
+    """(exit code, stderr lines, warnings) of a 4x4, one-sample run on doc,
+    written beside the preset it edits: a render of two-room, one frame of
+    drop, or an estimation with doc as the pose file."""
+    edited = d / name / "edited.json"
+    edited.write_text(json.dumps(doc))
+    small = ["--width", "4", "--height", "4", "--spp", "1"]
+    argv = {"two_room": ["render", "--scene", str(edited)] + small,
+            "drop": ["simulate", "--scene", str(edited), "--frames", "1"] + small,
+            "room": ["estimate-emitters", "--scene", str(d / name / "room.json"),
+                     "--poses", str(edited), "--gt-dir", str(d / name), "--epochs", "1",
+                     "--max-depth", "1"]}[name]
+    capfd.readouterr()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv + ["--out", str(out)])
+    finally:
+        shutil.rmtree(out) if out.is_dir() else out.unlink(missing_ok=True)
+    return code, capfd.readouterr().err.splitlines(), [str(w.message) for w in caught]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_scene_json_values_exit_0_or_2_with_one_error_line(scene_json_inputs, tmp_path,
+                                                            capfd, data):
+    # A NaN or a value of the wrong kind exits 2; a missing key exits 2,
+    # or 0 where it has a default. Either way without a warning.
+    d = scene_json_inputs
+    name, file, section = data.draw(st.sampled_from(SCENE_JSON_SECTIONS), label="section")
+    doc = json.loads((d / name / file).read_text())
+    paths = [section + p for p in json_paths(json_at(doc, section))]
+    path = data.draw(st.sampled_from(paths), label="path")
+    edit = data.draw(st.sampled_from(["nan", "other kind"] + ["missing"] * bool(path)),
+                     label="edit")
+    if not path:
+        doc = float("nan") if edit == "nan" else OTHER_KIND[type(doc)]
+    else:
+        parent = json_at(doc, path[:-1])
+        if edit == "missing":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = (float("nan") if edit == "nan"
+                                else OTHER_KIND[type(parent[path[-1]])])
+    cmd = {"two_room": "render", "drop": "simulate", "room": "estimate-emitters"}[name]
+    code, err, caught = run_edited(d, name, doc, tmp_path / "out", capfd)
+    assert code in ((0, 2) if edit == "missing" else (2,)), err
+    if code:
+        assert len(err) == 1 and err[0].startswith(f"error: {cmd}: "), err
+    assert not caught, caught
+
+
+def test_march_step_beyond_int64_substeps_exits_2(scene_json_inputs, tmp_path, capfd):
+    # A march step of 1e-300 once rendered two-room with one substep per
+    # segment, after a RuntimeWarning, and exited 0.
+    d = scene_json_inputs
+    doc = json.loads((d / "two_room" / "two_room.json").read_text())
+    doc["render"]["march_step"] = 1e-300
+    code, err, caught = run_edited(d, "two_room", doc, tmp_path / "out", capfd)
+    assert code == 2 and len(err) == 1, err
+    assert err[0].startswith("error: render: march step 1e-300 gives ") and not caught

@@ -219,3 +219,48 @@ def test_slab_interval_matches_explicit_zero_handling(rng):
     hit = r0 <= r1
     assert np.array_equal(t0 <= t1, hit)
     assert np.array_equal(t0[hit], r0[hit]) and np.array_equal(t1[hit], r1[hit])
+
+
+def slab_by_reduction(lo, hi, o, inv_d, t_min, t_max):
+    """slab_interval as it was written with max and min reductions over
+    the last axis: the reference for the chained elementwise form."""
+    with np.errstate(invalid="ignore"):
+        ta = (lo - o) * inv_d
+        tb = (hi - o) * inv_d
+    near = np.minimum(ta, tb)
+    far = np.maximum(ta, tb)
+    near = np.where(np.isnan(near), -np.inf, near)
+    far = np.where(np.isnan(far), np.inf, far)
+    t0 = np.maximum(near.max(axis=-1), t_min)
+    t1 = np.minimum(far.min(axis=-1), t_max)
+    stuck = np.isinf(t0) & (t0 == t1)
+    return np.where(stuck, np.inf, t0), np.where(stuck, -np.inf, t1)
+
+
+slab_bounds = st.sampled_from([-np.inf, np.inf, 0.0, -0.0, 1e-4, 1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.sampled_from([1, 7, 1024, 2944]),
+       t_min=slab_bounds, t_max=slab_bounds)
+def test_slab_interval_equals_the_reduction_form_bitwise(seed, rows, t_min, t_max):
+    # Zero and -0 direction components, origins on slab planes and t_min,
+    # t_max of +-inf, +-0, 1e-4 and 1: both bounds bitwise equal, signed
+    # zeros included, per ray and against one box shared by all.
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-2.0, 0.0, (rows, 3))
+    hi = lo + rng.uniform(0.0, 2.0, (rows, 3))
+    o = rng.uniform(-3.0, 3.0, (rows, 3))
+    pick = rng.random((rows, 3))
+    o = np.where(pick < 0.2, lo, np.where(pick < 0.4, hi, o))
+    o[rng.random((rows, 3)) < 0.1] = -0.0
+    d = rng.normal(size=(rows, 3))
+    d[rng.random((rows, 3)) < 0.3] = 0.0
+    d[rng.random((rows, 3)) < 0.15] = -0.0
+    with np.errstate(divide="ignore"):
+        inv_d = 1.0 / d
+    for box in ((lo, hi), (lo[0], hi[0])):
+        got = slab_interval(*box, o, inv_d, t_min, t_max)
+        want = slab_by_reduction(*box, o, inv_d, t_min, t_max)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()

@@ -294,6 +294,17 @@ def test_march_vacuum_keeps_state():
     assert np.array_equal(L, L0)
 
 
+@pytest.mark.parametrize("dt", [1e-300, 5e-324, 2.0 / 2**63])
+def test_march_substep_count_beyond_int64_raises(dt):
+    # Cast to int64, such a count once wrapped to INT64_MIN, and the march
+    # took one substep per segment instead, with a warning.
+    L, T_spec = np.zeros((1, 3)), np.ones((1, 3))
+    with pytest.raises(ValueError, match="more than int64 holds"):
+        march_arrays(unit_grid(sigma=1.0), Z_O, Z_D, np.array([0.0]), np.array([2.0]), dt,
+                     L, T_spec)
+    assert not L.any() and (T_spec == 1.0).all()
+
+
 def test_march_homogeneous_slab_closed_form():
     g = RadianceGrid.constant((0, 0, 0), (1, 1, 1), 1.0, (1, 1, 1))
     L, T_spec = np.zeros((1, 3)), np.ones((1, 3))

@@ -361,6 +361,34 @@ def test_blocker_bvh_leaves_out_emissive_meshes(tmp_path):
         scene.rebuild_bvh()
 
 
+def test_rebuild_bvh_refits_the_same_meshes_and_builds_for_others(estimation_dir):
+    # As the estimation-room preset does, emission turns on before
+    # rebuild_bvh: the scene BVH, over the same mesh, is refit and reads
+    # it, while the shadow blockers, now none, get a tree of their own.
+    # A mesh with fewer faces, or one more mesh, builds anew.
+    scene = load_scene(estimation_dir / "room.json")
+    bvh = scene.bvh
+    mesh = scene.meshes[0]
+    assert scene.blocker_bvh is bvh
+    mesh.emission = np.full((len(mesh.indices), 3), 0.5)
+    scene.rebuild_bvh()
+    assert scene.bvh is bvh and bvh.face_emission.tobytes() == mesh.emission.tobytes()
+    blockers = scene.blocker_bvh
+    assert blockers is not bvh and blockers.n_faces == 0
+    scene.rebuild_bvh()
+    assert scene.bvh is bvh and scene.blocker_bvh is blockers
+    mesh.emission = None
+    scene.rebuild_bvh()
+    assert scene.bvh is bvh and scene.blocker_bvh is bvh and not bvh.face_emission.any()
+    mesh.indices = mesh.indices[:-1]
+    scene.rebuild_bvh()
+    assert scene.bvh is not bvh and scene.bvh.n_faces == len(mesh.indices)
+    bvh = scene.bvh
+    scene.meshes.append(load_scene(estimation_dir / "room.json").meshes[0])
+    scene.rebuild_bvh()
+    assert scene.bvh is not bvh and scene.bvh.meshes == scene.meshes
+
+
 # -- fuzzing the readers ------------------------------------------------------
 
 json_values = st.recursive(

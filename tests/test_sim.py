@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridrt import assets, cli, sim
-from hybridrt.core import Transform
+from hybridrt.core import Transform, quat_to_matrix
 from hybridrt.field import (RadianceGrid, SdfGrid, grid_points, occupancy, save_rfgrid,
                             save_sdfgrid, sdf_from_density)
 from hybridrt.images import read_pfm
 from hybridrt.scene import FieldDynamicConfig, RigidConfig, TransformConfig, load_scene
-from hybridrt.surface import load_obj, save_obj
+from hybridrt.surface import Bvh, load_obj, save_obj
 
 
 # Per-frame simulation state digests (state_digest below); a change to the
@@ -161,15 +162,132 @@ def test_drop_states_pinned(tmp_path):
     assert state_digest(tmp_path / "drop.json", 60) == DROP_STATES
 
 
+def cloth_contact_digest(d):
+    path = write_blob_scene(
+        d, ((-0.5, -0.5, 0.2), (1, 0, 0), (0, 1, 0)),
+        {"gravity": [0, 0, -9.81], "friction": 0.3, "restitution": 0.3},
+        pinned=[0], ball=True, plane=True)
+    return state_digest(path, 40, lambda world: throw_sheet(world, (0.0, 0.0, -2.0)))
+
+
 def test_cloth_contact_states_pinned(tmp_path):
     # Covers every contact pairing: particle-static, particle-body,
     # body-body (ball on blob) and body-static (both bodies on the plane).
-    path = write_blob_scene(
-        tmp_path, ((-0.5, -0.5, 0.2), (1, 0, 0), (0, 1, 0)),
-        {"gravity": [0, 0, -9.81], "friction": 0.3, "restitution": 0.3},
-        pinned=[0], ball=True, plane=True)
-    digest = state_digest(path, 40, lambda world: throw_sheet(world, (0.0, 0.0, -2.0)))
-    assert digest == CLOTH_STATES
+    assert cloth_contact_digest(tmp_path) == CLOTH_STATES
+
+
+@pytest.fixture
+def position_solves(monkeypatch):
+    """Per substep, what each of its position-solve iterations returned."""
+    calls = []
+    detect, solve = sim.detect_contacts, sim._solve_contacts_position
+
+    def detect_spy(world):
+        calls.append([])
+        return detect(world)
+
+    def solve_spy(contacts):
+        calls[-1].append(solve(contacts))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(sim, "detect_contacts", detect_spy)
+    monkeypatch.setattr(sim, "_solve_contacts_position", solve_spy)
+    return calls
+
+
+def test_drop_skips_the_iterations_after_a_no_op_one(tmp_path, position_solves):
+    # Drop has no distance constraints: a substep's iterations stop at the
+    # first that shifts nothing, and the states stay the pinned ones.
+    assets.gen_drop(str(tmp_path))
+    assert state_digest(tmp_path / "drop.json", 60) == DROP_STATES
+    cfg = load_scene(tmp_path / "drop.json").config.sim
+    assert len(position_solves) == 60 * cfg.substeps
+    for solves in position_solves:
+        assert (solves == [True] * len(solves) if len(solves) == cfg.iterations
+                else solves == [True] * (len(solves) - 1) + [False])
+    assert sum(solves[0] and len(solves) < cfg.iterations for solves in position_solves) > 10
+
+
+def test_cloth_runs_every_iteration(tmp_path, position_solves):
+    # A cloth's distance constraints move particles in every iteration, so
+    # none is skipped, and the states stay the pinned ones.
+    assert cloth_contact_digest(tmp_path) == CLOTH_STATES
+    assert len(position_solves) == 40 * 4
+    assert all(len(solves) == 8 for solves in position_solves)
+    assert any(not all(solves) for solves in position_solves)
+
+
+def fresh_pose(body):
+    """world_from_body and inv_inertia_world built anew from q and com."""
+    r = quat_to_matrix(body.q)
+    return Transform.from_quaternion(body.q, origin=body.com), r @ body.inv_inertia @ r.T
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       edits=st.lists(st.sampled_from(["integrate", "shift", "push", "velocity_update",
+                                       "q_in_place", "com_in_place"]), max_size=12))
+def test_cached_pose_is_bitwise_a_fresh_build(seed, edits):
+    # After every kind of move, with the cache read before each, the
+    # cached pose and world inverse inertia are those built anew.
+    rng = np.random.default_rng(seed)
+    world = sim.World()
+    verts, _ = assets.uv_sphere(0.3, rings=4, segments=6)
+    body = sim.RigidBody(com=rng.uniform(-1, 1, 3), mass=rng.uniform(0.5, 2.0),
+                         collision_vertices=verts * rng.uniform(0.5, 1.5, 3))
+    body.ang_vel = rng.normal(size=3)
+    world.bodies = [body]
+    h = 1e-3
+    for edit in edits:
+        body.world_from_body(), body.inv_inertia_world()
+        p = body.com + rng.normal(scale=0.3, size=3)
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        if edit == "integrate":
+            sim._integrate(world, h)
+        elif edit == "shift":
+            body.shift(rng.uniform(-0.01, 0.01), n, p)
+        elif edit == "push":
+            body.push(rng.normal(scale=0.1, size=3), p)
+        elif edit == "velocity_update":
+            sim._velocity_update(world, h)
+        elif edit == "q_in_place":
+            body.q[:] = rng.normal(size=4)
+            body.q /= np.linalg.norm(body.q)
+        else:
+            body.com[rng.integers(3)] += rng.normal()
+        t, inv_i = fresh_pose(body)
+        cached = body.world_from_body()
+        assert cached.m.tobytes() == t.m.tobytes()
+        assert cached.m_inv.tobytes() == t.m_inv.tobytes()
+        assert body.inv_inertia_world().tobytes() == inv_i.tobytes()
+
+
+def test_field_hit_pays_only_for_what_moved(field_hit_dir, monkeypatch):
+    # Loading field-hit and running its 40 frames takes at most 22 SDF
+    # lookups, 132 pose builds and one median split; each runs in every
+    # substep or frame (169, 419 and 41) without the contact cull, the
+    # pose cache and the BVH refit.
+    counts = collections.Counter()
+
+    def count(owner, name, wrap=lambda f: f):
+        f = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrap(counted))
+
+    count(SdfGrid, "_phi_local")
+    count(Transform, "from_quaternion", staticmethod)
+    count(Bvh, "_split")
+    scene = load_scene(field_hit_dir / "field_hit.json")
+    world, binding = sim.build_world(scene)
+    for _ in sim.run(world, scene, binding, 40):
+        pass
+    assert counts["_phi_local"] <= 22
+    assert counts["from_quaternion"] <= 132
+    assert counts["_split"] <= 1
 
 
 @pytest.mark.parametrize("friction", [0.0, 0.3])
@@ -488,6 +606,41 @@ def one_inside_each(pts, owners):
     return keep
 
 
+def negative_box(sdf):
+    """The box of the nodes with phi < 0, grown by one cell on every side
+    and clipped to the grid's box."""
+    nodes = grid_points(sdf.bbox_lo, sdf.bbox_hi, sdf.res)[sdf.phi.ravel(order="F") < 0.0]
+    h = sdf.cell_size()
+    return (np.maximum(nodes.min(axis=0) - h, sdf.bbox_lo),
+            np.minimum(nodes.max(axis=0) + h, sdf.bbox_hi))
+
+
+def probe_near_negative_box(owner, rng):
+    """(probe, owner, misses): a rigid probe without an SDF whose bounding
+    sphere lies off one face of owner's negative_box, missing it by up to
+    one cell when misses and overlapping it by as much otherwise, with
+    collision vertices on the sphere, one of them nearest the box."""
+    sdf = owner.sdf
+    lo, hi = negative_box(sdf)
+    ax, side = rng.integers(3), rng.integers(2)
+    misses = bool(rng.integers(2))
+    gap = rng.uniform(0.01, 1.0) * sdf.cell_size()[ax] * (1 if misses else -1)
+    r = rng.uniform(0.05, 0.3)
+    c = rng.uniform(lo, hi)
+    out = np.zeros(3)
+    out[ax] = 1.0 if side else -1.0
+    c[ax] = (hi if side else lo)[ax] + out[ax] * (gap + r)
+    to_world = [sdf.world_from_grid]
+    if isinstance(owner, sim.RigidBody):
+        to_world.append(owner.world_from_body())
+    dirs = np.concatenate([-out[None], rng.normal(size=(5, 3))])
+    for t in to_world:
+        c, dirs = t.point(c), t.direction(dirs)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    probe = sim.RigidBody(com=c, mass=1.0, collision_vertices=r * dirs, name="probe")
+    return probe, owner, misses
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), spin=st.booleans(), lone=st.booleans())
 def test_gated_detect_contacts_equals_ungated(seed, spin, lone):
@@ -497,7 +650,9 @@ def test_gated_detect_contacts_equals_ungated(seed, spin, lone):
     # contacts, in the same order, with the same normal bits; when lone,
     # with at most one point of each source inside each owner. The
     # position solve's one-row query of a contact's point, at the pose
-    # detection saw, reads the phi and normal that detection read.
+    # detection saw, reads the phi and normal that detection read. A probe
+    # body's bounding sphere misses one owner's negative_box by less than
+    # one cell, which culls the pair, or overlaps it by as much.
     rng = np.random.default_rng(seed)
     world = sim.World()
     blob, _ = sim.make_field_body(small_blob(), 2.0)
@@ -529,6 +684,8 @@ def test_gated_detect_contacts_equals_ungated(seed, spin, lone):
     pts = np.array(pts)
     pts = np.concatenate([pts, rng.uniform(-1.0, 1.0, (20, 3))])
     owners = [sim.StaticCollider(plane), ball, blob]
+    probe, _, _ = probe_near_negative_box(owners[rng.integers(3)], rng)
+    world.bodies.append(probe)
     if lone:
         pts = pts[one_inside_each(pts, owners)]
     world.add_cloth(pts, np.where(rng.random(len(pts)) < 0.2, 0.0, 1.0), [], [], [])
@@ -536,7 +693,7 @@ def test_gated_detect_contacts_equals_ungated(seed, spin, lone):
     extra = ball.world_from_body().point(pts[rng.random(len(pts)) < 0.5], inverse=True)
     ball.verts = np.concatenate([ball.verts, extra])
     if lone:
-        for body in (ball, blob):
+        for body in (ball, blob, probe):
             body.verts = body.verts[one_inside_each(body.world_verts(),
                                                     [o for o in owners if o is not body])]
 
@@ -556,3 +713,27 @@ def test_gated_detect_contacts_equals_ungated(seed, spin, lone):
         phi, n, valid = c.owner.query(p[None])
         assert valid[0] and phi.tobytes() == c.owner.phi(src_pts)[k:k + 1].tobytes()
         assert n[0].tobytes() == c.normal.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), spin=st.booleans())
+def test_cull_drops_a_sphere_off_the_negative_box_and_keeps_one_on_it(seed, spin):
+    # The probe of the test above, off a static plane, a rigid ball or the
+    # field body, each rotated when spin: culled exactly when it misses.
+    rng = np.random.default_rng(seed)
+    blob, _ = sim.make_field_body(small_blob(), 2.0)
+    ball = sim.RigidBody(com=rng.uniform(-0.6, 0.6, 3), mass=1.0, collision_vertices=[[0, 0, 0]],
+                         sdf=assets.sphere_sdf(0.3, pad=0.1, res=(9, 9, 9)))
+    frame = Transform.translate(rng.uniform(-0.5, 0.5, 3))
+    if spin:
+        for b in (ball, blob):
+            q = rng.normal(size=4)
+            b.q = q / np.linalg.norm(q)
+        frame = frame.compose(Transform.rotate(rng.normal(size=3), rng.uniform(-0.3, 0.3)))
+    plane = assets.plane_sdf(z=0.0, half_extent=1.5, depth=0.5, res=(5, 5, 5))
+    plane = SdfGrid(plane.bbox_lo, plane.bbox_hi, plane.phi, world_from_grid=frame)
+    probe, owner, misses = probe_near_negative_box(
+        [sim.StaticCollider(plane), ball, blob][rng.integers(3)], rng)
+    np.testing.assert_allclose(owner.sdf.negative_box, negative_box(owner.sdf),
+                               rtol=0, atol=1e-12)
+    assert owner.reaches(probe.com, probe.radius) != misses

@@ -263,6 +263,43 @@ def test_nearest_hit_equals_brute_force(seed, layout, size, chunk):
 
 
 @settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), motion=st.sampled_from(["rigid", "cloth"]),
+       size=st.integers(1, 60))
+def test_refit_bvh_equals_brute_force_and_a_new_build(seed, motion, size):
+    # A triangle soup moved rigidly, or a bumpy grid whose vertices each
+    # move on their own as a cloth's do, three times over: the refit tree
+    # keeps its leaves, reads what a new build reads, and its nearest hits
+    # and any-hits are bitwise those of brute force and of a new build.
+    rng = np.random.default_rng(seed)
+    mesh = (soup_mesh(rng, n_tris=size, spread=2.0) if motion == "rigid"
+            else grid_mesh(rng, 1 + size // 6, True))
+    bvh = Bvh([mesh])
+    leaves = bvh.leaf_faces.copy()
+    for _ in range(3):
+        if motion == "rigid":
+            pose = Transform.translate(rng.uniform(-1.0, 1.0, 3)).compose(
+                Transform.rotate(rng.normal(size=3), rng.uniform(0.0, 6.0)))
+            mesh.vertices = pose.point(mesh.vertices)
+        else:
+            mesh.vertices = mesh.vertices + rng.normal(scale=0.15, size=mesh.vertices.shape)
+        mesh.recompute_normals()
+        bvh.refit()
+        new = Bvh([mesh])
+        assert np.array_equal(bvh.leaf_faces, leaves)
+        for name in ("tri", "planes", "face_normal", "face_emission", "face_lo", "face_hi"):
+            assert getattr(bvh, name).tobytes() == getattr(new, name).tobytes()
+        rays = [np.concatenate(parts) for parts in zip(shared_edge_rays(rng, mesh, 100),
+                                                       any_hit_rays(rng, bvh, 100))]
+        t_ref, f_ref = bvh.brute_force_batch(*rays)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Bvh, "BRUTE_FORCE_FACES", 0)
+            for tree in (bvh, new):
+                t, face = tree.intersect_batch(*rays)
+                assert t.tobytes() == t_ref.tobytes() and np.array_equal(face, f_ref)
+                assert np.array_equal(tree.any_hit_batch(*rays), f_ref >= 0)
+
+
+@settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["soup", "grid", "bumpy"]),
        size=st.integers(1, 45), chunk=st.sampled_from([1, 7, 1 << 15]))
 def test_brute_force_sweep_is_independent_of_its_chunks(seed, layout, size, chunk):
