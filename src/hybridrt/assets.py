@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .field import RadianceGrid, SdfGrid, grid_points, save_rfgrid, save_sdfgrid, sdf_from_function
+from .field import RadianceGrid, grid_points, save_rfgrid
 from .surface import save_obj
 
 
@@ -163,24 +163,6 @@ def gaussian_blob_field(lo, hi, center, width, peak_sigma, radiance, res=(32, 32
                         rad_flat.reshape((*res, 3), order="F"))
 
 
-def sphere_sdf(radius: float = 1.0, center=(0.0, 0.0, 0.0), pad: float = 0.5,
-               res=(65, 65, 65)) -> SdfGrid:
-    # Odd node counts put a lattice node exactly on the center cusp, where
-    # trilinear interpolation of |p| - r is otherwise at its worst.
-    c = np.asarray(center, dtype=np.float64)
-    lo = c - radius - pad
-    hi = c + radius + pad
-    return sdf_from_function(lambda p: np.linalg.norm(p - c, axis=1) - radius, lo, hi, res)
-
-
-def plane_sdf(z: float = 0.0, half_extent: float = 4.0, depth: float = 2.0,
-              res=(9, 9, 9)) -> SdfGrid:
-    """phi = p.z - z; linear, so the grid reproduces it exactly."""
-    lo = (-half_extent, -half_extent, z - depth)
-    hi = (half_extent, half_extent, z + depth)
-    return sdf_from_function(lambda p: p[:, 2] - z, lo, hi, res)
-
-
 # -- preset scene builders ----------------------------------------------------
 
 
@@ -216,12 +198,12 @@ def gen_smoke_slab(out_dir: str) -> list:
 
 
 def gen_sphere(out_dir: str, res: int = 64) -> list:
-    """Unit icosphere mesh plus its analytic SDF grid."""
+    """The unit icosphere mesh (320 faces), the input of SDF bakes. res is
+    accepted and ignored, for callers that still pass it."""
     os.makedirs(out_dir, exist_ok=True)
     v, f = icosphere(1.0, 2)
     save_obj(os.path.join(out_dir, "sphere.obj"), v, f)
-    save_sdfgrid(os.path.join(out_dir, "sphere.sdfgrid"), sphere_sdf(res=(res, res, res)))
-    return [os.path.join(out_dir, "sphere.obj"), os.path.join(out_dir, "sphere.sdfgrid")]
+    return [os.path.join(out_dir, "sphere.obj")]
 
 
 FURNACE_R_ENV = 0.8
@@ -384,13 +366,13 @@ HDR_BRACKET_TIMES = [0.02, 0.08, 0.32, 1.28, 5.12]
 
 
 def gen_drop(out_dir: str) -> list:
-    """Rigid ball dropped on a plane collider; exercises simulate+render."""
+    """Rigid ball dropped on a floor slab whose top is at z = 0; the slab
+    is a collider, rendered and collided as one mesh. Exercises
+    simulate+render."""
     os.makedirs(out_dir, exist_ok=True)
     sv, sf = uv_sphere(0.5, rings=8, segments=12, center=(0, 0, 0))
     save_obj(os.path.join(out_dir, "ball.obj"), sv, sf)
-    save_sdfgrid(os.path.join(out_dir, "plane.sdfgrid"), plane_sdf())
-    floor_v, floor_f = quad((-3, -3, -0.001), (6, 0, 0), (0, 6, 0))
-    save_obj(os.path.join(out_dir, "floor.obj"), floor_v, floor_f)
+    save_obj(os.path.join(out_dir, "floor.obj"), *box((-3, -3, -3), (3, 3, 0)))
     grid = RadianceGrid.constant((-3, -3, 0), (3, 3, 4), 0.02, (0.9, 0.9, 1.0))
     save_rfgrid(os.path.join(out_dir, "glow.rfgrid"), grid)
     scene = {
@@ -401,9 +383,9 @@ def gen_drop(out_dir: str) -> list:
              "transform": {"translate": [0.0, 0.0, 2.0]},
              "dynamic": {"type": "rigid", "mass": 1.0}},
             {"path": "floor.obj",
-             "bsdf": {"type": "lambertian", "albedo": [0.6, 0.6, 0.6]}},
+             "bsdf": {"type": "lambertian", "albedo": [0.6, 0.6, 0.6]},
+             "dynamic": {"type": "collider"}},
         ],
-        "colliders": [{"sdf": "plane.sdfgrid"}],
         "camera": {"position": [0.0, -4.0, 1.5], "look_at": [0.0, 0.0, 0.8],
                    "up": [0.0, 0.0, 1.0], "fov_deg": 45.0, "resolution": [64, 64]},
         "render": {"spp": 4, "n_bounces": 4, "march_step": 0.1, "seed": 4},

@@ -18,11 +18,11 @@ interpolates from in memory: node-major, one row of channels per node
 index ix*ny*nz + iy*nz + iz. A C-ordered grid reshapes into it without a
 copy, and a cell's 8 corners are 8 rows at fixed offsets.
 
-Grid files (.rfgrid, .sdfgrid) hold a header of nx, ny, nz as
+Radiance grid files (.rfgrid) hold a header of nx, ny, nz as
 little-endian int32 and bbox min xyz and max xyz as little-endian float32,
-then one block of little-endian float32 samples per grid, nodes in that
-x-fastest order with a sample's channels adjacent: .rfgrid has a sigma
-block (1 float per sample) and an RGB block (3), .sdfgrid a phi block (1).
+then a sigma block (1 float per sample) and an RGB block (3) of
+little-endian float32 samples, nodes in that x-fastest order with a
+sample's channels adjacent.
 """
 
 from __future__ import annotations
@@ -370,12 +370,6 @@ def grid_points(bbox_lo, bbox_hi, res):
     return _axes_nodes(_grid_axes(lo, hi, _as_res(res)))
 
 
-def sdf_from_function(fn, bbox_lo, bbox_hi, res) -> SdfGrid:
-    pts = grid_points(bbox_lo, bbox_hi, res)
-    phi = np.asarray(fn(pts), dtype=np.float64).reshape(_as_res(res), order="F")
-    return SdfGrid(bbox_lo, bbox_hi, phi)
-
-
 # ---------------------------------------------------------------------------
 # Baking
 
@@ -389,6 +383,19 @@ def mesh_edges(indices: np.ndarray) -> tuple:
     edges, inverse, counts = np.unique(np.sort(edges, axis=1), axis=0,
                                        return_inverse=True, return_counts=True)
     return edges, counts, inverse.reshape(-1, 3)
+
+
+def oriented_edge_ids(indices: np.ndarray):
+    """The edge id of each face's sides (mesh_edges' inverse) if the
+    triangle list is closed and consistently oriented, else None. It is
+    when every edge has two faces, which traverse it in opposite
+    directions."""
+    tri = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
+    _, counts, inverse = mesh_edges(tri)
+    turns = np.sign(np.roll(tri, -1, axis=1) - tri)
+    if np.all(counts == 2) and not np.any(np.bincount(inverse.ravel(), turns.ravel())):
+        return inverse
+    return None
 
 
 def _point_triangle_dist_sq(p: np.ndarray, a, b, c) -> tuple:
@@ -599,8 +606,9 @@ def bake_sdf_from_mesh(vertices: np.ndarray, indices: np.ndarray, bbox_lo, bbox_
     bit (see _unsigned_distance). The sign comes from the face, edge or
     vertex that holds the minimum, by its angle-weighted pseudonormal (see
     _pseudonormals), for either winding. Input that is open, or whose faces
-    disagree on orientation, warns and bakes all-positive. jitter_seed is
-    accepted and ignored, for callers that still pass it.
+    disagree on orientation (see oriented_edge_ids), warns and bakes
+    all-positive. jitter_seed is accepted and ignored, for callers that
+    still pass it.
     """
     vertices = np.asarray(vertices, dtype=np.float64)
     indices = np.asarray(indices, dtype=np.int64)
@@ -619,11 +627,8 @@ def bake_sdf_from_mesh(vertices: np.ndarray, indices: np.ndarray, bbox_lo, bbox_
     lo, hi = _check_bbox(bbox_lo, bbox_hi)
     res = _as_res(res)
 
-    # Closed and consistently oriented: every edge has two faces, which
-    # traverse it in opposite directions.
-    _, counts, inverse = mesh_edges(indices)
-    turns = np.sign(np.roll(indices, -1, axis=1) - indices)
-    if np.all(counts == 2) and not np.any(np.bincount(inverse.ravel(), turns.ravel())):
+    inverse = oriented_edge_ids(indices)
+    if inverse is not None:
         normals = _pseudonormals(vertices, indices, inverse)
     else:
         warnings.warn("mesh is not closed and consistently oriented; "
@@ -757,11 +762,3 @@ def save_rfgrid(path, grid: RadianceGrid) -> None:
 
 def load_rfgrid(path) -> RadianceGrid:
     return RadianceGrid(*_read_grid(path, (), (3,)))
-
-
-def save_sdfgrid(path, sdf: SdfGrid) -> None:
-    _write_grid(path, sdf.bbox_lo, sdf.bbox_hi, sdf.phi)
-
-
-def load_sdfgrid(path) -> SdfGrid:
-    return SdfGrid(*_read_grid(path, ()))

@@ -114,10 +114,15 @@ class EmitterSet:
         self.r_src = np.clip(np.asarray(r_src, dtype=np.float64).reshape(-1), 0.0, 1.0)
         if len(self.triangles) != len(self.r_src):
             raise ValueError("emitter triangle/intensity count mismatch")
-        cross = cross3(self.triangles[:, 1] - self.triangles[:, 0],
-                       self.triangles[:, 2] - self.triangles[:, 0])
-        self.areas = 0.5 * np.linalg.norm(cross, axis=1)
-        total = self.areas.sum()
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = cross3(self.triangles[:, 1] - self.triangles[:, 0],
+                           self.triangles[:, 2] - self.triangles[:, 0])
+            self.areas = 0.5 * np.linalg.norm(cross, axis=1)
+            total = self.areas.sum()
+        if not np.isfinite(total):
+            bad = np.flatnonzero(~np.isfinite(self.areas))
+            raise ValueError(f"emitters[{bad[0]}].triangle: area overflows" if len(bad)
+                             else "emitters: total triangle area overflows")
         if len(self.areas) and total <= 0:
             raise ValueError("emitter set has zero total area")
         self.cdf = np.cumsum(self.areas) / total if len(self.areas) else np.zeros(0)

@@ -11,9 +11,10 @@ rejects unknown keys, missing required keys, values of the wrong type and
 non-finite numbers, checks that referenced files exist next to the scene
 file, and reports each failure as a SceneError whose message starts with
 the offending key path. A field's or mesh's `dynamic` is an object or
-null; null, like an omitted key, makes it static. A scene's `emitters`
-may also be the path of a JSON file holding the list. serialize_scene
-writes text that parses back to an equal SceneConfig.
+null; null, like an omitted key, leaves it out of the simulation, and a
+mesh's {"type": "collider"} makes it a static obstacle. A scene's
+`emitters` may also be the path of a JSON file holding the list.
+serialize_scene writes text that parses back to an equal SceneConfig.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Literal, NewType, Optional, Union
 import numpy as np
 
 from .core import Transform, Vec3, cross3, unit
-from .field import RadianceGrid, load_rfgrid, load_sdfgrid
+from .field import RadianceGrid, load_rfgrid
 from .render import Camera, EmitterSet
 from .surface import Bsdf, Bvh, Lambertian, load_obj
 
@@ -110,6 +111,16 @@ class ClothConfig:
 
 
 @dataclass
+class ColliderConfig:
+    """A static obstacle: an infinite-mass body that collides through the
+    SDF baked from the mesh's own placed triangles. It is the solid its
+    surface encloses, whichever way the surface is wound, so the mesh
+    must be closed and consistently oriented."""
+
+    type: Literal["collider"] = "collider"
+
+
+@dataclass
 class FieldDynamicConfig(RigidConfig):
     """The field as one rigid body. It collides through the SDF of its
     density cut at sigma_threshold of the peak."""
@@ -134,7 +145,7 @@ class MeshConfig:
     bsdf: Bsdf = dc_field(default_factory=Lambertian)
     transform: Optional[TransformConfig] = None
     emission: Optional[Vec3] = None
-    dynamic: Union[RigidConfig, ClothConfig, None] = None  # by `type`
+    dynamic: Union[RigidConfig, ClothConfig, ColliderConfig, None] = None  # by `type`
 
     def __post_init__(self):
         _check(("emission", self.emission is None or min(self.emission) >= 0, "must be >= 0"))
@@ -216,12 +227,6 @@ class RenderConfig:
 
 
 @dataclass
-class ColliderConfig:
-    sdf: File
-    transform: Optional[TransformConfig] = None
-
-
-@dataclass
 class SimConfig:
     gravity: Vec3 = (0.0, 0.0, -9.81)
     dt: float = 1.0 / 60.0
@@ -250,7 +255,6 @@ class SceneConfig:
     emitters: list[EmitterConfig] = dc_field(default_factory=list)
     render: RenderConfig = dc_field(default_factory=RenderConfig)
     sim: SimConfig = dc_field(default_factory=SimConfig)
-    colliders: list[ColliderConfig] = dc_field(default_factory=list)
 
 
 # -- reading ----------------------------------------------------------------
@@ -400,7 +404,6 @@ class Scene:
     bvh: Bvh
     blocker_bvh: Bvh
     emitters: Optional[EmitterSet]
-    collider_sdfs: list
     spawn_eps: float
 
     def rebuild_bvh(self):
@@ -446,7 +449,12 @@ def scene_diagonal(field: Optional[RadianceGrid], meshes) -> float:
             hi = np.maximum(hi, m.vertices.max(axis=0))
     if np.any(hi < lo):
         return 1.0
-    return max(float(np.linalg.norm(hi - lo)), 1e-6)
+    with np.errstate(over="ignore"):
+        diag = float(np.linalg.norm(hi - lo))
+    if not math.isfinite(diag):
+        raise ValueError(f"scene diagonal overflows: the field and meshes span {lo.tolist()} "
+                         f"to {hi.tolist()}")
+    return max(diag, 1e-6)
 
 
 def build_scene(cfg: SceneConfig, base_dir: str = ".") -> Scene:
@@ -479,13 +487,6 @@ def build_scene(cfg: SceneConfig, base_dir: str = ".") -> Scene:
             [e.r_src for e in cfg.emitters],
         )
 
-    colliders = []
-    for col in cfg.colliders:
-        sdf = load_sdfgrid(full(col.sdf))
-        if col.transform is not None:
-            sdf.world_from_grid = col.transform.build()
-        colliders.append(sdf)
-
     bvh, blocker = _build_bvhs(meshes)
     diag = scene_diagonal(field, meshes)
     return Scene(
@@ -497,7 +498,6 @@ def build_scene(cfg: SceneConfig, base_dir: str = ".") -> Scene:
         bvh=bvh,
         blocker_bvh=blocker,
         emitters=emitters,
-        collider_sdfs=colliders,
         spawn_eps=1e-4 * diag,
     )
 

@@ -1,6 +1,7 @@
 """Extended position-based dynamics: cloth particles, rigid bodies, and
 SDF contacts, with rigid radiance-field objects coupled through their
-transform.
+transform. A static obstacle is a kinematic rigid body: infinite mass, no
+collision vertices, and an SDF baked from its mesh.
 
 Each substep integrates predictions, then runs Gauss-Seidel iterations of
 XPBD constraint projection (distance constraints sequentially in fixed
@@ -44,7 +45,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import Transform, cross3, quat_to_matrix
-from .field import SdfGrid, grid_points, mesh_edges, sdf_from_density
+from .field import (SdfGrid, bake_sdf_from_mesh, grid_points, mesh_edges, oriented_edge_ids,
+                    sdf_from_density)
 from .scene import SimConfig
 
 log = logging.getLogger(__name__)
@@ -106,7 +108,8 @@ class DistanceConstraint(NamedTuple):
 # contact point, its velocity at a point p, its generalized inverse mass
 # w = 1/m + (r x n)^T I^-1 (r x n) along n at p, and how a position
 # correction s * n or an impulse j at p moves it. A particle is a body
-# without inertia; a static collider has w = 0 and never moves.
+# without inertia; a static obstacle is a rigid body of infinite mass, so
+# its w is 0 and it never moves.
 
 
 class RigidBody:
@@ -179,9 +182,23 @@ class RigidBody:
 
     def reaches(self, center, radius: float) -> bool:
         """False only if the body SDF's phi is >= 0 in all of the world
-        ball (center, radius)."""
-        return _sdf_reaches(self.sdf, (self.world_from_body(), self.sdf.world_from_grid),
-                            center, radius)
+        ball (center, radius). The module docstring gives the slack."""
+        box = self.sdf.negative_box
+        if box is None:
+            return False
+        c = np.asarray(center, dtype=np.float64)
+        met = [c]
+        # World to body to grid frame, each one matrix-vector product: the
+        # slack covers its rounding, which may differ from
+        # Transform.point's by an ulp.
+        for t in (self.world_from_body(), self.sdf.world_from_grid):
+            c = t.m_inv[:3, :3] @ c + t.m_inv[:3, 3]
+            met += [t.m_inv[:3, 3], c]
+        gap = np.maximum(np.maximum(box[0] - c, c - box[1]), 0.0)
+        slack = 1e-9 * (1.0 + radius + float(np.abs(np.concatenate(met)).sum()))
+        # A NaN center does not cull: the lookups then see what they saw
+        # before the cull.
+        return not math.sqrt(float(gap @ gap)) > radius + slack
 
     def phi(self, p_world: np.ndarray) -> np.ndarray:
         """The body SDF's phi at world points, bitwise query's phi."""
@@ -229,7 +246,9 @@ def point_mass_inertia(verts_body: np.ndarray, mass: float) -> np.ndarray:
 
 def _safe_inv(m: np.ndarray) -> np.ndarray:
     """Inverse, or zeros for singular inertia (point masses cannot spin)."""
-    if abs(np.linalg.det(m)) < 1e-12:
+    with np.errstate(over="ignore"):  # a huge mass's det is inf, not singular
+        det = np.linalg.det(m)
+    if abs(det) < 1e-12:
         return np.zeros((3, 3))
     return np.linalg.inv(m)
 
@@ -256,34 +275,6 @@ class Particle:
 
     def push(self, j: np.ndarray, p: np.ndarray):
         self.ps.vel[self.k] += self.ps.inv_mass[self.k] * j
-
-
-class StaticCollider:
-    """A fixed world-frame SDF: infinite mass, at rest, never moved."""
-
-    def __init__(self, sdf: SdfGrid):
-        self.sdf = sdf
-
-    def phi(self, p_world: np.ndarray) -> np.ndarray:
-        return self.sdf.phi_batch(p_world)
-
-    def reaches(self, center, radius: float) -> bool:
-        return _sdf_reaches(self.sdf, (self.sdf.world_from_grid,), center, radius)
-
-    def query(self, p_world: np.ndarray):
-        return self.sdf.query_batch(p_world)
-
-    def velocity(self, p: np.ndarray) -> np.ndarray:
-        return np.zeros(3)
-
-    def w(self, p: np.ndarray, n: np.ndarray) -> float:
-        return 0.0
-
-    def shift(self, s: float, n: np.ndarray, p: np.ndarray):
-        pass
-
-    def push(self, j: np.ndarray, p: np.ndarray):
-        pass
 
 
 @dataclass
@@ -326,7 +317,6 @@ class World:
         self.particles = ParticleSystem(np.zeros((0, 3)), np.zeros(0))
         self.constraints: list[DistanceConstraint] = []
         self.bodies: list[RigidBody] = []
-        self.static_sdfs: list[SdfGrid] = []
 
     def add_cloth(self, positions, inv_mass, edges, rest, compliance,
                   velocities=None) -> ParticleSystem:
@@ -348,27 +338,6 @@ class World:
 # -- contacts ------------------------------------------------------------------
 
 
-def _sdf_reaches(sdf: SdfGrid, frames, center, radius: float) -> bool:
-    """False only if sdf's phi is >= 0 in all of the world ball (center,
-    radius); frames are the transforms a query takes from the world to
-    the grid frame, outermost first. The module docstring gives the slack."""
-    box = sdf.negative_box
-    if box is None:
-        return False
-    c = np.asarray(center, dtype=np.float64)
-    met = [c]
-    for t in frames:
-        # One matrix-vector product: the slack covers its rounding, which
-        # may differ from Transform.point's by an ulp.
-        c = t.m_inv[:3, :3] @ c + t.m_inv[:3, 3]
-        met += [t.m_inv[:3, 3], c]
-    gap = np.maximum(np.maximum(box[0] - c, c - box[1]), 0.0)
-    slack = 1e-9 * (1.0 + radius + float(np.abs(np.concatenate(met)).sum()))
-    # A NaN center does not cull: the lookups then see what they saw
-    # before the cull.
-    return not math.sqrt(float(gap @ gap)) > radius + slack
-
-
 def detect_contacts(world: World) -> list:
     """Every particle and rigid collision vertex against every SDF but its
     own, culled by bounding volumes as the module docstring describes."""
@@ -383,8 +352,7 @@ def detect_contacts(world: World) -> list:
                         lambda: ps.pos, lambda k: (Particle(ps, k), 0)))
     sources += [(b, b.com, b.radius, b.world_verts, lambda k, b=b: (b, k))
                 for b in world.bodies if len(b.verts)]
-    owners = [StaticCollider(s) for s in world.static_sdfs]
-    owners += [b for b in world.bodies if b.sdf is not None]
+    owners = [b for b in world.bodies if b.sdf is not None]
 
     contacts = []
     for body, center, radius, points, participant in sources:
@@ -536,7 +504,8 @@ def _stability_check(world: World):
     finite: the cap is in m/s and does not bound a spin, in rad/s."""
     ps, bodies = world.particles, world.bodies
     cap = world.config.velocity_cap
-    speeds = np.linalg.norm(np.vstack([ps.vel, *(b.lin_vel for b in bodies)]), axis=1)
+    with np.errstate(over="ignore"):  # an overflowing speed is inf, over the cap
+        speeds = np.linalg.norm(np.vstack([ps.vel, *(b.lin_vel for b in bodies)]), axis=1)
     # NaN compares false both ways, so it fails the cap.
     if np.all(speeds <= cap) and np.isfinite([b.ang_vel for b in bodies]).all():
         return
@@ -596,7 +565,6 @@ def build_world(scene) -> tuple:
     """World + binding from a loaded Scene's dynamic declarations."""
     world = World(scene.config.sim)
     binding = SimBinding()
-    world.static_sdfs = list(scene.collider_sdfs)
 
     offset = 0
     inv_mass, vel, compliance = [], [], []  # per particle of every cloth mesh
@@ -628,6 +596,8 @@ def build_world(scene) -> tuple:
                              lin_vel=dyn.velocity, name=mesh.name)
             binding.rigid_meshes.append((mesh, len(world.bodies)))
             world.bodies.append(body)
+        elif dyn.type == "collider":
+            world.bodies.append(make_collider_body(mesh))
     if binding.cloth_meshes:
         pos = np.concatenate([m.vertices for m, _ in binding.cloth_meshes])
         # Sorted over all meshes, edges keep the meshes' order.
@@ -646,6 +616,30 @@ def build_world(scene) -> tuple:
         binding.field_body = len(world.bodies)
         world.bodies.append(body)
     return world, binding
+
+
+# Cells across a collider mesh's box on every axis; its SDF grid has two
+# more beyond each side.
+COLLIDER_CELLS = 16
+
+
+def make_collider_body(mesh) -> RigidBody:
+    """Static obstacle for a placed mesh: an infinite-mass body at the
+    world origin, without collision vertices, whose SDF is baked from the
+    mesh's world-space triangles on its box grown by two cells a side.
+    The cells are as anisotropic as the box, so a thin slab has as many
+    across as along it. The body is the solid the surface encloses,
+    whichever way it is wound, so the mesh must be closed, consistently
+    oriented and around a volume."""
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    if oriented_edge_ids(mesh.indices) is None or not np.all(hi > lo):
+        raise ValueError(f"mesh '{mesh.name}': a collider must be closed, consistently "
+                         "oriented and enclose a volume")
+    h = (hi - lo) / COLLIDER_CELLS
+    sdf = bake_sdf_from_mesh(mesh.vertices, mesh.indices, lo - 2 * h, hi + 2 * h,
+                             (COLLIDER_CELLS + 5,) * 3)
+    return RigidBody(com=np.zeros(3), mass=np.inf, collision_vertices=np.zeros((0, 3)),
+                     sdf=sdf, name=mesh.name)
 
 
 # A field body keeps every (n // FIELD_BODY_MIN_VERTS)-th of its n occupied

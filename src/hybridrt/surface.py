@@ -155,9 +155,13 @@ class TriangleMesh:
 
     def recompute_normals(self):
         tri = self.vertices[self.indices]
-        n = cross3(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        lens = np.linalg.norm(n, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            n = cross3(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+            lens = np.linalg.norm(n, axis=1)
         scale = max(float(np.abs(self.vertices).max()), 1.0) if len(self.vertices) else 1.0
+        if not (math.isfinite(scale * scale) and np.isfinite(lens).all()):
+            raise ValueError(f"mesh '{self.name}': vertex coordinates of magnitude {scale:g} "
+                             "overflow when squared")
         if np.any(lens < 1e-12 * scale * scale):
             raise ValueError(f"mesh '{self.name}': degenerate zero-area triangle")
         self.face_normals = n / lens[:, None]

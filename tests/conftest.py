@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from hybridrt import assets
-from hybridrt.field import bake_sdf_from_mesh
+from hybridrt.field import SdfGrid, bake_sdf_from_mesh, grid_points
+
+
+def analytic_sdf(fn, lo, hi, res, world_from_grid=None) -> SdfGrid:
+    """A reference SDF: fn, a function of (N, 3) points, sampled at the
+    nodes of the box [lo, hi] with res nodes per axis."""
+    phi = fn(grid_points(lo, hi, res)).reshape(res, order="F")
+    return SdfGrid(lo, hi, phi, world_from_grid)
 
 
 @pytest.fixture(scope="session")

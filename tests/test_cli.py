@@ -367,31 +367,22 @@ def test_hdr_merge_truncated_crf_exits_2(hdr_dir, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cut", ["empty", "header", "payload", "extra"])
+@pytest.mark.parametrize("cut", ["empty", "header", "payload", "extra", "dims"])
 def test_render_bad_rfgrid_exits_2(tmp_path, capsys, cut):
     assets.gen_smoke_slab(str(tmp_path))
     grid = tmp_path / "slab.rfgrid"
     data = grid.read_bytes()
     grid.write_bytes({"empty": b"", "header": data[:20], "payload": data[:-7],
-                      "extra": data + b"\0"}[cut])
+                      "extra": data + b"\0",
+                      "dims": data[:4] + (0).to_bytes(4, "little") + data[8:]}[cut])  # ny = 0
     code, err = run_cli(capsys, "render", "--scene", str(tmp_path / "slab.json"),
                         "--out", str(tmp_path / "out.ppm"))
     assert code == 2
     assert err.startswith("error: render: ") and "slab.rfgrid" in err
     if cut in ("payload", "extra"):
         assert f"needs {len(data)} bytes, file has {len(grid.read_bytes())}" in err
-
-
-def test_render_bad_sdfgrid_dims_exits_2(tmp_path, capsys):
-    assets.gen_drop(str(tmp_path))
-    sdf = tmp_path / "plane.sdfgrid"
-    data = bytearray(sdf.read_bytes())
-    data[4:8] = (0).to_bytes(4, "little")  # ny = 0
-    sdf.write_bytes(bytes(data))
-    code, err = run_cli(capsys, "render", "--scene", str(tmp_path / "drop.json"),
-                        "--out", str(tmp_path / "out.ppm"))
-    assert code == 2
-    assert "plane.sdfgrid" in err and "must be positive" in err
+    if cut == "dims":
+        assert "dimensions must be positive" in err
 
 
 SNAN_F32 = struct.pack("<I", 0x7FA00000)  # a float32 NaN with the quiet bit clear
@@ -409,12 +400,6 @@ def snan_rfgrid(tmp_path, estimation_dir):
     return ["render", "--scene", str(tmp_path / "slab.json")]
 
 
-def snan_sdfgrid(tmp_path, estimation_dir):
-    assets.gen_drop(str(tmp_path))
-    write_snan(tmp_path / "plane.sdfgrid", struct.calcsize("<3i6f"))
-    return ["render", "--scene", str(tmp_path / "drop.json")]
-
-
 def snan_ground_truth(tmp_path, estimation_dir):
     gt_dir = tmp_path / "gt"
     shutil.copytree(estimation_dir, gt_dir)
@@ -427,7 +412,6 @@ def snan_ground_truth(tmp_path, estimation_dir):
 
 @pytest.mark.parametrize("setup, match", [
     pytest.param(snan_rfgrid, "sigma must be finite", id="rfgrid"),
-    pytest.param(snan_sdfgrid, "phi must be finite", id="sdfgrid"),
     pytest.param(snan_ground_truth, "gt_0002.pfm: non-finite pixel values", id="gt-pfm"),
 ])
 def test_signalling_nan_payload_exits_2(estimation_dir, tmp_path, capfd, recwarn, setup, match):
@@ -599,11 +583,10 @@ render_options = [cli_size("--spp", up_to(2)), cli_option("--seed", up_to(9), hu
 CLI_COMMANDS = {
     "render": (["--scene", "SCENE"], render_options, ["--hdr"],
                [("slab", "slab.json"), ("slab", "slab.rfgrid"), ("drop", "drop.json"),
-                ("drop", "ball.obj"), ("drop", "floor.obj"), ("drop", "glow.rfgrid"),
-                ("drop", "plane.sdfgrid")]),
+                ("drop", "ball.obj"), ("drop", "floor.obj"), ("drop", "glow.rfgrid")]),
     "simulate": (["--scene", "SCENE"], render_options + [cli_size("--frames", up_to(2))],
                  ["--hdr", "--render-frames"],
-                 [("drop", "drop.json"), ("drop", "ball.obj"), ("drop", "plane.sdfgrid"),
+                 [("drop", "drop.json"), ("drop", "ball.obj"), ("drop", "floor.obj"),
                   ("field_hit", "field_hit.json"), ("field_hit", "ball.obj"),
                   ("field_hit", "blob.rfgrid")]),
     "hdr-recover": (["--bracket", ("hdr", "bracket.json")],
@@ -701,8 +684,9 @@ def test_help_exits_0(capsys, argv):
 
 
 # The CLI contract over the scene JSON: a NaN, a value of another JSON kind
-# or a missing key anywhere in a scene's camera, render, emitters, sim or a
-# mesh's bsdf, or anywhere in a pose file, at 4x4 and one sample per pixel.
+# or a missing key anywhere in a scene's camera, render, emitters, sim,
+# field or meshes, or anywhere in a pose file, at 4x4 and one sample per
+# pixel; in a field or the meshes, also a number of magnitude up to 1e300.
 # (directory, file, section path): the sections, in copied presets.
 SCENE_JSON_SECTIONS = [
     ("two_room", "two_room.json", ("camera",)),
@@ -712,6 +696,24 @@ SCENE_JSON_SECTIONS = [
     ("two_room", "two_room.json", ("meshes", 1, "bsdf")),
     ("drop", "drop.json", ("sim",)),
     ("room", "poses.json", ()),
+    ("drop", "drop.json", ("field",)),
+    ("drop", "drop.json", ("meshes",)),
+    ("field_hit", "field_hit.json", ("field",)),
+    ("field_hit", "field_hit.json", ("meshes",)),
+]
+# Keys the presets leave out, added so that every field and mesh key has a
+# value to edit: (directory, file, object path, keys).
+SCENE_JSON_EXTRA_KEYS = [
+    ("drop", "drop.json", ("meshes", 0),
+     {"emission": [0.5, 0.5, 0.5],
+      "transform": {"translate": [0.0, 0.0, 2.0], "rotate_axis": [0.0, 1.0, 0.0],
+                    "rotate_deg": 10.0}}),
+    ("drop", "drop.json", ("meshes", 1),
+     {"transform": {"translate": [0.0, 0.0, 0.0], "rotate_axis": [1.0, 0.0, 0.0],
+                    "rotate_deg": 5.0}}),
+    ("field_hit", "field_hit.json", ("field",),
+     {"transform": {"translate": [0.0, 0.0, 0.1], "rotate_axis": [0.0, 0.0, 1.0],
+                    "rotate_deg": 20.0}}),
 ]
 OTHER_KIND = {bool: "x", int: "x", float: "x", str: 1.5, list: {"x": 1.0}, dict: [1.0]}
 
@@ -731,23 +733,30 @@ def json_at(doc, path):
 
 
 @pytest.fixture(scope="module")
-def scene_json_inputs(tmp_path_factory, two_room_dir, estimation_dir):
+def scene_json_inputs(tmp_path_factory, two_room_dir, estimation_dir, field_hit_dir):
     d = tmp_path_factory.mktemp("scene_json")
     shutil.copytree(two_room_dir, d / "two_room")
     shutil.copytree(estimation_dir, d / "room")
+    shutil.copytree(field_hit_dir, d / "field_hit")
     assets.gen_drop(str(d / "drop"))
+    for name, file, path, keys in SCENE_JSON_EXTRA_KEYS:
+        doc = json.loads((d / name / file).read_text())
+        json_at(doc, path).update(keys)
+        (d / name / file).write_text(json.dumps(doc))
     return d
 
 
 def run_edited(d, name, doc, out, capfd):
     """(exit code, stderr lines, warnings) of a 4x4, one-sample run on doc,
-    written beside the preset it edits: a render of two-room, one frame of
-    drop, or an estimation with doc as the pose file."""
+    written beside the preset it edits: a render of two-room, one rendered
+    frame of drop or field-hit, or an estimation with doc as the pose
+    file."""
     edited = d / name / "edited.json"
     edited.write_text(json.dumps(doc))
     small = ["--width", "4", "--height", "4", "--spp", "1"]
+    frame = ["simulate", "--scene", str(edited), "--frames", "1", "--render-frames"] + small
     argv = {"two_room": ["render", "--scene", str(edited)] + small,
-            "drop": ["simulate", "--scene", str(edited), "--frames", "1"] + small,
+            "drop": frame, "field_hit": frame,
             "room": ["estimate-emitters", "--scene", str(d / name / "room.json"),
                      "--poses", str(edited), "--gt-dir", str(d / name), "--epochs", "1",
                      "--max-depth", "1"]}[name]
@@ -761,35 +770,83 @@ def run_edited(d, name, doc, out, capfd):
     return code, capfd.readouterr().err.splitlines(), [str(w.message) for w in caught]
 
 
-@settings(max_examples=80, deadline=None,
+@settings(max_examples=160, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_scene_json_values_exit_0_or_2_with_one_error_line(scene_json_inputs, tmp_path,
                                                             capfd, data):
     # A NaN or a value of the wrong kind exits 2; a missing key exits 2,
-    # or 0 where it has a default. Either way without a warning.
+    # or 0 where it has a default. A huge number in a field or a mesh may
+    # also run, or exit 3 when it makes the simulation unstable. Each
+    # without a warning.
     d = scene_json_inputs
     name, file, section = data.draw(st.sampled_from(SCENE_JSON_SECTIONS), label="section")
     doc = json.loads((d / name / file).read_text())
     paths = [section + p for p in json_paths(json_at(doc, section))]
     path = data.draw(st.sampled_from(paths), label="path")
-    edit = data.draw(st.sampled_from(["nan", "other kind"] + ["missing"] * bool(path)),
-                     label="edit")
+    value = json_at(doc, path)
+    huge = section[:1] in (("field",), ("meshes",)) and type(value) is float
+    edit = data.draw(st.sampled_from(["nan", "other kind"] + ["missing"] * bool(path)
+                                     + ["huge"] * huge), label="edit")
+    if edit == "huge":
+        value = data.draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** data.draw(st.integers(0, 300))
+    elif edit != "missing":
+        value = float("nan") if edit == "nan" else OTHER_KIND[type(value)]
     if not path:
-        doc = float("nan") if edit == "nan" else OTHER_KIND[type(doc)]
+        doc = value
+    elif edit == "missing":
+        del json_at(doc, path[:-1])[path[-1]]
     else:
-        parent = json_at(doc, path[:-1])
-        if edit == "missing":
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = (float("nan") if edit == "nan"
-                                else OTHER_KIND[type(parent[path[-1]])])
-    cmd = {"two_room": "render", "drop": "simulate", "room": "estimate-emitters"}[name]
+        json_at(doc, path[:-1])[path[-1]] = value
+    cmd = {"two_room": "render", "drop": "simulate", "field_hit": "simulate",
+           "room": "estimate-emitters"}[name]
     code, err, caught = run_edited(d, name, doc, tmp_path / "out", capfd)
-    assert code in ((0, 2) if edit == "missing" else (2,)), err
+    assert code in {"missing": (0, 2), "huge": (0, 2, 3)}.get(edit, (2,)), err
     if code:
         assert len(err) == 1 and err[0].startswith(f"error: {cmd}: "), err
     assert not caught, caught
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda doc: doc["field"].update(transform={"translate": [1e200, 0, 0]}),
+     "scene diagonal overflows: the field and meshes span [-2.0, -1.0, -1.0] to "
+     "[1e+200, 1.0, 1.0]"),
+    (lambda doc: doc["emitters"][1].update(triangle=[[1e300, 0, 0], [0, 1e300, 0],
+                                                     [0, 0, 1e300]]),
+     "emitters[1].triangle: area overflows"),
+    (lambda doc: doc["meshes"][1].update(transform={"translate": [1e200, 0, 0]}),
+     "mesh 'two_room_ball': vertex coordinates of magnitude 1e+200 overflow when squared"),
+], ids=["field", "emitter", "mesh"])
+def test_overflowing_placement_exits_2(scene_json_inputs, tmp_path, capfd, edit, match):
+    # Each once overflowed with RuntimeWarnings: a field placed at 1e200
+    # made the spawn offset inf and failed in the march, an emitter at
+    # 1e300 rendered with a NaN area CDF and exited 0, and a mesh at 1e200
+    # was called degenerate because its zero-area bound overflowed.
+    d = scene_json_inputs
+    doc = json.loads((d / "two_room" / "two_room.json").read_text())
+    edit(doc)
+    code, err, caught = run_edited(d, "two_room", doc, tmp_path / "out", capfd)
+    assert code == 2 and err == [f"error: render: {match}"] and not caught
+
+
+@pytest.mark.parametrize("floor", ["open", "flat"])
+def test_collider_mesh_around_no_volume_exits_2(tmp_path, capfd, floor):
+    # A collider is the solid its surface encloses. An open floor quad
+    # encloses none, and the bake would only have warned and baked no
+    # inside; a quad with its back face added is closed but flat.
+    assets.gen_drop(str(tmp_path))
+    v, f = assets.quad((-3, -3, 0), (6, 0, 0), (0, 6, 0))
+    save_obj(tmp_path / "floor.obj", v, f if floor == "open" else np.vstack([f, f[:, ::-1]]))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["simulate", "--scene", str(tmp_path / "drop.json"), "--frames", "1",
+                         "--out", str(out)])
+    assert code == 2 and not caught
+    assert capfd.readouterr().err.splitlines() == [
+        "error: simulate: mesh 'floor': a collider must be closed, consistently oriented "
+        "and enclose a volume"]
+    assert not out.exists()
 
 
 def test_march_step_beyond_int64_substeps_exits_2(scene_json_inputs, tmp_path, capfd):

@@ -11,17 +11,24 @@ from hybridrt.field import (
     RadianceGrid,
     SdfGrid,
     bake_sdf_from_mesh,
+    oriented_edge_ids,
     grid_points,
     load_rfgrid,
-    load_sdfgrid,
     march_arrays,
     mesh_edges,
     save_rfgrid,
-    save_sdfgrid,
     sdf_from_density,
-    sdf_from_function,
 )
 from hybridrt import assets, surface
+
+from conftest import analytic_sdf
+
+
+def unit_sphere_sdf(res=(65, 65, 65)):
+    """|p| - 1 on [-1.5, 1.5]^3. Odd node counts put a node exactly on the
+    center cusp, where trilinear interpolation of |p| - 1 is at its worst
+    otherwise."""
+    return analytic_sdf(lambda p: np.linalg.norm(p, axis=1) - 1.0, (-1.5,) * 3, (1.5,) * 3, res)
 
 
 def unit_grid(sigma=2.0, radiance=(1.0, 0.0, 0.0)):
@@ -509,7 +516,7 @@ def test_march_rejects_bad_interval():
 
 
 def test_sdf_analytic_sphere_query():
-    sdf = assets.sphere_sdf(1.0)
+    sdf = unit_sphere_sdf()
     phi, n, ok = sdf.query_batch(np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     assert ok[0]
     assert phi[0] == pytest.approx(1.0, rel=0.02)
@@ -518,7 +525,8 @@ def test_sdf_analytic_sphere_query():
 
 
 def test_sdf_plane_exact_on_aligned_grid():
-    sdf = assets.plane_sdf(z=0.0)
+    # phi = p.z is linear, so the grid reproduces it exactly.
+    sdf = analytic_sdf(lambda p: p[:, 2], (-4, -4, -2), (4, 4, 2), (9, 9, 9))
     phi, n, ok = sdf.query_batch(np.array([[0.7, -1.3, -0.3]]))
     assert ok[0]
     assert phi[0] == pytest.approx(-0.3, abs=1e-12)
@@ -526,7 +534,7 @@ def test_sdf_plane_exact_on_aligned_grid():
 
 
 def test_sdf_exterior_nonnegative(rng):
-    sdf = assets.sphere_sdf(1.0, res=(32, 32, 32))
+    sdf = unit_sphere_sdf(res=(32, 32, 32))
     pts = rng.uniform(2.0, 6.0, (50, 3)) * rng.choice([-1.0, 1.0], (50, 3))
     phi, _, _ = sdf.query_batch(pts)
     assert np.all(phi >= 0.0)
@@ -534,7 +542,7 @@ def test_sdf_exterior_nonnegative(rng):
 
 def test_sdf_eikonal_interior(rng):
     # |grad phi| close to 1 away from the boundary of the grid.
-    sdf = assets.sphere_sdf(1.0, res=(48, 48, 48))
+    sdf = unit_sphere_sdf(res=(48, 48, 48))
     pts = rng.uniform(-1.0, 1.0, (200, 3))
     h = sdf.cell_size()
     grad = np.empty((len(pts), 3))
@@ -598,6 +606,7 @@ def test_bake_icosphere_matches_analytic(icosphere_sdf64, rng):
 
 def test_bake_open_mesh_warns_and_has_no_interior():
     v, f = assets.quad((-1, -1, 0), (2, 0, 0), (0, 2, 0))
+    assert oriented_edge_ids(f) is None
     with pytest.warns(UserWarning):
         sdf = bake_sdf_from_mesh(v, f, (-2, -2, -1), (2, 2, 1), (17, 17, 9))
     assert np.all(sdf.phi >= 0.0)
@@ -607,7 +616,10 @@ def test_bake_inconsistent_orientation_warns_and_has_no_interior():
     # One face turned over: the box stays closed, but each of that face's
     # edges is traversed the same way by both of its faces.
     v, f = assets.box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+    for faces in (f, f[:, ::-1]):
+        np.testing.assert_array_equal(oriented_edge_ids(faces), mesh_edges(faces)[2])
     f[0] = f[0][::-1]
+    assert oriented_edge_ids(f) is None
     with pytest.warns(UserWarning, match="consistently oriented"):
         sdf = bake_sdf_from_mesh(v, f, (-1, -1, -1), (1, 1, 1), (17, 17, 17))
     assert np.all(sdf.phi >= 0.0)
@@ -1062,16 +1074,6 @@ def test_rfgrid_layout_is_x_fastest(tmp_path):
     save_rfgrid(p, g)
     raw = np.fromfile(p, dtype="<f4", offset=12 + 24)
     assert raw[1] == 7.0  # second sample in the file is (ix=1, iy=0, iz=0)
-
-
-def test_sdfgrid_round_trip(tmp_path, rng):
-    phi = rng.normal(0, 1, (5, 4, 3)).astype(np.float32).astype(np.float64)
-    s = SdfGrid((0, 0, 0), (1, 2, 3), phi)
-    p = tmp_path / "s.sdfgrid"
-    save_sdfgrid(p, s)
-    back = load_sdfgrid(p)
-    assert back.res == (5, 4, 3)
-    assert np.array_equal(back.phi, s.phi)
 
 
 def test_grid_validation_errors():

@@ -12,7 +12,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridrt.field import load_rfgrid, load_sdfgrid
+from hybridrt.field import load_rfgrid
 from hybridrt.hdr import load_bracket, load_crf_csv
 from hybridrt.images import decode_pfm, decode_ppm, encode_ppm_raw
 
@@ -70,7 +70,6 @@ def test_fuzzed_images_decode_or_raise_value_error(data):
 
 
 @pytest.mark.parametrize("load, files", [(load_rfgrid, grid_files(4)),
-                                         (load_sdfgrid, grid_files(1)),
                                          (load_crf_csv, crf_files)])
 def test_fuzzed_files_load_or_raise_value_error(reader_dir, load, files):
     @settings(max_examples=200, deadline=None)

@@ -40,7 +40,7 @@ def make_scene(field=None, meshes=(), emitters=None, camera=None, **render_kw):
     rc = RenderConfig(**render_kw) if render_kw else RenderConfig()
     return Scene(config=cfg, camera=camera, render=rc, field=field, meshes=meshes,
                  bvh=bvh, blocker_bvh=blocker, emitters=emitters,
-                 collider_sdfs=[], spawn_eps=1e-4 * scene_diagonal(field, meshes))
+                 spawn_eps=1e-4 * scene_diagonal(field, meshes))
 
 
 def emissive_quad_mesh(emission=(2.0, 2.0, 2.0), z=0.0, half=4.0):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridrt import assets
-from hybridrt.field import RadianceGrid, SdfGrid, save_rfgrid, save_sdfgrid
+from hybridrt.field import RadianceGrid, save_rfgrid
 from hybridrt.render import Camera
 from hybridrt.scene import (
     ClothConfig,
+    ColliderConfig,
     FieldDynamicConfig,
     RenderConfig,
     RigidConfig,
@@ -237,12 +238,13 @@ def test_round_trip_equality(tmp_path):
     ("field", {"type": "rigid"}, "pinned"),
     ("field", {}, "compliance"),
     ("field", {}, "sdf"),  # the field's own density is its only SDF
+    ("mesh", {"type": "collider"}, "mass"),  # a collider's mass is infinite
 ])
 def test_dynamic_key_of_another_kind_is_rejected(tmp_path, where, dynamic, key):
     # Each kind of dynamic object reads only the keys that apply to it.
     write_assets(tmp_path)
-    save_sdfgrid(tmp_path / "p.sdfgrid", SdfGrid((0, 0, 0), (1, 1, 1), np.ones((2, 2, 2))))
-    value = {"sigma_threshold": 0.9, "sdf": "p.sdfgrid", "pinned": [0], "compliance": 5.0}[key]
+    value = {"sigma_threshold": 0.9, "sdf": "q.obj", "pinned": [0], "compliance": 5.0,
+             "mass": 1}[key]
     doc = minimal_doc()
     if where == "mesh":
         doc["meshes"] = [{"path": "q.obj", "dynamic": {**dynamic, key: value}}]
@@ -259,11 +261,12 @@ def test_dynamic_kinds_are_told_apart_by_type(tmp_path):
     doc = minimal_doc()
     doc["field"]["dynamic"] = {"mass": 2.0, "sigma_threshold": 0.3}
     doc["meshes"] = [{"path": "q.obj", "dynamic": {"mass": 3.0}},
-                     {"path": "q.obj", "dynamic": {"type": "cloth", "pinned": [1]}}]
+                     {"path": "q.obj", "dynamic": {"type": "cloth", "pinned": [1]}},
+                     {"path": "q.obj", "dynamic": {"type": "collider"}}]
     cfg = parse_scene(json.dumps(doc), base_dir=str(tmp_path))
     assert cfg.field.dynamic == FieldDynamicConfig(mass=2.0, sigma_threshold=0.3)
-    assert cfg.meshes[0].dynamic == RigidConfig(mass=3.0)
-    assert cfg.meshes[1].dynamic == ClothConfig(pinned=[1])
+    assert [m.dynamic for m in cfg.meshes] == [RigidConfig(mass=3.0), ClothConfig(pinned=[1]),
+                                               ColliderConfig()]
     doc["field"]["dynamic"]["type"] = "cloth"
     with pytest.raises(SceneError, match=r"^field\.dynamic\.type: expected one of 'rigid'$"):
         parse_scene(json.dumps(doc), base_dir=str(tmp_path))
@@ -406,12 +409,13 @@ def full_doc():
                   "dynamic": {"type": "rigid", "mass": 2, "sigma_threshold": 0.4}},
         "meshes": [{"path": "q.obj", "bsdf": {"type": "dielectric", "ior": 1.3},
                     "emission": [1, 1, 1], "dynamic": {"type": "cloth", "pinned": [0, 1]}},
-                   {"path": "q.obj", "bsdf": {"type": "mirror"}, "dynamic": None}],
+                   {"path": "q.obj", "bsdf": {"type": "mirror"}, "dynamic": None},
+                   {"path": "q.obj", "transform": {"rotate_axis": [1, 0, 0]},
+                    "dynamic": {"type": "collider"}}],
         "emitters": [{"triangle": tri, "r_src": 0.5}],
         "camera": {"position": [0, 0, 3], "look_at": [0, 0, 0], "resolution": [8, 8]},
         "render": {"spp": 2, "seed": 1},
         "sim": {"dt": 0.01, "damping": 0.1, "velocity_cap": 50},
-        "colliders": [{"sdf": "p.sdfgrid", "transform": {"rotate_axis": [1, 0, 0]}}],
     }
 
 
@@ -441,7 +445,6 @@ def replace_one(doc, data):
 def fuzz_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     write_assets(d)
-    save_sdfgrid(d / "p.sdfgrid", assets.plane_sdf())
     return d
 
 

@@ -3,25 +3,28 @@ import functools
 import hashlib
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridrt import assets, cli, sim
+from hybridrt import assets, cli, field, sim
 from hybridrt.core import Transform, quat_to_matrix
 from hybridrt.field import (RadianceGrid, SdfGrid, grid_points, occupancy, save_rfgrid,
-                            save_sdfgrid, sdf_from_density)
+                            sdf_from_density)
 from hybridrt.images import read_pfm
 from hybridrt.scene import FieldDynamicConfig, RigidConfig, TransformConfig, load_scene
 from hybridrt.surface import Bvh, load_obj, save_obj
+
+from conftest import analytic_sdf
 
 
 # Per-frame simulation state digests (state_digest below); a change to the
 # solver that moves any bit of any frame changes them.
 FIELD_HIT_STATES = "db9f269278b03d29d0e5df1aa480fb1ecb62abcab415cca9b117461bd7875eb7"
-DROP_STATES = "dd53e084dc646ea4e793e6eddcf8b8e84d16f8ea802a89f98d44291595540698"
-CLOTH_STATES = "e03e0bbf0f9a8747f12f58ae2c4ef0a88ce6d946a5690d6747232574015b619c"
+DROP_STATES = "59ac08996bbec2c6396621a05c48a6c7846008445968aab425060c1a345fe5f6"
+CLOTH_STATES = "4c309e8b415519aba0b54c483079023a8cf0cf172f842db7c307c450385d2b3c"
 
 
 def write_cloth_scene(d, cloths):
@@ -39,10 +42,10 @@ def write_cloth_scene(d, cloths):
     return path
 
 
-def write_blob_scene(d, sheet, sim_cfg, pinned=(), ball=False, plane=False):
+def write_blob_scene(d, sheet, sim_cfg, pinned=(), ball=False, slab=False):
     """A 5x5 cloth sheet, given as (corner, edge_u, edge_v), and the
     field-hit blob as a free rigid body; optionally a rigid ball flying at
-    the blob and a plane collider 0.4 below it."""
+    the blob and a 0.25-thick collider slab whose top is 0.4 below it."""
     save_rfgrid(d / "blob.rfgrid", assets.gaussian_blob_field(
         (-0.8,) * 3, (0.8,) * 3, (0, 0, 0), 0.28, 8.0, (1.5, 1.2, 0.7), res=(16, 16, 16)))
     v, f = assets.cloth_grid(5, 5, *sheet)
@@ -57,9 +60,9 @@ def write_blob_scene(d, sheet, sim_cfg, pinned=(), ball=False, plane=False):
            "meshes": meshes, "sim": sim_cfg,
            "camera": {"position": [0, -3, 0], "look_at": [0, 0, 0], "up": [0, 0, 1],
                       "resolution": [8, 8]}}
-    if plane:
-        save_sdfgrid(d / "plane.sdfgrid", assets.plane_sdf())
-        doc["colliders"] = [{"sdf": "plane.sdfgrid", "transform": {"translate": [0, 0, -0.4]}}]
+    if slab:
+        save_obj(d / "slab.obj", *assets.box((-4, -4, -0.65), (4, 4, -0.4)))
+        meshes.append({"path": "slab.obj", "dynamic": {"type": "collider"}})
     path = d / "scene.json"
     path.write_text(json.dumps(doc))
     return path
@@ -162,17 +165,98 @@ def test_drop_states_pinned(tmp_path):
     assert state_digest(tmp_path / "drop.json", 60) == DROP_STATES
 
 
+def test_collider_is_the_solid_whichever_way_it_is_wound(tmp_path):
+    # The floor slab wound inward bakes the same SDF, so drop keeps its
+    # states.
+    assets.gen_drop(str(tmp_path))
+    save_obj(tmp_path / "floor.obj", *assets.box((-3, -3, -3), (3, 3, 0), inward=True))
+    assert state_digest(tmp_path / "drop.json", 60) == DROP_STATES
+
+
+def count_bakes(monkeypatch):
+    """The calls of bake_sdf_from_mesh, through any module that holds it."""
+    calls = []
+    bake = field.bake_sdf_from_mesh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bake(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hybridrt" and getattr(module, "bake_sdf_from_mesh", None) is bake:
+            monkeypatch.setattr(module, "bake_sdf_from_mesh", counted)
+    return calls
+
+
+def test_only_a_collider_bakes(field_hit_dir, tmp_path, monkeypatch):
+    # Field-hit has no collider, so loading it and building its world
+    # bakes nothing; a bake of its ball would add 6-28 ms to a 16 ms
+    # set-up. Drop bakes its floor once.
+    calls = count_bakes(monkeypatch)
+    sim.build_world(load_scene(field_hit_dir / "field_hit.json"))
+    assert len(calls) == 0
+    assets.gen_drop(str(tmp_path))
+    sim.build_world(load_scene(tmp_path / "drop.json"))
+    assert len(calls) == 1
+
+
+def placed_drop(out_dir, placement):
+    """The drop scene under one rigid placement, given as a transform
+    config: the ball, the floor slab and gravity all move with it."""
+    assets.gen_drop(str(out_dir))
+    path = out_dir / "drop.json"
+    doc = json.loads(path.read_text())
+    t = TransformConfig(**placement).build()
+    ball, floor = doc["meshes"]
+    ball["transform"] = {**placement, "translate": t.point(ball["transform"]["translate"]).tolist()}
+    floor["transform"] = placement
+    doc["sim"]["gravity"] = t.direction(doc["sim"]["gravity"]).tolist()
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.fixture(scope="module")
+def drop_trajectory(tmp_path_factory):
+    d = tmp_path_factory.mktemp("drop")
+    assets.gen_drop(str(d))
+    return trajectory(d / "drop.json", 40)
+
+
+@settings(max_examples=8, deadline=None)
+@given(axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: np.linalg.norm(a) > 0.1),
+       deg=st.floats(-180.0, 180.0),
+       shift=st.tuples(*[st.floats(-1e3, 1e3)] * 3) | st.just((0.0, 0.0, 0.0)))
+def test_placed_drop_is_the_placed_trajectory(drop_trajectory, tmp_path_factory, axis, deg,
+                                              shift):
+    # The ball's com and velocity on a placed slab are the placed ones of
+    # drop over 40 frames, within 1e-11 per unit of the largest shift
+    # component plus one. Measured: at most 9e-12 over 60 placements with
+    # shifts up to 3, and 1.8e-9 over 30 with shifts up to 1e3. The floor
+    # collides through its own baked SDF on an axis-aligned grid, which
+    # holds the top face's plane exactly but for rounding, because the
+    # slab is deep enough that the cells around the contact are nearer
+    # its top than its bottom.
+    placement = {"translate": list(shift), "rotate_axis": list(axis), "rotate_deg": deg}
+    t = TransformConfig(**placement).build()
+    placed = trajectory(placed_drop(tmp_path_factory.mktemp("placed"), placement), 40)
+    atol = 1e-11 * (1.0 + max(map(abs, shift)))
+    for (bodies, _), (placed_bodies, _) in zip(drop_trajectory, placed):
+        (com, vel), (p_com, p_vel) = bodies[0], placed_bodies[0]
+        np.testing.assert_allclose(p_com, t.point(com), rtol=0, atol=atol)
+        np.testing.assert_allclose(p_vel, t.direction(vel), rtol=0, atol=atol)
+
+
 def cloth_contact_digest(d):
     path = write_blob_scene(
         d, ((-0.5, -0.5, 0.2), (1, 0, 0), (0, 1, 0)),
         {"gravity": [0, 0, -9.81], "friction": 0.3, "restitution": 0.3},
-        pinned=[0], ball=True, plane=True)
+        pinned=[0], ball=True, slab=True)
     return state_digest(path, 40, lambda world: throw_sheet(world, (0.0, 0.0, -2.0)))
 
 
 def test_cloth_contact_states_pinned(tmp_path):
-    # Covers every contact pairing: particle-static, particle-body,
-    # body-body (ball on blob) and body-static (both bodies on the plane).
+    # Covers every contact pairing: particle-collider, particle-body,
+    # body-body (ball on blob) and body-collider (both bodies on the slab).
     assert cloth_contact_digest(tmp_path) == CLOTH_STATES
 
 
@@ -357,7 +441,7 @@ def test_simulate_hands_off_what_the_world_computed(field_hit_dir, tmp_path, cap
 def test_drop_comes_to_rest_on_the_plane(tmp_path):
     assets.gen_drop(str(tmp_path))
     world, _ = run_frames(tmp_path / "drop.json", 60)
-    (ball,) = world.bodies
+    ball = next(b for b in world.bodies if b.name == "ball")
     assert ball.com[2] == pytest.approx(0.5, abs=1e-9)
     assert np.linalg.norm(ball.lin_vel) < 1e-9
 
@@ -537,8 +621,7 @@ def reference_detect_contacts(world):
     ps = world.particles
     sources = [(None, ps.pos, lambda k: (sim.Particle(ps, k), 0))] if len(ps) else []
     sources += [(b, b.world_verts(), lambda k, b=b: (b, k)) for b in world.bodies if len(b.verts)]
-    owners = [sim.StaticCollider(s) for s in world.static_sdfs]
-    owners += [b for b in world.bodies if b.sdf is not None]
+    owners = [b for b in world.bodies if b.sdf is not None]
     contacts = []
     for body, pts, participant in sources:
         for owner in owners:
@@ -552,11 +635,25 @@ def reference_detect_contacts(world):
 
 
 def contact_key(c):
-    """What identifies a contact: its source and point, its owner (a
-    static collider by its SDF) and its normal's bits."""
+    """What identifies a contact: its source and point, its owner and its
+    normal's bits."""
     src = (c.src.ps, c.src.k) if isinstance(c.src, sim.Particle) else c.src
-    owner = c.owner.sdf if isinstance(c.owner, sim.StaticCollider) else c.owner
-    return src, c.vert, owner, c.normal.tobytes()
+    return src, c.vert, c.owner, c.normal.tobytes()
+
+
+def ball_sdf():
+    """|p| - 0.3 on [-0.4, 0.4]^3, 9 nodes a side."""
+    return analytic_sdf(lambda p: np.linalg.norm(p, axis=1) - 0.3, (-0.4,) * 3, (0.4,) * 3,
+                        (9, 9, 9))
+
+
+def static_plane(frame):
+    """A kinematic body without collision vertices whose SDF is phi = z
+    on [-1.5, 1.5]^2 x [-0.5, 0.5], placed by frame."""
+    sdf = analytic_sdf(lambda p: p[:, 2], (-1.5, -1.5, -0.5), (1.5, 1.5, 0.5), (5, 5, 5),
+                       world_from_grid=frame)
+    return sim.RigidBody(com=np.zeros(3), mass=np.inf, collision_vertices=np.zeros((0, 3)),
+                         sdf=sdf, name="plane")
 
 
 @functools.lru_cache(maxsize=1)
@@ -630,9 +727,7 @@ def probe_near_negative_box(owner, rng):
     out = np.zeros(3)
     out[ax] = 1.0 if side else -1.0
     c[ax] = (hi if side else lo)[ax] + out[ax] * (gap + r)
-    to_world = [sdf.world_from_grid]
-    if isinstance(owner, sim.RigidBody):
-        to_world.append(owner.world_from_body())
+    to_world = [sdf.world_from_grid, owner.world_from_body()]
     dirs = np.concatenate([-out[None], rng.normal(size=(5, 3))])
     for t in to_world:
         c, dirs = t.point(c), t.direction(dirs)
@@ -645,7 +740,7 @@ def probe_near_negative_box(owner, rng):
 @given(seed=st.integers(0, 2**32 - 1), spin=st.booleans(), lone=st.booleans())
 def test_gated_detect_contacts_equals_ungated(seed, spin, lone):
     # Cloth particles, a rigid ball with an SDF, the field body and a
-    # static plane, all rotated when spin, with points on and within a few
+    # kinematic plane, all rotated when spin, with points on and within a few
     # ulps of every owner's phi = 0 and on every SDF's box faces: the same
     # contacts, in the same order, with the same normal bits; when lone,
     # with at most one point of each source inside each owner. The
@@ -656,22 +751,19 @@ def test_gated_detect_contacts_equals_ungated(seed, spin, lone):
     rng = np.random.default_rng(seed)
     world = sim.World()
     blob, _ = sim.make_field_body(small_blob(), 2.0)
-    ball_sdf = assets.sphere_sdf(0.3, pad=0.1, res=(9, 9, 9))
     ball_v, _ = assets.uv_sphere(0.3, rings=4, segments=6)
     ball = sim.RigidBody(com=rng.uniform(-0.6, 0.6, 3), mass=1.0,
-                         collision_vertices=ball_v, sdf=ball_sdf, name="ball")
+                         collision_vertices=ball_v, sdf=ball_sdf(), name="ball")
     blob.com = rng.uniform(-0.2, 0.2, 3)
     if spin:
         for b in (ball, blob):
             q = rng.normal(size=4)
             b.q = q / np.linalg.norm(q)
-    plane = assets.plane_sdf(z=0.0, half_extent=1.5, depth=0.5, res=(5, 5, 5))
     frame = Transform.translate(rng.uniform(-0.5, 0.5, 3))
     if spin:
         frame = frame.compose(Transform.rotate(rng.normal(size=3), rng.uniform(-0.3, 0.3)))
-    plane = SdfGrid(plane.bbox_lo, plane.bbox_hi, plane.phi, world_from_grid=frame)
-    world.static_sdfs = [plane]
-    world.bodies = [ball, blob]
+    plane = static_plane(frame)
+    world.bodies = [plane, ball, blob]
 
     on_plane = frame.point(np.column_stack([rng.uniform(-1.5, 1.5, (6, 2)), np.zeros(6)]))
     pts = list(on_plane) + list(on_plane + rng.integers(-3, 4, (6, 3)) * np.spacing(on_plane))
@@ -680,10 +772,10 @@ def test_gated_detect_contacts_equals_ungated(seed, spin, lone):
         pts += boundary_points(body, body.com, rng, 3)
         pts += face_points(body.sdf.bbox_lo, body.sdf.bbox_hi, body.world_from_body().point,
                            rng, 6)
-    pts += face_points(plane.bbox_lo, plane.bbox_hi, plane.world_from_grid.point, rng, 6)
+    pts += face_points(plane.sdf.bbox_lo, plane.sdf.bbox_hi, frame.point, rng, 6)
     pts = np.array(pts)
     pts = np.concatenate([pts, rng.uniform(-1.0, 1.0, (20, 3))])
-    owners = [sim.StaticCollider(plane), ball, blob]
+    owners = [plane, ball, blob]
     probe, _, _ = probe_near_negative_box(owners[rng.integers(3)], rng)
     world.bodies.append(probe)
     if lone:
@@ -718,22 +810,20 @@ def test_gated_detect_contacts_equals_ungated(seed, spin, lone):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), spin=st.booleans())
 def test_cull_drops_a_sphere_off_the_negative_box_and_keeps_one_on_it(seed, spin):
-    # The probe of the test above, off a static plane, a rigid ball or the
+    # The probe of the test above, off a kinematic plane, a rigid ball or the
     # field body, each rotated when spin: culled exactly when it misses.
     rng = np.random.default_rng(seed)
     blob, _ = sim.make_field_body(small_blob(), 2.0)
     ball = sim.RigidBody(com=rng.uniform(-0.6, 0.6, 3), mass=1.0, collision_vertices=[[0, 0, 0]],
-                         sdf=assets.sphere_sdf(0.3, pad=0.1, res=(9, 9, 9)))
+                         sdf=ball_sdf())
     frame = Transform.translate(rng.uniform(-0.5, 0.5, 3))
     if spin:
         for b in (ball, blob):
             q = rng.normal(size=4)
             b.q = q / np.linalg.norm(q)
         frame = frame.compose(Transform.rotate(rng.normal(size=3), rng.uniform(-0.3, 0.3)))
-    plane = assets.plane_sdf(z=0.0, half_extent=1.5, depth=0.5, res=(5, 5, 5))
-    plane = SdfGrid(plane.bbox_lo, plane.bbox_hi, plane.phi, world_from_grid=frame)
     probe, owner, misses = probe_near_negative_box(
-        [sim.StaticCollider(plane), ball, blob][rng.integers(3)], rng)
+        [static_plane(frame), ball, blob][rng.integers(3)], rng)
     np.testing.assert_allclose(owner.sdf.negative_box, negative_box(owner.sdf),
                                rtol=0, atol=1e-12)
     assert owner.reaches(probe.com, probe.radius) != misses
