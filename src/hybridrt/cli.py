@@ -248,12 +248,9 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    from .hdr import HdrError
-    from .scene import SceneError
-    from .emitters import EstimationError
     try:
         return _COMMANDS[args.command](args)
-    except (SceneError, HdrError, EstimationError, ValueError) as e:
+    except ValueError as e:  # SceneError, HdrError and EstimationError among them
         print(f"error: {args.command}: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as e:

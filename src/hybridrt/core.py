@@ -166,24 +166,14 @@ class Transform:
         return Transform(t=vec3(t))
 
     @staticmethod
-    def rotate(axis, angle_rad: float) -> "Transform":
-        """Rotation about a (not necessarily unit) axis through the origin."""
-        a = unit(axis)
-        c, s = np.cos(angle_rad), np.sin(angle_rad)
-        x, y, z = a
-        r = np.array(
-            [
-                [c + x * x * (1 - c), x * y * (1 - c) - z * s, x * z * (1 - c) + y * s],
-                [y * x * (1 - c) + z * s, c + y * y * (1 - c), y * z * (1 - c) - x * s],
-                [z * x * (1 - c) - y * s, z * y * (1 - c) + x * s, c + z * z * (1 - c)],
-            ]
-        )
-        return Transform(r)
-
-    @staticmethod
     def from_quaternion(q, origin) -> "Transform":
         """Rotation from a quaternion (w, x, y, z), normalized here, then a
-        translation to origin."""
+        translation to origin.
+
+        The one factory for a rotation: a scene transform
+        (`TransformConfig.build`) and a rigid body's pose
+        (`RigidBody.world_from_body`) are both built here, so a body placed
+        at a scene transform's quaternion and translation has its bits."""
         q = np.asarray(q, dtype=np.float64)
         return Transform(quat_to_matrix(q / np.linalg.norm(q)), vec3(origin))
 

@@ -273,14 +273,16 @@ def march_arrays(grid, o, d, s0, s1, dt, L, T_spec, shadow_fn=None):
 
 
 class SdfGrid:
-    """Trilinear signed-distance grid, negative inside geometry.
+    """Trilinear signed-distance grid over the box [bbox_lo, bbox_hi],
+    negative inside geometry.
 
+    The grid has no placement of its own: points are given in its frame,
+    which is its owner's body frame, and normals come back in that frame.
     phi is a read-only view, fixed for the grid's life, so what is derived
-    from it (`negative_box`) is computed once. Its placement,
-    world_from_grid, may be replaced at any time.
+    from it (`negative_box`) is computed once.
     """
 
-    def __init__(self, bbox_lo, bbox_hi, phi, world_from_grid=None):
+    def __init__(self, bbox_lo, bbox_hi, phi):
         self.bbox_lo, self.bbox_hi = _check_bbox(bbox_lo, bbox_hi)
         phi = np.ascontiguousarray(phi, dtype=np.float64).view()
         self.res = _as_res(phi.shape)
@@ -288,7 +290,6 @@ class SdfGrid:
             raise ValueError("phi must be finite")
         phi.flags.writeable = False
         self.phi = phi
-        self.world_from_grid = world_from_grid or Transform.identity()
         self._scale = _grid_scale(self.bbox_lo, self.bbox_hi, self.res)
         self._table = phi.reshape(-1, 1)
 
@@ -297,10 +298,10 @@ class SdfGrid:
 
     @functools.cached_property
     def negative_box(self):
-        """(lo, hi): the grid-frame box outside of which phi >= 0, or None
-        when no node has phi < 0.
+        """(lo, hi): the box outside of which phi >= 0, or None when no
+        node has phi < 0.
 
-        `_phi_local` is >= 0 outside the grid's box. Inside it, a
+        `phi_batch` is >= 0 outside the grid's box. Inside it, a
         trilinear value sums products of corner values and weights in
         [0, 1], so it is negative only in a cell with a negative corner,
         and such a cell lies within one cell of that corner on every axis.
@@ -316,42 +317,34 @@ class SdfGrid:
         return (np.maximum(self.bbox_lo + (neg.min(axis=0) - 1) * h, self.bbox_lo),
                 np.minimum(self.bbox_lo + (neg.max(axis=0) + 1) * h, self.bbox_hi))
 
-    def _phi_local(self, p: np.ndarray) -> np.ndarray:
-        """phi at local-frame points; exterior composes box distance with
-        the clamped boundary value so it stays >= 0 outside."""
-        p = p.reshape(-1, 3)
+    def phi_batch(self, p: np.ndarray) -> np.ndarray:
+        """phi at points (N, 3), bitwise query_batch's phi, without the six
+        lookups its normals take. Outside the box it composes the distance
+        to the box with the clamped boundary value, so it stays >= 0."""
+        p = np.reshape(p, (-1, 3))
         q = np.clip(p, self.bbox_lo, self.bbox_hi)
         base = _trilinear(self._table, self.res, self.bbox_lo, self._scale, q)[:, 0]
         outside = np.linalg.norm(p - q, axis=1)
         return np.where(outside > 0.0, np.maximum(outside + base, 0.0), base)
 
-    def _local(self, p_world: np.ndarray) -> np.ndarray:
-        return self.world_from_grid.point(np.reshape(p_world, (-1, 3)), inverse=True)
+    def query_batch(self, p: np.ndarray):
+        """(phi, normal, valid) at points (N, 3).
 
-    def phi_batch(self, p_world: np.ndarray) -> np.ndarray:
-        """phi at world points (N,3), bitwise query_batch's phi, without
-        the six lookups its normals take."""
-        return self._phi_local(self._local(p_world))
-
-    def query_batch(self, p_world: np.ndarray):
-        """(phi, normal, valid) at world points (N,3).
-
-        Normals are central differences at one-cell spacing, rotated back
-        to world; valid is False where the gradient degenerates.
+        Normals are central differences at one-cell spacing; valid is False
+        where the gradient degenerates.
         """
-        pl = self._local(p_world)
+        p = np.reshape(p, (-1, 3))
         h = self.cell_size()
         # phi at p and at p +- h[ax] along each axis, from one lookup.
         e = np.diag(h)[:, None, :]
-        vals = self._phi_local(np.concatenate([pl[None], pl + e, pl - e])).reshape(7, -1)
+        vals = self.phi_batch(np.concatenate([p[None], p + e, p - e])).reshape(7, -1)
         phi = vals[0]
         grad = ((vals[1:4] - vals[4:]) / (2 * h[:, None])).T.copy()
         norm = np.linalg.norm(grad, axis=1)
         valid = norm > 1e-9
         grad[valid] /= norm[valid, None]
         grad[~valid] = (0.0, 0.0, 1.0)
-        n_world = self.world_from_grid.direction(grad)
-        return phi, n_world, valid
+        return phi, grad, valid
 
 
 def _grid_axes(lo, hi, res) -> list:

@@ -65,6 +65,8 @@ def _direction(v) -> Optional[np.ndarray]:
 
 @dataclass
 class TransformConfig:
+    """A rotation by rotate_deg about rotate_axis, then a translation."""
+
     translate: Vec3 = (0.0, 0.0, 0.0)
     rotate_axis: Vec3 = (0.0, 0.0, 1.0)
     rotate_deg: float = 0.0
@@ -73,11 +75,18 @@ class TransformConfig:
         _check(("rotate_axis", self.rotate_deg == 0.0 or _direction(self.rotate_axis) is not None,
                 "must be nonzero"))
 
+    def quaternion(self) -> np.ndarray:
+        """The rotation as a unit quaternion (w, x, y, z); (1, 0, 0, 0), an
+        exact identity, when rotate_deg is 0."""
+        if self.rotate_deg == 0.0:
+            return np.array([1.0, 0.0, 0.0, 0.0])
+        half = 0.5 * math.radians(self.rotate_deg)
+        return np.array([math.cos(half), *(math.sin(half) * unit(self.rotate_axis))])
+
     def build(self) -> Transform:
-        t = Transform.translate(self.translate)
-        if self.rotate_deg != 0.0:
-            t = t.compose(Transform.rotate(self.rotate_axis, math.radians(self.rotate_deg)))
-        return t
+        """Transform.from_quaternion of quaternion() and translate: a rigid
+        body placed there has these bits as its world_from_body()."""
+        return Transform.from_quaternion(self.quaternion(), self.translate)
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """Extended position-based dynamics: cloth particles, rigid bodies, and
 SDF contacts, with rigid radiance-field objects coupled through their
 transform. A static obstacle is a kinematic rigid body: infinite mass, no
-collision vertices, and an SDF baked from its mesh.
+collision vertices, and an SDF baked from its mesh. An SDF has no
+placement of its own: it lives in its owner's body frame, so every lookup
+crosses one transform, the owner's world_from_body().
 
 Each substep integrates predictions, then runs Gauss-Seidel iterations of
 XPBD constraint projection (distance constraints sequentially in fixed
@@ -18,10 +20,10 @@ skipped for a source when the source's bounding sphere misses the SDF's
 `negative_box`, outside of which phi >= 0. A rigid source's sphere is its
 com and the largest distance of a collision vertex from it; a particle
 system's is the one around the box of the current positions. The sphere is taken into
-the SDF's grid frame through the same transforms a query takes, and it
+the owner's body frame through the transform a query takes, and it
 must miss the box by more than a slack of 1e-9 times the sum of the
-magnitudes met on the way (1, the radius, the center in each frame and
-each transform's translation). Rounding in those transforms, in the
+magnitudes met on the way (1, the radius, the center in both frames and
+the transform's translation). Rounding in that transform, in the
 vertices' world positions and in the grid coordinates is a few ulps of
 those magnitudes, far inside the slack, so a culled pair has no point
 with phi < 0: detection finds the contacts, order and normal bits that it
@@ -47,7 +49,7 @@ import numpy as np
 from .core import Transform, cross3, quat_to_matrix
 from .field import (SdfGrid, bake_sdf_from_mesh, grid_points, mesh_edges, oriented_edge_ids,
                     sdf_from_density)
-from .scene import SimConfig
+from .scene import SimConfig, TransformConfig
 
 log = logging.getLogger(__name__)
 
@@ -115,11 +117,13 @@ class DistanceConstraint(NamedTuple):
 class RigidBody:
     """Rigid state about the center of mass; body frame origin is the com.
 
-    A body starts unrotated and without spin, moving at lin_vel; its inertia
-    is that of its collision_vertices as equal point masses. The
-    collision_vertices are body-frame points queried against other SDFs;
-    `sdf` (body-frame, optional) lets other objects collide with this body.
-    An infinite mass (inv_mass 0) makes the body kinematic.
+    A body starts at orientation q, a unit quaternion (w, x, y, z), and
+    without spin, moving at lin_vel; its inertia is that of its
+    collision_vertices as equal point masses. The collision_vertices are
+    body-frame points queried against other SDFs; `sdf` (in the body
+    frame, optional) lets other objects collide with this body. The pose
+    (q, com) is the only placement between the world and either. An
+    infinite mass (inv_mass 0) makes the body kinematic.
 
     `verts` is read-only; assigning new vertices also sets `radius`, their
     largest distance from the com, the body's bounding sphere for contact
@@ -131,10 +135,10 @@ class RigidBody:
     """
 
     def __init__(self, com, mass, collision_vertices, lin_vel=(0.0, 0.0, 0.0),
-                 sdf: Optional[SdfGrid] = None, name: str = "body"):
+                 sdf: Optional[SdfGrid] = None, name: str = "body", q=(1.0, 0.0, 0.0, 0.0)):
         self.name = name
         self.com = np.asarray(com, dtype=np.float64).reshape(3).copy()
-        self.q = np.array([1.0, 0.0, 0.0, 0.0])
+        self.q = np.array(q, dtype=np.float64).reshape(4)
         self.lin_vel = np.asarray(lin_vel, dtype=np.float64).reshape(3).copy()
         self.ang_vel = np.zeros(3)
         if not mass > 0:
@@ -182,20 +186,19 @@ class RigidBody:
 
     def reaches(self, center, radius: float) -> bool:
         """False only if the body SDF's phi is >= 0 in all of the world
-        ball (center, radius). The module docstring gives the slack."""
+        ball (center, radius), which is taken into the body frame by
+        world_from_body(). The module docstring gives the slack."""
         box = self.sdf.negative_box
         if box is None:
             return False
         c = np.asarray(center, dtype=np.float64)
-        met = [c]
-        # World to body to grid frame, each one matrix-vector product: the
-        # slack covers its rounding, which may differ from
-        # Transform.point's by an ulp.
-        for t in (self.world_from_body(), self.sdf.world_from_grid):
-            c = t.m_inv[:3, :3] @ c + t.m_inv[:3, 3]
-            met += [t.m_inv[:3, 3], c]
-        gap = np.maximum(np.maximum(box[0] - c, c - box[1]), 0.0)
-        slack = 1e-9 * (1.0 + radius + float(np.abs(np.concatenate(met)).sum()))
+        # One matrix-vector product: the slack covers its rounding, which
+        # may differ from Transform.point's by an ulp.
+        m_inv = self.world_from_body().m_inv
+        c_body = m_inv[:3, :3] @ c + m_inv[:3, 3]
+        gap = np.maximum(np.maximum(box[0] - c_body, c_body - box[1]), 0.0)
+        met = float(np.abs(np.concatenate([c, m_inv[:3, 3], c_body])).sum())
+        slack = 1e-9 * (1.0 + radius + met)
         # A NaN center does not cull: the lookups then see what they saw
         # before the cull.
         return not math.sqrt(float(gap @ gap)) > radius + slack
@@ -245,11 +248,13 @@ def point_mass_inertia(verts_body: np.ndarray, mass: float) -> np.ndarray:
 
 
 def _safe_inv(m: np.ndarray) -> np.ndarray:
-    """Inverse, or zeros for singular inertia (point masses cannot spin)."""
-    with np.errstate(over="ignore"):  # a huge mass's det is inf, not singular
-        det = np.linalg.det(m)
-    if abs(det) < 1e-12:
-        return np.zeros((3, 3))
+    """Inverse, or zeros for singular inertia (point masses on a line
+    cannot spin about it). Singular is relative to the tensor's scale:
+    det(m / trace(m)), at most 1/27 for an inertia tensor, is below
+    1e-12, so a light body spins as a heavy one does."""
+    with np.errstate(invalid="ignore"):  # an all-zero tensor: 0 / 0
+        if not np.linalg.det(m / np.trace(m)) >= 1e-12:
+            return np.zeros((3, 3))
     return np.linalg.inv(m)
 
 
@@ -597,7 +602,7 @@ def build_world(scene) -> tuple:
             binding.rigid_meshes.append((mesh, len(world.bodies)))
             world.bodies.append(body)
         elif dyn.type == "collider":
-            world.bodies.append(make_collider_body(mesh))
+            world.bodies.append(make_collider_body(mesh, mc.transform or TransformConfig()))
     if binding.cloth_meshes:
         pos = np.concatenate([m.vertices for m, _ in binding.cloth_meshes])
         # Sorted over all meshes, edges keep the meshes' order.
@@ -611,8 +616,9 @@ def build_world(scene) -> tuple:
     fc = scene.config.field
     if fc is not None and fc.dynamic is not None:
         dyn = fc.dynamic
-        body, binding.body_from_field = make_field_body(scene.field, dyn.mass, dyn.velocity,
-                                                        dyn.sigma_threshold)
+        body, binding.body_from_field = make_field_body(
+            scene.field, dyn.mass, dyn.velocity, dyn.sigma_threshold,
+            (fc.transform or TransformConfig()).quaternion())
         binding.field_body = len(world.bodies)
         world.bodies.append(body)
     return world, binding
@@ -623,23 +629,26 @@ def build_world(scene) -> tuple:
 COLLIDER_CELLS = 16
 
 
-def make_collider_body(mesh) -> RigidBody:
-    """Static obstacle for a placed mesh: an infinite-mass body at the
-    world origin, without collision vertices, whose SDF is baked from the
-    mesh's world-space triangles on its box grown by two cells a side.
-    The cells are as anisotropic as the box, so a thin slab has as many
-    across as along it. The body is the solid the surface encloses,
-    whichever way it is wound, so the mesh must be closed, consistently
-    oriented and around a volume."""
-    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+def make_collider_body(mesh, transform: TransformConfig) -> RigidBody:
+    """Static obstacle for a mesh placed by transform: an infinite-mass
+    body without collision vertices, at the transform's translation and
+    oriented by its quaternion. Its SDF is baked in the mesh's own frame,
+    from its vertices taken back through that pose, on their box grown by
+    two cells a side. The cells are as anisotropic as the box, so a thin
+    slab has as many across as along it however it is turned. The body
+    is the solid the surface encloses, whichever way it is wound, so the
+    mesh must be closed, consistently oriented and around a volume."""
+    body = RigidBody(com=transform.translate, q=transform.quaternion(), mass=np.inf,
+                     collision_vertices=np.zeros((0, 3)), name=mesh.name)
+    verts = body.world_from_body().point(mesh.vertices, inverse=True)
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
     if oriented_edge_ids(mesh.indices) is None or not np.all(hi > lo):
         raise ValueError(f"mesh '{mesh.name}': a collider must be closed, consistently "
                          "oriented and enclose a volume")
     h = (hi - lo) / COLLIDER_CELLS
-    sdf = bake_sdf_from_mesh(mesh.vertices, mesh.indices, lo - 2 * h, hi + 2 * h,
-                             (COLLIDER_CELLS + 5,) * 3)
-    return RigidBody(com=np.zeros(3), mass=np.inf, collision_vertices=np.zeros((0, 3)),
-                     sdf=sdf, name=mesh.name)
+    body.sdf = bake_sdf_from_mesh(verts, mesh.indices, lo - 2 * h, hi + 2 * h,
+                                  (COLLIDER_CELLS + 5,) * 3)
+    return body
 
 
 # A field body keeps every (n // FIELD_BODY_MIN_VERTS)-th of its n occupied
@@ -649,30 +658,29 @@ FIELD_BODY_MIN_VERTS = 200
 
 
 def make_field_body(grid, mass: float, velocity=(0.0, 0.0, 0.0),
-                    sigma_threshold: float = 0.5) -> tuple:
+                    sigma_threshold: float = 0.5, q=(1.0, 0.0, 0.0, 0.0)) -> tuple:
     """Rigid body for a radiance-field object, placed where the grid's
-    world_from_field puts it.
+    world_from_field puts it; q is the quaternion of that transform's
+    rotation.
 
     Returns (body, body_from_field). The body SDF is sdf_from_density of
     the grid at sigma_threshold, whose occupied nodes are exactly those
-    with phi < 0. The body frame sits at their centroid, axis-aligned
-    with the world, so body_from_field is the field's rotation R after a
-    shift of the centroid to the origin. The collision vertices are every
-    (n // FIELD_BODY_MIN_VERTS)-th of the n occupied nodes, in x-fastest
-    order.
+    with phi < 0. The body frame is the field frame shifted to their
+    centroid, so the body starts at q with its com at the centroid's
+    world position, and body_from_field is a pure translation. The
+    collision vertices are every (n // FIELD_BODY_MIN_VERTS)-th of the n
+    occupied nodes, in x-fastest order.
     """
     sdf = sdf_from_density(grid, sigma_threshold)
     occupied = grid_points(grid.bbox_lo, grid.bbox_hi, grid.res)[sdf.phi.ravel(order="F") < 0.0]
     origin = occupied.mean(axis=0)
     verts = occupied[::max(1, len(occupied) // FIELD_BODY_MIN_VERTS)]
 
-    rotation = Transform(grid.world_from_field.m[:3, :3])
-    body_sdf = SdfGrid(sdf.bbox_lo - origin, sdf.bbox_hi - origin, sdf.phi,
-                       world_from_grid=rotation)
+    body_sdf = SdfGrid(sdf.bbox_lo - origin, sdf.bbox_hi - origin, sdf.phi)
     body = RigidBody(com=grid.world_from_field.point(origin), mass=mass,
-                     collision_vertices=rotation.point(verts - origin),
-                     lin_vel=velocity, sdf=body_sdf, name="field")
-    return body, rotation.compose(Transform.translate(-origin))
+                     collision_vertices=verts - origin, lin_vel=velocity, sdf=body_sdf,
+                     name="field", q=q)
+    return body, Transform.translate(-origin)
 
 
 def sync_to_renderer(world: World, scene, binding: SimBinding):

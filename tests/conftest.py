@@ -1,15 +1,29 @@
+import math
+
 import numpy as np
 import pytest
 
 from hybridrt import assets
+from hybridrt.core import Transform, unit
 from hybridrt.field import SdfGrid, bake_sdf_from_mesh, grid_points
 
 
-def analytic_sdf(fn, lo, hi, res, world_from_grid=None) -> SdfGrid:
+def analytic_sdf(fn, lo, hi, res) -> SdfGrid:
     """A reference SDF: fn, a function of (N, 3) points, sampled at the
     nodes of the box [lo, hi] with res nodes per axis."""
     phi = fn(grid_points(lo, hi, res)).reshape(res, order="F")
-    return SdfGrid(lo, hi, phi, world_from_grid)
+    return SdfGrid(lo, hi, phi)
+
+
+def turn(axis, angle) -> np.ndarray:
+    """Unit quaternion (w, x, y, z) of a turn by angle radians about axis,
+    which need not be unit."""
+    return np.array([math.cos(0.5 * angle), *(math.sin(0.5 * angle) * unit(axis))])
+
+
+def rotation(axis, angle) -> Transform:
+    """The rotation by angle radians about axis, through the origin."""
+    return Transform.from_quaternion(turn(axis, angle), (0.0, 0.0, 0.0))
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from hybridrt.core import Transform, cross3, luminance, slab_interval, tone_map, unit, vec3
 
+from conftest import rotation
+
 
 def test_tone_map_fixed_points():
     assert np.array_equal(tone_map(np.zeros(3)), np.zeros(3))
@@ -51,13 +53,13 @@ def test_transform_translation_inverse():
 
 
 def test_transform_rotation_90deg():
-    t = Transform.rotate([0, 0, 1], math.pi / 2)
+    t = rotation([0, 0, 1], math.pi / 2)
     assert np.allclose(t.point([1, 0, 0]), [0, 1, 0], atol=1e-6)
 
 
 def test_transform_round_trip_random_points(rng):
     # forward then inverse recovers the input to 1e-5 over 1000 trials
-    t = Transform.translate([0.3, -2.0, 1.5]).compose(Transform.rotate([1, 2, 3], 0.7))
+    t = Transform.translate([0.3, -2.0, 1.5]).compose(rotation([1, 2, 3], 0.7))
     p = rng.uniform(-10, 10, (1000, 3))
     q = t.point(t.point(p), inverse=True)
     assert np.max(np.abs(q - p)) < 1e-5
@@ -68,7 +70,7 @@ def rigid_factories(rng):
     composition of two of them."""
     ts = [
         Transform.translate(rng.uniform(-10, 10, 3)),
-        Transform.rotate(rng.normal(size=3), rng.uniform(-7, 7)),
+        rotation(rng.normal(size=3), rng.uniform(-7, 7)),
         Transform.from_quaternion(rng.normal(size=4), rng.uniform(-10, 10, 3)),
         Transform.look_at(rng.uniform(-10, 10, 3), rng.uniform(-10, 10, 3), rng.normal(size=3)),
     ]

@@ -15,9 +15,9 @@ from hybridrt.field import (RadianceGrid, SdfGrid, grid_points, occupancy, save_
                             sdf_from_density)
 from hybridrt.images import read_pfm
 from hybridrt.scene import FieldDynamicConfig, RigidConfig, TransformConfig, load_scene
-from hybridrt.surface import Bvh, load_obj, save_obj
+from hybridrt.surface import Bvh, Lambertian, TriangleMesh, load_obj, save_obj
 
-from conftest import analytic_sdf
+from conftest import analytic_sdf, turn
 
 
 # Per-frame simulation state digests (state_digest below); a change to the
@@ -112,6 +112,32 @@ def state_digest(scene_path, frames, setup=lambda world: None):
     return h.hexdigest()
 
 
+@settings(max_examples=100, deadline=None)
+@given(axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: np.linalg.norm(a) > 0.1),
+       deg=st.floats(-180.0, 180.0),
+       shift=st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+def test_a_collider_is_posed_by_its_transform_quaternion(axis, deg, shift):
+    # A scene transform and the pose of the collider it places are the
+    # same bits. Its rotation keeps the axis and turns a vector
+    # perpendicular to it by the angle; at 0 degrees it is exactly the
+    # identity, about any axis.
+    cfg = TransformConfig(translate=shift, rotate_axis=axis, rotate_deg=deg)
+    t = cfg.build()
+    v, f = assets.box((-1, -2, -0.5), (1, 2, 0))
+    mesh = TriangleMesh(v, f, Lambertian((0.5, 0.5, 0.5)), world_from_object=t, name="slab")
+    pose = sim.make_collider_body(mesh, cfg).world_from_body()
+    assert pose.m.tobytes() == t.m.tobytes() and pose.m_inv.tobytes() == t.m_inv.tobytes()
+    a = np.asarray(axis) / np.linalg.norm(axis)
+    u = np.cross(a, [1.0, 0.0, 0.0] if abs(a[0]) < 0.9 else [0.0, 1.0, 0.0])
+    u /= np.linalg.norm(u)
+    angle = np.radians(deg)
+    np.testing.assert_allclose(t.direction(a), a, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(t.direction(u), np.cos(angle) * u + np.sin(angle) * np.cross(a, u),
+                               rtol=0, atol=1e-15)
+    for still in (TransformConfig(shift, axis, 0.0), TransformConfig(shift, (0, 0, 0), 0.0)):
+        assert still.build().m[:3, :3].tobytes() == np.eye(3).tobytes()
+
+
 def placed_field_hit(out_dir, placement):
     """The field-hit scene under one rigid placement, given as a transform
     config: the field, the ball and the ball's velocity all move with it."""
@@ -200,11 +226,17 @@ def test_only_a_collider_bakes(field_hit_dir, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def placed_drop(out_dir, placement):
-    """The drop scene under one rigid placement, given as a transform
-    config: the ball, the floor slab and gravity all move with it."""
+def slab_drop(out_dir, depth):
+    """The drop scene with its floor slab `depth` deep, top still at z = 0."""
     assets.gen_drop(str(out_dir))
-    path = out_dir / "drop.json"
+    save_obj(out_dir / "floor.obj", *assets.box((-3, -3, -depth), (3, 3, 0)))
+    return out_dir / "drop.json"
+
+
+def placed_drop(out_dir, placement, depth):
+    """slab_drop under one rigid placement, given as a transform config:
+    the ball, the floor slab and gravity all move with it."""
+    path = slab_drop(out_dir, depth)
     doc = json.loads(path.read_text())
     t = TransformConfig(**placement).build()
     ball, floor = doc["meshes"]
@@ -216,31 +248,33 @@ def placed_drop(out_dir, placement):
 
 
 @pytest.fixture(scope="module")
-def drop_trajectory(tmp_path_factory):
-    d = tmp_path_factory.mktemp("drop")
-    assets.gen_drop(str(d))
-    return trajectory(d / "drop.json", 40)
+def drop_trajectories(tmp_path_factory):
+    """The unplaced slab_drop's trajectory over 40 frames, by slab depth."""
+    return {depth: trajectory(slab_drop(tmp_path_factory.mktemp("drop"), depth), 40)
+            for depth in (0.5, 3.0)}
 
 
 @settings(max_examples=8, deadline=None)
 @given(axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: np.linalg.norm(a) > 0.1),
        deg=st.floats(-180.0, 180.0),
-       shift=st.tuples(*[st.floats(-1e3, 1e3)] * 3) | st.just((0.0, 0.0, 0.0)))
-def test_placed_drop_is_the_placed_trajectory(drop_trajectory, tmp_path_factory, axis, deg,
-                                              shift):
+       shift=st.tuples(*[st.floats(-1e3, 1e3)] * 3) | st.just((0.0, 0.0, 0.0)),
+       depth=st.sampled_from([0.5, 3.0]))
+def test_placed_drop_is_the_placed_trajectory(drop_trajectories, tmp_path_factory, axis, deg,
+                                              shift, depth):
     # The ball's com and velocity on a placed slab are the placed ones of
-    # drop over 40 frames, within 1e-11 per unit of the largest shift
-    # component plus one. Measured: at most 9e-12 over 60 placements with
-    # shifts up to 3, and 1.8e-9 over 30 with shifts up to 1e3. The floor
-    # collides through its own baked SDF on an axis-aligned grid, which
-    # holds the top face's plane exactly but for rounding, because the
-    # slab is deep enough that the cells around the contact are nearer
-    # its top than its bottom.
+    # the unplaced drop on that slab over 40 frames, within 1e-11 per unit
+    # of the largest shift component plus one. Measured: at most 2.4e-12
+    # per unit over 64 placements, 32 at each depth, with shifts up to 3
+    # and up to 1e3. The floor collides through the SDF baked in its
+    # mesh's own frame and posed by its body, so the grid turns with the
+    # slab and a thin slab keeps its cells across its thickness. The
+    # 0.5-deep slab is the case a grid fixed to world axes gets wrong: a
+    # rotated one was off by up to 6e-3 per unit.
     placement = {"translate": list(shift), "rotate_axis": list(axis), "rotate_deg": deg}
     t = TransformConfig(**placement).build()
-    placed = trajectory(placed_drop(tmp_path_factory.mktemp("placed"), placement), 40)
+    placed = trajectory(placed_drop(tmp_path_factory.mktemp("placed"), placement, depth), 40)
     atol = 1e-11 * (1.0 + max(map(abs, shift)))
-    for (bodies, _), (placed_bodies, _) in zip(drop_trajectory, placed):
+    for (bodies, _), (placed_bodies, _) in zip(drop_trajectories[depth], placed):
         (com, vel), (p_com, p_vel) = bodies[0], placed_bodies[0]
         np.testing.assert_allclose(p_com, t.point(com), rtol=0, atol=atol)
         np.testing.assert_allclose(p_vel, t.direction(vel), rtol=0, atol=atol)
@@ -362,14 +396,14 @@ def test_field_hit_pays_only_for_what_moved(field_hit_dir, monkeypatch):
             return f(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrap(counted))
 
-    count(SdfGrid, "_phi_local")
+    count(SdfGrid, "phi_batch")
     count(Transform, "from_quaternion", staticmethod)
     count(Bvh, "_split")
     scene = load_scene(field_hit_dir / "field_hit.json")
     world, binding = sim.build_world(scene)
     for _ in sim.run(world, scene, binding, 40):
         pass
-    assert counts["_phi_local"] <= 22
+    assert counts["phi_batch"] <= 22
     assert counts["from_quaternion"] <= 132
     assert counts["_split"] <= 1
 
@@ -501,6 +535,25 @@ def test_point_mass_inertia_equals_loop_bitwise(seed, n, scale, mass, flat_axis)
         verts[:, flat_axis] = 0.0
     assert (sim.point_mass_inertia(verts, mass).tobytes()
             == loop_point_mass_inertia(verts, mass).tobytes())
+
+
+def test_a_light_body_can_spin(field_hit_dir):
+    # Field-hit's ball at mass 0.001 has an inertia determinant near 2e-14,
+    # which an absolute singularity test took for zero.
+    ball = load_scene(field_hit_dir / "field_hit.json").meshes[0]
+    verts = ball.vertices - ball.vertices.mean(axis=0)
+    body = sim.RigidBody(com=np.zeros(3), mass=0.001, collision_vertices=verts)
+    assert abs(np.linalg.det(body.inertia)) < 1e-12
+    np.testing.assert_array_equal(body.inv_inertia, np.linalg.inv(body.inertia))
+
+
+@pytest.mark.parametrize("verts", [[[0.3, -0.1, 0.2]],
+                                   np.outer([-1.0, 0.25, 0.75], [0.3, -0.2, 0.5])],
+                         ids=["one vertex", "collinear"])
+@pytest.mark.parametrize("mass", [1e-3, 1.0, 1e3])
+def test_points_on_a_line_cannot_spin(verts, mass):
+    body = sim.RigidBody(com=np.zeros(3), mass=mass, collision_vertices=verts)
+    np.testing.assert_array_equal(body.inv_inertia, np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("pin", [9, -1])
@@ -647,13 +700,17 @@ def ball_sdf():
                         (9, 9, 9))
 
 
-def static_plane(frame):
-    """A kinematic body without collision vertices whose SDF is phi = z
-    on [-1.5, 1.5]^2 x [-0.5, 0.5], placed by frame."""
-    sdf = analytic_sdf(lambda p: p[:, 2], (-1.5, -1.5, -0.5), (1.5, 1.5, 0.5), (5, 5, 5),
-                       world_from_grid=frame)
-    return sim.RigidBody(com=np.zeros(3), mass=np.inf, collision_vertices=np.zeros((0, 3)),
+def static_plane(q, com):
+    """A kinematic body at pose (q, com) without collision vertices whose
+    SDF is phi = z on [-1.5, 1.5]^2 x [-0.5, 0.5]."""
+    sdf = analytic_sdf(lambda p: p[:, 2], (-1.5, -1.5, -0.5), (1.5, 1.5, 0.5), (5, 5, 5))
+    return sim.RigidBody(com=com, q=q, mass=np.inf, collision_vertices=np.zeros((0, 3)),
                          sdf=sdf, name="plane")
+
+
+def small_turn(rng):
+    """The quaternion of a turn by up to 0.3 radians about a random axis."""
+    return turn(rng.normal(size=3), rng.uniform(-0.3, 0.3))
 
 
 @functools.lru_cache(maxsize=1)
@@ -727,10 +784,9 @@ def probe_near_negative_box(owner, rng):
     out = np.zeros(3)
     out[ax] = 1.0 if side else -1.0
     c[ax] = (hi if side else lo)[ax] + out[ax] * (gap + r)
-    to_world = [sdf.world_from_grid, owner.world_from_body()]
+    world_from_body = owner.world_from_body()
     dirs = np.concatenate([-out[None], rng.normal(size=(5, 3))])
-    for t in to_world:
-        c, dirs = t.point(c), t.direction(dirs)
+    c, dirs = world_from_body.point(c), world_from_body.direction(dirs)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     probe = sim.RigidBody(com=c, mass=1.0, collision_vertices=r * dirs, name="probe")
     return probe, owner, misses
@@ -759,10 +815,9 @@ def test_gated_detect_contacts_equals_ungated(seed, spin, lone):
         for b in (ball, blob):
             q = rng.normal(size=4)
             b.q = q / np.linalg.norm(q)
-    frame = Transform.translate(rng.uniform(-0.5, 0.5, 3))
-    if spin:
-        frame = frame.compose(Transform.rotate(rng.normal(size=3), rng.uniform(-0.3, 0.3)))
-    plane = static_plane(frame)
+    plane = static_plane(small_turn(rng) if spin else (1.0, 0.0, 0.0, 0.0),
+                         rng.uniform(-0.5, 0.5, 3))
+    frame = plane.world_from_body()
     world.bodies = [plane, ball, blob]
 
     on_plane = frame.point(np.column_stack([rng.uniform(-1.5, 1.5, (6, 2)), np.zeros(6)]))
@@ -816,14 +871,13 @@ def test_cull_drops_a_sphere_off_the_negative_box_and_keeps_one_on_it(seed, spin
     blob, _ = sim.make_field_body(small_blob(), 2.0)
     ball = sim.RigidBody(com=rng.uniform(-0.6, 0.6, 3), mass=1.0, collision_vertices=[[0, 0, 0]],
                          sdf=ball_sdf())
-    frame = Transform.translate(rng.uniform(-0.5, 0.5, 3))
+    plane = static_plane((1.0, 0.0, 0.0, 0.0), rng.uniform(-0.5, 0.5, 3))
     if spin:
         for b in (ball, blob):
             q = rng.normal(size=4)
             b.q = q / np.linalg.norm(q)
-        frame = frame.compose(Transform.rotate(rng.normal(size=3), rng.uniform(-0.3, 0.3)))
-    probe, owner, misses = probe_near_negative_box(
-        [static_plane(frame), ball, blob][rng.integers(3)], rng)
+        plane.q = small_turn(rng)
+    probe, owner, misses = probe_near_negative_box([plane, ball, blob][rng.integers(3)], rng)
     np.testing.assert_allclose(owner.sdf.negative_box, negative_box(owner.sdf),
                                rtol=0, atol=1e-12)
     assert owner.reaches(probe.com, probe.radius) != misses

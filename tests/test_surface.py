@@ -20,6 +20,8 @@ from hybridrt.surface import (
     schlick_r0,
 )
 
+from conftest import rotation
+
 
 def make_mesh(verts, faces, bsdf=None, **kw):
     return TriangleMesh(verts, faces, bsdf or Lambertian(np.array([0.8, 0.8, 0.8])), **kw)
@@ -208,7 +210,7 @@ def grid_mesh(rng, k, bumpy):
     v = (i * (k + 1) + j)[:-1, :-1].ravel()
     faces = np.concatenate([np.stack([v, v + k + 1, v + k + 2], axis=1),
                             np.stack([v, v + k + 2, v + 1], axis=1)])
-    pose = Transform.rotate(rng.normal(size=3), rng.uniform(0.0, 6.0)) if bumpy else None
+    pose = rotation(rng.normal(size=3), rng.uniform(0.0, 6.0)) if bumpy else None
     return make_mesh(verts, faces, world_from_object=pose)
 
 
@@ -278,7 +280,7 @@ def test_refit_bvh_equals_brute_force_and_a_new_build(seed, motion, size):
     for _ in range(3):
         if motion == "rigid":
             pose = Transform.translate(rng.uniform(-1.0, 1.0, 3)).compose(
-                Transform.rotate(rng.normal(size=3), rng.uniform(0.0, 6.0)))
+                rotation(rng.normal(size=3), rng.uniform(0.0, 6.0)))
             mesh.vertices = pose.point(mesh.vertices)
         else:
             mesh.vertices = mesh.vertices + rng.normal(scale=0.15, size=mesh.vertices.shape)
