@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import struct
-import warnings
 
 import numpy as np
 
@@ -508,7 +507,7 @@ def _unsigned_distance(axes_pts, tri_verts: np.ndarray, normals: np.ndarray) -> 
     any superset of the minimising face is the same float, so the distance
     equals the brute-force minimum over all faces bit for bit. A node is
     behind when (p - q) . normals[face, feature] < 0 at its first pair that
-    holds the minimum (see _pseudonormals); with zero normals none is.
+    holds the minimum (see _pseudonormals).
     """
     nx, ny, _ = (len(ax) for ax in axes_pts)
     pts = np.ascontiguousarray(_axes_nodes(axes_pts).T)
@@ -599,9 +598,9 @@ def bake_sdf_from_mesh(vertices: np.ndarray, indices: np.ndarray, bbox_lo, bbox_
     bit (see _unsigned_distance). The sign comes from the face, edge or
     vertex that holds the minimum, by its angle-weighted pseudonormal (see
     _pseudonormals), for either winding. Input that is open, or whose faces
-    disagree on orientation (see oriented_edge_ids), warns and bakes
-    all-positive. jitter_seed is accepted and ignored, for callers that
-    still pass it.
+    disagree on orientation (see oriented_edge_ids), has no inside and
+    raises ValueError. jitter_seed is accepted and ignored, for callers
+    that still pass it.
     """
     vertices = np.asarray(vertices, dtype=np.float64)
     indices = np.asarray(indices, dtype=np.int64)
@@ -621,12 +620,9 @@ def bake_sdf_from_mesh(vertices: np.ndarray, indices: np.ndarray, bbox_lo, bbox_
     res = _as_res(res)
 
     inverse = oriented_edge_ids(indices)
-    if inverse is not None:
-        normals = _pseudonormals(vertices, indices, inverse)
-    else:
-        warnings.warn("mesh is not closed and consistently oriented; "
-                      "baked SDF has no interior")
-        normals = np.zeros((len(indices), 7, 3))
+    if inverse is None:
+        raise ValueError("mesh is not closed and consistently oriented, so it has no inside")
+    normals = _pseudonormals(vertices, indices, inverse)
     dist, inside = _unsigned_distance(_grid_axes(lo, hi, res), vertices[indices], normals)
     phi = dist.reshape(res, order="F")
     return SdfGrid(lo, hi, np.where(inside.reshape(res, order="F"), -phi, phi))
@@ -714,18 +710,17 @@ def sdf_from_density(grid: RadianceGrid, threshold_frac: float = 0.5) -> SdfGrid
 _GRID_HEADER = "<3i6f"
 
 
-def _write_grid(path, bbox_lo, bbox_hi, *grids) -> None:
-    """One block per grid, in the order given; all share the first's res."""
-    header = struct.pack(_GRID_HEADER, *grids[0].shape[:3], *bbox_lo, *bbox_hi)
-    blocks = [g.reshape((-1,) + g.shape[3:], order="F").astype("<f4").tobytes() for g in grids]
+def save_rfgrid(path, grid: RadianceGrid) -> None:
+    header = struct.pack(_GRID_HEADER, *grid.res, *grid.bbox_lo, *grid.bbox_hi)
+    sigma = grid.sigma.ravel(order="F").astype("<f4").tobytes()
+    rgb = grid.radiance.reshape(-1, 3, order="F").astype("<f4").tobytes()
     with open(path, "wb") as f:
-        f.write(header + b"".join(blocks))
+        f.write(header + sigma + rgb)
 
 
-def _read_grid(path, *channels) -> list:
-    """[bbox_lo, bbox_hi, grid per block] of a grid file whose blocks hold
-    the given trailing shapes per sample, () for a scalar and (3,) for RGB,
-    after checking that its size is exactly the header plus those blocks."""
+def load_rfgrid(path) -> RadianceGrid:
+    """The radiance grid of a .rfgrid file, after checking that its size is
+    exactly the header plus the sigma and RGB blocks."""
     with open(path, "rb") as f:
         data = f.read()
     off = struct.calcsize(_GRID_HEADER)
@@ -736,22 +731,11 @@ def _read_grid(path, *channels) -> list:
     if min(nx, ny, nz) < 1:
         raise ValueError(f"{path}: grid dimensions must be positive, got {(nx, ny, nz)}")
     n = nx * ny * nz
-    sizes = [n * int(np.prod(c)) for c in channels]
-    want = off + 4 * sum(sizes)
+    want = off + 4 * 4 * n
     if len(data) != want:
         raise ValueError(f"{path}: {nx}x{ny}x{nz} grid needs {want} bytes, "
                          f"file has {len(data)}")
-    out = [box[:3], box[3:]]
-    for c, size in zip(channels, sizes):
-        flat = widen_f32(np.frombuffer(data, dtype="<f4", count=size, offset=off))
-        out.append(flat.reshape((n,) + c).reshape((nx, ny, nz) + c, order="F"))
-        off += 4 * size
-    return out
-
-
-def save_rfgrid(path, grid: RadianceGrid) -> None:
-    _write_grid(path, grid.bbox_lo, grid.bbox_hi, grid.sigma, grid.radiance)
-
-
-def load_rfgrid(path) -> RadianceGrid:
-    return RadianceGrid(*_read_grid(path, (), (3,)))
+    flat = widen_f32(np.frombuffer(data, dtype="<f4", count=4 * n, offset=off))
+    sigma = flat[:n].reshape((nx, ny, nz), order="F")
+    rgb = flat[n:].reshape(-1, 3).reshape((nx, ny, nz, 3), order="F")
+    return RadianceGrid(box[:3], box[3:], sigma, rgb)

@@ -35,13 +35,15 @@ segment end is bitwise equal, and marches only the other rays. Its own
 records then replace the old ones, so the field holds 56 bytes per
 primary ray of its last render.
 
-Shadow rays are culled exactly. A shadow segment from a march point p to
-any emitter point lies inside box(p and every emitter vertex); when that
-box meets no blocker face's box, padded by the spawn epsilon, no face can
-block the ray and its mask is 1.0, the value an unblocked ray returns.
-Such points draw no light sample and fire no ray (`shadow_candidates`).
-Light-sample draws are keyed per (pixel, sample, bounce, substep), so
-skipping some leaves every other value unchanged.
+Shadow rays run through the scene BVH and are blocked only by the faces
+of meshes that emit nothing (`Bvh.blocks`), so an emissive mesh never
+shadows its own light. They are culled exactly. A shadow segment from a
+march point p to any emitter point lies inside box(p and every emitter
+vertex); when that box meets no blocking face's box, padded by the spawn
+epsilon, no face can block the ray and its mask is 1.0, the value an
+unblocked ray returns. Such points draw no light sample and fire no ray
+(`shadow_candidates`). Light-sample draws are keyed per (pixel, sample,
+bounce, substep), so skipping some leaves every other value unchanged.
 """
 
 from __future__ import annotations
@@ -148,10 +150,9 @@ class EmitterSet:
         return pts, self.r_src[idx]
 
 
-def shadow_mask_batch(points, emitters: EmitterSet, blocker_bvh: Bvh,
-                      u_pick, u1, u2, eps: float):
-    """Mask values per point: 1 when the sampled emitter is visible, else
-    1 - r_src clamped to [0.02, 1]."""
+def shadow_mask_batch(points, emitters: EmitterSet, bvh: Bvh, u_pick, u1, u2, eps: float):
+    """Mask values per point: 1 when no face that `bvh.blocks` hides the
+    sampled emitter point, else 1 - r_src clamped to [0.02, 1]."""
     if emitters is None or len(emitters) == 0:
         return np.ones(len(points))
     q, r_src = emitters.sample(u_pick, u1, u2)
@@ -159,25 +160,27 @@ def shadow_mask_batch(points, emitters: EmitterSet, blocker_bvh: Bvh,
     dist = np.linalg.norm(delta, axis=1)
     safe = np.maximum(dist, 1e-12)
     d = delta / safe[:, None]
-    blocked = blocker_bvh.any_hit_batch(points, d, eps, dist * SHADOW_T_MAX_SHRINK)
+    blocked = bvh.any_hit_batch(points, d, eps, dist * SHADOW_T_MAX_SHRINK)
     masked = np.clip(1.0 - r_src, BLOCKED_MASK_FLOOR, 1.0)
     return np.where(blocked, masked, 1.0)
 
 
-def shadow_candidates(points, emitters: EmitterSet, blocker_bvh: Bvh, pad: float):
-    """False where no blocker face can block any shadow ray from the point
-    to the emitters, so its mask is exactly 1.0; True where it might.
+def shadow_candidates(points, emitters: EmitterSet, bvh: Bvh, pad: float):
+    """False where no face that `bvh.blocks` can block any shadow ray
+    from the point to the emitters, so its mask is exactly 1.0; True where
+    it might.
 
     A shadow segment lies inside box(p and the emitter vertex box E).
     Moller-Trumbore reports hits only within its barycentric slack of a
     triangle, which `pad` (the spawn epsilon, 1e-4 of the scene diagonal)
-    far exceeds, so a face whose padded box misses that box cannot block.
+    far exceeds, so a blocking face whose padded box misses that box
+    cannot block. The faces of emissive meshes block nothing.
     """
     n = len(points)
     if not n:
         return np.zeros(0, dtype=bool)
-    lo = blocker_bvh.face_lo - pad
-    hi = blocker_bvh.face_hi + pad
+    lo = bvh.face_lo[bvh.blocks] - pad
+    hi = bvh.face_hi[bvh.blocks] + pad
     block_lo = np.minimum(points.min(axis=0), emitters.lo)
     block_hi = np.maximum(points.max(axis=0), emitters.hi)
     near = np.all((lo <= block_hi) & (hi >= block_lo), axis=1)
@@ -208,8 +211,7 @@ def _shadow_fn(scene, m_pix, m_smp, bounce, seed):
         # index, the lane of its light-sample draws. Culled points keep
         # the unblocked mask 1.0 and draw nothing.
         m = np.ones(len(p))
-        cand = shadow_candidates(p, scene.emitters, scene.blocker_bvh,
-                                 scene.spawn_eps)
+        cand = shadow_candidates(p, scene.emitters, scene.bvh, scene.spawn_eps)
         if not np.any(cand):
             return m
         sub_ids = sub_ids[cand]
@@ -218,7 +220,7 @@ def _shadow_fn(scene, m_pix, m_smp, bounce, seed):
         u_pick = _rng.uniform(*keys, _rng.LIGHT_PICK, substeps)
         u1 = _rng.uniform(*keys, _rng.LIGHT_U, substeps)
         u2 = _rng.uniform(*keys, _rng.LIGHT_V, substeps)
-        m[cand] = shadow_mask_batch(p[cand], scene.emitters, scene.blocker_bvh,
+        m[cand] = shadow_mask_batch(p[cand], scene.emitters, scene.bvh,
                                     u_pick, u1, u2, scene.spawn_eps)
         return m
 

@@ -411,34 +411,23 @@ class Scene:
     field: Optional[RadianceGrid]
     meshes: list
     bvh: Bvh
-    blocker_bvh: Bvh
     emitters: Optional[EmitterSet]
     spawn_eps: float
 
     def rebuild_bvh(self):
-        """Bring both BVHs to the meshes' current vertices and emission:
-        each is refit if it holds the same meshes as before, else built."""
+        """Bring the BVH to the meshes' current vertices and emission,
+        which also set the faces that block shadow rays (`Bvh.blocks`). It
+        is refit (`Bvh.refit`) while it holds the same mesh objects, in
+        the same order and with as many faces, else built anew: any tree
+        over the same faces gives the same hits."""
         for m in self.meshes:
             m.recompute_normals()
-        self.bvh, self.blocker_bvh = _build_bvhs(self.meshes, (self.bvh, self.blocker_bvh))
-
-
-def _build_bvhs(meshes, old=()):
-    """The scene BVH and the shadow blockers' BVH, which is the same object
-    when no mesh emits. A BVH of `old` over the same mesh objects, in the
-    same order and with as many faces, is refit (`Bvh.refit`) instead of
-    built: any tree over the same faces gives the same hits."""
-    def fit(ms):
-        for bvh in old:
-            if (len(bvh.meshes) == len(ms) and all(a is b for a, b in zip(bvh.meshes, ms))
-                    and bvh.n_faces == sum(len(m.indices) for m in ms)):
-                bvh.refit()
-                return bvh
-        return Bvh(ms)
-
-    bvh = fit(meshes)
-    blockers = [m for m in meshes if not m.is_emissive]
-    return bvh, bvh if len(blockers) == len(meshes) else fit(blockers)
+        old = self.bvh.meshes
+        if (len(old) == len(self.meshes) and all(a is b for a, b in zip(old, self.meshes))
+                and self.bvh.n_faces == sum(len(m.indices) for m in self.meshes)):
+            self.bvh.refit()
+        else:
+            self.bvh = Bvh(self.meshes)
 
 
 def scene_diagonal(field: Optional[RadianceGrid], meshes) -> float:
@@ -496,7 +485,6 @@ def build_scene(cfg: SceneConfig, base_dir: str = ".") -> Scene:
             [e.r_src for e in cfg.emitters],
         )
 
-    bvh, blocker = _build_bvhs(meshes)
     diag = scene_diagonal(field, meshes)
     return Scene(
         config=cfg,
@@ -504,8 +492,7 @@ def build_scene(cfg: SceneConfig, base_dir: str = ".") -> Scene:
         render=cfg.render,
         field=field,
         meshes=meshes,
-        bvh=bvh,
-        blocker_bvh=blocker,
+        bvh=Bvh(meshes),
         emitters=emitters,
         spawn_eps=1e-4 * diag,
     )

@@ -47,8 +47,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import Transform, cross3, quat_to_matrix
-from .field import (SdfGrid, bake_sdf_from_mesh, grid_points, mesh_edges, oriented_edge_ids,
-                    sdf_from_density)
+from .field import SdfGrid, bake_sdf_from_mesh, grid_points, mesh_edges, sdf_from_density
 from .scene import SimConfig, TransformConfig
 
 log = logging.getLogger(__name__)
@@ -642,12 +641,16 @@ def make_collider_body(mesh, transform: TransformConfig) -> RigidBody:
                      collision_vertices=np.zeros((0, 3)), name=mesh.name)
     verts = body.world_from_body().point(mesh.vertices, inverse=True)
     lo, hi = verts.min(axis=0), verts.max(axis=0)
-    if oriented_edge_ids(mesh.indices) is None or not np.all(hi > lo):
-        raise ValueError(f"mesh '{mesh.name}': a collider must be closed, consistently "
-                         "oriented and enclose a volume")
+    msg = (f"mesh '{mesh.name}': a collider must be closed, consistently oriented and "
+           "enclose a volume")
+    if not np.all(hi > lo):
+        raise ValueError(msg)
     h = (hi - lo) / COLLIDER_CELLS
-    body.sdf = bake_sdf_from_mesh(verts, mesh.indices, lo - 2 * h, hi + 2 * h,
-                                  (COLLIDER_CELLS + 5,) * 3)
+    try:
+        body.sdf = bake_sdf_from_mesh(verts, mesh.indices, lo - 2 * h, hi + 2 * h,
+                                      (COLLIDER_CELLS + 5,) * 3)
+    except ValueError:  # the mesh's own checks and the box leave only its closedness
+        raise ValueError(msg) from None
     return body
 
 

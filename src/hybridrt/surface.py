@@ -320,8 +320,12 @@ class Bvh:
     pairs whose padded box meets the ray's [t_min, t_max], and tests the
     faces of the leaves reached in one Moller-Trumbore call. There is no
     best-t pruning. `intersect_batch` keeps per ray the smallest t, ties
-    going to the smaller face id; `any_hit_batch` marks the rays with any
-    hit.
+    going to the smaller face id; `any_hit_batch` marks the rays with a
+    hit on a face that `blocks`. A face blocks shadow rays unless its
+    mesh emits, so an emissive mesh never shadows its own light; the mask
+    follows emission through `refit`. Since any tree over the same faces
+    gives the same hits, these are the hits of a tree over the blocking
+    faces alone.
 
     At or below BRUTE_FORCE_FACES faces nearest-hit runs one dense sweep
     over all faces instead, a choice of speed only. Replaying the
@@ -341,8 +345,8 @@ class Bvh:
         self._bound()
 
     def refit(self):
-        """Re-read the meshes' triangles, normals and emission and refit
-        the boxes to them, keeping the tree: `leaf_faces` stays as it is.
+        """Re-read the meshes' triangles, normals, emission and `blocks`
+        and refit the boxes to them, keeping the tree: `leaf_faces` stays.
         The meshes must be the ones the tree was built on, with the same
         number of faces."""
         self._read()
@@ -376,6 +380,9 @@ class Bvh:
         else:
             self.face_normal = np.zeros((0, 3))
             self.face_emission = np.zeros((0, 3))
+        # Shadow rays pass the faces of emissive meshes (`any_hit_batch`).
+        emits = np.array([m.is_emissive for m in self.meshes], dtype=bool)
+        self.blocks = ~emits[self.face_mesh]
         # Per-face boxes; the shadow cull in render.py reads them too.
         self.face_lo = self.tri.min(axis=1)
         self.face_hi = self.tri.max(axis=1)
@@ -481,11 +488,11 @@ class Bvh:
         return best_t, best_f
 
     def any_hit_batch(self, o, d, t_min, t_max):
-        """True where any face blocks the ray within (t_min, t_max]."""
+        """True where a face that `blocks` meets the ray within (t_min, t_max]."""
         o, d, t_min, t_max = _ray_arrays(o, d, t_min, t_max)
         blocked = np.zeros(len(o), dtype=bool)
-        for ray, _, _ in self._hits(o, d, t_min, t_max):
-            blocked[ray] = True
+        for ray, face, _ in self._hits(o, d, t_min, t_max):
+            blocked[ray[self.blocks[face]]] = True
         return blocked
 
     def brute_force_batch(self, o, d, t_min=0.0, t_max=np.inf):

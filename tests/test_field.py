@@ -602,15 +602,14 @@ def test_bake_icosphere_matches_analytic(icosphere_sdf64, rng):
     assert np.max(np.abs(phi - truth)) < 0.05
 
 
-def test_bake_open_mesh_warns_and_has_no_interior():
+def test_bake_open_mesh_raises():
     v, f = assets.quad((-1, -1, 0), (2, 0, 0), (0, 2, 0))
     assert oriented_edge_ids(f) is None
-    with pytest.warns(UserWarning):
-        sdf = bake_sdf_from_mesh(v, f, (-2, -2, -1), (2, 2, 1), (17, 17, 9))
-    assert np.all(sdf.phi >= 0.0)
+    with pytest.raises(ValueError, match="not closed"):
+        bake_sdf_from_mesh(v, f, (-2, -2, -1), (2, 2, 1), (17, 17, 9))
 
 
-def test_bake_inconsistent_orientation_warns_and_has_no_interior():
+def test_bake_inconsistent_orientation_raises():
     # One face turned over: the box stays closed, but each of that face's
     # edges is traversed the same way by both of its faces.
     v, f = assets.box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
@@ -618,9 +617,8 @@ def test_bake_inconsistent_orientation_warns_and_has_no_interior():
         np.testing.assert_array_equal(oriented_edge_ids(faces), mesh_edges(faces)[2])
     f[0] = f[0][::-1]
     assert oriented_edge_ids(f) is None
-    with pytest.warns(UserWarning, match="consistently oriented"):
-        sdf = bake_sdf_from_mesh(v, f, (-1, -1, -1), (1, 1, 1), (17, 17, 17))
-    assert np.all(sdf.phi >= 0.0)
+    with pytest.raises(ValueError, match="consistently oriented"):
+        bake_sdf_from_mesh(v, f, (-1, -1, -1), (1, 1, 1), (17, 17, 17))
 
 
 def test_bake_inward_winding_bakes_the_same_phi():

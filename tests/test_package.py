@@ -94,3 +94,15 @@ def test_field_hit_world_loads_no_scipy(field_hit_dir):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_only_the_package_root_and_cli():
+    # The package root re-exports nothing, so importing the CLI loads no
+    # other module of the package until a command runs. A fresh
+    # interpreter, so that no module a test imported first shows up.
+    code = ("import sys\n"
+            "import hybridrt.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'hybridrt'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
+    assert out.stdout.strip() == "['hybridrt', 'hybridrt.cli']"

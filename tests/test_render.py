@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -31,15 +32,13 @@ from hybridrt.surface import Bvh, Lambertian, Mirror, TriangleMesh
 
 def make_scene(field=None, meshes=(), emitters=None, camera=None, **render_kw):
     meshes = list(meshes)
-    bvh = Bvh(meshes)
-    blocker = Bvh([m for m in meshes if not m.is_emissive])
     camera = camera or Camera(pose=Transform.look_at([0, 0, 3], [0, 0, 0]),
                               fov=math.radians(30), resolution=(8, 8))
     cfg = SceneConfig(camera=CameraConfig(position=[0, 0, 3], look_at=[0, 0, 0],
                                           resolution=list(camera.resolution)))
     rc = RenderConfig(**render_kw) if render_kw else RenderConfig()
     return Scene(config=cfg, camera=camera, render=rc, field=field, meshes=meshes,
-                 bvh=bvh, blocker_bvh=blocker, emitters=emitters,
+                 bvh=Bvh(meshes), emitters=emitters,
                  spawn_eps=1e-4 * scene_diagonal(field, meshes))
 
 
@@ -118,7 +117,7 @@ ORIGIN = np.zeros((1, 3))
 
 
 def test_shadow_mask_no_emitters_is_one():
-    bvh = make_scene().blocker_bvh
+    bvh = make_scene().bvh
     assert shadow_mask_batch(ORIGIN, None, bvh, *light_draws(1), 1e-6).tolist() == [1.0]
     empty = EmitterSet(np.zeros((0, 3, 3)), np.zeros(0))
     assert shadow_mask_batch(ORIGIN, empty, bvh, *light_draws(1), 1e-6).tolist() == [1.0]
@@ -144,6 +143,28 @@ def test_shadow_mask_floor_clamp():
     blocker = Bvh([TriangleMesh(v, f, Lambertian(np.full(3, 0.5)))])
     m = shadow_mask_batch(ORIGIN, em, blocker, *light_draws(3), 1e-6)
     assert m[0] == 0.02  # 1 - r_src clamped to the documented floor
+
+
+@pytest.mark.parametrize("r_src", [0.7, 1.0])
+def test_emissive_mesh_casts_no_shadow(r_src):
+    # A quad between the march points and the emitters blocks their light
+    # unless it emits itself: both its cull and its shadow rays run through
+    # the one scene BVH, whose `blocks` leaves out an emissive mesh's faces.
+    em = EmitterSet([[[-1, -1, 5], [1, -1, 5], [0, 1, 5]]], [r_src])
+    v, f = assets.quad((-3, -3, 2.0), (6, 0, 0), (0, 6, 0))
+    wall = TriangleMesh(*assets.quad((5, -1, -1), (0, 2, 0), (0, 0, 2)), Lambertian(np.ones(3)))
+    xy = np.linspace(-0.5, 0.5, 4)
+    points = np.array([[x, y, z] for x in xy for y in xy for z in (-1.0, 0.0)])
+    lane = np.arange(len(points))
+    draws = [hrng.uniform(3, 0, 0, 0, purpose, lane)
+             for purpose in (hrng.LIGHT_PICK, hrng.LIGHT_U, hrng.LIGHT_V)]
+    for emission, want in ((None, np.clip(1.0 - r_src, 0.02, 1.0)), ((2.0, 2.0, 2.0), 1.0)):
+        quad = TriangleMesh(v, f, Lambertian(np.full(3, 0.5)), emission=emission)
+        scene = make_scene(meshes=[wall, quad], emitters=em)
+        cand = shadow_candidates(points, em, scene.bvh, scene.spawn_eps)
+        assert cand.tolist() == [emission is None] * len(points)
+        m = shadow_mask_batch(points, em, scene.bvh, *draws, scene.spawn_eps)
+        assert m.tolist() == [want] * len(points)
 
 
 def shadow_scene(r_src):
@@ -768,4 +789,7 @@ def test_render_name_is_the_module():
     import hybridrt.render as m
     assert inspect.ismodule(m) and m is hybridrt.render
     assert m.render is render
-    assert not REMOVED_NAMES & set(hybridrt.__all__)
+    public = {name for module in pkgutil.iter_modules(hybridrt.__path__)
+              for name in dir(importlib.import_module(f"hybridrt.{module.name}"))
+              if not name.startswith("_")}
+    assert "Scene" in public and not REMOVED_NAMES & public

@@ -328,7 +328,7 @@ def test_build_scene_loads_assets(tmp_path):
     scene = load_scene(path)
     assert scene.field is not None
     assert scene.bvh.n_faces == 2
-    assert scene.blocker_bvh.n_faces == 0  # the only mesh is emissive
+    assert not scene.bvh.blocks.any()  # the only mesh is emissive
     assert scene.spawn_eps > 0
     assert scene.camera.resolution == (8, 8)
 
@@ -341,14 +341,15 @@ def test_scene_rebuild_bvh_after_deform(tmp_path):
     with open(path, "w") as f:
         json.dump(doc, f)
     scene = load_scene(path)
+    bvh = scene.bvh
     scene.meshes[0].vertices = scene.meshes[0].vertices + np.array([0, 0, 5.0])
     scene.rebuild_bvh()
-    assert scene.bvh.node_lo[0][2] >= 4.9
-    # No mesh emits, so every mesh blocks shadows: one BVH serves both.
-    assert scene.blocker_bvh is scene.bvh
+    assert scene.bvh is bvh and bvh.node_lo[0][2] >= 4.9
+    # No mesh emits, so every face blocks shadow rays.
+    assert bvh.blocks.tolist() == [True, True]
 
 
-def test_blocker_bvh_leaves_out_emissive_meshes(tmp_path):
+def test_bvh_blocks_leave_out_emissive_meshes(tmp_path):
     write_assets(tmp_path)
     v, f = assets.quad((-1, -1, 1), (2, 0, 0), (0, 2, 0))
     save_obj(tmp_path / "lamp.obj", v, f)
@@ -358,38 +359,42 @@ def test_blocker_bvh_leaves_out_emissive_meshes(tmp_path):
     with open(path, "w") as f:
         json.dump(doc, f)
     scene = load_scene(path)
+    bvh = scene.bvh
     for _ in range(2):
-        assert (scene.bvh.n_faces, scene.blocker_bvh.n_faces) == (4, 2)
-        assert np.array_equal(scene.blocker_bvh.tri, scene.meshes[0].triangle_vertices())
+        assert scene.bvh is bvh and bvh.n_faces == 4
+        assert bvh.blocks.tolist() == [True, True, False, False]
+        assert np.array_equal(bvh.tri[bvh.blocks], scene.meshes[0].triangle_vertices())
         scene.rebuild_bvh()
 
 
 def test_rebuild_bvh_refits_the_same_meshes_and_builds_for_others(estimation_dir):
     # As the estimation-room preset does, emission turns on before
-    # rebuild_bvh: the scene BVH, over the same mesh, is refit and reads
-    # it, while the shadow blockers, now none, get a tree of their own.
-    # A mesh with fewer faces, or one more mesh, builds anew.
+    # rebuild_bvh: the scene BVH, over the same mesh, is refit, reads it,
+    # and its faces stop blocking shadow rays; they block again once the
+    # emission goes. A mesh with fewer faces, or one more mesh, builds anew.
     scene = load_scene(estimation_dir / "room.json")
     bvh = scene.bvh
     mesh = scene.meshes[0]
-    assert scene.blocker_bvh is bvh
+    assert bvh.blocks.all()
     mesh.emission = np.full((len(mesh.indices), 3), 0.5)
     scene.rebuild_bvh()
     assert scene.bvh is bvh and bvh.face_emission.tobytes() == mesh.emission.tobytes()
-    blockers = scene.blocker_bvh
-    assert blockers is not bvh and blockers.n_faces == 0
+    assert not bvh.blocks.any()
     scene.rebuild_bvh()
-    assert scene.bvh is bvh and scene.blocker_bvh is blockers
+    assert scene.bvh is bvh and not bvh.blocks.any()
     mesh.emission = None
     scene.rebuild_bvh()
-    assert scene.bvh is bvh and scene.blocker_bvh is bvh and not bvh.face_emission.any()
+    assert scene.bvh is bvh and not bvh.face_emission.any() and bvh.blocks.all()
     mesh.indices = mesh.indices[:-1]
     scene.rebuild_bvh()
     assert scene.bvh is not bvh and scene.bvh.n_faces == len(mesh.indices)
     bvh = scene.bvh
-    scene.meshes.append(load_scene(estimation_dir / "room.json").meshes[0])
+    lamp = load_scene(estimation_dir / "room.json").meshes[0]
+    lamp.emission = np.ones((len(lamp.indices), 3))
+    scene.meshes.append(lamp)
     scene.rebuild_bvh()
     assert scene.bvh is not bvh and scene.bvh.meshes == scene.meshes
+    assert scene.bvh.blocks.tolist() == [True] * len(mesh.indices) + [False] * len(lamp.indices)
 
 
 # -- fuzzing the readers ------------------------------------------------------
