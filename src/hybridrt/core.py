@@ -35,6 +35,28 @@ def unit(v) -> np.ndarray:
     return v / n
 
 
+def max3(a) -> np.ndarray:
+    """a.max(axis=-1) over a last axis of 3, bitwise, NaN and signed
+    zeros included: chained elementwise maxima of the component views, x
+    then y then z, the order in which the reduction takes them. numpy
+    reduces so short an axis one row at a time, at many times the cost of
+    the arithmetic: at 4,096 rows 211 us against 5.5 us."""
+    return np.maximum(np.maximum(a[..., 0], a[..., 1]), a[..., 2])
+
+
+def min3(a) -> np.ndarray:
+    """a.min(axis=-1) over a last axis of 3, bitwise, as `max3`."""
+    return np.minimum(np.minimum(a[..., 0], a[..., 1]), a[..., 2])
+
+
+def sum3(a) -> np.ndarray:
+    """a.sum(axis=-1) over a last axis of 3 as (x + y) + z, the order of
+    the reduction, so bitwise but for the sign of a zero sum: the
+    reduction starts from +0.0, and three -0.0 sum to +0.0 there and to
+    -0.0 here."""
+    return (a[..., 0] + a[..., 1]) + a[..., 2]
+
+
 def slab_interval(lo, hi, o, inv_d, t_min=-np.inf, t_max=np.inf):
     """[t0, t1] of rays o + t d inside boxes [lo, hi], clipped to
     [t_min, t_max], given inv_d = 1 / d; broadcasts over leading axes, the
@@ -42,14 +64,13 @@ def slab_interval(lo, hi, o, inv_d, t_min=-np.inf, t_max=np.inf):
 
     A zero direction component leaves its axis unbounded when o lies in
     the slab, on a plane included, and empty otherwise; an all-zero
-    direction outside the box comes out empty too.
+    direction outside the box comes out empty too. The bounds over the
+    three axes are `max3` and `min3`, the bits of the reductions.
 
-    The bounds over the three axes are chained elementwise maxima and
-    minima of the component views, x then y then z. That is the order in
-    which a max or min reduction over a last axis of 3 takes them, so the
-    bits are those of near.max(axis=-1) and far.min(axis=-1), signed
-    zeros included, but a reduction over so short an axis costs several
-    times the arithmetic.
+    Every step is elementwise, so the bits do not depend on memory
+    order: a caller with component-major (3, N) arrays passes their
+    transposes, and the ufuncs keep that order, so each component view
+    stays contiguous.
     """
     with np.errstate(invalid="ignore"):  # 0 * inf: o on a plane, d zero
         ta = (lo - o) * inv_d
@@ -58,8 +79,8 @@ def slab_interval(lo, hi, o, inv_d, t_min=-np.inf, t_max=np.inf):
     far = np.maximum(ta, tb)
     near = np.where(np.isnan(near), -np.inf, near)
     far = np.where(np.isnan(far), np.inf, far)
-    t0 = np.maximum(np.maximum(np.maximum(near[..., 0], near[..., 1]), near[..., 2]), t_min)
-    t1 = np.minimum(np.minimum(np.minimum(far[..., 0], far[..., 1]), far[..., 2]), t_max)
+    t0 = np.maximum(max3(near), t_min)
+    t1 = np.minimum(min3(far), t_max)
     # Only an all-zero direction outside the box ends at [inf, inf] or
     # [-inf, -inf]: any nonzero component makes the other bound finite.
     stuck = np.isinf(t0) & (t0 == t1)

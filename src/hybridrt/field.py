@@ -32,7 +32,7 @@ import struct
 
 import numpy as np
 
-from .core import Transform, cross3, slab_interval, vec3, widen_f32
+from .core import Transform, cross3, max3, slab_interval, vec3, widen_f32
 
 
 def _as_res(res) -> tuple:
@@ -254,7 +254,7 @@ def march_arrays(grid, o, d, s0, s1, dt, L, T_spec, shadow_fn=None):
         if shadow_fn is not None:
             # Substeps with zero opacity or black radiance contribute
             # exactly zero whatever the mask, so skip their shadow rays.
-            need = (a > 0.0) & (rad.max(axis=1) > 0.0)
+            need = (a > 0.0) & (max3(rad) > 0.0)
             if np.any(need):
                 m = np.ones(len(a))
                 m[need] = shadow_fn(p[need], kk[need], order[j[need]])

@@ -15,6 +15,15 @@ The field march, the shadow mask and the BSDF samplers are looked up in
 this module's namespace at call time, so a wrapper installed here sees
 every path.
 
+A render is cut into tiles by one ray budget, BATCH_RAYS primary rays:
+a tile is max(1, BATCH_RAYS // (w · spp)) rows, and a row whose samples
+alone exceed the budget splits them over batches (`primary_batches`).
+The pool gets one worker per tile at most. At numpy's call overheads a
+batch pays per call, not per ray, so a small image runs as one batch on
+the calling thread: the benchmark's two-room (32×32×1 spp) and field-hit
+(16×16×4 spp) frames are one batch each, where the two-room preset
+(64×64×16 spp) keeps four 16-row tiles for its threads.
+
 Everything random is a counter-based function of (seed, pixel, sample,
 bounce, purpose, lane), and each pixel adds its samples in sample order,
 so renders are bit-identical for any tile schedule, batch size or worker
@@ -55,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .core import Transform, cross3
+from .core import Transform, cross3, max3, sum3
 from .field import RadianceGrid, march_arrays
 from .images import HdrImage
 from .surface import (
@@ -69,8 +78,8 @@ from .surface import (
     reflect_batch,
 )
 
-TILE_ROWS = 16
-MAX_BATCH_RAYS = 65536
+# Primary rays per batch, the render's one tiling knob (module docstring).
+BATCH_RAYS = 16384
 SHADOW_T_MAX_SHRINK = 1.0 - 1e-4
 BLOCKED_MASK_FLOOR = 0.02
 
@@ -341,7 +350,7 @@ def trace_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None, records=Non
         th = t_hit[hit]
         point = ray_o[hit_ids] + th[:, None] * ray_d[hit_ids]
         n_raw = bvh.face_normal[hf]
-        facing = np.sum(n_raw * ray_d[hit_ids], axis=1) < 0.0
+        facing = sum3(n_raw * ray_d[hit_ids]) < 0.0
         normal = np.where(facing[:, None], n_raw, -n_raw)
 
         if on_hit is None:
@@ -358,7 +367,7 @@ def trace_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None, records=Non
         ray_o[hit_ids] = point + scene.spawn_eps * new_d
         ray_d[hit_ids] = new_d
 
-        keep = np.max(T_spec[hit_ids], axis=1) >= scene.render.threshold
+        keep = max3(T_spec[hit_ids]) >= scene.render.threshold
         alive = hit_ids[keep]
     _check_radiance(L)
     return L
@@ -379,10 +388,10 @@ def _sample_jitter(seed, pix, sample_ids, spp):
 
 def primary_batches(camera, spp, seed, pix):
     """Jittered camera rays for spp samples of every pixel in pix, in
-    batches of MAX_BATCH_RAYS // len(pix) samples per pixel; yields
+    batches of BATCH_RAYS // len(pix) samples per pixel; yields
     (pix, smp, o, d) per batch, each pixel's samples adjacent."""
     npix = len(pix)
-    per_batch = max(1, MAX_BATCH_RAYS // npix)
+    per_batch = max(1, BATCH_RAYS // npix)
     for s in range(0, spp, per_batch):
         sb = min(per_batch, spp - s)
         pix_rep = np.repeat(pix, sb)
@@ -420,7 +429,8 @@ def render(scene, camera: Camera = None, spp: int = None, seed: int = None,
         raise ValueError("threads must be >= 1")
     w, h = camera.resolution
     out = np.zeros((h, w, 3))
-    tiles = [(r, min(r + TILE_ROWS, h)) for r in range(0, h, TILE_ROWS)]
+    tile_h = max(1, BATCH_RAYS // (w * spp))
+    tiles = [(r, min(r + tile_h, h)) for r in range(0, h, tile_h)]
     # The field's records of its last render are read, and this render's
     # replace them once it is done.
     records = None if scene.field is None else (scene.field.march_records, {})
@@ -428,6 +438,7 @@ def render(scene, camera: Camera = None, spp: int = None, seed: int = None,
     def work(rows):
         out[rows[0]:rows[1]] = _render_tile(scene, camera, spp, seed, rows, records)
 
+    threads = min(threads, len(tiles))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             list(ex.map(work, tiles))

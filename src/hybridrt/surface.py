@@ -3,10 +3,10 @@
 All geometry is kept in world space; meshes deformed by the simulator get
 their normals recomputed and the scene BVH refit on sync. Intersection is
 Moller-Trumbore with a small barycentric tolerance. The BVH has one layout,
-a complete binary heap with padded leaf boxes, and one level-synchronous
-traversal that serves nearest-hit and any-hit; both return exactly the hits
-of brute force over all faces (strictly nearest t, ties broken toward the
-smaller global face id).
+a complete binary heap with padded leaf boxes, and one walk, three levels
+per step, that serves nearest-hit and any-hit; both return exactly the
+hits of brute force over all faces (strictly nearest t, ties broken toward
+the smaller global face id).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ _BARY_EPS = 1e-7
 _DET_EPS = 1e-12
 # Leaf box margin per unit of the leaf's longest edge; the bound is in Bvh.
 _BOX_PAD = 1e-6
-# Pair tests per chunk: (ray, box) per tree level of a traversal chunk,
+# Pair tests per chunk: (ray, box) per step of a walk chunk,
 # (ray, face) per chunk of the brute-force sweep, and (point, box) per
 # chunk of the shadow cull in render.py; bounds the chunk's temporaries.
 CHUNK_PAIRS = 1 << 15
@@ -289,7 +289,7 @@ def _moller_trumbore(o, d, f, t_min, t_max):
 
 
 class Bvh:
-    """Complete binary BVH in heap order, one level-synchronous traversal.
+    """Complete binary BVH in heap order, walked three levels per step.
 
     Layout: every leaf sits at the same depth D, the smallest with
     ceil(faces / 2^D) <= LEAF_SIZE, so node k has children 2k+1 and 2k+2
@@ -315,28 +315,50 @@ class Bvh:
     leaf edges from the origin or a ray runs within about 1e-9 of a face's
     plane, where Moller-Trumbore's own answer is rounding noise.
 
-    Traversal: `_hits` drops the rays that miss the root box, then walks
-    chunks of rays down one level per step, keeping the (ray, child)
-    pairs whose padded box meets the ray's [t_min, t_max], and tests the
-    faces of the leaves reached in one Moller-Trumbore call. There is no
-    best-t pruning. `intersect_batch` keeps per ray the smallest t, ties
-    going to the smaller face id; `any_hit_batch` marks the rays with a
-    hit on a face that `blocks`. A face blocks shadow rays unless its
-    mesh emits, so an emissive mesh never shadows its own light; the mask
-    follows emission through `refit`. Since any tree over the same faces
-    gives the same hits, these are the hits of a tree over the blocking
-    faces alone.
+    Walk: `_hits` drops the rays that miss the root box, then walks
+    chunks of rays down the heap three levels per step, the last step
+    shorter when D is no multiple of 3. From each (ray, node k) pair it
+    holds, a step slab-tests at once the 2^s descendants s levels down,
+    nodes (k+1)·2^s - 1 ... (k+1)·2^s + 2^s - 2 (for s = 3, the 8 nodes
+    (k+1)·8 - 1 ... (k+1)·8 + 6), in one component-major `slab_interval`
+    over the flat (ray, node) pairs, and keeps the pairs whose padded box
+    meets the ray's [t_min, t_max]. The faces of the leaves reached are
+    tested in one Moller-Trumbore call. There is no best-t pruning.
+
+    Skipping two of every three levels reaches exactly the leaves that a
+    walk of one level per step reaches. A node's box contains its
+    descendants' boxes, and the slab test is monotone under containment:
+    each slab bound is a rounded, monotone function of a box plane, so the
+    interval of a containing box contains the contained box's, and a ray
+    segment that meets a box meets every box around it. So every (t, face)
+    stays bitwise that of brute force.
+
+    `intersect_batch` keeps per ray the smallest t, ties going to the
+    smaller face id; `any_hit_batch` marks the rays with a hit on a face
+    that `blocks`. A face blocks shadow rays unless its mesh emits, so an
+    emissive mesh never shadows its own light; the mask follows emission
+    through `refit`. Since any tree over the same faces gives the same
+    hits, these are the hits of a tree over the blocking faces alone.
 
     At or below BRUTE_FORCE_FACES faces nearest-hit runs one dense sweep
-    over all faces instead, a choice of speed only. Replaying the
-    nearest-hit calls of one benchmark pass on one core, sweep and
-    traversal interleaved, the sweep is 9-10x faster at 12 faces
-    (calibrate) and 1.1-1.25x at 94 (two-room), the traversal 8-9x faster
-    at 168 (field-hit). Any-hit always traverses.
+    over all faces instead, a choice of speed only. Replaying each
+    preset's nearest-hit calls on one core of a 2-vCPU host, sweep and
+    walk interleaved, medians of 7 rounds, in ms:
+
+      faces  calls of                   calls    rays   sweep   walk
+         12  calibrate's transport         24  110581      56    389
+         32  hdr-bracket's set-up render    1   16384      20     24
+         94  a two-room benchmark pass      8    4421      16     11
+        168  a field-hit benchmark pass    74   41729     263     18
+        320  a furnace render, 4 spp        2   24326     283     64
+
+    So the sweep keeps 12 and 32 faces and two-room walks. A walk of one
+    level per step took 15, 29 and 103 ms at 94, 168 and 320 faces.
+    Any-hit always walks.
     """
 
     LEAF_SIZE = 4
-    BRUTE_FORCE_FACES = 160
+    BRUTE_FORCE_FACES = 32
 
     def __init__(self, meshes):
         self.meshes = list(meshes)
@@ -427,8 +449,11 @@ class Bvh:
         while len(lo[-1]) > 1:
             lo.append(np.minimum(lo[-1][0::2], lo[-1][1::2]))
             hi.append(np.maximum(hi[-1][0::2], hi[-1][1::2]))
-        self.node_lo = np.concatenate(lo[::-1])
-        self.node_hi = np.concatenate(hi[::-1])
+        # One box table, component-major as the walk reads it: rows lo
+        # then hi, by xyz. node_lo and node_hi are (nodes, 3) views of it.
+        self._boxes = np.concatenate([np.concatenate(lo[::-1]), np.concatenate(hi[::-1])],
+                                     axis=1).T.copy()
+        self.node_lo, self.node_hi = self._boxes[:3].T, self._boxes[3:].T
 
     @property
     def n_faces(self) -> int:
@@ -444,28 +469,43 @@ class Bvh:
             return
         with np.errstate(divide="ignore"):
             inv_d = 1.0 / d
+        # Rays component-major: rows o then 1 / d, by xyz.
+        rays = np.concatenate([o, inv_d], axis=1).T.copy()
+        dc = d.T.copy()
         t0, t1 = slab_interval(self.node_lo[0], self.node_hi[0], o, inv_d, t_min, t_max)
         entering = np.flatnonzero(t0 <= t1)
-        oc, dc = o.T.copy(), d.T.copy()
-        # No level has more nodes than leaves, so no level of a chunk
-        # tests more than CHUNK_PAIRS (ray, node) pairs.
         leaves = len(self.leaf_faces)
+        depth = leaves.bit_length() - 1
+        # No level has more nodes than leaves, so no step of a chunk tests
+        # more than CHUNK_PAIRS (ray, node) pairs.
         rows = max(1, CHUNK_PAIRS // leaves)
         for i in range(0, len(entering), rows):
             ray = entering[i:i + rows]
             node = np.zeros(len(ray), dtype=np.int64)
-            while len(ray) and node[0] < leaves - 1:
-                ray = np.repeat(ray, 2)
-                node = (2 * node[:, None] + [1, 2]).ravel()
-                t0, t1 = slab_interval(self.node_lo[node], self.node_hi[node],
-                                       o[ray], inv_d[ray], t_min[ray], t_max[ray])
-                ray, node = ray[t0 <= t1], node[t0 <= t1]
+            level = 0
+            while len(ray) and level < depth:
+                # Three levels per step, the last step shorter: the 2^s
+                # descendants s levels below node k are the nodes
+                # (k+1)·2^s - 1 ... (k+1)·2^s + 2^s - 2.
+                s = min(3, depth - level)
+                span = 1 << s
+                ray = np.repeat(ray, span)
+                node = ((node[:, None] + 1) * span + np.arange(-1, span - 1)).ravel()
+                box = self._boxes.take(node, axis=1)
+                r = rays.take(ray, axis=1)
+                # Transposed views: slab_interval's xyz axis is last, and
+                # the ufuncs keep this component-major memory order.
+                t0, t1 = slab_interval(box[:3].T, box[3:].T, r[:3].T, r[3:].T,
+                                       t_min[ray], t_max[ray])
+                keep = t0 <= t1
+                ray, node = ray[keep], node[keep]
+                level += s
             if not len(ray):
                 continue
             faces = self.leaf_faces[node - (leaves - 1)]
             ray = np.broadcast_to(ray[:, None], faces.shape)[faces >= 0]
             face = faces[faces >= 0]
-            t = _moller_trumbore(oc[:, ray], dc[:, ray], self.planes[:, face],
+            t = _moller_trumbore(rays[:3, ray], dc[:, ray], self.planes[:, face],
                                  t_min[ray], t_max[ray])
             hit = np.isfinite(t)
             if hit.any():

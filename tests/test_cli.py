@@ -832,8 +832,8 @@ def test_overflowing_placement_exits_2(scene_json_inputs, tmp_path, capfd, edit,
 @pytest.mark.parametrize("floor", ["open", "flat"])
 def test_collider_mesh_around_no_volume_exits_2(tmp_path, capfd, floor):
     # A collider is the solid its surface encloses. An open floor quad
-    # encloses none, and the bake would only have warned and baked no
-    # inside; a quad with its back face added is closed but flat.
+    # encloses none, and the bake raises ValueError on it; a quad with its
+    # back face added is closed but flat.
     assets.gen_drop(str(tmp_path))
     v, f = assets.quad((-3, -3, 0), (6, 0, 0), (0, 6, 0))
     save_obj(tmp_path / "floor.obj", v, f if floor == "open" else np.vstack([f, f[:, ::-1]]))

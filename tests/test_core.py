@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridrt.core import Transform, cross3, luminance, slab_interval, tone_map, unit, vec3
+from hybridrt.core import (Transform, cross3, luminance, max3, min3, slab_interval, sum3,
+                           tone_map, unit, vec3)
 
 from conftest import rotation
 
@@ -237,6 +238,32 @@ def slab_by_reduction(lo, hi, o, inv_d, t_min, t_max):
     t1 = np.minimum(far.min(axis=-1), t_max)
     stuck = np.isinf(t0) & (t0 == t1)
     return np.where(stuck, np.inf, t0), np.where(stuck, -np.inf, t1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.sampled_from([1, 7, 4096]))
+def test_length_3_chains_equal_the_reductions_bitwise(seed, rows):
+    # Rows of NaN, +-0, +-inf and values of mixed magnitude. max3 and min3
+    # give the reductions' bits; sum3 gives them except that a zero sum
+    # may differ in sign, which a test `< 0.0` cannot see.
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-8, 9, (rows, 3))
+    special = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0])
+    pick = rng.random((rows, 3)) < 0.4
+    a[pick] = rng.choice(special, size=pick.sum())
+    a[rng.random(rows) < 0.1] = -0.0
+    a = np.concatenate([a, [[-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, -0.0],
+                            [np.nan, 1.0, -0.0], [-0.0, np.nan, 0.0], [1.0, -1.0, -0.0]]])
+    for view in (a, np.asfortranarray(a)):
+        assert max3(view).tobytes() == view.max(axis=-1).tobytes()
+        assert min3(view).tobytes() == view.min(axis=-1).tobytes()
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got, want = sum3(view), view.sum(axis=-1)
+        assert np.array_equal(got < 0.0, want < 0.0)
+        assert np.array_equal(got, want, equal_nan=True)
+        nonzero = want != 0.0
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+    assert np.signbit(sum3(np.full((1, 3), -0.0)))
 
 
 slab_bounds = st.sampled_from([-np.inf, np.inf, 0.0, -0.0, 1e-4, 1.0])

@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -446,8 +447,11 @@ def test_render_deterministic_rerun(two_room_dir):
     assert np.array_equal(a.pixels, b.pixels)
 
 
-def test_render_thread_count_invariant(two_room_dir):
+def test_render_thread_count_invariant(two_room_dir, monkeypatch):
+    # At 64 px and 2 spp a budget of 1,024 rays gives eight 8-row tiles,
+    # so threads=4 runs four workers.
     from hybridrt.scene import load_scene
+    monkeypatch.setattr(importlib.import_module("hybridrt.render"), "BATCH_RAYS", 1024)
     scene = load_scene(str(two_room_dir / "two_room.json"))
     a = render(scene, spp=2, seed=11, threads=1)
     b = render(scene, spp=2, seed=11, threads=4)
@@ -456,21 +460,48 @@ def test_render_thread_count_invariant(two_room_dir):
 
 @pytest.mark.parametrize("preset", ["two_room", "field_hit"])
 def test_render_bits_do_not_depend_on_batching(preset, request, monkeypatch):
-    # Each pixel adds its samples in sample order. So the bits hold when
-    # MAX_BATCH_RAYS = 1000 splits a 16-row tile's 4 samples over two
-    # batches, when tiles are 5 or 8 rows high, and on 2 threads.
+    # Each pixel adds its samples in sample order. So at 24 px and 4 spp
+    # the bits of one 24-row tile hold for a budget of 96 rays (one-row
+    # tiles), of 480 (5-row tiles) and of 50 (one-row tiles whose 4
+    # samples split over two batches), on 1 and 2 threads.
     from hybridrt.scene import load_scene
     render_mod = importlib.import_module("hybridrt.render")
     scene = load_scene(str(request.getfixturevalue(f"{preset}_dir") / f"{preset}.json"))
     cam = scene.camera
     scene.camera = Camera(pose=cam.pose, fov=cam.fov, resolution=(24, 24))
     want = render(scene, spp=4, seed=3).pixels
-    for name, value in (("MAX_BATCH_RAYS", 1000), ("TILE_ROWS", 5), ("TILE_ROWS", 8)):
+    for budget in (96, 480, 50):
         with monkeypatch.context() as m:
-            m.setattr(render_mod, name, value)
+            m.setattr(render_mod, "BATCH_RAYS", budget)
             for threads in (1, 2):
                 got = render(scene, spp=4, seed=3, threads=threads).pixels
-                assert np.array_equal(got, want), (name, value, threads)
+                assert np.array_equal(got, want), (budget, threads)
+
+
+@pytest.mark.parametrize("resolution, spp, tiles", [
+    ((32, 32), 1, 1), ((16, 16), 4, 1),  # the benchmark's two-room and field-hit
+    ((64, 64), 16, 4),                    # the two-room preset
+])
+def test_render_tiles_by_ray_budget(two_room_dir, monkeypatch, resolution, spp, tiles):
+    # A tile is max(1, BATCH_RAYS // (w spp)) rows, and the pool has no
+    # more workers than tiles: a lone tile runs on the calling thread.
+    from hybridrt.scene import load_scene
+    render_mod = importlib.import_module("hybridrt.render")
+    scene = load_scene(str(two_room_dir / "two_room.json"))
+    cam = scene.camera
+    scene.camera = Camera(pose=cam.pose, fov=cam.fov, resolution=resolution)
+    seen = []
+
+    def fake_tile(scene, camera, spp, seed, rows, records):
+        seen.append((rows, threading.current_thread() is threading.main_thread()))
+        return np.zeros((rows[1] - rows[0], camera.resolution[0], 3))
+
+    monkeypatch.setattr(render_mod, "_render_tile", fake_tile)
+    render(scene, spp=spp, seed=1, threads=2)
+    h = resolution[1]
+    assert sorted(rows for rows, _ in seen) == [
+        (r, min(r + h // tiles, h)) for r in range(0, h, h // tiles)]
+    assert all(main for _, main in seen) == (tiles == 1)
 
 
 @pytest.mark.parametrize("threads", [0, -3])

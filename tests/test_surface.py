@@ -189,9 +189,18 @@ def any_hit_rays(rng, bvh, n):
     return o, d, t_min, t_max
 
 
+# Face counts for the walk's oracles: up to 45 faces (tree depth up to 4,
+# where the walk takes one step) and up to about 600 (depth 5 to 8, where
+# it takes two or three).
+walk_sizes = st.one_of(st.integers(1, 45), st.integers(46, 600))
+# Face counts for the sweep's and the kernel's oracles: soups of up to 128
+# faces and grids of side 1 to 9, up to 162 faces.
+sweep_sizes = st.integers(1, 128)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["soup", "grid", "bumpy"]),
-       size=st.integers(1, 45), chunk=st.sampled_from([1, 5, 64, surface.CHUNK_PAIRS]))
+       size=walk_sizes, chunk=st.sampled_from([1, 5, 64, surface.CHUNK_PAIRS]))
 def test_any_hit_equals_brute_force(seed, layout, size, chunk):
     bvh, (o, d, t_min, t_max) = oracle_case(np.random.default_rng(seed), layout, size)
     with pytest.MonkeyPatch.context() as mp:
@@ -200,10 +209,11 @@ def test_any_hit_equals_brute_force(seed, layout, size, chunk):
     assert np.array_equal(blocked, bvh.brute_force_batch(o, d, t_min, t_max)[1] >= 0)
 
 
-def grid_mesh(rng, k, bumpy):
-    """k x k unit quads of two triangles each, so neighbouring faces share
-    edges. Flat and axis-aligned, or with random heights and a random
-    rotation."""
+def grid_mesh(rng, size, bumpy):
+    """k x k unit quads of two triangles each, k = 1 + isqrt(size // 2), so
+    about size faces, neighbouring faces sharing edges. Flat and
+    axis-aligned, or with random heights and a random rotation."""
+    k = 1 + math.isqrt(size // 2)
     i, j = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
     z = rng.uniform(-0.3, 0.3, i.shape) if bumpy else np.zeros(i.shape)
     verts = np.stack([i, j, z], axis=-1).reshape(-1, 3).astype(float)
@@ -246,13 +256,13 @@ def oracle_case(rng, layout, size):
         o, d, t_min, t_max = any_hit_rays(rng, bvh, 200)
         t_min = np.where(rng.random(200) < 0.3, rng.uniform(0.0, 4.0, 200), t_min)
         return bvh, (o, d, t_min, t_max)
-    mesh = grid_mesh(rng, 1 + size // 6, layout == "bumpy")
+    mesh = grid_mesh(rng, size, layout == "bumpy")
     return Bvh([mesh]), shared_edge_rays(rng, mesh, 200)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["soup", "grid", "bumpy"]),
-       size=st.integers(1, 45), chunk=st.sampled_from([1, 7, surface.CHUNK_PAIRS]))
+       size=walk_sizes, chunk=st.sampled_from([1, 7, surface.CHUNK_PAIRS]))
 def test_nearest_hit_equals_brute_force(seed, layout, size, chunk):
     bvh, (o, d, t_min, t_max) = oracle_case(np.random.default_rng(seed), layout, size)
     with pytest.MonkeyPatch.context() as mp:
@@ -266,7 +276,7 @@ def test_nearest_hit_equals_brute_force(seed, layout, size, chunk):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), motion=st.sampled_from(["rigid", "cloth"]),
-       size=st.integers(1, 60))
+       size=walk_sizes)
 def test_refit_bvh_equals_brute_force_and_a_new_build(seed, motion, size):
     # A triangle soup moved rigidly, or a bumpy grid whose vertices each
     # move on their own as a cloth's do, three times over: the refit tree
@@ -274,7 +284,7 @@ def test_refit_bvh_equals_brute_force_and_a_new_build(seed, motion, size):
     # and any-hits are bitwise those of brute force and of a new build.
     rng = np.random.default_rng(seed)
     mesh = (soup_mesh(rng, n_tris=size, spread=2.0) if motion == "rigid"
-            else grid_mesh(rng, 1 + size // 6, True))
+            else grid_mesh(rng, size, True))
     bvh = Bvh([mesh])
     leaves = bvh.leaf_faces.copy()
     for _ in range(3):
@@ -303,7 +313,7 @@ def test_refit_bvh_equals_brute_force_and_a_new_build(seed, motion, size):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["soup", "grid", "bumpy"]),
-       size=st.integers(1, 45), chunk=st.sampled_from([1, 7, 1 << 15]))
+       size=sweep_sizes, chunk=st.sampled_from([1, 7, 1 << 15]))
 def test_brute_force_sweep_is_independent_of_its_chunks(seed, layout, size, chunk):
     # Each ray's row of the dense sweep is its own, so any pair cap gives
     # the bits of one chunk holding every (ray, face) pair.
@@ -349,7 +359,7 @@ def reference_moller_trumbore(o, d, a, e1, e2, t_min, t_max):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["soup", "grid", "bumpy"]),
-       size=st.integers(1, 45), chunk=st.sampled_from([1, 7, 1 << 15]))
+       size=sweep_sizes, chunk=st.sampled_from([1, 7, 1 << 15]))
 def test_moller_trumbore_is_the_reference_bitwise(seed, layout, size, chunk):
     # Both call shapes, face-major (F, 1) planes against (R,) rays and flat
     # (ray, face) pairs, give the reference's distances bit for bit, and so
@@ -383,7 +393,7 @@ def test_moller_trumbore_is_the_reference_bitwise(seed, layout, size, chunk):
 def test_nearest_hit_ties_break_toward_smaller_face(monkeypatch):
     # Rays along -z through the midpoint of every edge two faces share hit
     # both faces at exactly t = 1; the smaller face id must win.
-    mesh = grid_mesh(np.random.default_rng(0), 6, bumpy=False)
+    mesh = grid_mesh(np.random.default_rng(0), 50, bumpy=False)
     edges = {}
     for f, tri in enumerate(mesh.indices):
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
