@@ -50,7 +50,8 @@ def _reference_recover_crf(bracket, lam=50.0, n_samples=200):
         r += 254
         a[r, 128] = 1.0
         sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-        assert rank == cols
+        if rank < cols:
+            raise hdr.HdrError(f"rank-deficient reference system (rank {rank} of {cols})")
         gc = hdr._monotone_projection(sol[:256])
         g[:, c] = gc - gc[128]
     return g
@@ -60,6 +61,83 @@ def _reference_recover_crf(bracket, lam=50.0, n_samples=200):
 def test_projected_solve_matches_full_system(bracket, lam, n_samples):
     crf = hdr.recover_crf(bracket, lam=lam, n_samples=n_samples)
     assert np.abs(crf.g - _reference_recover_crf(bracket, lam, n_samples)).max() <= 1e-10
+
+
+def _bracket_from_palette(rng, n_tuples, rail_frac, h=16, w=16, n_images=5):
+    """A bracket whose pixels draw their code tuples from n_tuples random
+    tuples per channel with unequal odds, or each its own for n_tuples=0.
+    A rail_frac share of the codes is 0 or 255, and a tuple's codes rise
+    with exposure time, as a camera's do."""
+    def tuples(shape):
+        shape = shape + (n_images,)
+        z = np.where(rng.random(shape) < rail_frac, rng.choice([0, 255], shape),
+                     rng.integers(0, 256, shape))
+        return np.sort(z, axis=-1)
+    if n_tuples == 0:
+        stack = tuples((h, w, 3))
+    else:
+        pick = rng.choice(n_tuples, size=(h, w, 3), p=rng.dirichlet(np.ones(n_tuples)))
+        stack = tuples((n_tuples, 3))[pick, np.arange(3)]
+    times = np.cumsum(rng.uniform(0.01, 2.0, n_images))
+    return hdr.ExposureBracket(list(np.moveaxis(stack, -1, 0).astype(np.uint8)), list(times))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tuples=st.sampled_from([0, 1, 2, 3, 5, 8, 16]),
+       rail_frac=st.floats(0.0, 0.6), lam=st.sampled_from([0.0, 5.0, 50.0, 500.0]))
+def test_tuple_reduction_matches_full_system(seed, n_tuples, rail_frac, lam):
+    # Repeated tuples are merged with sqrt(count) weights and rail rows are
+    # dropped; the answer is still that of one row block per sample. Both
+    # solves are backward stable, so they agree to rounding relative to the
+    # table's scale; a few tuples leave g to the prior, and |g| reaches tens.
+    bracket = _bracket_from_palette(np.random.default_rng(seed), n_tuples, rail_frac)
+    try:
+        ref = _reference_recover_crf(bracket, lam)
+    except hdr.HdrError:
+        with pytest.raises(hdr.HdrError, match="rank-deficient|too few usable"):
+            hdr.recover_crf(bracket, lam=lam)
+        return
+    try:
+        got = hdr.recover_crf(bracket, lam=lam).g
+    except hdr.HdrError as e:
+        # The reference does not apply the sample-count guard.
+        assert "too few usable" in str(e)
+        return
+    assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+def test_solve_has_one_row_per_live_code_of_each_distinct_tuple(bracket, monkeypatch):
+    # The preset's 225 samples hold few distinct tuples: each channel's
+    # system is their nonzero-weight codes plus 254 smoothness rows and the
+    # gauge, not the dense 225 x 5 + 255 = 1,380 rows.
+    shapes = []
+    lstsq = np.linalg.lstsq
+
+    def spy(a, b, rcond=None):
+        shapes.append(a.shape)
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    hdr.recover_crf(bracket)
+    h, w = bracket.images[0].shape[:2]
+    xs, ys = hdr._sample_grid(w, h, 200)
+    assert len(xs) * len(bracket.images) + 255 == 1380
+    want = []
+    for c in range(3):
+        z_all = np.stack([im[ys, xs, c] for im in bracket.images], axis=1)
+        wgt = hdr.hat_weights(np.unique(z_all[hdr.hat_weights(z_all).sum(axis=1) > 0], axis=0))
+        want.append((int(np.count_nonzero(wgt)) + 255, 256))
+    assert shapes == want
+    assert all(rows <= 80 + 255 for rows, _ in shapes)
+
+
+def test_one_tuple_without_smoothness_is_rank_deficient():
+    # Every usable sample is one tuple: its merged block has rank at most
+    # images - 1, so without the prior the rank test must still refuse.
+    codes = [np.full((16, 16, 3), z, dtype=np.uint8) for z in (10, 40, 90, 160, 230)]
+    bracket = hdr.ExposureBracket(codes, [0.1, 0.2, 0.4, 0.8, 1.6])
+    with pytest.raises(hdr.HdrError, match="rank-deficient"):
+        hdr.recover_crf(bracket, lam=0.0)
 
 
 @pytest.mark.parametrize("w, h", [(128, 96), (7, 300), (1, 1)])
