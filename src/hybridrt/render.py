@@ -8,12 +8,17 @@ is integrated by midpoint substeps (throughput times exp(-sigma dt),
 radiance accumulating per-substep opacity, optionally shadow-masked). At
 a front-facing hit the surface emission weighted by the post-march
 throughput is added; given an `on_hit` hook, the loop hands the hit paths,
-faces and throughputs to the hook instead. Then a BSDF sample rotates the
-ray and multiplies the channel throughput. A path ends when it leaves the
-scene, drops below the throughput threshold, or reaches the bounce limit.
-The field march, the shadow mask and the BSDF samplers are looked up in
-this module's namespace at call time, so a wrapper installed here sees
-every path.
+faces and throughputs to the hook instead. A path ends when it leaves the
+scene, reaches the bounce limit, or when its throughput times the hit
+face's BSDF weight (`Bvh.face_weight`: albedo, reflectance or tint) falls
+below the threshold in every channel. That product is the throughput a
+bounce would carry on, so the loop decides which paths go on before it
+draws anything: only those get a spawn point, BSDF draws and a new ray.
+The loop carries the live paths alone, as compact arrays gathered once
+per bounce, and writes a path's radiance out when it stops. The field
+march, the shadow mask and the BSDF samplers are looked up in this
+module's namespace at call time, so a wrapper installed here sees every
+path.
 
 A render is cut into tiles by one ray budget, BATCH_RAYS primary rays:
 a tile is max(1, BATCH_RAYS // (w · spp)) rows, and a row whose samples
@@ -27,7 +32,9 @@ the calling thread: the benchmark's two-room (32×32×1 spp) and field-hit
 Everything random is a counter-based function of (seed, pixel, sample,
 bounce, purpose, lane), and each pixel adds its samples in sample order,
 so renders are bit-identical for any tile schedule, batch size or worker
-count.
+count. A path hashes its (seed, pixel, sample) prefix once, and its BSDF
+and light draws continue from that hash (`rng`), with the bits of the
+full key.
 
 A still field is marched once. At bounce 1 with no shadow mask (a scene
 without emitters), a primary ray enters the march with L = 0 and T = 1,
@@ -211,9 +218,9 @@ def shadow_candidates(points, emitters: EmitterSet, bvh: Bvh, pad: float):
     return cand
 
 
-def _shadow_fn(scene, m_pix, m_smp, bounce, seed):
-    """The march's shadow mask for marching rays with pixel and sample
-    indices m_pix and m_smp."""
+def _shadow_fn(scene, h, bounce):
+    """The march's shadow mask for marching rays whose paths' key
+    prefixes (seed, pixel, sample) hash to h."""
 
     def shadow_fn(p, substeps, sub_ids):
         # One call per march block; every point brings its own substep
@@ -223,12 +230,11 @@ def _shadow_fn(scene, m_pix, m_smp, bounce, seed):
         cand = shadow_candidates(p, scene.emitters, scene.bvh, scene.spawn_eps)
         if not np.any(cand):
             return m
-        sub_ids = sub_ids[cand]
+        hp = h[sub_ids[cand]]
         substeps = substeps[cand]
-        keys = (seed, m_pix[sub_ids], m_smp[sub_ids], bounce)
-        u_pick = _rng.uniform(*keys, _rng.LIGHT_PICK, substeps)
-        u1 = _rng.uniform(*keys, _rng.LIGHT_U, substeps)
-        u2 = _rng.uniform(*keys, _rng.LIGHT_V, substeps)
+        u_pick = _rng.uniform(bounce, _rng.LIGHT_PICK, substeps, h=hp)
+        u1 = _rng.uniform(bounce, _rng.LIGHT_U, substeps, h=hp)
+        u2 = _rng.uniform(bounce, _rng.LIGHT_V, substeps, h=hp)
         m[cand] = shadow_mask_batch(p[cand], scene.emitters, scene.bvh,
                                     u_pick, u1, u2, scene.spawn_eps)
         return m
@@ -244,8 +250,9 @@ def _record_key(field: RadianceGrid, step: float, o, d) -> bytes:
     return h.digest()
 
 
-def _march_field(scene, ids, o, d, s_end, bounce, pix, smp, seed, L, T_spec, records=None):
-    """March rays `ids` from their bbox entry to min(s_end, bbox exit).
+def _march_field(scene, o, d, s_end, bounce, h, L, T_spec, records=None):
+    """March every ray from its bbox entry to min(s_end, bbox exit),
+    updating L and T_spec in place; h hashes the paths' key prefixes.
 
     Given records, a pair (last, now) of dicts, a bounce-1 march without
     a shadow mask takes the rows of last's record of this batch for the
@@ -254,61 +261,58 @@ def _march_field(scene, ids, o, d, s_end, bounce, pix, smp, seed, L, T_spec, rec
     """
     field: RadianceGrid = scene.field
     step = scene.render.march_step
-    o_ids, d_ids = o[ids], d[ids]
-    t0, t1 = field.ray_bounds(o_ids, d_ids)
+    t0, t1 = field.ray_bounds(o, d)
     s0 = np.maximum(t0, 0.0)
     s1 = np.minimum(t1, s_end)
     doit = s1 > s0
     lit = scene.emitters is not None and len(scene.emitters) > 0
     key = None
     if records is not None and bounce == 1 and not lit:
-        key = _record_key(field, step, o_ids, d_ids)
+        key = _record_key(field, step, o, d)
         last = records[0].pop(key, None)
         if last is not None:
             same = s1.view(np.uint64) == last[0].view(np.uint64)
-            L[ids[same]] = last[1][same]
-            T_spec[ids[same]] = last[2][same]
+            L[same] = last[1][same]
+            T_spec[same] = last[2][same]
             doit &= ~same
     if np.any(doit):
-        mids = ids[doit]
-        shadow_fn = _shadow_fn(scene, pix[mids], smp[mids], bounce, seed) if lit else None
-        Lm = L[mids]
-        Tm = T_spec[mids]
-        march_arrays(field, o_ids[doit], d_ids[doit], s0[doit], s1[doit], step, Lm, Tm,
-                     shadow_fn)
+        mids = np.flatnonzero(doit)
+        shadow_fn = _shadow_fn(scene, h.take(mids), bounce) if lit else None
+        Lm = L.take(mids, axis=0)
+        Tm = T_spec.take(mids, axis=0)
+        march_arrays(field, o.take(mids, axis=0), d.take(mids, axis=0), s0.take(mids),
+                     s1.take(mids), step, Lm, Tm, shadow_fn)
         L[mids] = Lm
         T_spec[mids] = Tm
     if key is not None:
-        records[1][key] = (s1, L[ids], T_spec[ids])
+        records[1][key] = (s1, L.copy(), T_spec.copy())
 
 
-def _sample_bsdf_groups(bvh, faces, wo, n, front, pix, smp, bounce, seed):
-    """Vectorized next-direction sampling, grouped by mesh."""
-    k = len(faces)
-    new_d = np.zeros((k, 3))
-    weight = np.ones((k, 3))
-    mesh_of = bvh.face_mesh[faces]
+def _sample_bsdf_groups(bvh, faces, wo, n, front, h, bounce):
+    """Next directions of paths leaving faces, sampled per mesh; h hashes
+    each path's key prefix."""
+    new_d = np.zeros((len(faces), 3))
+    mesh_of = bvh.face_mesh.take(faces)
     for mi, mesh in enumerate(bvh.meshes):
-        sel = mesh_of == mi
-        if not np.any(sel):
+        sel = np.flatnonzero(mesh_of == mi)
+        if not len(sel):
             continue
         b = mesh.bsdf
-        keys = (seed, pix[sel], smp[sel], bounce)
+        n_sel = n.take(sel, axis=0)
         if isinstance(b, Lambertian):
-            u1 = _rng.uniform(*keys, _rng.BSDF_U, 0)
-            u2 = _rng.uniform(*keys, _rng.BSDF_V, 0)
-            new_d[sel] = cosine_sample_batch(n[sel], u1, u2)
-            weight[sel] = b.albedo
+            hs = h.take(sel)
+            u1 = _rng.uniform(bounce, _rng.BSDF_U, 0, h=hs)
+            u2 = _rng.uniform(bounce, _rng.BSDF_V, 0, h=hs)
+            new_d[sel] = cosine_sample_batch(n_sel, u1, u2)
         elif isinstance(b, Mirror):
-            new_d[sel] = reflect_batch(wo[sel], n[sel])
-            weight[sel] = b.reflectance
+            new_d[sel] = reflect_batch(wo.take(sel, axis=0), n_sel)
         elif isinstance(b, Dielectric):
-            u = _rng.uniform(*keys, _rng.BSDF_LOBE, 0)
-            new_d[sel] = dielectric_sample_batch(wo[sel], n[sel], front[sel], b.ior, u)
-            weight[sel] = b.tint
+            u = _rng.uniform(bounce, _rng.BSDF_LOBE, 0, h=h.take(sel))
+            new_d[sel] = dielectric_sample_batch(wo.take(sel, axis=0), n_sel, front.take(sel),
+                                                 b.ior, u)
         else:
             raise TypeError(f"unknown bsdf {type(b)}")
-    return new_d, weight
+    return new_d
 
 
 def _check_radiance(L):
@@ -323,61 +327,76 @@ def trace_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None, records=Non
     pix and smp are each path's pixel and sample index, the keys of its
     random draws. At front-facing hits the stored face emission weighted by
     the path throughput is added to L, unless on_hit is given: then
-    on_hit(ids, faces, T_spec) receives the hit paths, their faces and
-    their throughputs instead, and L holds the field's radiance only.
-    records, if given, are the bounce-1 march records `_march_field`
-    reads and writes.
+    on_hit(ids, faces, T_spec) receives the hit paths' batch ids, their
+    faces and their throughputs instead, and L holds the field's radiance
+    only. records, if given, are the bounce-1 march records
+    `_march_field` reads and writes.
+
+    A path goes on from a hit only below the bounce limit and when its
+    throughput times the face's BSDF weight (`Bvh.face_weight`) keeps a
+    channel at or above the threshold; this is decided before anything
+    is drawn, so only such paths get a spawn point, BSDF draws and a new
+    ray. The loop holds the live paths alone, gathered once per bounce,
+    and writes a path's radiance out when it stops. (seed, pixel, sample)
+    is hashed once per path, and every draw chains from that hash.
     """
     n = len(o)
+    out = np.zeros((n, 3))
     L = np.zeros((n, 3))
     T_spec = np.ones((n, 3))
-    ray_o = o.copy()
-    ray_d = d.copy()
-    alive = np.arange(n)
+    h = _rng.hash_keys(seed, pix, smp)
+    ids = np.arange(n)
     bvh = scene.bvh
     for bounce in range(1, n_bounces + 1):
-        if not len(alive):
+        if not len(ids):
             break
-        t_hit, face = bvh.intersect_batch(ray_o[alive], ray_d[alive])
+        t_hit, face = bvh.intersect_batch(o, d)
         if scene.field is not None:
-            _march_field(scene, alive, ray_o, ray_d, t_hit, bounce,
-                         pix, smp, seed, L, T_spec, records)
-        hit = face >= 0
-        hit_ids = alive[hit]
-        if not len(hit_ids):
-            break  # every live ray ran out of the scene
-        hf = face[hit]
-        th = t_hit[hit]
-        point = ray_o[hit_ids] + th[:, None] * ray_d[hit_ids]
-        n_raw = bvh.face_normal[hf]
-        facing = sum3(n_raw * ray_d[hit_ids]) < 0.0
-        normal = np.where(facing[:, None], n_raw, -n_raw)
-
+            _march_field(scene, o, d, t_hit, bounce, h, L, T_spec, records)
+        hit = np.flatnonzero(face >= 0)
+        hf = face.take(hit)
+        dh = d.take(hit, axis=0)
+        Th = T_spec.take(hit, axis=0)
+        n_raw = bvh.face_normal.take(hf, axis=0)
+        facing = sum3(n_raw * dh) < 0.0
         if on_hit is None:
-            emit = bvh.face_emission[hf]
-            L[hit_ids] += T_spec[hit_ids] * np.where(facing[:, None], emit, 0.0)
+            emit = bvh.face_emission.take(hf, axis=0)
+            L[hit] += Th * np.where(facing[:, None], emit, 0.0)
         elif np.any(facing):
-            front_ids = hit_ids[facing]
-            on_hit(front_ids, hf[facing], T_spec[front_ids])
-
-        wo = -ray_d[hit_ids]
-        new_d, weight = _sample_bsdf_groups(bvh, hf, wo, normal, facing,
-                                            pix[hit_ids], smp[hit_ids], bounce, seed)
-        T_spec[hit_ids] *= weight
-        ray_o[hit_ids] = point + scene.spawn_eps * new_d
-        ray_d[hit_ids] = new_d
-
-        keep = max3(T_spec[hit_ids]) >= scene.render.threshold
-        alive = hit_ids[keep]
-    _check_radiance(L)
-    return L
+            front = np.flatnonzero(facing)
+            on_hit(ids.take(hit.take(front)), hf.take(front), Th.take(front, axis=0))
+        if bounce == n_bounces:
+            break
+        T_new = Th * bvh.face_weight.take(hf, axis=0)
+        go = np.flatnonzero(max3(T_new) >= scene.render.threshold)
+        nxt = hit.take(go)
+        stop = np.ones(len(ids), dtype=bool)
+        stop[nxt] = False
+        stop = np.flatnonzero(stop)
+        out[ids.take(stop)] = L.take(stop, axis=0)
+        facing = facing.take(go)
+        dg = dh.take(go, axis=0)
+        n_raw = n_raw.take(go, axis=0)
+        point = o.take(nxt, axis=0) + t_hit.take(nxt)[:, None] * dg
+        normal = np.where(facing[:, None], n_raw, -n_raw)
+        new_d = _sample_bsdf_groups(bvh, hf.take(go), -dg, normal, facing, h.take(nxt), bounce)
+        o = point + scene.spawn_eps * new_d
+        d = new_d
+        T_spec = T_new.take(go, axis=0)
+        L = L.take(nxt, axis=0)
+        h = h.take(nxt)
+        ids = ids.take(nxt)
+    out[ids] = L
+    _check_radiance(out)
+    return out
 
 
 def _sample_jitter(seed, pix, sample_ids, spp):
     """Stratified sub-pixel jitter when spp is a perfect square, else pure
     random jitter; both keyed per (pixel, sample)."""
-    u1 = _rng.uniform(seed, pix, sample_ids, 0, _rng.PIXEL_X, 0)
-    u2 = _rng.uniform(seed, pix, sample_ids, 0, _rng.PIXEL_Y, 0)
+    h = _rng.hash_keys(seed, pix, sample_ids, 0)
+    u1 = _rng.uniform(_rng.PIXEL_X, 0, h=h)
+    u2 = _rng.uniform(_rng.PIXEL_Y, 0, h=h)
     k = int(np.floor(np.sqrt(spp)))
     if k * k == spp and k > 1:
         sx = sample_ids % k

@@ -5,6 +5,12 @@ tuple (seed, pixel, sample, bounce, purpose, lane), so images are
 independent of tile scheduling and worker count. The mixer is a chained
 splitmix64 finalizer; statistical quality is plenty for Monte Carlo
 sampling and each key tuple maps to one fixed double in [0, 1).
+
+The hash is a left fold: each key is mixed into the hash of the keys
+before it and nothing else. So the hash of a key prefix is a complete
+state, and `uniform(*tail, h=hash_keys(*head))` is bitwise
+`uniform(*head, *tail)`. A caller that draws many tuples sharing a prefix,
+such as one path's (seed, pixel, sample), hashes the prefix once.
 """
 
 from __future__ import annotations
@@ -37,10 +43,13 @@ def _mix(h: np.ndarray) -> np.ndarray:
     return h ^ (h >> _U(31))
 
 
-def hash_keys(*keys) -> np.ndarray:
-    """Hash integer keys (scalars or broadcastable arrays) to uint64."""
+def hash_keys(*keys, h=_GOLDEN) -> np.ndarray:
+    """Hash integer keys (scalars or broadcastable arrays) to uint64,
+    starting from h, the hash of the keys before them."""
+    h = np.asarray(h)
+    if h.dtype != np.uint64:
+        raise TypeError(f"rng hash must be uint64, got {h.dtype}")
     with np.errstate(over="ignore"):
-        h = np.asarray(_GOLDEN)
         for k in keys:
             k = np.asarray(k)
             if k.dtype.kind not in "ui":
@@ -50,7 +59,8 @@ def hash_keys(*keys) -> np.ndarray:
     return h
 
 
-def uniform(*keys) -> np.ndarray:
-    """Deterministic uniforms in [0, 1), one per broadcast key tuple."""
-    h = hash_keys(*keys)
+def uniform(*keys, h=_GOLDEN) -> np.ndarray:
+    """Deterministic uniforms in [0, 1), one per broadcast key tuple,
+    whose keys follow the prefix hashed into h."""
+    h = hash_keys(*keys, h=h)
     return (h >> _U(11)).astype(np.float64) * _INV_2_53

@@ -76,6 +76,17 @@ class Dielectric:
 Bsdf = Union[Lambertian, Mirror, Dielectric]
 
 
+def _bsdf_weight(b: Bsdf) -> Vec3:
+    """The factor by which a bounce off b scales a path's throughput."""
+    if isinstance(b, Lambertian):
+        return b.albedo
+    if isinstance(b, Mirror):
+        return b.reflectance
+    if isinstance(b, Dielectric):
+        return b.tint
+    raise TypeError(f"unknown bsdf {type(b)}")
+
+
 def _onb(n: np.ndarray):
     """Orthonormal basis with n as the third column (batch of normals)."""
     a = np.where(np.abs(n[:, 0:1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
@@ -367,10 +378,10 @@ class Bvh:
         self._bound()
 
     def refit(self):
-        """Re-read the meshes' triangles, normals, emission and `blocks`
-        and refit the boxes to them, keeping the tree: `leaf_faces` stays.
-        The meshes must be the ones the tree was built on, with the same
-        number of faces."""
+        """Re-read the meshes' triangles, normals, emission, BSDF weights
+        and `blocks` and refit the boxes to them, keeping the tree:
+        `leaf_faces` stays. The meshes must be the ones the tree was built
+        on, with the same number of faces."""
         self._read()
         self._bound()
 
@@ -393,6 +404,8 @@ class Bvh:
         self.planes = np.concatenate([self.tri[:, 0], e1, e2], axis=1).T.copy()
         # Flat per-face shading attributes so the batched renderer never
         # has to touch Python-level mesh objects inside the bounce loop.
+        weights = np.array([_bsdf_weight(m.bsdf) for m in self.meshes], dtype=np.float64)
+        self.face_weight = weights.reshape(-1, 3)[self.face_mesh]
         if self.meshes:
             self.face_normal = np.concatenate([m.face_normals for m in self.meshes])
             self.face_emission = np.concatenate(

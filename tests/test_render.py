@@ -104,6 +104,63 @@ def test_throughput_threshold_terminates():
     assert np.allclose(L, 1.0, rtol=1e-2)  # optically thick: all energy absorbed
 
 
+def count_samples(monkeypatch):
+    """Counters of the rows render samples cosine directions for, of the
+    uniforms drawn and of the rays given to nearest-hit queries."""
+    render_mod = importlib.import_module("hybridrt.render")
+    counts = {"bsdf": 0, "draws": 0, "rays": 0}
+    cosine, uniform, intersect = render_mod.cosine_sample_batch, hrng.uniform, Bvh.intersect_batch
+
+    def spy_cosine(n, u1, u2):
+        counts["bsdf"] += len(n)
+        return cosine(n, u1, u2)
+
+    def spy_uniform(*keys, **kw):
+        u = uniform(*keys, **kw)
+        counts["draws"] += u.size
+        return u
+
+    def spy_intersect(self, o, d, *args, **kw):
+        counts["rays"] += len(o)
+        return intersect(self, o, d, *args, **kw)
+
+    monkeypatch.setattr(render_mod, "cosine_sample_batch", spy_cosine)
+    monkeypatch.setattr(hrng, "uniform", spy_uniform)
+    monkeypatch.setattr(Bvh, "intersect_batch", spy_intersect)
+    return counts
+
+
+def test_paths_that_stop_draw_nothing(monkeypatch):
+    # hdr-bracket's target in small: a black emitter fills the view, so
+    # every path stops at its first hit and only the pixel jitter is drawn.
+    scene = make_scene(meshes=[emissive_quad_mesh()], n_bounces=2)
+    counts = count_samples(monkeypatch)
+    img = render(scene, spp=1, seed=1)
+    assert np.all(img.pixels == 2.0)
+    assert counts["bsdf"] == 0
+    assert counts["draws"] == 2 * img.pixels.shape[0] * img.pixels.shape[1]
+
+
+@pytest.mark.parametrize("max_depth", [1, 3])
+def test_transport_samples_only_paths_that_go_on(estimation_dir, monkeypatch, max_depth):
+    from hybridrt import emitters
+    from hybridrt.scene import load_poses, load_scene
+    scene = load_scene(str(estimation_dir / "room.json"))
+    poses = load_poses(estimation_dir / "poses.json")[:2]
+    counts = count_samples(monkeypatch)
+    emitters.build_transport(scene, poses, max_depth)
+    w, h = poses[0].resolution
+    primary = len(poses) * w * h * scene.render.spp
+    # A path that goes on from a hit casts one ray at the next bounce, so
+    # the rays past the primary ones count the hits of bounces 1 to
+    # max_depth - 1 that go on. Each draws two uniforms; a primary ray
+    # draws its pixel jitter.
+    went_on = counts["rays"] - primary
+    assert went_on == 0 if max_depth == 1 else went_on > primary
+    assert counts["bsdf"] == went_on
+    assert counts["draws"] == 2 * primary + 2 * went_on
+
+
 # ------------------------------------------------------------ shadow masks
 
 
@@ -411,8 +468,8 @@ def quadrature_paths(scene, o, d, pix, smp, seed, n_bounces, on_hit=None, record
     render_mod = importlib.import_module("hybridrt.render")
     n = len(o)
     L, T_spec = np.zeros((n, 3)), np.ones((n, 3))
-    render_mod._march_field(scene, np.arange(n), o, d, np.full(n, np.inf), 1,
-                            pix, smp, seed, L, T_spec)
+    render_mod._march_field(scene, o, d, np.full(n, np.inf), 1,
+                            hrng.hash_keys(seed, pix, smp), L, T_spec)
     return L
 
 

@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hybridrt import rng
 
@@ -35,3 +38,34 @@ def test_broadcasting_matches_scalars():
     batch = rng.uniform(3, pix, 2, 1, rng.LIGHT_U, 5)
     singles = np.array([rng.uniform(3, int(p), 2, 1, rng.LIGHT_U, 5) for p in pix])
     assert np.array_equal(batch, singles)
+
+
+@st.composite
+def split_keys(draw):
+    """Integer keys of mutually broadcastable shapes, scalars among them,
+    and a split point."""
+    n = draw(st.integers(1, 6))
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=n, max_dims=2, max_side=4))
+    keys = []
+    for shape in shapes.input_shapes:
+        if not shape and draw(st.booleans()):
+            keys.append(draw(st.integers(-2**63, 2**63 - 1)))
+        else:
+            keys.append(draw(hnp.arrays(np.int64, shape)))
+    return keys, draw(st.integers(0, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_keys())
+def test_prefix_hash_continues_the_fold(case):
+    keys, k = case
+    head, tail = keys[:k], keys[k:]
+    whole = rng.uniform(*keys)
+    chained = rng.uniform(*tail, h=rng.hash_keys(*head))
+    assert chained.shape == whole.shape
+    assert chained.tobytes() == whole.tobytes()
+
+
+def test_prefix_hash_must_be_uint64():
+    with pytest.raises(TypeError, match="uint64"):
+        rng.uniform(1, h=np.int64(5))

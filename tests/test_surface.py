@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridrt import assets, surface
+from hybridrt import rng as hrng
 from hybridrt.core import Transform
 from hybridrt.render import _sample_bsdf_groups, trace_paths
 from hybridrt.scene import RenderConfig
@@ -468,9 +469,11 @@ def one_face_bvh(bsdf):
 def sample_groups(bvh, wo, seed, front=True, normal=(0.0, 0.0, 1.0)):
     """The bounce loop's BSDF step for one hit on face 0 of pixel 0,
     sample 0, bounce 0: returns the (1,3) direction and weight arrays."""
-    return _sample_bsdf_groups(bvh, np.array([0]), np.asarray(wo, float).reshape(1, 3),
-                               np.array([normal]), np.array([front]), np.array([0]),
-                               np.array([0]), 0, seed)
+    faces = np.array([0])
+    d = _sample_bsdf_groups(bvh, faces, np.asarray(wo, float).reshape(1, 3),
+                            np.array([normal]), np.array([front]),
+                            hrng.hash_keys(seed, np.array([0]), np.array([0])), 0)
+    return d, bvh.face_weight[faces]
 
 
 def test_lambertian_weight_is_albedo():
@@ -541,7 +544,6 @@ def test_cosine_sampling_distribution_chi2():
     # (pdf over theta is 2 sin(theta) cos(theta)). Chi-square against 64
     # equal-probability bins; critical value chi2(0.99, 63) = 92.01.
     n = 1_000_000
-    from hybridrt import rng as hrng
     u1 = hrng.uniform(11, np.arange(n), 0, 0, hrng.BSDF_U, 0)
     u2 = hrng.uniform(11, np.arange(n), 0, 0, hrng.BSDF_V, 0)
     normal = np.zeros((n, 3))
