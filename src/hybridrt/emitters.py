@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import luminance
-from .render import EmitterSet, primary_batches, trace_paths
+from .render import BATCH_RAYS, EmitterSet, primary_batches, trace_paths
 from .surface import Lambertian
 
 TRANSPORT_BYTE_CAP = 1_500_000_000
@@ -110,15 +110,18 @@ def build_transport(scene, poses, max_depth: int = 3) -> TransportOperator:
     seed = scene.render.seed
     inv_spp = 1.0 / spp
     npix = w * h
+    span = max(1, BATCH_RAYS // spp)  # pixels per batch, as a render cuts its tiles
     for pi, cam in enumerate(poses):
         if cam.resolution != (w, h):
             raise EstimationError("all poses must share one resolution")
         acc = a[pi * npix:(pi + 1) * npix]
-        for pix, smp, o, d in primary_batches(cam, spp, seed, np.arange(npix)):
-            def scatter(ids, faces, T_spec):
-                np.add.at(acc, (pix[ids], faces), T_spec * inv_spp)
+        for p0 in range(0, npix, span):
+            pixels = np.arange(p0, min(p0 + span, npix))
+            for pix, smp, o, d in primary_batches(cam, spp, seed, pixels):
+                def scatter(ids, faces, T_spec):
+                    np.add.at(acc, (pix[ids], faces), T_spec * inv_spp)
 
-            trace_paths(scene, o, d, pix, smp, seed, int(max_depth), scatter)
+                trace_paths(scene, o, d, pix, smp, seed, int(max_depth), scatter)
     return TransportOperator(a=a, n_poses=len(poses), resolution=(w, h), n_faces=n_faces)
 
 

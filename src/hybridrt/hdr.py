@@ -238,6 +238,9 @@ def normalize_radiance(img: HdrImage) -> HdrImage:
 def box_downsample(img: HdrImage, factor: int = 4) -> HdrImage:
     """Box-filter downsample; trailing rows/columns that do not fill a full
     box are dropped."""
+    if min(img.w, img.h) < factor:
+        raise ValueError(f"a {factor}x box downsample needs at least {factor}x{factor} px, "
+                         f"got a {img.w}x{img.h} image")
     h = (img.h // factor) * factor
     w = (img.w // factor) * factor
     p = img.pixels[:h, :w]

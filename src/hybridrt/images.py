@@ -49,6 +49,8 @@ def decode_pfm(data: bytes) -> HdrImage:
     if parts[0] == b"Pf":
         raise ValueError("grayscale PFM not supported")
     w, h = (int(tok) for tok in parts[1].split())
+    if w < 1 or h < 1:
+        raise ValueError(f"PFM header: width and height must be positive, got {w} {h}")
     scale = float(parts[2])
     dtype = "<f4" if scale < 0 else ">f4"
     raw = np.frombuffer(parts[3], dtype=dtype, count=w * h * 3)
@@ -75,6 +77,8 @@ def decode_ppm(data: bytes) -> np.ndarray:
     if len(parts) < 4 or parts[0] != b"P6":
         raise ValueError("not a binary PPM (P6) file")
     w, h = (int(tok) for tok in parts[1].split())
+    if w < 1 or h < 1:
+        raise ValueError(f"PPM header: width and height must be positive, got {w} {h}")
     maxval = int(parts[2])
     if maxval != 255:
         raise ValueError(f"only maxval 255 PPM supported, got {maxval}")

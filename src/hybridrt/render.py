@@ -52,14 +52,13 @@ records then replace the old ones, so the field holds 56 bytes per
 primary ray of its last render.
 
 Shadow rays run through the scene BVH and are blocked only by the faces
-of meshes that emit nothing (`Bvh.blocks`), so an emissive mesh never
-shadows its own light. They are culled exactly. A shadow segment from a
-march point p to any emitter point lies inside box(p and every emitter
-vertex); when that box meets no blocking face's box, padded by the spawn
-epsilon, no face can block the ray and its mask is 1.0, the value an
-unblocked ray returns. Such points draw no light sample and fire no ray
-(`shadow_candidates`). Light-sample draws are keyed per (pixel, sample,
-bounce, substep), so skipping some leaves every other value unchanged.
+of meshes that emit nothing, so an emissive mesh never shadows its own
+light. They are culled exactly: the BVH tells the march points from which
+no blocking face can stand between the point and the emitters' box
+(`Bvh.shadow_candidates`, padded by the spawn epsilon). Their mask is
+1.0, the value an unblocked ray returns, and they draw no light sample
+and fire no ray. Light-sample draws are keyed per (pixel, sample, bounce,
+substep), so skipping some leaves every other value unchanged.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ from .core import Transform, cross3, max3, sum3
 from .field import RadianceGrid, march_arrays
 from .images import HdrImage
 from .surface import (
-    CHUNK_PAIRS,
     Bvh,
     Dielectric,
     Lambertian,
@@ -143,11 +141,11 @@ class EmitterSet:
                              else "emitters: total triangle area overflows")
         if len(self.areas) and total <= 0:
             raise ValueError("emitter set has zero total area")
-        self.cdf = np.cumsum(self.areas) / total if len(self.areas) else np.zeros(0)
+        self.cdf = np.cumsum(self.areas) / total
         # Box of every emitter vertex: each emitter sample lies inside it.
         verts = self.triangles.reshape(-1, 3)
-        self.lo = verts.min(axis=0) if len(verts) else np.full(3, np.inf)
-        self.hi = verts.max(axis=0) if len(verts) else np.full(3, -np.inf)
+        self.lo = verts.min(axis=0, initial=np.inf)
+        self.hi = verts.max(axis=0, initial=-np.inf)
 
     def __len__(self):
         return len(self.triangles)
@@ -167,9 +165,9 @@ class EmitterSet:
 
 
 def shadow_mask_batch(points, emitters: EmitterSet, bvh: Bvh, u_pick, u1, u2, eps: float):
-    """Mask values per point: 1 when no face that `bvh.blocks` hides the
+    """Mask values per point: 1 when no blocking face of bvh hides the
     sampled emitter point, else 1 - r_src clamped to [0.02, 1]."""
-    if emitters is None or len(emitters) == 0:
+    if not len(emitters):
         return np.ones(len(points))
     q, r_src = emitters.sample(u_pick, u1, u2)
     delta = q - points
@@ -181,43 +179,6 @@ def shadow_mask_batch(points, emitters: EmitterSet, bvh: Bvh, u_pick, u1, u2, ep
     return np.where(blocked, masked, 1.0)
 
 
-def shadow_candidates(points, emitters: EmitterSet, bvh: Bvh, pad: float):
-    """False where no face that `bvh.blocks` can block any shadow ray
-    from the point to the emitters, so its mask is exactly 1.0; True where
-    it might.
-
-    A shadow segment lies inside box(p and the emitter vertex box E).
-    Moller-Trumbore reports hits only within its barycentric slack of a
-    triangle, which `pad` (the spawn epsilon, 1e-4 of the scene diagonal)
-    far exceeds, so a blocking face whose padded box misses that box
-    cannot block. The faces of emissive meshes block nothing.
-    """
-    n = len(points)
-    if not n:
-        return np.zeros(0, dtype=bool)
-    lo = bvh.face_lo[bvh.blocks] - pad
-    hi = bvh.face_hi[bvh.blocks] + pad
-    block_lo = np.minimum(points.min(axis=0), emitters.lo)
-    block_hi = np.maximum(points.max(axis=0), emitters.hi)
-    near = np.all((lo <= block_hi) & (hi >= block_lo), axis=1)
-    if not np.any(near):
-        return np.zeros(n, dtype=bool)
-    lo = lo[near]
-    hi = hi[near]
-    # Points from which box(p, E) meets a face box: per axis, p must reach
-    # the face on the sides where E alone does not. A face box that meets
-    # E's box is unbounded on every axis and keeps every point.
-    reach_lo = np.where(emitters.hi < lo, lo, -np.inf)
-    reach_hi = np.where(emitters.lo > hi, hi, np.inf)
-    cand = np.zeros(n, dtype=bool)
-    rows = max(1, CHUNK_PAIRS // len(lo))
-    for i in range(0, n, rows):
-        p = points[i:i + rows, None, :]
-        inside = np.all((p >= reach_lo) & (p <= reach_hi), axis=2)
-        cand[i:i + rows] = inside.any(axis=1)
-    return cand
-
-
 def _shadow_fn(scene, h, bounce):
     """The march's shadow mask for marching rays whose paths' key
     prefixes (seed, pixel, sample) hash to h."""
@@ -227,7 +188,8 @@ def _shadow_fn(scene, h, bounce):
         # index, the lane of its light-sample draws. Culled points keep
         # the unblocked mask 1.0 and draw nothing.
         m = np.ones(len(p))
-        cand = shadow_candidates(p, scene.emitters, scene.bvh, scene.spawn_eps)
+        em = scene.emitters
+        cand = scene.bvh.shadow_candidates(p, em.lo, em.hi, scene.spawn_eps)
         if not np.any(cand):
             return m
         hp = h[sub_ids[cand]]
@@ -235,8 +197,7 @@ def _shadow_fn(scene, h, bounce):
         u_pick = _rng.uniform(bounce, _rng.LIGHT_PICK, substeps, h=hp)
         u1 = _rng.uniform(bounce, _rng.LIGHT_U, substeps, h=hp)
         u2 = _rng.uniform(bounce, _rng.LIGHT_V, substeps, h=hp)
-        m[cand] = shadow_mask_batch(p[cand], scene.emitters, scene.bvh,
-                                    u_pick, u1, u2, scene.spawn_eps)
+        m[cand] = shadow_mask_batch(p[cand], em, scene.bvh, u_pick, u1, u2, scene.spawn_eps)
         return m
 
     return shadow_fn
@@ -265,7 +226,7 @@ def _march_field(scene, o, d, s_end, bounce, h, L, T_spec, records=None):
     s0 = np.maximum(t0, 0.0)
     s1 = np.minimum(t1, s_end)
     doit = s1 > s0
-    lit = scene.emitters is not None and len(scene.emitters) > 0
+    lit = len(scene.emitters) > 0
     key = None
     if records is not None and bounce == 1 and not lit:
         key = _record_key(field, step, o, d)

@@ -411,7 +411,7 @@ class Scene:
     field: Optional[RadianceGrid]
     meshes: list
     bvh: Bvh
-    emitters: Optional[EmitterSet]
+    emitters: EmitterSet
     spawn_eps: float
 
     def rebuild_bvh(self):
@@ -472,18 +472,13 @@ def build_scene(cfg: SceneConfig, base_dir: str = ".") -> Scene:
         mesh = load_obj(
             full(mc.path),
             bsdf=mc.bsdf,
-            emission=np.array(mc.emission) if mc.emission is not None else None,
+            emission=(0.0, 0.0, 0.0) if mc.emission is None else mc.emission,
             world_from_object=mc.transform.build() if mc.transform else None,
             name=os.path.splitext(os.path.basename(mc.path))[0],
         )
         meshes.append(mesh)
 
-    emitters = None
-    if cfg.emitters:
-        emitters = EmitterSet(
-            [e.triangle for e in cfg.emitters],
-            [e.r_src for e in cfg.emitters],
-        )
+    emitters = EmitterSet([e.triangle for e in cfg.emitters], [e.r_src for e in cfg.emitters])
 
     diag = scene_diagonal(field, meshes)
     return Scene(

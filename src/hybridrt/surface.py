@@ -22,10 +22,12 @@ from .core import Transform, Vec3, cross3, slab_interval, vec3
 _BARY_EPS = 1e-7
 _DET_EPS = 1e-12
 # Leaf box margin per unit of the leaf's longest edge; the bound is in Bvh.
+# A face is hit only within this margin of its box, so the shadow cull is
+# exact for its pad, the spawn epsilon: 1e-4 scene diagonals exceeds it.
 _BOX_PAD = 1e-6
-# Pair tests per chunk: (ray, box) per step of a walk chunk,
-# (ray, face) per chunk of the brute-force sweep, and (point, box) per
-# chunk of the shadow cull in render.py; bounds the chunk's temporaries.
+# Pair tests per chunk: (ray, box) per step of a walk chunk, (ray, face)
+# per chunk of the brute-force sweep, and (point, face box) per chunk of
+# the shadow cull; bounds the chunk's temporaries.
 CHUNK_PAIRS = 1 << 15
 
 
@@ -48,6 +50,11 @@ class Lambertian:
     def __post_init__(self):
         self.albedo = _unit_interval_spectrum(self.albedo, "albedo")
 
+    @property
+    def weight(self) -> Vec3:
+        """The factor by which a bounce scales a path's throughput."""
+        return self.albedo
+
 
 @dataclass
 class Mirror:
@@ -56,6 +63,10 @@ class Mirror:
 
     def __post_init__(self):
         self.reflectance = _unit_interval_spectrum(self.reflectance, "reflectance")
+
+    @property
+    def weight(self) -> Vec3:
+        return self.reflectance
 
 
 @dataclass
@@ -69,22 +80,15 @@ class Dielectric:
             raise ValueError(f"ior: must be > 0, got {self.ior}")
         self.tint = _unit_interval_spectrum(self.tint, "tint")
 
+    @property
+    def weight(self) -> Vec3:
+        return self.tint
+
 
 # The materials are also the scene file's schema: scene.py reads a mesh's
 # `bsdf` object straight into one of them, told apart by `type`; an
 # omitted `type` means the first one's.
 Bsdf = Union[Lambertian, Mirror, Dielectric]
-
-
-def _bsdf_weight(b: Bsdf) -> Vec3:
-    """The factor by which a bounce off b scales a path's throughput."""
-    if isinstance(b, Lambertian):
-        return b.albedo
-    if isinstance(b, Mirror):
-        return b.reflectance
-    if isinstance(b, Dielectric):
-        return b.tint
-    raise TypeError(f"unknown bsdf {type(b)}")
 
 
 def _onb(n: np.ndarray):
@@ -142,9 +146,9 @@ def dielectric_sample_batch(wo, n, front_face, ior, u_lobe):
 
 
 class TriangleMesh:
-    """Indexed triangles with one BSDF and optional per-face emission."""
+    """Indexed triangles with one BSDF and per-face emission, black by default."""
 
-    def __init__(self, vertices, indices, bsdf: Bsdf, emission=None,
+    def __init__(self, vertices, indices, bsdf: Bsdf, emission=(0.0, 0.0, 0.0),
                  world_from_object: Optional[Transform] = None, name: str = "mesh"):
         self.name = name
         vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
@@ -156,12 +160,11 @@ class TriangleMesh:
         self.bsdf = bsdf
         self.face_normals = np.zeros((len(indices), 3))
         self.recompute_normals()
-        if emission is not None:
-            emission = np.asarray(emission, dtype=np.float64)
-            if emission.ndim == 1:
-                emission = np.broadcast_to(emission, (len(indices), 3)).copy()
-            if emission.shape != (len(indices), 3) or np.any(emission < 0):
-                raise ValueError(f"mesh '{name}': emission must be (faces, 3) and >= 0")
+        emission = np.asarray(emission, dtype=np.float64)
+        if emission.ndim == 1:
+            emission = np.broadcast_to(emission, (len(indices), 3)).copy()
+        if emission.shape != (len(indices), 3) or np.any(emission < 0):
+            raise ValueError(f"mesh '{name}': emission must be (faces, 3) and >= 0")
         self.emission = emission
 
     def recompute_normals(self):
@@ -182,7 +185,7 @@ class TriangleMesh:
 
     @property
     def is_emissive(self) -> bool:
-        return self.emission is not None and bool(np.any(self.emission > 0))
+        return bool(np.any(self.emission > 0))
 
 
 def load_obj(path, **mesh_kwargs) -> TriangleMesh:
@@ -354,17 +357,19 @@ class Bvh:
     At or below BRUTE_FORCE_FACES faces nearest-hit runs one dense sweep
     over all faces instead, a choice of speed only. Replaying each
     preset's nearest-hit calls on one core of a 2-vCPU host, sweep and
-    walk interleaved, medians of 7 rounds, in ms:
+    walk interleaved, medians of 21 rounds, in ms:
 
       faces  calls of                   calls    rays   sweep   walk
-         12  calibrate's transport         24  110581      56    389
-         32  hdr-bracket's set-up render    1   16384      20     24
-         94  a two-room benchmark pass      8    4421      16     11
-        168  a field-hit benchmark pass    74   41729     263     18
-        320  a furnace render, 4 spp        2   24326     283     64
+         12  calibrate's transport         24  110590      55    353
+         32  hdr-bracket's set-up render    1   16384      20     21
+         94  a two-room benchmark pass      8    4421      16     10
+        168  a field-hit benchmark pass    74   41729     295     23
+        320  a furnace render, 4 spp        2   24326     280     64
 
-    So the sweep keeps 12 and 32 faces and two-room walks. A walk of one
-    level per step took 15, 29 and 103 ms at 94, 168 and 320 faces.
+    So the sweep keeps 12 and 32 faces (at 32 within a tenth; another host
+    measured the walk ahead, 15 against 17-18 ms) and two-room walks. An
+    earlier replay had a walk of one level per step at 15, 29 and 103 ms
+    for 94, 168 and 320 faces.
     Any-hit always walks.
     """
 
@@ -378,49 +383,42 @@ class Bvh:
         self._bound()
 
     def refit(self):
-        """Re-read the meshes' triangles, normals, emission, BSDF weights
-        and `blocks` and refit the boxes to them, keeping the tree:
+        """Re-read the meshes' triangles, normals, emission, BSDF weights,
+        `blocks` and face boxes and refit the node boxes, keeping the tree:
         `leaf_faces` stays. The meshes must be the ones the tree was built
         on, with the same number of faces."""
         self._read()
         self._bound()
 
     def _read(self):
-        """Triangles, face planes and shading attributes from the meshes."""
-        tris, mesh_ids = [], []
-        for mi, mesh in enumerate(self.meshes):
-            tv = mesh.triangle_vertices()
-            tris.append(tv)
-            mesh_ids.append(np.full(len(tv), mi, dtype=np.int64))
-        if tris:
-            self.tri = np.concatenate(tris)
-            self.face_mesh = np.concatenate(mesh_ids)
-        else:
-            self.tri = np.zeros((0, 3, 3))
-            self.face_mesh = np.zeros(0, dtype=np.int64)
+        """Triangles, face planes and shading attributes from the meshes,
+        per face in mesh order."""
+        ms = self.meshes
+
+        def per_face(rows, shape):
+            # The leading empty table shapes a tree over no faces.
+            return np.concatenate([np.zeros((0, *shape)), *rows])
+
+        self.tri = per_face([m.triangle_vertices() for m in ms], (3, 3))
+        self.face_mesh = np.repeat(np.arange(len(ms)), [len(m.indices) for m in ms])
         e1 = self.tri[:, 1] - self.tri[:, 0]
         e2 = self.tri[:, 2] - self.tri[:, 0]
         # Moller-Trumbore's face planes, (9, faces): rows a, e1, e2 by xyz.
         self.planes = np.concatenate([self.tri[:, 0], e1, e2], axis=1).T.copy()
         # Flat per-face shading attributes so the batched renderer never
         # has to touch Python-level mesh objects inside the bounce loop.
-        weights = np.array([_bsdf_weight(m.bsdf) for m in self.meshes], dtype=np.float64)
+        weights = np.array([m.bsdf.weight for m in ms], dtype=np.float64)
         self.face_weight = weights.reshape(-1, 3)[self.face_mesh]
-        if self.meshes:
-            self.face_normal = np.concatenate([m.face_normals for m in self.meshes])
-            self.face_emission = np.concatenate(
-                [m.emission if m.emission is not None
-                 else np.zeros((len(m.indices), 3)) for m in self.meshes]
-            )
-        else:
-            self.face_normal = np.zeros((0, 3))
-            self.face_emission = np.zeros((0, 3))
+        self.face_normal = per_face([m.face_normals for m in ms], (3,))
+        self.face_emission = per_face([m.emission for m in ms], (3,))
         # Shadow rays pass the faces of emissive meshes (`any_hit_batch`).
-        emits = np.array([m.is_emissive for m in self.meshes], dtype=bool)
+        emits = np.array([m.is_emissive for m in ms], dtype=bool)
         self.blocks = ~emits[self.face_mesh]
-        # Per-face boxes; the shadow cull in render.py reads them too.
+        # Per-face boxes; the shadow cull reads the blocking faces' boxes.
         self.face_lo = self.tri.min(axis=1)
         self.face_hi = self.tri.max(axis=1)
+        self.block_lo = self.face_lo[self.blocks]
+        self.block_hi = self.face_hi[self.blocks]
 
     def _split(self):
         """The tree: the median split of the faces, as `leaf_faces`, and
@@ -547,6 +545,37 @@ class Bvh:
         for ray, face, _ in self._hits(o, d, t_min, t_max):
             blocked[ray[self.blocks[face]]] = True
         return blocked
+
+    def shadow_candidates(self, points, lo, hi, pad):
+        """False where no face that `blocks` can meet a segment from the
+        point to the box [lo, hi], so no shadow ray from it to a light in
+        that box is blocked; True where one might.
+
+        Such a segment lies inside box(p, [lo, hi]), and a face is hit only
+        within its box padded by `pad` (for the pads stated at _BOX_PAD), so
+        a face whose padded box misses that box cannot block the ray.
+        """
+        cand = np.zeros(len(points), dtype=bool)
+        face_lo = self.block_lo - pad
+        face_hi = self.block_hi + pad
+        box_lo = np.minimum(points.min(axis=0, initial=np.inf), lo)
+        box_hi = np.maximum(points.max(axis=0, initial=-np.inf), hi)
+        near = np.all((face_lo <= box_hi) & (face_hi >= box_lo), axis=1)
+        if not np.any(near):
+            return cand
+        face_lo = face_lo[near]
+        face_hi = face_hi[near]
+        # Points from which box(p, [lo, hi]) meets a face box: per axis, p
+        # must reach the face on the sides where [lo, hi] alone does not. A
+        # face box that meets [lo, hi] is unbounded on every axis and keeps
+        # every point.
+        reach_lo = np.where(hi < face_lo, face_lo, -np.inf)
+        reach_hi = np.where(lo > face_hi, face_hi, np.inf)
+        rows = max(1, CHUNK_PAIRS // len(face_lo))
+        for i in range(0, len(points), rows):
+            p = points[i:i + rows, None, :]
+            cand[i:i + rows] = np.all((p >= reach_lo) & (p <= reach_hi), axis=2).any(axis=1)
+        return cand
 
     def brute_force_batch(self, o, d, t_min=0.0, t_max=np.inf):
         """Oracle: test every face for every ray, same tie-break rule."""

@@ -16,7 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hybridrt import assets, cli, emitters
 from hybridrt.field import RadianceGrid, save_rfgrid
-from hybridrt.hdr import CrfTable, HdrError, load_crf_csv, save_crf_csv
+from hybridrt.hdr import (CrfTable, HdrError, load_crf_csv, save_bracket, save_crf_csv,
+                          synthesize_bracket)
 from hybridrt.images import HdrImage, read_pfm, write_pfm
 from hybridrt.scene import load_scene
 from hybridrt.surface import save_obj
@@ -364,6 +365,21 @@ def test_hdr_merge_truncated_crf_exits_2(hdr_dir, tmp_path, capsys):
                         "--crf", str(crf), "--out", str(out))
     assert code == 2
     assert err.startswith("error: hdr-merge: ") and "crf.csv" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--normalize"]])
+def test_hdr_merge_downsample_of_a_tiny_bracket_exits_2(tmp_path, capsys, extra):
+    # A 3x3 bracket holds no full 4x4 box: no 0x0 image is written.
+    pixels = np.linspace(0.1, 1.0, 27).reshape(3, 3, 3)
+    manifest = save_bracket(str(tmp_path), synthesize_bracket(HdrImage(pixels), [0.5, 1, 2]))
+    crf, out = tmp_path / "crf.csv", tmp_path / "merged.pfm"
+    save_crf_csv(crf, crf_table())
+    code, err = run_cli(capsys, "hdr-merge", "--bracket", manifest, "--crf", str(crf),
+                        "--out", str(out), "--downsample4", *extra)
+    assert code == 2
+    assert err == ("error: hdr-merge: a 4x box downsample needs at least 4x4 px, "
+                   "got a 3x3 image\n")
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from hybridrt import assets, emitters
 from hybridrt.images import read_pfm
-from hybridrt.render import render
+from hybridrt.render import BATCH_RAYS, Camera, render
 from hybridrt.scene import load_poses, load_scene
 
 # SHA-256 of the float64 transport operator of the estimation room (eight
@@ -38,6 +38,20 @@ def test_transport_checksum_pinned(estimation):
     assert hashlib.sha256(op.a.tobytes()).hexdigest() == ESTIMATION_TRANSPORT_SHA
 
 
+def test_transport_batches_keep_the_ray_budget(estimation_dir, monkeypatch):
+    # 160x160 px at 2 spp is 51,200 rays: ranges of BATCH_RAYS // 2 pixels
+    # trace every sample of a pixel in one batch of at most BATCH_RAYS rays.
+    scene = load_scene(str(estimation_dir / "room.json"))
+    scene.render.spp = 2
+    pose = Camera(pose=load_poses(estimation_dir / "poses.json")[0].pose, fov=1.0,
+                  resolution=(160, 160))
+    batches = []
+    monkeypatch.setattr(emitters, "trace_paths", lambda scene, o, d, pix, *a: batches.append(pix))
+    emitters.build_transport(scene, [pose], 3)
+    assert [len(pix) for pix in batches] == [BATCH_RAYS, BATCH_RAYS, BATCH_RAYS, 2048]
+    assert np.array_equal(np.concatenate(batches), np.repeat(np.arange(160 * 160), 2))
+
+
 def test_transport_is_linear_in_emission(estimation):
     # A @ E_true equals the forward render with E_true installed: transport
     # and render build the same paths from the same seeds, so only the
@@ -50,7 +64,7 @@ def test_transport_is_linear_in_emission(estimation):
         want = np.concatenate([render(scene, camera=cam).pixels.reshape(-1, 3)
                                for cam in poses])
     finally:
-        scene.meshes[0].emission = None
+        scene.meshes[0].emission = np.zeros_like(e)
         scene.rebuild_bvh()
     assert want.max() > 0.1
     np.testing.assert_allclose(apply(op, e), want, rtol=1e-12, atol=0.0)

@@ -10,7 +10,7 @@ import json
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hybridrt.field import load_rfgrid
 from hybridrt.hdr import load_bracket, load_crf_csv
@@ -64,9 +64,18 @@ def returns_or_raises_value_error(read, arg):
 
 @settings(max_examples=300, deadline=None)
 @given(data=image_files)
+@example(data=b"PF\n-2 2\n-1.0\n" + bytes(48))
+@example(data=b"P6\n-1 2\n255\n" + bytes(12))
+@example(data=b"PF\n0 5\n-1.0\n")
 def test_fuzzed_images_decode_or_raise_value_error(data):
-    returns_or_raises_value_error(decode_pfm, data)
-    returns_or_raises_value_error(decode_ppm, data)
+    # A decoded image has its header's width and height.
+    for decode in (decode_pfm, decode_ppm):
+        try:
+            img = decode(data)
+        except ValueError:
+            continue
+        w, h = (int(tok) for tok in data.split(b"\n", 3)[1].split())
+        assert getattr(img, "pixels", img).shape == (h, w, 3)
 
 
 @pytest.mark.parametrize("load, files", [(load_rfgrid, grid_files(4)),

@@ -24,14 +24,16 @@ from hybridrt.render import (
     EmitterSet,
     trace_paths,
     render,
-    shadow_candidates,
     shadow_mask_batch,
 )
 from hybridrt.scene import RenderConfig, Scene, SceneConfig, CameraConfig, scene_diagonal
 from hybridrt.surface import Bvh, Lambertian, Mirror, TriangleMesh
 
 
-def make_scene(field=None, meshes=(), emitters=None, camera=None, **render_kw):
+NO_LIGHTS = EmitterSet(np.zeros((0, 3, 3)), np.zeros(0))
+
+
+def make_scene(field=None, meshes=(), emitters=NO_LIGHTS, camera=None, **render_kw):
     meshes = list(meshes)
     camera = camera or Camera(pose=Transform.look_at([0, 0, 3], [0, 0, 0]),
                               fov=math.radians(30), resolution=(8, 8))
@@ -176,9 +178,7 @@ ORIGIN = np.zeros((1, 3))
 
 def test_shadow_mask_no_emitters_is_one():
     bvh = make_scene().bvh
-    assert shadow_mask_batch(ORIGIN, None, bvh, *light_draws(1), 1e-6).tolist() == [1.0]
-    empty = EmitterSet(np.zeros((0, 3, 3)), np.zeros(0))
-    assert shadow_mask_batch(ORIGIN, empty, bvh, *light_draws(1), 1e-6).tolist() == [1.0]
+    assert shadow_mask_batch(ORIGIN, NO_LIGHTS, bvh, *light_draws(1), 1e-6).tolist() == [1.0]
 
 
 def test_shadow_mask_unblocked_is_one():
@@ -216,11 +216,11 @@ def test_emissive_mesh_casts_no_shadow(r_src):
     lane = np.arange(len(points))
     draws = [hrng.uniform(3, 0, 0, 0, purpose, lane)
              for purpose in (hrng.LIGHT_PICK, hrng.LIGHT_U, hrng.LIGHT_V)]
-    for emission, want in ((None, np.clip(1.0 - r_src, 0.02, 1.0)), ((2.0, 2.0, 2.0), 1.0)):
-        quad = TriangleMesh(v, f, Lambertian(np.full(3, 0.5)), emission=emission)
+    for emission, want in ((0.0, np.clip(1.0 - r_src, 0.02, 1.0)), (2.0, 1.0)):
+        quad = TriangleMesh(v, f, Lambertian(np.full(3, 0.5)), emission=np.full(3, emission))
         scene = make_scene(meshes=[wall, quad], emitters=em)
-        cand = shadow_candidates(points, em, scene.bvh, scene.spawn_eps)
-        assert cand.tolist() == [emission is None] * len(points)
+        cand = scene.bvh.shadow_candidates(points, em.lo, em.hi, scene.spawn_eps)
+        assert cand.tolist() == [emission == 0.0] * len(points)
         m = shadow_mask_batch(points, em, scene.bvh, *draws, scene.spawn_eps)
         assert m.tolist() == [want] * len(points)
 
@@ -229,7 +229,7 @@ def shadow_scene(r_src):
     field = RadianceGrid.constant((-1, -1, -1), (1, 1, 1), 1.0, (1, 1, 1))
     v, f = assets.quad((-4, -4, 3.0), (8, 0, 0), (0, 8, 0))  # blocks the sky emitter
     blocker = TriangleMesh(v, f, Lambertian(np.full(3, 0.5)))
-    em = None
+    em = NO_LIGHTS
     if r_src is not None:
         em = EmitterSet([[[-1, -1, 6], [1, -1, 6], [0, 1, 6]]], [r_src])
     cam = Camera(pose=Transform.look_at([0, 0, -3], [0, 0, 0]),
@@ -339,13 +339,13 @@ def boxes_meet_reference(points, em, bvh, pad):
        layout=st.sampled_from(["soup", "axis"]),
        chunk=st.sampled_from([1, 7, 1 << 15]))
 def test_shadow_cull_never_drops_a_blocked_ray(seed, n_tris, layout, chunk):
-    render_mod = importlib.import_module("hybridrt.render")
+    surface = importlib.import_module("hybridrt.surface")
     rng = np.random.default_rng(seed)
     bvh, em, pts, pad = cull_case(rng, n_tris, layout)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(render_mod, "CHUNK_PAIRS", chunk)
-        cand = shadow_candidates(pts, em, bvh, pad)
-    assert np.array_equal(cand, shadow_candidates(pts, em, bvh, pad))
+        mp.setattr(surface, "CHUNK_PAIRS", chunk)
+        cand = bvh.shadow_candidates(pts, em.lo, em.hi, pad)
+    assert np.array_equal(cand, bvh.shadow_candidates(pts, em.lo, em.hi, pad))
     ref = boxes_meet_reference(pts, em, bvh, pad)
     assert np.array_equal(cand, ref)
     # Emitter corners and edges (u1, u2 in {0, 1}) and interior points.
@@ -362,16 +362,16 @@ def test_shadow_cull_never_drops_a_blocked_ray(seed, n_tris, layout, chunk):
 def test_shadow_candidates_edge_cases():
     em = EmitterSet([[[-0.2, -0.2, 6], [0.2, -0.2, 6], [0, 0.2, 6]]], [0.5])
     pts = np.array([[0.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
-    assert not shadow_candidates(pts, em, Bvh([]), 1e-4).any()
-    assert shadow_candidates(np.zeros((0, 3)), em, Bvh([]), 1e-4).shape == (0,)
+    assert not Bvh([]).shadow_candidates(pts, em.lo, em.hi, 1e-4).any()
+    assert Bvh([]).shadow_candidates(np.zeros((0, 3)), em.lo, em.hi, 1e-4).shape == (0,)
     # A blocker face whose box meets the emitters' own box culls nothing.
     v, f = assets.quad((-4, -4, 6), (8, 0, 0), (0, 8, 0))
     ceiling = Bvh([TriangleMesh(v, f, Lambertian(np.full(3, 0.5)))])
-    assert shadow_candidates(pts, em, ceiling, 1e-4).all()
+    assert ceiling.shadow_candidates(pts, em.lo, em.hi, 1e-4).all()
     # A half-plane blocker off to one side only reaches points beside it.
     v, f = assets.quad((-6, -4, 3), (5.5, 0, 0), (0, 8, 0))
     half = Bvh([TriangleMesh(v, f, Lambertian(np.full(3, 0.5)))])
-    assert shadow_candidates(pts, em, half, 1e-4).tolist() == [False, True]
+    assert half.shadow_candidates(pts, em.lo, em.hi, 1e-4).tolist() == [False, True]
 
 
 def half_shadow_scene():
@@ -392,11 +392,11 @@ def count_shadow_work(monkeypatch, scene, cull=True, **kw):
     """Render, counting points culled, shadow rays fired and rays blocked."""
     render_mod = importlib.import_module("hybridrt.render")
     counts = {"culled": 0, "rays": 0, "blocked": 0}
-    cull_fn = render_mod.shadow_candidates
+    cull_fn = Bvh.shadow_candidates
     mask_fn = render_mod.shadow_mask_batch
 
-    def candidates(p, *a):
-        c = cull_fn(p, *a) if cull else np.ones(len(p), dtype=bool)
+    def candidates(bvh, p, *a):
+        c = cull_fn(bvh, p, *a) if cull else np.ones(len(p), dtype=bool)
         counts["culled"] += int(np.count_nonzero(~c))
         return c
 
@@ -406,7 +406,7 @@ def count_shadow_work(monkeypatch, scene, cull=True, **kw):
         counts["blocked"] += int(np.count_nonzero(m < 1.0))
         return m
 
-    monkeypatch.setattr(render_mod, "shadow_candidates", candidates)
+    monkeypatch.setattr(Bvh, "shadow_candidates", candidates)
     monkeypatch.setattr(render_mod, "shadow_mask_batch", mask)
     img = render(scene, **kw)
     monkeypatch.undo()

@@ -345,8 +345,10 @@ def test_scene_rebuild_bvh_after_deform(tmp_path):
     scene.meshes[0].vertices = scene.meshes[0].vertices + np.array([0, 0, 5.0])
     scene.rebuild_bvh()
     assert scene.bvh is bvh and bvh.node_lo[0][2] >= 4.9
-    # No mesh emits, so every face blocks shadow rays.
+    # No mesh emits, so every face blocks shadow rays, and the shadow cull
+    # reads their refit boxes.
     assert bvh.blocks.tolist() == [True, True]
+    assert bvh.block_lo[:, 2].min() >= 4.9
 
 
 def test_bvh_blocks_leave_out_emissive_meshes(tmp_path):
@@ -382,10 +384,10 @@ def test_rebuild_bvh_refits_the_same_meshes_and_builds_for_others(estimation_dir
     assert not bvh.blocks.any()
     scene.rebuild_bvh()
     assert scene.bvh is bvh and not bvh.blocks.any()
-    mesh.emission = None
+    mesh.emission = np.zeros((len(mesh.indices), 3))
     scene.rebuild_bvh()
     assert scene.bvh is bvh and not bvh.face_emission.any() and bvh.blocks.all()
-    mesh.indices = mesh.indices[:-1]
+    mesh.indices, mesh.emission = mesh.indices[:-1], mesh.emission[:-1]
     scene.rebuild_bvh()
     assert scene.bvh is not bvh and scene.bvh.n_faces == len(mesh.indices)
     bvh = scene.bvh

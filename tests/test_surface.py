@@ -561,11 +561,11 @@ def test_cosine_sampling_distribution_chi2():
 # ---------------------------------------------------------------- emission
 
 
-def emission_radiance(emission, from_front):
+def emission_radiance(from_front, **mesh_kw):
     """Radiance of one path that hits a black quad in z = 0 (front side +z)
     and traces no further bounce."""
     v, f = assets.quad((-1, -1, 0), (2, 0, 0), (0, 2, 0))
-    mesh = make_mesh(v, f, Lambertian(np.zeros(3)), emission=emission)
+    mesh = make_mesh(v, f, Lambertian(np.zeros(3)), **mesh_kw)
     scene = SimpleNamespace(bvh=Bvh([mesh]), field=None, render=RenderConfig(),
                             spawn_eps=1e-6)
     z = 1.0 if from_front else -1.0
@@ -575,16 +575,16 @@ def emission_radiance(emission, from_front):
 
 
 def test_emission_defaults_to_black():
-    assert np.array_equal(emission_radiance(None, from_front=True), np.zeros(3))
+    assert np.array_equal(emission_radiance(from_front=True), np.zeros(3))
 
 
 def test_emission_front_side_returns_value():
-    assert np.array_equal(emission_radiance(np.array([2.0, 2.0, 2.0]), from_front=True),
+    assert np.array_equal(emission_radiance(emission=np.array([2.0, 2.0, 2.0]), from_front=True),
                           [2.0, 2.0, 2.0])
 
 
 def test_emission_back_side_is_black():
-    assert np.array_equal(emission_radiance(np.array([2.0, 2.0, 2.0]), from_front=False),
+    assert np.array_equal(emission_radiance(emission=np.array([2.0, 2.0, 2.0]), from_front=False),
                           np.zeros(3))
 
 
